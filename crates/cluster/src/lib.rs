@@ -23,19 +23,25 @@
 //! share each link:
 //!
 //! * **control** — submit/wait/drain/shutdown commands and their
-//!   acknowledgements as point-to-point messages (graphs themselves
+//!   acknowledgements as point-to-point messages, one typed frame per
+//!   direction with a single encode/decode pair (graphs themselves
 //!   move through an in-process side channel; `das_msg` payloads are
 //!   `f64` rows, and task closures could never transit a wire format —
-//!   on a real deployment this channel is the RPC body);
+//!   on a real deployment this channel is the RPC body). There is one
+//!   admission path: `submit` is a one-job `submit_many`, and a batch
+//!   costs one command per node it touches;
 //! * **load** — after *every* command a node pushes its
 //!   outstanding-job count back over the message layer; the dispatcher
 //!   collapses the backlog with [`das_msg::Endpoint::try_recv_latest`]
 //!   and routes by [`RoutePolicy`] (round-robin, least-outstanding, or
 //!   seeded power-of-two-choices) over that view, skipping dead nodes;
-//! * **stats** — `drain` sends every live node one command and reads
-//!   back one combined reply `[ACK_OK, jobs, tasks, records…, extras]`
-//!   whose header cross-checks the decoded records — a wire-format
-//!   regression trips an assert, not a silently wrong percentile.
+//! * **stats** — there is one drain: `drain`, `drain_summary` and
+//!   `remove_node` all send a node the same command and read back one
+//!   combined reply — a header (jobs, tasks, first arrival, last
+//!   completion), the node's extras, and *either* the completion
+//!   records *or* the node's post-drain metrics snapshot. The header
+//!   cross-checks the decoded records — a wire-format regression trips
+//!   an assert, not a silently wrong percentile.
 //!
 //! ## Failure domains and recovery
 //!
@@ -43,21 +49,22 @@
 //! and bounded exponential backoff ([`das_msg::Endpoint::recv_backoff`])
 //! and surfaces a typed [`ExecError::Timeout`] instead of hanging. A
 //! node-agent panic is caught at the thread boundary; the wrapper
-//! publishes a down flag and sends `ERR_NODE_FAILED` as its last frame,
-//! so the blocked dispatcher learns of the death *deterministically* —
-//! as a frame, not a timeout race — and decodes it into
-//! [`ExecError::NodeFailed`].
+//! publishes a down flag and sends a `NodeFailed` error reply as its
+//! last frame, so the blocked dispatcher learns of the death
+//! *deterministically* — as a frame, not a timeout race. Either way the
+//! caller sees one thing, [`ExecError::NodeFailed`], and whichever verb
+//! ran into it — submit, wait, drain, trace pull, node removal —
+//! retires the node on the spot.
 //!
 //! On a detected death the dispatcher repairs the cluster from its
-//! **spec ledger** (enabled by [`Cluster::enable_recovery`]; on by
-//! default for [`ClusterBuilder::build_sim`] /
-//! [`ClusterBuilder::build_runtime`]): jobs the dead node had admitted
-//! but never started are requeued onto survivors through the normal
-//! routing policy (`jobs_requeued`), started-but-unfinished jobs are
-//! re-submitted **at most once** (`retries`), and jobs whose retry
-//! budget is spent redeem as [`ExecError::NodeFailed`] (`jobs_lost`).
-//! The failure itself is attributed in the merged extras as
-//! `node{i}.failed`.
+//! **spec ledger** — it keeps a copy of every in-flight spec, which is
+//! why the graph type must be `Clone`: jobs the dead node had
+//! acknowledged but never started are requeued onto survivors through
+//! the normal routing policy (`jobs_requeued`), started-but-unfinished
+//! jobs are re-submitted **at most once** (`retries`), and jobs whose
+//! retry budget is spent redeem as [`ExecError::NodeFailed`]
+//! (`jobs_lost`). The failure itself is attributed in the merged extras
+//! as `node{i}.failed`.
 //!
 //! Deterministic **fault injection** drives all of this in tests: a
 //! seeded [`das_core::FaultSchedule`] on the base session plants
@@ -149,7 +156,7 @@ mod wire;
 
 pub use route::RoutePolicy;
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
@@ -168,15 +175,12 @@ use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use wire::{
-    ACK_OK, DISPATCHER, ERR_UNKNOWN_TICKET, NODE, OP_DRAIN, OP_DRAIN_SUMMARY, OP_PULL_TRACE,
-    OP_SHUTDOWN, OP_SUBMIT, OP_SUBMIT_MANY, OP_WAIT, T_ACK, T_CTRL, T_LOAD, T_METRICS,
-};
+use wire::{Ctrl, DrainBody, Drained, Reply, DISPATCHER, NODE, T_ACK, T_CTRL, T_LOAD, T_METRICS};
 
 /// Human-readable label of a scheduled fault, used by failover tooling
-/// (the `cluster_failover` example) and by the das-lint cross-file
-/// contract that forces this crate to account for every
-/// [`FaultKind`] the fault plane can schedule.
+/// (the `cluster_failover` example). The wildcard-free match forces
+/// this crate to account for every [`FaultKind`] the fault plane can
+/// schedule.
 pub fn fault_kind_name(kind: &FaultKind) -> &'static str {
     match kind {
         FaultKind::Kill { .. } => "kill",
@@ -203,16 +207,15 @@ pub struct ClusterBuilder {
     policy: RoutePolicy,
     route_seed: u64,
     rpc_base: Duration,
-    rpc_attempts: u32,
 }
 
 /// Default first-wait window of a control RPC; doubles each attempt.
 const DEFAULT_RPC_BASE: Duration = Duration::from_millis(500);
-/// Default attempt count: with the 500ms base the total budget is
-/// 31.5s — generous enough that a healthy-but-busy runtime node never
-/// spuriously times out, small enough that a wedged one is a test
-/// failure, not a CI hang.
-const DEFAULT_RPC_ATTEMPTS: u32 = 6;
+/// Backoff attempts per control RPC: with the 500ms default base the
+/// total budget is 31.5s — generous enough that a healthy-but-busy
+/// runtime node never spuriously times out, small enough that a wedged
+/// one is a test failure, not a CI hang.
+const RPC_ATTEMPTS: u32 = 6;
 
 impl ClusterBuilder {
     /// `nodes` homogeneous nodes derived from `base` (node `i` runs
@@ -221,7 +224,6 @@ impl ClusterBuilder {
     /// # Panics
     /// Panics if `nodes == 0`.
     pub fn new(base: SessionBuilder, nodes: usize) -> Self {
-        assert!(nodes > 0, "a cluster needs at least one node");
         let sessions = (0..nodes)
             .map(|i| {
                 let mut s = base.clone();
@@ -229,14 +231,7 @@ impl ClusterBuilder {
                 s
             })
             .collect();
-        let route_seed = base.seed;
-        ClusterBuilder {
-            sessions,
-            policy: RoutePolicy::PowerOfTwo,
-            route_seed,
-            rpc_base: DEFAULT_RPC_BASE,
-            rpc_attempts: DEFAULT_RPC_ATTEMPTS,
-        }
+        Self::from_sessions(sessions)
     }
 
     /// Heterogeneous nodes, one per session.
@@ -251,7 +246,6 @@ impl ClusterBuilder {
             policy: RoutePolicy::PowerOfTwo,
             route_seed,
             rpc_base: DEFAULT_RPC_BASE,
-            rpc_attempts: DEFAULT_RPC_ATTEMPTS,
         }
     }
 
@@ -269,17 +263,10 @@ impl ClusterBuilder {
     }
 
     /// First-wait window of every control RPC (default 500ms). The
-    /// window doubles on each retry, so the total deadline is
-    /// `base × (2^attempts − 1)`.
+    /// window doubles on each of the six attempts, so the total
+    /// deadline is `base × 63`.
     pub fn rpc_deadline(mut self, base: Duration) -> Self {
         self.rpc_base = base;
-        self
-    }
-
-    /// Number of backoff attempts per control RPC (default 6; clamped
-    /// to at least 1).
-    pub fn rpc_attempts(mut self, attempts: u32) -> Self {
-        self.rpc_attempts = attempts.max(1);
         self
     }
 
@@ -288,53 +275,36 @@ impl ClusterBuilder {
         &self.sessions
     }
 
-    /// A cluster of `das-sim` nodes (`Simulator::from_session` each),
-    /// with failure recovery enabled.
+    /// A cluster of `das-sim` nodes (`Simulator::from_session` each).
     pub fn build_sim(self) -> Cluster<Dag> {
-        let mut cluster = self.build_with(|_, session| Simulator::from_session(session));
-        cluster.enable_recovery();
-        cluster
+        self.build_with(|_, session| Simulator::from_session(session))
     }
 
     /// A cluster of `das-runtime` nodes (`Runtime::from_session` each);
     /// worker threads per node are the node topology's core count.
-    /// Failure recovery is enabled.
     pub fn build_runtime(self) -> Cluster<TaskGraph> {
-        let mut cluster = self.build_with(|_, session| Runtime::from_session(session));
-        cluster.enable_recovery();
-        cluster
+        self.build_with(|_, session| Runtime::from_session(session))
     }
 
     /// A cluster over any executor backend: `factory(i, &session)`
     /// builds node `i`. All nodes must share one graph type — mixing
     /// backends with different graph representations cannot present a
-    /// single `Executor<Graph = G>` front. The factory is retained so
-    /// [`Cluster::add_node`] can spawn later members; recovery is *not*
-    /// enabled here (the graph type may not be `Clone`) — call
-    /// [`Cluster::enable_recovery`] if it is.
-    pub fn build_with<E, F>(self, factory: F) -> Cluster<E::Graph>
+    /// single `Executor<Graph = G>` front — and it must be `Clone`: the
+    /// dispatcher keeps a copy of every in-flight spec to recover from
+    /// node deaths. The factory is retained so [`Cluster::add_node`]
+    /// can spawn later members.
+    pub fn build_with<E, F>(self, mut factory: F) -> Cluster<E::Graph>
     where
         E: Executor + Send + 'static,
-        E::Graph: Send + 'static,
+        E::Graph: Clone + Send + 'static,
         F: FnMut(usize, &SessionBuilder) -> E + Send + 'static,
     {
-        let n = self.sessions.len();
-        // Per-node admission bounds, from each session's knob: the
-        // dispatcher sheds at these bounds *before* any wire traffic,
-        // and the node executors (built from the same sessions)
-        // enforce the identical bound behind it.
-        let limits: Vec<f64> = self
-            .sessions
-            .iter()
-            .map(|s| s.max_outstanding.map_or(f64::INFINITY, |l| l as f64))
-            .collect();
         let faults = self.sessions[0].fault_schedule.clone().unwrap_or_default();
-        let mut factory = factory;
         let mut spawner: Spawner<E::Graph> = Box::new(move |i, session| {
             let exec = factory(i, session);
-            spawn_node(i, exec, faults.plane_for(i), session.metrics)
+            spawn_node(i, exec, faults.plane_for(i), session)
         });
-        let nodes: Vec<NodeSlot<E::Graph>> = self
+        let nodes = self
             .sessions
             .iter()
             .enumerate()
@@ -342,25 +312,18 @@ impl ClusterBuilder {
             .collect();
         Cluster {
             nodes,
-            alive: vec![true; n],
             spawner,
             policy: self.policy,
             rng: SmallRng::seed_from_u64(self.route_seed),
             rr: 0,
-            loads: vec![0.0; n],
-            node_metrics: vec![None; n],
-            limits,
             route: HashMap::new(),
-            retained: HashMap::new(),
             lost: HashMap::new(),
-            cloner: None,
             banked_jobs: Vec::new(),
             banked_extras: ExecExtras::default(),
             next_job: 0,
             exec_session: session_tag(),
             exec_extras: ExecExtras::default(),
             rpc_base: self.rpc_base,
-            rpc_attempts: self.rpc_attempts,
         }
     }
 }
@@ -369,82 +332,104 @@ impl ClusterBuilder {
 /// private link and starts the agent thread. Boxed so [`Cluster`] can
 /// keep it for [`Cluster::add_node`] without being generic over the
 /// factory.
-type Spawner<G> = Box<dyn FnMut(usize, &SessionBuilder) -> NodeSlot<G> + Send>;
+type Spawner<G> = Box<dyn FnMut(usize, &SessionBuilder) -> Node<G> + Send>;
 
-/// Dispatcher-side handle of one node: the graph side channel, the
-/// node's last error message (strings stay in-process; only codes
-/// cross the payload format), the dispatcher end of the private link,
-/// the agent's down flag and its join handle. Slots of dead or removed
-/// nodes stay in place so node indices are stable for the lifetime of
-/// the cluster.
-struct NodeSlot<G> {
+/// Where a node is in its life. Only `Live` nodes are routed to,
+/// refreshed and drained by the cluster-wide verbs; `Leaving` is the
+/// window inside [`Cluster::remove_node`] in which the node is already
+/// closed to routing but still owes its drain; `Dead` — failed or
+/// retired — is final.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum NodeState {
+    Live,
+    Leaving,
+    Dead,
+}
+
+/// Everything the dispatcher holds about one node: its end of the
+/// private link (the graph side channel, the node's last error message
+/// — strings stay in-process, only codes cross the payload format —
+/// the endpoint, the agent's down flag and join handle) and its view of
+/// the node. Slots of dead nodes stay in place so node indices are
+/// stable for the lifetime of the cluster.
+struct Node<G> {
     tx: Sender<JobSpec<G>>,
     errs: Arc<Mutex<String>>,
     ep: Endpoint,
     down: Arc<AtomicBool>,
     agent: Option<JoinHandle<()>>,
+    state: NodeState,
+    /// Last load report (outstanding jobs), fed by `T_LOAD` messages —
+    /// and by the batch router's own `+1` per assignment, which the
+    /// node's next report overwrites; 0 once dead.
+    load: f64,
+    /// Admission bound (`f64::INFINITY` when unbounded), from the
+    /// session's `max_outstanding`: the dispatcher sheds at this bound
+    /// *before* any wire traffic, and the node executor (built from the
+    /// same session) enforces the identical bound behind it.
+    limit: f64,
+    /// Latest metrics snapshot, fed by `T_METRICS` frames (keep-latest,
+    /// like the load) and by summary drains; `None` once dead, and
+    /// always unless the session enabled [`SessionBuilder::metrics`].
+    snapshot: Option<NodeSnapshot>,
 }
 
-/// Where a cluster job went, and whether any node-side execution has
-/// been triggered for it (a `wait` or `drain` reaching its node starts
-/// the node's whole pending batch) — the bit that decides requeue
-/// (exactly-once so far) versus retry (at-most-once re-submission).
-#[derive(Clone, Copy, Debug)]
-struct NodeRoute {
+impl<G> Node<G> {
+    fn is_live(&self) -> bool {
+        self.state == NodeState::Live
+    }
+
+    /// The routing view: `(load, limit)` while open to routing.
+    fn view(&self) -> Option<(f64, f64)> {
+        self.is_live().then_some((self.load, self.limit))
+    }
+}
+
+/// One in-flight cluster job: where it went, the spec copy recovery
+/// re-submits, and the two bits that decide its fate if the node dies.
+/// `started`: some node-side execution has been triggered for it (a
+/// `wait` or `drain` reaching its node starts the node's whole pending
+/// batch) — requeue (exactly-once so far) versus retry. `retried`: its
+/// single at-most-once re-submission is spent.
+struct Routed<G> {
     node: usize,
     local: u64,
     started: bool,
-}
-
-/// Ledger entry for one in-flight job: the spec copy recovery would
-/// re-submit, and whether its single retry has been spent.
-struct Retained<G> {
-    spec: JobSpec<G>,
     retried: bool,
+    spec: JobSpec<G>,
 }
 
-/// Monomorphic spec copier installed by [`Cluster::enable_recovery`]; a
-/// plain `fn` pointer keeps `Cluster<G>` itself free of a `G: Clone`
-/// bound.
-type SpecCloner<G> = fn(&JobSpec<G>) -> JobSpec<G>;
+impl<G> Routed<G> {
+    /// A fresh acknowledgement: never started, retry unspent.
+    fn new(node: usize, local: u64, spec: JobSpec<G>) -> Self {
+        Routed {
+            node,
+            local,
+            started: false,
+            retried: false,
+            spec,
+        }
+    }
+}
 
 /// The sharded scheduling tier: N node-local executors behind one
 /// dispatcher that speaks the [`Executor`] contract. See the crate docs
 /// for the architecture and failure semantics; build with
 /// [`ClusterBuilder`].
 pub struct Cluster<G> {
-    nodes: Vec<NodeSlot<G>>,
-    /// Liveness per slot. Dead and removed nodes keep their slot (and
-    /// index) but are skipped by routing, load refresh and drain.
-    alive: Vec<bool>,
+    nodes: Vec<Node<G>>,
     spawner: Spawner<G>,
     policy: RoutePolicy,
     rng: SmallRng,
     rr: usize,
-    /// Last load report per node (outstanding jobs), fed exclusively by
-    /// `T_LOAD` messages; pinned to 0 for dead nodes.
-    loads: Vec<f64>,
-    /// Latest metrics snapshot per node, fed exclusively by `T_METRICS`
-    /// frames (keep-latest, like the loads); cleared for dead nodes.
-    /// All `None` unless the node sessions enabled
-    /// [`SessionBuilder::metrics`].
-    node_metrics: Vec<Option<NodeSnapshot>>,
-    /// Per-node admission bound (`f64::INFINITY` when unbounded),
-    /// from each node session's `max_outstanding`.
-    limits: Vec<f64>,
-    /// Cluster job id → node placement, for every submitted job not yet
+    /// The spec ledger and route table in one: cluster job id → the
+    /// node that acknowledged it, for every submitted job not yet
     /// waited or drained.
-    route: HashMap<u64, NodeRoute>,
-    /// Spec ledger: cluster job id → re-submittable copy, populated
-    /// while recovery is enabled.
-    retained: HashMap<u64, Retained<G>>,
-    /// Jobs a node took down with it (no spec copy, or retry budget
-    /// spent): cluster job id → the node that failed. Their tickets
-    /// redeem as [`ExecError::NodeFailed`].
+    route: HashMap<u64, Routed<G>>,
+    /// Jobs a node took down with it (retry budget spent, or no
+    /// survivor could take them): cluster job id → the node that
+    /// failed. Their tickets redeem as [`ExecError::NodeFailed`].
     lost: HashMap<u64, usize>,
-    /// Monomorphic spec copier — `Some` once [`Cluster::enable_recovery`]
-    /// ran.
-    cloner: Option<SpecCloner<G>>,
     /// Records and extras banked by [`Cluster::remove_node`], folded
     /// into the next [`Executor::drain`].
     banked_jobs: Vec<JobStats>,
@@ -453,26 +438,6 @@ pub struct Cluster<G> {
     exec_session: u64,
     exec_extras: ExecExtras,
     rpc_base: Duration,
-    rpc_attempts: u32,
-}
-
-impl<G: Clone> Cluster<G> {
-    /// Turn on failure recovery: from here on the dispatcher retains a
-    /// copy of every submitted spec until its job completes, so jobs on
-    /// a dead node can be requeued (never-started) or retried at most
-    /// once (started). [`ClusterBuilder::build_sim`] and
-    /// [`ClusterBuilder::build_runtime`] enable this automatically;
-    /// [`ClusterBuilder::build_with`] leaves it off because an
-    /// arbitrary graph type may not be `Clone`.
-    pub fn enable_recovery(&mut self) {
-        self.cloner = Some(clone_spec::<G>);
-    }
-}
-
-/// The monomorphic target of [`Cluster::enable_recovery`]'s `fn`
-/// pointer.
-fn clone_spec<G: Clone>(spec: &JobSpec<G>) -> JobSpec<G> {
-    spec.clone()
 }
 
 impl<G> Cluster<G> {
@@ -484,18 +449,19 @@ impl<G> Cluster<G> {
 
     /// Number of live nodes.
     pub fn live_nodes(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
+        self.nodes.iter().filter(|n| n.is_live()).count()
     }
 
     /// Is node `node` live (spawned, not failed, not removed)?
     pub fn is_alive(&self, node: usize) -> bool {
-        self.alive.get(node).copied().unwrap_or(false)
+        self.nodes.get(node).is_some_and(Node::is_live)
     }
 
-    /// Whether the spec ledger is active (see
-    /// [`Cluster::enable_recovery`]).
-    pub fn recovery_enabled(&self) -> bool {
-        self.cloner.is_some()
+    /// The live nodes, ascending.
+    fn live(&self) -> Vec<usize> {
+        (0..self.nodes.len())
+            .filter(|&i| self.nodes[i].is_live())
+            .collect()
     }
 
     /// The routing policy in force.
@@ -518,176 +484,33 @@ impl<G> Cluster<G> {
     /// counter as every earlier one.
     pub fn add_node(&mut self, session: &SessionBuilder) -> usize {
         let idx = self.nodes.len();
-        let slot = (self.spawner)(idx, session);
-        self.nodes.push(slot);
-        self.alive.push(true);
-        self.loads.push(0.0);
-        self.node_metrics.push(None);
-        self.limits
-            .push(session.max_outstanding.map_or(f64::INFINITY, |l| l as f64));
+        let node = (self.spawner)(idx, session);
+        self.nodes.push(node);
         idx
     }
 
-    /// Retire node `node` gracefully: its pending (never-started,
-    /// ledger-backed) jobs move onto peers first (`jobs_requeued`), it
-    /// then drains — records banked for the next [`Executor::drain`],
-    /// minus the speculative executions of the moved jobs — and shuts
-    /// down. The slot index is never reused. Rejects removing a dead
-    /// node or the last live one.
-    pub fn remove_node(&mut self, node: usize) -> Result<(), ExecError> {
-        if !self.is_alive(node) {
-            return Err(ExecError::Rejected(format!("node {node} is not live")));
-        }
-        if self.live_nodes() == 1 {
-            return Err(ExecError::Rejected(
-                "cannot remove the last live node".into(),
-            ));
-        }
-        // Close the node to routing before moving its queue, so the
-        // requeues below cannot land back on it.
-        self.alive[node] = false;
-        // 1. Move the pending queue onto peers. Only never-started
-        //    ledger-backed jobs move (a started batch is already
-        //    executing node-side); their node-local records are
-        //    discarded below — the peer's execution is the one that
-        //    counts.
-        let mut discard: HashSet<u64> = HashSet::new();
-        if self.cloner.is_some() {
-            let mut pending: Vec<u64> = self
-                .route
-                // det-ok: ids are collected into a Vec and sorted
-                // before any routing decision is made from them.
-                .iter()
-                .filter(|(id, r)| r.node == node && !r.started && self.retained.contains_key(*id))
-                .map(|(&id, _)| id)
-                .collect();
-            pending.sort_unstable();
-            for id in pending {
-                let r = self.route.remove(&id).expect("pending id is routed");
-                let keep = self.retained.remove(&id).expect("pending id is retained");
-                let cloner = self.cloner.expect("a retained spec implies a cloner");
-                match self.place_anywhere(cloner(&keep.spec)) {
-                    Ok((new_node, local)) => {
-                        discard.insert(r.local);
-                        self.route.insert(
-                            id,
-                            NodeRoute {
-                                node: new_node,
-                                local,
-                                started: false,
-                            },
-                        );
-                        self.retained.insert(id, keep);
-                        self.exec_extras.bump("jobs_requeued", 1.0);
-                    }
-                    Err(_) => {
-                        // No peer can take it: leave it on the leaving
-                        // node, whose drain below executes it locally.
-                        self.route.insert(id, r);
-                        self.retained.insert(id, keep);
-                    }
-                }
-            }
-        }
-        // 2. Drain the leaving node and bank its records (minus the
-        //    moved jobs' speculative executions) for the next cluster
-        //    drain.
-        self.mark_started(node);
-        self.nodes[node].ep.send(NODE, T_CTRL, vec![OP_DRAIN]);
-        match self.rpc_recv(node) {
-            Ok(p) if p.first() == Some(&ACK_OK) => {
-                let (recs, extras) = decode_drain_ok(&p);
-                let mut recs_out = Vec::new();
-                let mut merged = std::mem::take(&mut self.banked_extras);
-                self.fold_node_records(node, recs, extras, &discard, &mut recs_out, &mut merged);
-                self.banked_jobs.append(&mut recs_out);
-                self.banked_extras = merged;
-            }
-            Ok(p) => {
-                let err = wire::decode_err(&p, node, self.node_error(node));
-                if matches!(err, ExecError::NodeFailed { .. }) {
-                    // Died while leaving: fall through to the failure
-                    // path (alive is restored so the handler runs).
-                    self.alive[node] = true;
-                    self.handle_node_down(node);
-                    return Ok(());
-                }
-                // A failed drain loses the node's batch, exactly like a
-                // failed drain on the bare backend; still shut it down.
-                self.exec_extras
-                    .bump("jobs_orphaned", self.jobs_on(node) as f64);
-                self.forget_routes_on(node);
-            }
-            Err(ExecError::NodeFailed { .. }) => {
-                self.alive[node] = true;
-                self.handle_node_down(node);
-                return Ok(());
-            }
-            Err(e) => {
-                self.alive[node] = true;
-                return Err(e);
-            }
-        }
-        // 3. Shut the agent down and join it.
-        self.nodes[node].ep.send(NODE, T_CTRL, vec![OP_SHUTDOWN]);
-        if let Some(agent) = self.nodes[node].agent.take() {
-            let _ = agent.join();
-        }
-        self.loads[node] = 0.0;
-        self.node_metrics[node] = None;
-        self.exec_extras.set(format!("node{node}.removed"), 1.0);
-        Ok(())
-    }
-
-    /// Route entries currently pointing at `node`.
-    fn jobs_on(&self, node: usize) -> usize {
-        // det-ok: counting is order-insensitive.
-        self.route.values().filter(|r| r.node == node).count()
-    }
-
-    /// Drop every route/ledger entry pointing at `node` (their tickets
-    /// redeem as `UnknownTicket` from here on).
-    fn forget_routes_on(&mut self, node: usize) {
-        let ids: Vec<u64> = self
+    /// Cluster ids currently routed to `node` that satisfy `keep`,
+    /// ascending — the order every repair re-places in.
+    fn routed_to(&self, node: usize, keep: impl Fn(&Routed<G>) -> bool) -> Vec<u64> {
+        let mut ids: Vec<u64> = self
             .route
-            // det-ok: ids are collected into a Vec; the per-id removals
-            // below are order-insensitive.
+            // det-ok: ids are collected into a Vec and sorted before
+            // any routing decision is made from them.
             .iter()
-            .filter(|(_, r)| r.node == node)
+            .filter(|(_, r)| r.node == node && keep(r))
             .map(|(&id, _)| id)
             .collect();
-        for id in ids {
-            self.route.remove(&id);
-            self.retained.remove(&id);
-        }
+        ids.sort_unstable();
+        ids
     }
 
     /// Fold every pending load report into the routing view (newest
     /// report per node wins; dead nodes stay pinned at 0).
     fn refresh_loads(&mut self) {
-        for (i, load) in self.loads.iter_mut().enumerate() {
-            if !self.alive[i] {
-                continue;
-            }
-            if let Some(p) = self.nodes[i].ep.try_recv_latest(NODE, T_LOAD) {
+        for node in self.nodes.iter_mut().filter(|n| n.is_live()) {
+            if let Some(p) = node.ep.try_recv_latest(NODE, T_LOAD) {
                 if let Some(&v) = p.first() {
-                    *load = v;
-                }
-            }
-        }
-    }
-
-    /// Fold every pending `T_METRICS` frame into the per-node snapshot
-    /// view (newest frame per node wins, exactly like the loads; a
-    /// misframed frame is skipped and only costs freshness).
-    fn refresh_metrics(&mut self) {
-        for (i, slot) in self.node_metrics.iter_mut().enumerate() {
-            if !self.alive[i] {
-                continue;
-            }
-            if let Some(p) = self.nodes[i].ep.try_recv_latest(NODE, T_METRICS) {
-                if let Some(snap) = wire::decode_snapshot(&p) {
-                    *slot = Some(snap);
+                    node.load = v;
                 }
             }
         }
@@ -697,28 +520,38 @@ impl<G> Cluster<G> {
     /// of every live node that has pushed one, in node-index order.
     /// Empty unless the node sessions enabled
     /// [`SessionBuilder::metrics`]. Non-blocking — this only folds in
-    /// frames already on the links; snapshots arrive on logical
-    /// triggers (every `snapshot_every` admitted jobs, and at every
-    /// drain).
+    /// the `T_METRICS` frames already on the links (newest frame per
+    /// node wins, exactly like the loads; a misframed frame is skipped
+    /// and only costs freshness); snapshots arrive on logical triggers
+    /// (every `snapshot_every` admitted jobs, and at every drain).
     pub fn metrics_report(&mut self) -> MetricsReport {
-        self.refresh_metrics();
+        for node in self.nodes.iter_mut().filter(|n| n.is_live()) {
+            if let Some(p) = node.ep.try_recv_latest(NODE, T_METRICS) {
+                if let Some(snap) = NodeSnapshot::from_values(&p) {
+                    node.snapshot = Some(snap);
+                }
+            }
+        }
         MetricsReport {
             nodes: self
-                .node_metrics
+                .nodes
                 .iter()
-                .flatten()
-                // det-ok: node_metrics is indexed by node, so this
-                // iteration is in stable node order.
-                .cloned()
+                .filter_map(|n| n.snapshot.clone())
                 .collect(),
         }
     }
 
-    /// Write the cluster totals of the merged [`MetricsReport`] into
-    /// the extras map, one `metrics.<kind>` value per [`MetricKind`].
-    /// No-op while no node has pushed a snapshot, so the metrics-off
-    /// extras surface is byte-identical to the pre-observability one.
-    fn flatten_metrics(&mut self) {
+    /// Publish a finished drain: absorb its merged extras, then write
+    /// the facts that are not counters. The cluster size goes in with
+    /// set semantics *after* the absorb, so repeated drains between two
+    /// `take_extras` calls do not sum it into nonsense; the merged
+    /// [`MetricsReport`] totals land as one `metrics.<kind>` value per
+    /// [`MetricKind`] — but only once a node has pushed a snapshot, so
+    /// the metrics-off extras surface is byte-identical to the
+    /// pre-observability one.
+    fn publish(&mut self, merged: ExecExtras) {
+        self.exec_extras.absorb(merged);
+        self.exec_extras.set("nodes", self.live_nodes() as f64);
         let report = self.metrics_report();
         if report.nodes.is_empty() {
             return;
@@ -732,158 +565,36 @@ impl<G> Cluster<G> {
         }
     }
 
-    /// Drain every live node for a *summary* — counts, span, extras and
-    /// the node's post-drain snapshot — without shipping one wire slot
-    /// per completed job. The cluster-wide percentiles come from the
-    /// merged sketches instead of per-job records, so the reply size is
-    /// independent of how many jobs completed. The stream's tickets are
-    /// retired exactly as by [`Executor::drain`] (outstanding routes
-    /// clear; un-waited tickets redeem as `UnknownTicket` afterwards).
-    ///
-    /// Requires metrics-enabled node sessions; a node that never
-    /// enabled metrics answers with an all-zero sketch snapshot, which
-    /// merges harmlessly. On a node death or error the summary fails
-    /// with the typed error after the failure plane repairs the cluster
-    /// — use [`Executor::drain`] when per-job records (or mid-drain
-    /// recovery) are required.
-    pub fn drain_summary(&mut self) -> Result<DrainSummary, ExecError> {
-        let mut jobs = 0u64;
-        let mut tasks = 0u64;
-        // Global stream endpoints, folded across banked records and
-        // every node reply: span = last completion − first arrival,
-        // exactly what `StreamStats::from_jobs` reports over the
-        // merged records of a full drain.
-        let mut t0 = f64::INFINITY;
-        let mut t1 = 0.0f64;
-        let mut nodes = Vec::new();
-        let mut merged = std::mem::take(&mut self.banked_extras);
-        for rec in std::mem::take(&mut self.banked_jobs) {
-            jobs += 1;
-            tasks += rec.tasks as u64;
-            t0 = t0.min(rec.arrival);
-            t1 = t1.max(rec.completed);
-        }
-        let targets: Vec<usize> = (0..self.nodes.len()).filter(|&i| self.alive[i]).collect();
-        for &node in &targets {
-            self.mark_started(node);
-            self.nodes[node]
-                .ep
-                .send(NODE, T_CTRL, vec![OP_DRAIN_SUMMARY]);
-        }
-        let mut first_err: Option<ExecError> = None;
-        for &node in &targets {
-            match self.rpc_recv(node) {
-                Ok(p) if p.first() == Some(&ACK_OK) => {
-                    let (j, t, n0, n1, extras, snap) = wire::decode_summary_ok(&p);
-                    jobs += j;
-                    tasks += t;
-                    t0 = t0.min(n0);
-                    t1 = t1.max(n1);
-                    merged.bump(&format!("node{node}.jobs"), j as f64);
-                    attribute_extras(node, &extras, &mut merged);
-                    merged.absorb(extras);
-                    self.node_metrics[node] = Some(snap.clone());
-                    nodes.push(snap);
-                }
-                Ok(p) => {
-                    let err = wire::decode_err(&p, node, self.node_error(node));
-                    if matches!(err, ExecError::NodeFailed { .. }) {
-                        self.handle_node_down(node);
-                    }
-                    first_err.get_or_insert(err);
-                }
-                Err(ExecError::NodeFailed { .. }) => {
-                    self.handle_node_down(node);
-                    first_err.get_or_insert(ExecError::NodeFailed { node });
-                }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        self.refresh_loads();
-        self.route.clear();
-        self.retained.clear();
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        self.exec_extras.absorb(merged);
-        self.exec_extras.set("nodes", self.live_nodes() as f64);
-        self.flatten_metrics();
-        Ok(DrainSummary {
-            jobs,
-            tasks,
-            span: if jobs == 0 { 0.0 } else { t1 - t0 },
-            report: MetricsReport { nodes },
-        })
-    }
-
-    /// Pull every live node's accumulated execution trace spans and
-    /// assemble the unified multi-node chrome trace (**pid = node,
-    /// tid = core**). Draining: each node's span buffer empties. Spans
-    /// only accumulate when the node sessions enabled
-    /// [`das_core::MetricsConfig::with_trace`]; nodes without spans
-    /// contribute empty process groups.
-    pub fn collect_trace(&mut self) -> Result<ClusterTrace, ExecError> {
-        let targets: Vec<usize> = (0..self.nodes.len()).filter(|&i| self.alive[i]).collect();
-        let mut per_node = Vec::with_capacity(targets.len());
-        for &node in &targets {
-            self.nodes[node].ep.send(NODE, T_CTRL, vec![OP_PULL_TRACE]);
-            let p = self.rpc_recv(node)?;
-            if p.first() != Some(&ACK_OK) {
-                return Err(wire::decode_err(&p, node, self.node_error(node)));
-            }
-            let spans = wire::decode_trace_ok(&p[1..]);
-            // The node's core count is not on the wire; the span
-            // extent (executing cores and assembly widths) bounds the
-            // rows any renderer needs.
-            let cores = spans
-                .iter()
-                .map(|s| s.core.max(s.leader + s.width.saturating_sub(1)) + 1)
-                .max()
-                .unwrap_or(0);
-            per_node.push((node, cores, spans));
-        }
-        Ok(ClusterTrace::from_node_spans(&per_node))
-    }
-
     /// Wire messages this dispatcher has sent, ever (summed over the
-    /// per-node links) — the traffic the batch path amortises. One
-    /// `submit` costs one control message; a [`Executor::submit_many`]
-    /// batch costs one control message **per node with a non-empty
-    /// sub-batch** regardless of batch size (the contract
+    /// per-node links) — the traffic the batch path amortises. A
+    /// [`Executor::submit_many`] batch costs one control message **per
+    /// node with a non-empty sub-batch** regardless of batch size, a
+    /// `submit` — a one-job batch — exactly one (the contract
     /// `tests/cluster_exec.rs` asserts).
     pub fn wire_messages_sent(&self) -> u64 {
         self.nodes.iter().map(|s| s.ep.sent_count()).sum()
     }
 
-    /// The typed overload error for a shed decision, attributing the
-    /// pressure to the full node(s): their reported outstanding counts
-    /// and bounds, summed. For a full single pick these are that node's
-    /// numbers; when every node is full (`LoadShed`) it is the
-    /// cluster-wide pressure. Only live full nodes enter the sums, so
-    /// the casts are finite.
-    fn overloaded(&self) -> ExecError {
-        let (outstanding, limit) = self
-            .loads
-            .iter()
-            .zip(&self.limits)
-            .zip(&self.alive)
-            .filter(|((load, limit), alive)| **alive && *load >= *limit)
-            .fold((0usize, 0usize), |(o, l), ((load, limit), _)| {
-                (o + *load as usize, l + *limit as usize)
-            });
-        ExecError::Overloaded { outstanding, limit }
-    }
-
-    /// The routing error when no node can take a job: every node dead,
-    /// or every live node full.
+    /// The routing error when no node can take a job. With every node
+    /// down that is a plain failure; otherwise the typed overload
+    /// error, attributing the pressure to the full node(s): their
+    /// reported outstanding counts and bounds, summed. For a full
+    /// single pick these are that node's numbers; when every node is
+    /// full (`LoadShed`) it is the cluster-wide pressure. Only live
+    /// full nodes enter the sums, so the casts are finite.
     fn no_pick_error(&self) -> ExecError {
         if self.live_nodes() == 0 {
-            ExecError::Failed("every node is down".into())
-        } else {
-            self.overloaded()
+            return ExecError::Failed("every node is down".into());
         }
+        let (outstanding, limit) = self
+            .nodes
+            .iter()
+            .filter_map(Node::view)
+            .filter(|(load, limit)| load >= limit)
+            .fold((0, 0), |(o, l), (load, limit)| {
+                (o + load as usize, l + limit as usize)
+            });
+        ExecError::Overloaded { outstanding, limit }
     }
 
     /// The node's side-channel error string (set before every error
@@ -897,26 +608,56 @@ impl<G> Cluster<G> {
         }
     }
 
-    /// Receive one control acknowledgement from `node` under the
-    /// bounded-backoff deadline. A missing frame becomes
-    /// [`ExecError::NodeFailed`] if the agent's down flag is up (the
-    /// frame race lost), else a typed [`ExecError::Timeout`] — never a
-    /// hang.
-    fn rpc_recv(&self, node: usize) -> Result<Payload, ExecError> {
-        match self.nodes[node]
+    fn send(&self, node: usize, ctrl: Ctrl) {
+        self.nodes[node].ep.send(NODE, T_CTRL, ctrl.encode());
+    }
+
+    /// Receive `node`'s acknowledgement of the last command under the
+    /// bounded-backoff deadline. An error reply comes back as `Err`, and
+    /// a node death is [`ExecError::NodeFailed`] however it was seen —
+    /// as the agent's last frame, or as its down flag after a missed
+    /// deadline (the frame race lost). Any other missing frame is a
+    /// typed [`ExecError::Timeout`] — never a hang.
+    fn reply(&self, node: usize) -> Result<Reply, ExecError> {
+        let link = &self.nodes[node];
+        match link
             .ep
-            .recv_backoff(NODE, T_ACK, self.rpc_base, self.rpc_attempts)
+            .recv_backoff(NODE, T_ACK, self.rpc_base, RPC_ATTEMPTS)
         {
-            Ok((p, _)) => Ok(p),
-            Err(waited) => {
-                if self.nodes[node].down.load(Ordering::Acquire) {
-                    Err(ExecError::NodeFailed { node })
-                } else {
-                    Err(ExecError::Timeout {
-                        waited_ms: waited.as_millis() as u64,
-                    })
-                }
-            }
+            Ok((p, _)) => match Reply::decode(&p, node, || self.node_error(node))
+                .expect("both ends of the link share one codec")
+            {
+                Reply::Err(e) => Err(e),
+                reply => Ok(reply),
+            },
+            Err(_) if link.down.load(Ordering::Acquire) => Err(ExecError::NodeFailed { node }),
+            Err(waited) => Err(ExecError::Timeout {
+                waited_ms: waited.as_millis() as u64,
+            }),
+        }
+    }
+
+    /// Feed `group` down `node`'s side channel, then ring ONE doorbell
+    /// for all of it. [`ExecError::NodeFailed`] when the agent's
+    /// receiver is gone: the thread exited without the dispatcher
+    /// noticing yet.
+    fn ring(&self, node: usize, group: Vec<JobSpec<G>>) -> Result<(), ExecError> {
+        let k = group.len();
+        for spec in group {
+            let sent = self.nodes[node].tx.send(spec);
+            sent.map_err(|_| ExecError::NodeFailed { node })?;
+        }
+        self.send(node, Ctrl::Submit { k });
+        Ok(())
+    }
+
+    /// Collect the acknowledgement of a [`Cluster::ring`] that went
+    /// through: the node-local ids of the admitted group, in group
+    /// order.
+    fn admitted(&self, node: usize) -> Result<Vec<u64>, ExecError> {
+        match self.reply(node)? {
+            Reply::Admitted(locals) => Ok(locals),
+            other => unreachable!("node {node} answered a submit with {other:?}"),
         }
     }
 
@@ -933,174 +674,393 @@ impl<G> Cluster<G> {
         }
     }
 
-    /// Node `node` is gone: mark it dead, join the agent, attribute the
-    /// failure, and repair the route table — never-started ledger jobs
-    /// requeue onto survivors, started ones retry at most once, the
-    /// rest are recorded as lost. Idempotent per node.
-    fn handle_node_down(&mut self, node: usize) {
-        if !self.alive[node] {
-            return;
-        }
-        self.alive[node] = false;
-        self.loads[node] = 0.0;
-        self.node_metrics[node] = None;
-        if let Some(agent) = self.nodes[node].agent.take() {
+    /// Close `node`'s slot for good: zero its view and join its agent.
+    fn bury(&mut self, node: usize) {
+        let slot = &mut self.nodes[node];
+        slot.state = NodeState::Dead;
+        slot.load = 0.0;
+        slot.snapshot = None;
+        if let Some(agent) = slot.agent.take() {
             let _ = agent.join();
         }
-        self.exec_extras.set(format!("node{node}.failed"), 1.0);
-        let mut stranded: Vec<u64> = self
-            .route
-            // det-ok: ids are collected into a Vec and sorted before
-            // any routing decision is made from them.
+    }
+
+    /// One drain round: ring every target, then consume every reply.
+    /// Deaths and errors are only reported — recovery traffic must not
+    /// start before the round's last ack is in, or a requeue's ack
+    /// would interleave with a pending drain ack on the same link.
+    fn drain_round(
+        &mut self,
+        targets: &[usize],
+        summary: bool,
+    ) -> Vec<(usize, Result<Drained, ExecError>)> {
+        for &node in targets {
+            self.mark_started(node);
+            self.send(node, Ctrl::Drain { summary });
+        }
+        let replies = targets
             .iter()
-            .filter(|(_, r)| r.node == node)
-            .map(|(&id, _)| id)
+            .map(|&node| match self.reply(node) {
+                Ok(Reply::Drained(d)) => (node, Ok(d)),
+                Ok(other) => unreachable!("node {node} answered a drain with {other:?}"),
+                Err(e) => (node, Err(e)),
+            })
             .collect();
-        stranded.sort_unstable();
-        for id in stranded {
-            let r = self.route.remove(&id).expect("stranded id is routed");
-            let Some(mut keep) = self.retained.remove(&id) else {
+        self.refresh_loads();
+        replies
+    }
+}
+
+impl<G: Clone> Cluster<G> {
+    /// Retire node `node` gracefully: its pending (never-started) jobs
+    /// move onto peers first (`jobs_requeued`), it then drains —
+    /// records banked for the next [`Executor::drain`], minus the
+    /// speculative executions of the moved jobs — and shuts down. The
+    /// slot index is never reused. Rejects removing a dead node or the
+    /// last live one.
+    pub fn remove_node(&mut self, node: usize) -> Result<(), ExecError> {
+        if !self.is_alive(node) {
+            return Err(ExecError::Rejected(format!("node {node} is not live")));
+        }
+        if self.live_nodes() == 1 {
+            return Err(ExecError::Rejected(
+                "cannot remove the last live node".into(),
+            ));
+        }
+        // Close the node to routing before moving its queue, so the
+        // requeues below cannot land back on it.
+        self.nodes[node].state = NodeState::Leaving;
+        // 1. Move the pending queue onto peers. Only never-started jobs
+        //    move (a started batch is already executing node-side);
+        //    their node-local records are discarded below — the peer's
+        //    execution is the one that counts.
+        let mut discard: HashSet<u64> = HashSet::new();
+        for id in self.routed_to(node, |r| !r.started) {
+            let job = self.route.remove(&id).expect("pending id is routed");
+            let moved = match self.place_anywhere(&job.spec) {
+                Ok((peer, local)) => {
+                    discard.insert(job.local);
+                    self.exec_extras.bump("jobs_requeued", 1.0);
+                    Routed {
+                        node: peer,
+                        local,
+                        ..job
+                    }
+                }
+                // No peer can take it: leave it on the leaving node,
+                // whose drain below executes it locally.
+                Err(_) => job,
+            };
+            self.route.insert(id, moved);
+        }
+        // 2. Drain the leaving node and bank its records (minus the
+        //    moved jobs' speculative executions) for the next cluster
+        //    drain.
+        let (_, reply) = self
+            .drain_round(&[node], false)
+            .pop()
+            .expect("one target, one reply");
+        match reply {
+            Ok(d) => fold_records(
+                &mut self.route,
+                node,
+                d,
+                &discard,
+                &mut self.banked_jobs,
+                &mut self.banked_extras,
+            ),
+            // Died while leaving: the failure path retires it instead.
+            Err(ExecError::NodeFailed { .. }) => {
+                self.handle_node_down(node);
+                return Ok(());
+            }
+            // Silent, not dead: it stays a member.
+            Err(e @ ExecError::Timeout { .. }) => {
+                self.nodes[node].state = NodeState::Live;
+                return Err(e);
+            }
+            // A failed drain loses the node's batch, exactly like a
+            // failed drain on the bare backend (its tickets redeem as
+            // `UnknownTicket` from here on); still shut it down.
+            Err(_) => {
+                let orphaned = self.routed_to(node, |_| true);
+                self.exec_extras
+                    .bump("jobs_orphaned", orphaned.len() as f64);
+                for id in orphaned {
+                    self.route.remove(&id);
+                }
+            }
+        }
+        // 3. Shut the agent down and join it.
+        self.send(node, Ctrl::Shutdown);
+        self.bury(node);
+        self.exec_extras.set(format!("node{node}.removed"), 1.0);
+        Ok(())
+    }
+
+    /// Drain every live node for a *summary* — counts, span, extras and
+    /// the node's post-drain snapshot — without shipping one wire slot
+    /// per completed job. The cluster-wide percentiles come from the
+    /// merged sketches instead of per-job records, so the reply size is
+    /// independent of how many jobs completed. The stream's tickets are
+    /// retired, node deaths repaired and node errors surfaced exactly
+    /// as by [`Executor::drain`] — it is the same drain, asking each
+    /// node for a different reply body.
+    ///
+    /// Requires metrics-enabled node sessions; a node that never
+    /// enabled metrics answers with an all-zero sketch snapshot, which
+    /// merges harmlessly.
+    pub fn drain_summary(&mut self) -> Result<DrainSummary, ExecError> {
+        // The running header, starting from the banked records as if
+        // they were one more epoch. Its stream endpoints fold across
+        // every node reply: span = last completion − first arrival,
+        // exactly what `StreamStats::from_jobs` reports over the
+        // merged records of a full drain.
+        let banked = StreamStats::from_jobs(std::mem::take(&mut self.banked_jobs));
+        let mut all = Drained::new(banked, ExecExtras::default(), None);
+        let mut merged = std::mem::take(&mut self.banked_extras);
+        // Snapshots are cumulative: a node drained twice (a second
+        // round after a death) counts once, with its latest.
+        let mut snapshots = BTreeMap::new();
+        self.drain_live(true, |this, node, d| {
+            all.jobs += d.jobs;
+            all.tasks += d.tasks;
+            all.t0 = all.t0.min(d.t0);
+            all.t1 = all.t1.max(d.t1);
+            merged.bump(&format!("node{node}.jobs"), d.jobs as f64);
+            absorb_node_extras(node, d.extras, &mut merged);
+            let DrainBody::Snapshot(snap) = d.body else {
+                unreachable!("node {node} answered a summary drain with records")
+            };
+            this.nodes[node].snapshot = Some((*snap).clone());
+            snapshots.insert(node, *snap);
+        })?;
+        self.publish(merged);
+        Ok(DrainSummary {
+            jobs: all.jobs,
+            tasks: all.tasks,
+            span: if all.jobs == 0 { 0.0 } else { all.t1 - all.t0 },
+            report: MetricsReport {
+                nodes: snapshots.into_values().collect(),
+            },
+        })
+    }
+
+    /// Pull every live node's accumulated execution trace spans and
+    /// assemble the unified multi-node chrome trace (**pid = node,
+    /// tid = core**). Draining: each node's span buffer empties. Spans
+    /// only accumulate when the node sessions enabled
+    /// [`das_core::MetricsConfig::with_trace`]; nodes without spans
+    /// contribute empty process groups.
+    pub fn collect_trace(&mut self) -> Result<ClusterTrace, ExecError> {
+        let mut per_node = Vec::new();
+        for node in self.live() {
+            let spans = match self.rpc(node, Ctrl::PullTrace)? {
+                Reply::Trace(spans) => spans,
+                other => unreachable!("node {node} answered a trace pull with {other:?}"),
+            };
+            // The node's core count is not on the wire; the span
+            // extent (executing cores and assembly widths) bounds the
+            // rows any renderer needs.
+            let cores = spans
+                .iter()
+                .map(|s| s.core.max(s.leader + s.width.saturating_sub(1)) + 1)
+                .max()
+                .unwrap_or(0);
+            per_node.push((node, cores, spans));
+        }
+        Ok(ClusterTrace::from_node_spans(&per_node))
+    }
+
+    /// One routing decision over the current view.
+    fn pick(&mut self) -> Option<usize> {
+        route::pick(
+            self.policy,
+            self.nodes.len(),
+            |i| self.nodes[i].view(),
+            &mut self.rr,
+            &mut self.rng,
+        )
+    }
+
+    /// One control exchange with `node`. A death it runs into is
+    /// repaired ([`Cluster::handle_node_down`]) before the error
+    /// returns, so no caller can leave a dead node marked live.
+    fn rpc(&mut self, node: usize, ctrl: Ctrl) -> Result<Reply, ExecError> {
+        self.send(node, ctrl);
+        let reply = self.reply(node);
+        self.repaired(node, reply)
+    }
+
+    /// Pass on the outcome of an exchange with `node` — after repairing
+    /// the cluster if it says the node died.
+    fn repaired<T>(&mut self, node: usize, outcome: Result<T, ExecError>) -> Result<T, ExecError> {
+        if let Err(ExecError::NodeFailed { .. }) = outcome {
+            self.handle_node_down(node);
+        }
+        outcome
+    }
+
+    /// Node `node` is gone: mark it dead, join the agent, attribute the
+    /// failure, and repair the route table — never-started jobs requeue
+    /// onto survivors, started ones retry at most once, the rest are
+    /// recorded as lost. Idempotent per node.
+    fn handle_node_down(&mut self, node: usize) {
+        if self.nodes[node].state == NodeState::Dead {
+            return;
+        }
+        self.bury(node);
+        self.exec_extras.set(format!("node{node}.failed"), 1.0);
+        for id in self.routed_to(node, |_| true) {
+            let job = self.route.remove(&id).expect("stranded id is routed");
+            // A started job whose single retry is spent dies with its
+            // second node: at-most-once.
+            let placed = if job.started && job.retried {
+                None
+            } else {
+                self.place_anywhere(&job.spec).ok()
+            };
+            let Some((new_node, local)) = placed else {
                 self.lost.insert(id, node);
                 self.exec_extras.bump("jobs_lost", 1.0);
                 continue;
             };
-            if r.started && keep.retried {
-                // The single retry is spent: at-most-once means this
-                // job dies with its second node.
-                self.lost.insert(id, node);
-                self.exec_extras.bump("jobs_lost", 1.0);
-                continue;
-            }
-            let cloner = self.cloner.expect("a retained spec implies a cloner");
-            match self.place_anywhere(cloner(&keep.spec)) {
-                Ok((new_node, local)) => {
-                    if r.started {
-                        keep.retried = true;
-                        self.exec_extras.bump("retries", 1.0);
-                    } else {
-                        self.exec_extras.bump("jobs_requeued", 1.0);
-                    }
-                    self.route.insert(
-                        id,
-                        NodeRoute {
-                            node: new_node,
-                            local,
-                            started: false,
-                        },
-                    );
-                    self.retained.insert(id, keep);
-                }
-                Err(_) => {
-                    self.lost.insert(id, node);
-                    self.exec_extras.bump("jobs_lost", 1.0);
-                }
-            }
+            let counter = if job.started {
+                "retries"
+            } else {
+                "jobs_requeued"
+            };
+            self.exec_extras.bump(counter, 1.0);
+            self.route.insert(
+                id,
+                Routed {
+                    node: new_node,
+                    local,
+                    started: false,
+                    retried: job.retried || job.started,
+                    ..job
+                },
+            );
         }
-    }
-
-    /// Send one spec to one node and await its admission ack. A dead
-    /// side channel or a death frame surfaces as
-    /// [`ExecError::NodeFailed`]; the caller decides on recovery.
-    fn place_one(&mut self, node: usize, spec: JobSpec<G>) -> Result<u64, ExecError> {
-        if self.nodes[node].tx.send(spec).is_err() {
-            // The agent's receiver is gone: the thread exited without
-            // the dispatcher noticing yet.
-            return Err(ExecError::NodeFailed { node });
-        }
-        self.nodes[node].ep.send(NODE, T_CTRL, vec![OP_SUBMIT]);
-        let ack = self.rpc_recv(node)?;
-        if ack.first() != Some(&ACK_OK) {
-            return Err(wire::decode_err(&ack, node, self.node_error(node)));
-        }
-        Ok(ack[1] as u64)
     }
 
     /// Place one spec on whichever live node routing picks, absorbing
     /// node deaths along the way (each death repairs the cluster and
     /// re-picks; terminates because every pass burns a node). Returns
     /// the `(node, local id)` of the admission.
-    fn place_anywhere(&mut self, spec: JobSpec<G>) -> Result<(usize, u64), ExecError> {
-        let mut spec = spec;
+    fn place_anywhere(&mut self, spec: &JobSpec<G>) -> Result<(usize, u64), ExecError> {
         loop {
             self.refresh_loads();
-            let Some(node) = route::pick(
-                self.policy,
-                &self.loads,
-                &self.limits,
-                &self.alive,
-                &mut self.rr,
-                &mut self.rng,
-            ) else {
+            let Some(node) = self.pick() else {
                 return Err(self.no_pick_error());
             };
-            let backup = self.cloner.map(|c| c(&spec));
-            match self.place_one(node, spec) {
-                Ok(local) => return Ok((node, local)),
-                Err(ExecError::NodeFailed { node: dead }) => {
-                    self.handle_node_down(dead);
-                    match backup {
-                        Some(b) => spec = b,
-                        None => return Err(ExecError::NodeFailed { node: dead }),
-                    }
-                }
+            let rung = self.ring(node, vec![spec.clone()]);
+            let admission = rung.and_then(|()| self.admitted(node));
+            match self.repaired(node, admission) {
+                Ok(locals) => return Ok((node, locals[0])),
+                Err(ExecError::NodeFailed { .. }) => {}
                 Err(e) => return Err(e),
             }
         }
     }
 
-    /// Remap one node's drained records onto cluster ids, attribute
-    /// them (and the node's extras) in `merged`, and push them into
-    /// `jobs`. Records in `discard` (a leaving node's speculative
-    /// executions of moved jobs) are dropped; records with no route
-    /// entry count as `jobs_orphaned` (reachable via dropped acks —
-    /// the node admitted work the dispatcher never ticketed).
-    fn fold_node_records(
+    /// The one drain behind [`Executor::drain`] and
+    /// [`Cluster::drain_summary`] (see the former for the semantics):
+    /// round after round over the live nodes until one passes without a
+    /// death, handing each node's epoch to `fold`.
+    fn drain_live(
         &mut self,
-        node: usize,
-        recs: Vec<JobStats>,
-        extras: ExecExtras,
-        discard: &HashSet<u64>,
-        jobs: &mut Vec<JobStats>,
-        merged: &mut ExecExtras,
-    ) {
-        let mut map: HashMap<u64, u64> = self
-            .route
-            // det-ok: an order-insensitive fold into a keyed map; the
-            // job records built from it are sorted by from_jobs at the
-            // emission point and extras are keyed per node, not per
-            // job.
-            .iter()
-            .filter(|(_, r)| r.node == node)
-            .map(|(&cluster, r)| (r.local, cluster))
-            .collect();
-        let mut kept = 0.0;
-        for mut rec in recs {
-            if discard.contains(&rec.id.0) {
-                continue;
-            }
-            match map.remove(&rec.id.0) {
-                Some(cluster) => {
-                    self.route.remove(&cluster);
-                    self.retained.remove(&cluster);
-                    rec.id = JobId(cluster);
-                    jobs.push(rec);
-                    kept += 1.0;
-                }
-                None => {
-                    merged.bump("jobs_orphaned", 1.0);
+        summary: bool,
+        mut fold: impl FnMut(&mut Self, usize, Drained),
+    ) -> Result<(), ExecError> {
+        let mut failures: Vec<String> = Vec::new();
+        let mut silent: Option<ExecError> = None;
+        loop {
+            let mut died: Vec<usize> = Vec::new();
+            let targets = self.live();
+            for (node, reply) in self.drain_round(&targets, summary) {
+                match reply {
+                    Ok(d) => fold(self, node, d),
+                    Err(ExecError::NodeFailed { .. }) => died.push(node),
+                    Err(e @ ExecError::Timeout { .. }) => silent = silent.or(Some(e)),
+                    Err(_) => failures.push(self.node_error(node)),
                 }
             }
+            if died.is_empty() {
+                break;
+            }
+            // The requeued jobs land on survivors, which the next round
+            // drains.
+            for node in died {
+                self.handle_node_down(node);
+            }
         }
-        merged.bump(&format!("node{node}.jobs"), kept);
-        if let Some(s) = extras.steals {
-            merged.bump(&format!("node{node}.steals"), s as f64);
+        // Whatever the outcome, the cycle's bookkeeping ends here. After
+        // a clean drain the leftover entries belong to jobs an *earlier
+        // failed batch* lost (a `wait` that returned `Failed` loses its
+        // node's whole pending batch, but the dispatcher only learns
+        // about the waited job); after a silent or failed node the
+        // drained state is unknowable. Either way their tickets redeem
+        // as `UnknownTicket` from here on, exactly as the bare simulator
+        // forgets a failed batch. (Jobs the failure plane recorded as
+        // lost stay in the lost set and keep redeeming as `NodeFailed`.)
+        self.route.clear();
+        match silent {
+            Some(e) => Err(e),
+            None if failures.is_empty() => Ok(()),
+            None => Err(ExecError::Failed(failures.join("; "))),
         }
-        if let Some(ev) = extras.events {
-            merged.bump(&format!("node{node}.events"), ev as f64);
-        }
-        attribute_extras(node, &extras, merged);
-        merged.absorb(extras);
     }
+}
+
+/// Remap one node's drained records onto cluster ids, attribute them
+/// (and the node's extras) in `merged`, and push them into `jobs`.
+/// Records in `discard` (a leaving node's speculative executions of
+/// moved jobs) are dropped; records with no route entry count as
+/// `jobs_orphaned` (reachable via dropped acks — the node admitted
+/// work the dispatcher never ticketed).
+fn fold_records<G>(
+    route: &mut HashMap<u64, Routed<G>>,
+    node: usize,
+    drained: Drained,
+    discard: &HashSet<u64>,
+    jobs: &mut Vec<JobStats>,
+    merged: &mut ExecExtras,
+) {
+    let DrainBody::Records(recs) = drained.body else {
+        unreachable!("node {node} answered a records drain with a summary")
+    };
+    let mut map: HashMap<u64, u64> = route
+        // det-ok: an order-insensitive fold into a keyed map; the job
+        // records built from it are sorted by from_jobs at the emission
+        // point and extras are keyed per node, not per job.
+        .iter()
+        .filter(|(_, r)| r.node == node)
+        .map(|(&cluster, r)| (r.local, cluster))
+        .collect();
+    let mut kept = 0.0;
+    for mut rec in recs {
+        if discard.contains(&rec.id.0) {
+            continue;
+        }
+        match map.remove(&rec.id.0) {
+            Some(cluster) => {
+                route.remove(&cluster);
+                rec.id = JobId(cluster);
+                jobs.push(rec);
+                kept += 1.0;
+            }
+            None => merged.bump("jobs_orphaned", 1.0),
+        }
+    }
+    merged.bump(&format!("node{node}.jobs"), kept);
+    if let Some(s) = drained.extras.steals {
+        merged.bump(&format!("node{node}.steals"), s as f64);
+    }
+    if let Some(ev) = drained.extras.events {
+        merged.bump(&format!("node{node}.events"), ev as f64);
+    }
+    absorb_node_extras(node, drained.extras, merged);
 }
 
 /// What [`Cluster::drain_summary`] returns: stream-level counts plus
@@ -1118,16 +1078,15 @@ pub struct DrainSummary {
     /// [`das_core::jobs::StreamStats::from_jobs`] reports over the
     /// merged records of a full [`Executor::drain`].
     pub span: f64,
-    /// The per-node post-drain snapshots, in reply order (node-index
-    /// ascending over the live nodes).
+    /// The latest post-drain snapshot of every node that answered,
+    /// node-index ascending.
     pub report: MetricsReport,
 }
 
 /// Render one [`MetricKind`] of a merged cluster probe as the scalar
-/// that lands in the `metrics.<kind>` extras value. This match is the
-/// das-lint cross-file contract target for `MetricKind`: adding a
-/// metric kind without deciding its cluster merge fails the lint, not
-/// a reader of half-populated extras.
+/// that lands in the `metrics.<kind>` extras value. The match is
+/// wildcard-free: adding a metric kind without deciding its cluster
+/// merge fails the build, not a reader of half-populated extras.
 pub fn metric_scalar(kind: MetricKind, t: &ExecProbe) -> f64 {
     match kind {
         MetricKind::QueueDepth => t.queue_depth as f64,
@@ -1145,87 +1104,48 @@ pub fn metric_scalar(kind: MetricKind, t: &ExecProbe) -> f64 {
     }
 }
 
-/// Attribute a node's snapshot-fault counters (`snapshots_sent` /
-/// `snapshots_dropped` / `snapshots_delayed`) under its `node{i}.`
-/// prefix in the merged extras, so a fault-gated metrics stream is
-/// diagnosable per node, not just in aggregate.
-fn attribute_extras(node: usize, extras: &ExecExtras, merged: &mut ExecExtras) {
+/// Absorb one node's drain extras into `merged`, first attributing its
+/// snapshot-fault counters (`snapshots_sent` / `snapshots_dropped` /
+/// `snapshots_delayed`) under the `node{i}.` prefix, so a fault-gated
+/// metrics stream is diagnosable per node, not just in aggregate.
+fn absorb_node_extras(node: usize, extras: ExecExtras, merged: &mut ExecExtras) {
     for key in ["snapshots_sent", "snapshots_dropped", "snapshots_delayed"] {
         if let Some(v) = extras.get(key) {
             merged.bump(&format!("node{node}.{key}"), v);
         }
     }
+    merged.absorb(extras);
 }
 
-/// Split a combined drain reply `[ACK_OK, jobs, tasks, records…,
-/// extras]` into decoded records and extras, cross-checking the header
-/// counts against the decoded body (a wire-format regression trips
-/// here, not in a silently wrong percentile).
-fn decode_drain_ok(p: &[f64]) -> (Vec<JobStats>, ExecExtras) {
-    assert!(p.len() >= 3 + wire::EXTRAS_SLOTS, "drain reply misframed");
-    let jobs_count = p[1] as usize;
-    let tasks_total = p[2] as usize;
-    let body = &p[3..];
-    let (recs, ext) = body.split_at(body.len() - wire::EXTRAS_SLOTS);
-    let recs = wire::decode_jobs(recs);
-    assert_eq!(recs.len(), jobs_count, "drain job-count mismatch");
-    assert_eq!(
-        recs.iter().map(|j| j.tasks).sum::<usize>(),
-        tasks_total,
-        "drain task-count mismatch"
-    );
-    (recs, wire::decode_extras(ext))
-}
-
-impl<G> Executor for Cluster<G> {
+impl<G: Clone> Executor for Cluster<G> {
     type Graph = G;
 
     fn backend(&self) -> &'static str {
         "das-cluster"
     }
 
-    /// Route the job by policy, forward it to its node, and stamp the
-    /// acknowledged node-local id into the cluster's route table.
-    /// Cluster job ids are dense in submission order across the whole
-    /// cluster (rejected jobs consume no id, as on the bare backends).
-    /// With recovery enabled a spec copy enters the ledger; a node
-    /// death during the placement is absorbed (the stranded jobs of the
-    /// dead node requeue first, then this job re-places on a survivor).
+    /// A one-job [`Executor::submit_many`]: one routing decision, one
+    /// control message, one ticket.
     fn submit(&mut self, spec: JobSpec<G>) -> Result<Ticket, ExecError> {
-        let keep = self.cloner.map(|c| c(&spec));
-        let (node, local) = self.place_anywhere(spec)?;
-        let id = JobId(self.next_job);
-        self.next_job += 1;
-        self.route.insert(
-            id.0,
-            NodeRoute {
-                node,
-                local,
-                started: false,
-            },
-        );
-        if let Some(spec) = keep {
-            self.retained.insert(
-                id.0,
-                Retained {
-                    spec,
-                    retried: false,
-                },
-            );
-        }
-        Ok(Ticket::new(self.exec_session, id))
+        let mut tickets = self.submit_many(vec![spec])?;
+        Ok(tickets
+            .pop()
+            .expect("an admitted one-job batch has a ticket"))
     }
 
-    /// Route a whole batch, then send **one wire message per node with
-    /// a non-empty sub-batch** instead of one per job — the per-message
-    /// fixed costs (doorbell, ack round-trip) amortise over the batch.
+    /// Route every job of the batch by policy, then send **one wire
+    /// message per node with a non-empty sub-batch** instead of one per
+    /// job — the per-message fixed costs (doorbell, ack round-trip)
+    /// amortise over the batch — and stamp the acknowledged node-local
+    /// ids into the route table, a spec copy beside each for recovery.
     ///
-    /// Routing is bit-identical to an equivalent loop of `submit`: each
-    /// job is picked in batch order against a load view updated
+    /// Each job is picked in batch order against a load view updated
     /// *locally* after every assignment — exactly the `+1` the node's
-    /// synchronous `T_LOAD` report would have applied between two
-    /// looped submissions (nothing else moves the count between the
-    /// two). Cluster ids are dense in batch order.
+    /// synchronous `T_LOAD` report applies between two submissions
+    /// (nothing else moves the count between the two), so a batch
+    /// routes bit-identically to the same jobs submitted one by one.
+    /// Cluster job ids are dense in batch order across the whole
+    /// cluster (rejected jobs consume no id, as on the bare backends).
     ///
     /// On a shed decision mid-batch nothing is admitted (local view
     /// rolled back, error returned). A node *rejecting* its sub-batch
@@ -1233,184 +1153,93 @@ impl<G> Executor for Cluster<G> {
     /// validation), but the sub-batches of other nodes remain admitted
     /// and surface in the next drain — their tickets are lost with the
     /// error, exactly like a failed batch on the bare backends. A node
-    /// *dying* on its sub-batch is recovered: with the ledger on, its
-    /// positions re-place onto survivors (`jobs_requeued`).
+    /// *dying* on its doorbell is absorbed: its stranded jobs requeue
+    /// first (`jobs_requeued`), then the sub-batch no node ever
+    /// acknowledged is placed on survivors — a first placement, not a
+    /// requeue; a position no survivor takes fails the batch and
+    /// leaves its id unissued.
     fn submit_many(&mut self, specs: Vec<JobSpec<G>>) -> Result<Vec<Ticket>, ExecError> {
         if specs.is_empty() {
             return Err(ExecError::Rejected("empty batch".into()));
         }
         self.refresh_loads();
-        let total = specs.len();
         // Phase 1: route every job against the locally-updated view.
-        let mut assignment = Vec::with_capacity(total);
+        let mut assignment: Vec<usize> = Vec::with_capacity(specs.len());
         for _ in &specs {
-            match route::pick(
-                self.policy,
-                &self.loads,
-                &self.limits,
-                &self.alive,
-                &mut self.rr,
-                &mut self.rng,
-            ) {
-                Some(node) => {
-                    self.loads[node] += 1.0;
-                    assignment.push(node);
+            let Some(node) = self.pick() else {
+                let err = self.no_pick_error();
+                for &node in &assignment {
+                    self.nodes[node].load -= 1.0;
                 }
-                None => {
-                    let err = self.no_pick_error();
-                    for &node in &assignment {
-                        self.loads[node] -= 1.0;
-                    }
-                    return Err(err);
-                }
-            }
+                return Err(err);
+            };
+            self.nodes[node].load += 1.0;
+            assignment.push(node);
         }
-        // Ledger copies, one per position, while recovery is on.
-        let mut kept: Vec<Option<JobSpec<G>>> = match self.cloner {
-            Some(c) => specs.iter().map(|s| Some(c(s))).collect(),
-            None => (0..total).map(|_| None).collect(),
-        };
         // Phase 2: per-node sub-batches (batch order within each node),
         // one side-channel transfer per job, ONE control message per
-        // node.
+        // node. The originals stay behind as the ledger copies.
         let n = self.nodes.len();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (pos, &node) in assignment.iter().enumerate() {
-            groups[node].push(pos);
+        let mut groups: Vec<Vec<JobSpec<G>>> = vec![Vec::new(); n];
+        for (spec, &node) in specs.iter().zip(&assignment) {
+            groups[node].push(spec.clone());
         }
-        let mut slots: Vec<Option<JobSpec<G>>> = specs.into_iter().map(Some).collect();
-        let mut doorbelled = vec![false; n];
+        let rung: Vec<(usize, Result<(), ExecError>)> = groups
+            .into_iter()
+            .enumerate()
+            .filter(|(_, group)| !group.is_empty())
+            .map(|(node, group)| (node, self.ring(node, group)))
+            .collect();
+        // Phase 3: collect one batch ack per touched node (node order;
+        // the agents work concurrently regardless). Deaths are only
+        // recorded here — every outstanding ack must be consumed before
+        // any recovery traffic, or a requeue's ack would interleave
+        // with a pending batch ack on the same link.
+        let mut locals: Vec<VecDeque<u64>> = vec![VecDeque::new(); n];
         let mut died: Vec<usize> = Vec::new();
         let mut first_err: Option<ExecError> = None;
-        for (node, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let fed = group.iter().all(|&pos| {
-                let spec = slots[pos].take().expect("each slot moves once");
-                self.nodes[node].tx.send(spec).is_ok()
-            });
-            if !fed {
-                // Dead agent discovered at the side channel: recover
-                // the whole sub-batch below.
-                died.push(node);
-                continue;
-            }
-            self.nodes[node]
-                .ep
-                .send(NODE, T_CTRL, vec![OP_SUBMIT_MANY, group.len() as f64]);
-            doorbelled[node] = true;
-        }
-        // Phase 3: collect one batch ack per doorbelled node (node
-        // order; the agents work concurrently regardless). Deaths are
-        // only recorded here — every outstanding ack must be consumed
-        // before any recovery traffic, or a requeue's ack would
-        // interleave with a pending batch ack on the same link.
-        let mut locals: Vec<VecDeque<u64>> = vec![VecDeque::new(); n];
-        for node in 0..n {
-            if !doorbelled[node] {
-                continue;
-            }
-            match self.rpc_recv(node) {
-                Ok(ack) if ack.first() == Some(&ACK_OK) => {
-                    let k = ack[1] as usize;
-                    debug_assert_eq!(k, groups[node].len());
-                    locals[node] = ack[2..2 + k].iter().map(|&v| v as u64).collect();
-                }
-                Ok(ack) => {
-                    let err = wire::decode_err(&ack, node, self.node_error(node));
-                    if matches!(err, ExecError::NodeFailed { .. }) {
-                        died.push(node);
-                    } else {
-                        first_err.get_or_insert(err);
-                    }
-                }
+        for (node, rung) in rung {
+            match rung.and_then(|()| self.admitted(node)) {
+                Ok(acked) => locals[node] = acked.into(),
                 Err(ExecError::NodeFailed { .. }) => died.push(node),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
+                Err(e) => first_err = first_err.or(Some(e)),
             }
         }
-        // Phase 3b: repair each death, then re-place its sub-batch
-        // positions (batch order) onto survivors from the ledger.
-        let mut moved: HashMap<usize, (usize, u64)> = HashMap::new();
+        // Phase 4: cluster ids, dense in batch order over the jobs a
+        // node acknowledged or died holding (a rejected sub-batch
+        // consumes no ids). The acknowledged ones enter the route table
+        // now, so the repairs below see them like any other job.
+        let mut tickets = Vec::with_capacity(specs.len());
+        let mut unplaced = Vec::new();
+        for (spec, node) in specs.into_iter().zip(assignment) {
+            let local = locals[node].pop_front();
+            if local.is_none() && !died.contains(&node) {
+                continue;
+            }
+            let id = self.next_job;
+            self.next_job += 1;
+            tickets.push(Ticket::new(self.exec_session, JobId(id)));
+            match local {
+                Some(local) => {
+                    self.route.insert(id, Routed::new(node, local, spec));
+                }
+                None => unplaced.push((id, spec)),
+            }
+        }
+        // Phase 5: repair each death (its stranded jobs requeue, ids
+        // ascending), then place the jobs whose doorbell it died on.
         for dead in died {
             self.handle_node_down(dead);
-            for &pos in &groups[dead] {
-                let replay = kept[pos]
-                    .as_ref()
-                    .map(|k| (self.cloner.expect("a kept spec implies a cloner"))(k));
-                let Some(spec) = replay else {
-                    first_err.get_or_insert(ExecError::NodeFailed { node: dead });
-                    continue;
-                };
-                match self.place_anywhere(spec) {
-                    Ok(placed) => {
-                        moved.insert(pos, placed);
-                        self.exec_extras.bump("jobs_requeued", 1.0);
-                    }
-                    Err(e) => {
-                        kept[pos] = None;
-                        first_err.get_or_insert(e);
-                    }
+        }
+        for (id, spec) in unplaced {
+            match self.place_anywhere(&spec) {
+                Ok((node, local)) => {
+                    self.route.insert(id, Routed::new(node, local, spec));
                 }
+                Err(e) => first_err = first_err.or(Some(e)),
             }
         }
-        // Phase 4: cluster ids, dense in batch order over the admitted
-        // jobs (a rejected sub-batch consumes no ids).
-        let mut tickets = Vec::with_capacity(total);
-        for (pos, &node) in assignment.iter().enumerate() {
-            let placed = moved
-                .remove(&pos)
-                .or_else(|| locals[node].pop_front().map(|local| (node, local)));
-            let Some((mut node, mut local)) = placed else {
-                continue;
-            };
-            let id = JobId(self.next_job);
-            self.next_job += 1;
-            if !self.alive[node] {
-                // The node died after admitting this position (during
-                // another position's recovery): re-place from the
-                // ledger, or record the loss.
-                let replay = kept[pos]
-                    .as_ref()
-                    .map(|k| (self.cloner.expect("a kept spec implies a cloner"))(k));
-                match replay.map(|s| self.place_anywhere(s)) {
-                    Some(Ok(placed)) => {
-                        (node, local) = placed;
-                        self.exec_extras.bump("jobs_requeued", 1.0);
-                    }
-                    Some(Err(_)) | None => {
-                        self.lost.insert(id.0, node);
-                        self.exec_extras.bump("jobs_lost", 1.0);
-                        tickets.push(Ticket::new(self.exec_session, id));
-                        continue;
-                    }
-                }
-            }
-            self.route.insert(
-                id.0,
-                NodeRoute {
-                    node,
-                    local,
-                    started: false,
-                },
-            );
-            if let Some(spec) = kept[pos].take() {
-                self.retained.insert(
-                    id.0,
-                    Retained {
-                        spec,
-                        retried: false,
-                    },
-                );
-            }
-            tickets.push(Ticket::new(self.exec_session, id));
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(tickets),
-        }
+        first_err.map_or(Ok(tickets), Err)
     }
 
     /// Redeem a ticket against the node its job was routed to; the
@@ -1428,63 +1257,40 @@ impl<G> Executor for Cluster<G> {
             if let Some(node) = self.lost.remove(&id.0) {
                 return Err(ExecError::NodeFailed { node });
             }
-            let Some(&NodeRoute { node, local, .. }) = self.route.get(&id.0) else {
+            let Some(&Routed { node, local, .. }) = self.route.get(&id.0) else {
                 return Err(ExecError::UnknownTicket(id));
             };
             self.mark_started(node);
-            self.nodes[node]
-                .ep
-                .send(NODE, T_CTRL, vec![OP_WAIT, local as f64]);
-            match self.rpc_recv(node) {
-                Ok(ack) if ack.first() == Some(&ACK_OK) => {
+            let err = match self.rpc(node, Ctrl::Wait { local }) {
+                Ok(Reply::Job(mut stats)) => {
                     self.route.remove(&id.0);
-                    self.retained.remove(&id.0);
-                    let mut stats = wire::decode_jobs(&ack[1..]).pop().ok_or_else(|| {
-                        ExecError::Failed(format!("node {node}: empty wait reply"))
-                    })?;
                     stats.id = id;
                     return Ok(stats);
                 }
-                Ok(ack) => {
-                    let err = wire::decode_err(&ack, node, self.node_error(node));
-                    match err {
-                        ExecError::NodeFailed { node: dead } => {
-                            // Repair and retry: the waited job either
-                            // re-placed (loop waits on its new node) or
-                            // is now in the lost set (loop returns the
-                            // typed failure).
-                            self.handle_node_down(dead);
-                        }
-                        // Remap the node-local id in the error onto the
-                        // cluster id.
-                        ExecError::UnknownTicket(_) => {
-                            self.route.remove(&id.0);
-                            self.retained.remove(&id.0);
-                            return Err(ExecError::UnknownTicket(id));
-                        }
-                        other => {
-                            self.route.remove(&id.0);
-                            self.retained.remove(&id.0);
-                            return Err(other);
-                        }
-                    }
-                }
-                Err(ExecError::NodeFailed { .. }) => {
-                    self.handle_node_down(node);
-                }
-                Err(e) => return Err(e),
-            }
+                Ok(other) => unreachable!("node {node} answered a wait with {other:?}"),
+                // Repaired already: the waited job either re-placed
+                // (loop waits on its new node) or is now in the lost
+                // set (loop returns the typed failure).
+                Err(ExecError::NodeFailed { .. }) => continue,
+                // Silence says nothing about the job: it stays routed.
+                Err(e @ ExecError::Timeout { .. }) => return Err(e),
+                // Remap the node-local id in the error onto the cluster
+                // id.
+                Err(ExecError::UnknownTicket(_)) => ExecError::UnknownTicket(id),
+                Err(e) => e,
+            };
+            self.route.remove(&id.0);
+            return Err(err);
         }
     }
 
-    /// Drain every live node and merge the per-node results. Each node
-    /// answers with one combined reply whose header cross-checks the
-    /// decoded records. A node death mid-drain requeues its stranded
-    /// jobs onto survivors and triggers another round, so the stream
-    /// still completes (deaths are handled only *after* a round's acks
-    /// are all consumed — recovery traffic must not interleave with
-    /// pending drain acks). A missing reply within the RPC deadline is
-    /// a typed [`ExecError::Timeout`], never a hang — the fix for the
+    /// Drain every live node and merge the per-node records — each
+    /// reply's header cross-checks them — with the ones banked by node
+    /// removals. A node death mid-drain requeues its stranded jobs onto
+    /// survivors and triggers another round, so the stream still
+    /// completes (deaths are repaired only *after* a round's acks are
+    /// all consumed). A missing reply within the RPC deadline is a
+    /// typed [`ExecError::Timeout`], never a hang — the fix for the
     /// forever-blocking drain of the collective design. On a node
     /// *error* (not death) the whole drain fails and the outstanding
     /// jobs of the failed batch are lost (mirroring the bare
@@ -1492,89 +1298,11 @@ impl<G> Executor for Cluster<G> {
     fn drain(&mut self) -> Result<StreamStats, ExecError> {
         let mut jobs = std::mem::take(&mut self.banked_jobs);
         let mut merged = std::mem::take(&mut self.banked_extras);
-        let no_discard = HashSet::new();
-        let mut failures: Vec<usize> = Vec::new();
-        let mut hard_err: Option<ExecError> = None;
-        loop {
-            let targets: Vec<usize> = (0..self.nodes.len()).filter(|&i| self.alive[i]).collect();
-            if targets.is_empty() {
-                break;
-            }
-            for &node in &targets {
-                self.mark_started(node);
-                self.nodes[node].ep.send(NODE, T_CTRL, vec![OP_DRAIN]);
-            }
-            let mut died: Vec<usize> = Vec::new();
-            for &node in &targets {
-                match self.rpc_recv(node) {
-                    Ok(p) if p.first() == Some(&ACK_OK) => {
-                        let (recs, extras) = decode_drain_ok(&p);
-                        self.fold_node_records(
-                            node,
-                            recs,
-                            extras,
-                            &no_discard,
-                            &mut jobs,
-                            &mut merged,
-                        );
-                    }
-                    Ok(p) => {
-                        let err = wire::decode_err(&p, node, self.node_error(node));
-                        if matches!(err, ExecError::NodeFailed { .. }) {
-                            died.push(node);
-                        } else {
-                            failures.push(node);
-                        }
-                    }
-                    Err(ExecError::NodeFailed { .. }) => died.push(node),
-                    Err(e) => {
-                        hard_err.get_or_insert(e);
-                    }
-                }
-            }
-            self.refresh_loads();
-            if died.is_empty() {
-                break;
-            }
-            // Repair after the whole round's acks are in; the requeued
-            // jobs land on survivors, which the next round drains.
-            for node in died {
-                self.handle_node_down(node);
-            }
-        }
-        if let Some(e) = hard_err {
-            // A silent node leaves the drained state unknowable: drop
-            // this cycle's bookkeeping and surface the typed error.
-            self.route.clear();
-            self.retained.clear();
-            return Err(e);
-        }
-        if !failures.is_empty() {
-            let why = failures
-                .iter()
-                .map(|&i| self.node_error(i))
-                .collect::<Vec<_>>()
-                .join("; ");
-            self.route.clear();
-            self.retained.clear();
-            return Err(ExecError::Failed(why));
-        }
-        // Route entries left over after a full drain belong to jobs an
-        // *earlier failed batch* lost (a `wait` that returned `Failed`
-        // loses its node's whole pending batch, but the dispatcher only
-        // learns about the waited job): drop them, exactly as the bare
-        // simulator forgets a failed batch — their tickets redeem as
-        // `UnknownTicket` from here on. (Jobs the failure plane
-        // recorded as lost stay in the lost set and keep redeeming as
-        // `NodeFailed`.)
-        self.route.clear();
-        self.retained.clear();
-        self.exec_extras.absorb(merged);
-        // The cluster size is a fact, not a counter: write it with set
-        // semantics *after* the absorb so repeated drains between two
-        // `take_extras` calls do not sum it into nonsense.
-        self.exec_extras.set("nodes", self.live_nodes() as f64);
-        self.flatten_metrics();
+        let keep_all = HashSet::new();
+        self.drain_live(false, |this, node, d| {
+            fold_records(&mut this.route, node, d, &keep_all, &mut jobs, &mut merged);
+        })?;
+        self.publish(merged);
         Ok(StreamStats::from_jobs(jobs))
     }
 
@@ -1595,10 +1323,8 @@ impl<G> Executor for Cluster<G> {
 
 impl<G> Drop for Cluster<G> {
     fn drop(&mut self) {
-        for node in 0..self.nodes.len() {
-            if self.alive[node] {
-                self.nodes[node].ep.send(NODE, T_CTRL, vec![OP_SHUTDOWN]);
-            }
+        for node in self.live() {
+            self.send(node, Ctrl::Shutdown);
         }
         for slot in &mut self.nodes {
             if let Some(agent) = slot.agent.take() {
@@ -1612,15 +1338,11 @@ impl<G> Drop for Cluster<G> {
 /// the agent thread. The thread body runs under `catch_unwind`: on a
 /// panic (a scheduled kill, or an agent bug) the wrapper records the
 /// panic message, publishes the down flag — `Release`, paired with the
-/// dispatcher's `Acquire` in `rpc_recv` — and sends `ERR_NODE_FAILED`
-/// as its last frame, so a dispatcher blocked on this command's ack
-/// observes the death deterministically instead of timing out.
-fn spawn_node<E>(
-    i: usize,
-    exec: E,
-    plane: FaultPlane,
-    metrics: Option<MetricsConfig>,
-) -> NodeSlot<E::Graph>
+/// dispatcher's `Acquire` in `reply` — and sends a
+/// [`ExecError::NodeFailed`] reply as its last frame, so a dispatcher
+/// blocked on this command's ack observes the death deterministically
+/// instead of timing out.
+fn spawn_node<E>(i: usize, exec: E, plane: FaultPlane, session: &SessionBuilder) -> Node<E::Graph>
 where
     E: Executor + Send + 'static,
     E::Graph: Send + 'static,
@@ -1633,6 +1355,7 @@ where
     let down = Arc::new(AtomicBool::new(false));
     let errs_agent = Arc::clone(&errs);
     let down_agent = Arc::clone(&down);
+    let metrics = session.metrics;
     let agent = std::thread::Builder::new()
         .name(format!("das-cluster-node-{i}"))
         .spawn(move || {
@@ -1642,20 +1365,21 @@ where
             if let Err(payload) = run {
                 *errs_agent.lock() = panic_text(payload.as_ref());
                 down_agent.store(true, Ordering::Release);
-                last_frame_ep.send(
-                    DISPATCHER,
-                    T_ACK,
-                    vec![wire::ACK_ERR, wire::ERR_NODE_FAILED, i as f64],
-                );
+                let last = Reply::Err(ExecError::NodeFailed { node: i });
+                last_frame_ep.send(DISPATCHER, T_ACK, last.encode());
             }
         })
         .expect("spawn cluster node agent");
-    NodeSlot {
+    Node {
         tx,
         errs,
         ep: comm.endpoint(DISPATCHER),
         down,
         agent: Some(agent),
+        state: NodeState::Live,
+        load: 0.0,
+        limit: session.max_outstanding.map_or(f64::INFINITY, |l| l as f64),
+        snapshot: None,
     }
 }
 
@@ -1672,9 +1396,12 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Run one executor-contract operation on the node agent, translating
 /// errors (and executor panics — a runtime node's `wait` re-raises task
-/// body panics) into acknowledgement payloads, with the human-readable
+/// body panics) into the error to reply with, its human-readable
 /// message left in the in-process side channel.
-fn run_op<T>(errs: &Mutex<String>, f: impl FnOnce() -> Result<T, ExecError>) -> Result<T, Payload> {
+fn run_op<T>(
+    errs: &Mutex<String>,
+    f: impl FnOnce() -> Result<T, ExecError>,
+) -> Result<T, ExecError> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(Ok(v)) => {
             // A successful op clears the slot: drain-failure diagnostics
@@ -1684,11 +1411,11 @@ fn run_op<T>(errs: &Mutex<String>, f: impl FnOnce() -> Result<T, ExecError>) -> 
         }
         Ok(Err(e)) => {
             *errs.lock() = e.to_string();
-            Err(wire::encode_err(&e))
+            Err(e)
         }
         Err(_) => {
             *errs.lock() = "node executor panicked".into();
-            Err(vec![wire::ACK_ERR, wire::ERR_FAILED])
+            Err(ExecError::Failed(String::new()))
         }
     }
 }
@@ -1773,7 +1500,7 @@ fn report_state(
                 ep.send(DISPATCHER, T_METRICS, state.last_frame.clone());
             }
         } else {
-            let frame = wire::encode_snapshot(&snap);
+            let frame = snap.to_values();
             state.sent += 1.0;
             state.last_frame = frame.clone();
             ep.send(DISPATCHER, T_METRICS, frame);
@@ -1788,15 +1515,6 @@ fn report_state(
     }
     *last = value;
     ep.send(DISPATCHER, T_LOAD, vec![value]);
-}
-
-/// Send a command acknowledgement, unless a `DropAcks` fault withholds
-/// it (the dispatcher then surfaces a typed timeout).
-fn send_ack(ep: &Endpoint, plane: &mut FaultPlane, reply: Payload) {
-    if plane.drop_ack() {
-        return;
-    }
-    ep.send(DISPATCHER, T_ACK, reply);
 }
 
 /// Build the node's metrics snapshot when one is due: `force` (drain
@@ -1830,12 +1548,13 @@ fn snapshot_if_due<'a, E: Executor>(
 
 /// The node agent loop: owns this node's executor, serves dispatcher
 /// commands, pushes a load report (and, when the session enabled
-/// metrics, a cadence-due snapshot) before every acknowledgement, and
-/// answers `drain` with one combined records+extras reply. Node-local
-/// tickets live (and die) here. The agent consults its [`FaultPlane`]
-/// at every admission and every outgoing frame — all triggers are
-/// logical (counts, not clocks), so injected faults reproduce
-/// bit-exactly.
+/// metrics, a cadence-due snapshot) before every acknowledgement that
+/// follows an admission edge, and answers each command with one
+/// [`Reply`] — unless a `DropAcks` fault withholds it (the dispatcher
+/// then surfaces a typed timeout). Node-local tickets live (and die)
+/// here. The agent consults its [`FaultPlane`] at every admission and
+/// every outgoing frame — all triggers are logical (counts, not
+/// clocks), so injected faults reproduce bit-exactly.
 fn node_agent<E: Executor>(
     node: usize,
     mut exec: E,
@@ -1851,200 +1570,105 @@ fn node_agent<E: Executor>(
     let mut snap_state: Option<SnapState> = metrics.map(SnapState::new);
     loop {
         // block-ok: the agent's idle state is "parked on the control
-        // link"; `Cluster::drop` always sends OP_SHUTDOWN as its last
-        // frame, so this recv is bounded by dispatcher lifetime.
+        // link"; `Cluster::drop` always sends `Ctrl::Shutdown` as its
+        // last frame, so this recv is bounded by dispatcher lifetime.
         let cmd = ep.recv(DISPATCHER, T_CTRL);
-        let op = cmd.first().copied().unwrap_or(OP_SHUTDOWN);
-        if op == OP_SHUTDOWN {
-            return;
-        } else if op == OP_SUBMIT {
-            // The graph arrived on the side channel before the doorbell.
-            // block-ok: the dispatcher queues the spec *before* sending
-            // the OP_SUBMIT doorbell, so this recv can only block until
-            // that already-sent spec lands; a dropped sender returns
-            // Err and the agent exits.
-            let Ok(spec) = inbox.recv() else { return };
-            if plane.on_admit(1) {
-                // fault-ok: the scheduled Kill fault takes this agent
-                // down by design — the spawn wrapper catches the panic,
-                // publishes the down flag and sends the ERR_NODE_FAILED
-                // frame the blocked dispatcher is waiting on.
-                panic!(
-                    "fault plane: killed after {} admitted jobs",
-                    plane.admitted()
-                );
-            }
-            let mut admitted_now = 0u64;
-            let reply = match run_op(errs, || exec.submit(spec)) {
-                Ok(ticket) => {
-                    let local = ticket.job().0;
-                    tickets.insert(local, ticket);
-                    outstanding += 1.0;
-                    admitted_now = 1;
-                    vec![ACK_OK, local as f64]
+        // A command that does not decode kills the agent, loudly, on
+        // the one death path — the dispatcher sees `NodeFailed`.
+        let ctrl = Ctrl::decode(&cmd).expect("both ends of the link share one codec");
+        let reply = match ctrl {
+            Ctrl::Shutdown => return,
+            Ctrl::Submit { k } => {
+                // One doorbell for a k-job sub-batch; the specs arrived
+                // on the side channel, in batch order, before it.
+                let mut specs = Vec::with_capacity(k);
+                for _ in 0..k {
+                    // block-ok: the dispatcher queues all k specs
+                    // *before* sending the doorbell, so this recv can
+                    // only block until an already-sent spec lands; a
+                    // dropped sender returns Err and the agent exits.
+                    let Ok(spec) = inbox.recv() else { return };
+                    specs.push(spec);
                 }
-                Err(p) => p,
-            };
-            let snap = snapshot_if_due(node, &mut exec, &mut snap_state, admitted_now, false);
-            report_state(&ep, &mut plane, &mut last_load, outstanding, snap);
-            send_ack(&ep, &mut plane, reply);
-        } else if op == OP_SUBMIT_MANY {
-            // One doorbell for a k-job sub-batch; the specs arrived on
-            // the side channel in batch order.
-            let k = cmd.get(1).copied().unwrap_or(0.0) as usize;
-            let mut specs = Vec::with_capacity(k);
-            for _ in 0..k {
-                // block-ok: all k specs are queued before the one
-                // OP_SUBMIT_MANY doorbell; see the OP_SUBMIT recv.
-                let Ok(spec) = inbox.recv() else { return };
-                specs.push(spec);
-            }
-            if plane.on_admit(k as u64) {
-                // fault-ok: scheduled Kill fault, caught by the spawn
-                // wrapper which reports ERR_NODE_FAILED — see OP_SUBMIT.
-                panic!(
-                    "fault plane: killed after {} admitted jobs",
-                    plane.admitted()
-                );
-            }
-            // The backend batch is atomic on validation: on error the
-            // node admits nothing and the count is untouched.
-            let mut admitted_now = 0u64;
-            let reply = match run_op(errs, || exec.submit_many(specs)) {
-                Ok(batch) => {
-                    let mut p = Vec::with_capacity(2 + batch.len());
-                    p.push(ACK_OK);
-                    p.push(batch.len() as f64);
-                    admitted_now = batch.len() as u64;
-                    for ticket in batch {
-                        let local = ticket.job().0;
-                        p.push(local as f64);
-                        tickets.insert(local, ticket);
-                        outstanding += 1.0;
-                    }
-                    p
-                }
-                Err(p) => p,
-            };
-            let snap = snapshot_if_due(node, &mut exec, &mut snap_state, admitted_now, false);
-            report_state(&ep, &mut plane, &mut last_load, outstanding, snap);
-            send_ack(&ep, &mut plane, reply);
-        } else if op == OP_WAIT {
-            // A missing id slot must take the error path, never alias a
-            // real id (note `-1.0 as u64` would saturate to 0, a valid
-            // node-local job id).
-            let reply = match cmd
-                .get(1)
-                .map(|&v| v as u64)
-                .and_then(|local| tickets.remove(&local))
-            {
-                None => vec![
-                    wire::ACK_ERR,
-                    ERR_UNKNOWN_TICKET,
-                    cmd.get(1).copied().unwrap_or(0.0),
-                ],
-                Some(ticket) => {
-                    // Only the waited job leaves the count, even when the
-                    // wait fails. On a batch backend a `Failed` wait lost
-                    // the node's whole pending batch, so until the next
-                    // drain resets the count this node reports phantom
-                    // backlog — deliberate: the remaining tickets must
-                    // stay redeemable (on a pool backend the siblings of
-                    // a panicked job are alive and genuinely outstanding,
-                    // so resyncing here would corrupt *their* waits), and
-                    // steering new jobs away from a node that just failed
-                    // a batch is the right routing bias anyway.
-                    outstanding -= 1.0;
-                    match run_op(errs, || exec.wait(ticket)) {
-                        Ok(stats) => {
-                            let mut p = vec![ACK_OK];
-                            wire::push_job(&mut p, &stats);
-                            p
-                        }
-                        Err(p) => p,
-                    }
-                }
-            };
-            report_state(&ep, &mut plane, &mut last_load, outstanding, None);
-            send_ack(&ep, &mut plane, reply);
-        } else if op == OP_DRAIN {
-            let drained = run_op(errs, || exec.drain());
-            tickets.clear();
-            outstanding = 0.0;
-            // A drain epoch always snapshots (post-drain, so the probe
-            // includes everything the drain completed).
-            let snap = snapshot_if_due(node, &mut exec, &mut snap_state, 0, true);
-            report_state(&ep, &mut plane, &mut last_load, outstanding, snap);
-            // Extras leave the executor either way (a failed drain
-            // discards them, exactly as the collective design did).
-            let mut extras = exec.take_extras();
-            if let Some(s) = &mut snap_state {
-                s.stamp_attribution(&mut extras);
-            }
-            let reply = match drained {
-                Ok(stats) => {
-                    let mut p = Vec::with_capacity(
-                        3 + stats.jobs.len() * wire::JOB_SLOTS + wire::EXTRAS_SLOTS,
+                if plane.on_admit(k as u64) {
+                    // fault-ok: the scheduled Kill fault takes this agent
+                    // down by design — the spawn wrapper catches the panic,
+                    // publishes the down flag and sends the `NodeFailed`
+                    // frame the blocked dispatcher is waiting on.
+                    panic!(
+                        "fault plane: killed after {} admitted jobs",
+                        plane.admitted()
                     );
-                    p.push(ACK_OK);
-                    p.push(stats.jobs.len() as f64);
-                    p.push(stats.tasks as f64);
-                    p.extend(wire::encode_jobs(&stats.jobs));
-                    p.extend(wire::encode_extras(&extras));
-                    p
                 }
-                Err(p) => p,
-            };
-            send_ack(&ep, &mut plane, reply);
-        } else if op == OP_DRAIN_SUMMARY {
-            let drained = run_op(errs, || exec.drain());
-            tickets.clear();
-            outstanding = 0.0;
-            let snap = snapshot_if_due(node, &mut exec, &mut snap_state, 0, true);
-            // The reply carries the post-drain snapshot outright (on
-            // the ack channel, so only `DropAcks` gates it); the
-            // fault-gated T_METRICS copy below shares it.
-            let reply_snap =
-                snap.as_ref()
-                    .map(|(_, s)| s.clone())
-                    .unwrap_or_else(|| NodeSnapshot {
+                // The backend batch is atomic on validation: on error
+                // the node admits nothing and the count is untouched.
+                let admitted = run_op(errs, || exec.submit_many(specs)).map(|batch| {
+                    let locals: Vec<u64> = batch.iter().map(|t| t.job().0).collect();
+                    tickets.extend(locals.iter().copied().zip(batch));
+                    locals
+                });
+                let n = admitted.as_ref().map_or(0, Vec::len);
+                outstanding += n as f64;
+                let snap = snapshot_if_due(node, &mut exec, &mut snap_state, n as u64, false);
+                report_state(&ep, &mut plane, &mut last_load, outstanding, snap);
+                admitted.map_or_else(Reply::Err, Reply::Admitted)
+            }
+            Ctrl::Wait { local } => {
+                let reply = match tickets.remove(&local) {
+                    None => Reply::Err(ExecError::UnknownTicket(JobId(local))),
+                    Some(ticket) => {
+                        // Only the waited job leaves the count, even when the
+                        // wait fails. On a batch backend a `Failed` wait lost
+                        // the node's whole pending batch, so until the next
+                        // drain resets the count this node reports phantom
+                        // backlog — deliberate: the remaining tickets must
+                        // stay redeemable (on a pool backend the siblings of
+                        // a panicked job are alive and genuinely outstanding,
+                        // so resyncing here would corrupt *their* waits), and
+                        // steering new jobs away from a node that just failed
+                        // a batch is the right routing bias anyway.
+                        outstanding -= 1.0;
+                        run_op(errs, || exec.wait(ticket)).map_or_else(Reply::Err, Reply::Job)
+                    }
+                };
+                report_state(&ep, &mut plane, &mut last_load, outstanding, None);
+                reply
+            }
+            Ctrl::Drain { summary } => {
+                let drained = run_op(errs, || exec.drain());
+                tickets.clear();
+                outstanding = 0.0;
+                // A drain epoch always snapshots (post-drain, so the probe
+                // includes everything the drain completed). A summary
+                // reply carries that snapshot outright (on the ack
+                // channel, so only `DropAcks` gates it); the fault-gated
+                // `T_METRICS` copy below shares it.
+                let snap = snapshot_if_due(node, &mut exec, &mut snap_state, 0, true);
+                let reply_snap = summary.then(|| match &snap {
+                    Some((_, s)) => s.clone(),
+                    None => NodeSnapshot {
                         node: node as u64,
                         seq: 0,
                         probe: exec.metrics_probe().unwrap_or_default(),
-                    });
-            report_state(&ep, &mut plane, &mut last_load, outstanding, snap);
-            let mut extras = exec.take_extras();
-            if let Some(s) = &mut snap_state {
-                s.stamp_attribution(&mut extras);
-            }
-            let reply = match drained {
-                Ok(stats) => {
-                    // Ship the stream endpoints, not a pre-folded span:
-                    // the dispatcher computes the global span across
-                    // nodes exactly as a merged-record drain would.
-                    let t0 = stats
-                        .jobs
-                        .iter()
-                        .map(|j| j.arrival)
-                        .fold(f64::INFINITY, f64::min);
-                    let t1 = stats.jobs.iter().map(|j| j.completed).fold(0.0, f64::max);
-                    wire::encode_summary_ok(
-                        stats.jobs.len() as u64,
-                        stats.tasks as u64,
-                        t0,
-                        t1,
-                        &extras,
-                        &reply_snap,
-                    )
+                    },
+                });
+                report_state(&ep, &mut plane, &mut last_load, outstanding, snap);
+                // Extras leave the executor either way (a failed drain
+                // discards them, exactly as the collective design did).
+                let mut extras = exec.take_extras();
+                if let Some(s) = &mut snap_state {
+                    s.stamp_attribution(&mut extras);
                 }
-                Err(p) => p,
-            };
-            send_ack(&ep, &mut plane, reply);
-        } else if op == OP_PULL_TRACE {
+                drained.map_or_else(Reply::Err, |stats| {
+                    Reply::Drained(Drained::new(stats, extras, reply_snap))
+                })
+            }
             // A pull is not an admission edge and changes no
             // outstanding count: no load report rides with it.
-            let spans = exec.take_trace_spans();
-            send_ack(&ep, &mut plane, wire::encode_trace_ok(&spans));
+            Ctrl::PullTrace => Reply::Trace(exec.take_trace_spans()),
+        };
+        if !plane.drop_ack() {
+            ep.send(DISPATCHER, T_ACK, reply.encode());
         }
     }
 }
@@ -2392,7 +2016,6 @@ mod tests {
         let base = base_session(23).fault_schedule(FaultSchedule::new(23).drop_acks(0, 1));
         let mut cluster = ClusterBuilder::new(base, 1)
             .rpc_deadline(Duration::from_millis(2))
-            .rpc_attempts(2)
             .build_sim();
         let err = Executor::submit(&mut cluster, chain_job(0)).unwrap_err();
         assert!(matches!(err, ExecError::Timeout { .. }), "{err:?}");
@@ -2412,7 +2035,6 @@ mod tests {
         let mut cluster = ClusterBuilder::new(base, 2)
             .route(RoutePolicy::RoundRobin)
             .rpc_deadline(Duration::from_millis(2))
-            .rpc_attempts(2)
             .build_sim();
         Executor::submit(&mut cluster, chain_job(0)).unwrap();
         let err = cluster.drain().unwrap_err();

@@ -62,10 +62,10 @@ impl RoutePolicy {
     }
 }
 
-/// One routing decision, or `None` to shed the job. `loads[i]` is node
-/// `i`'s last reported outstanding-job count, `limits[i]` its admission
-/// bound (`f64::INFINITY` when unbounded), and `alive[i]` the
-/// dispatcher's membership view (dead or removed nodes are never
+/// One routing decision over nodes `0..n`, or `None` to shed the job.
+/// `view(i)` is node `i`'s last reported outstanding-job count and its
+/// admission bound (`f64::INFINITY` when unbounded), or `None` while
+/// the node is closed to routing (dead, removed or leaving — never
 /// picked); `rr` is the round-robin cursor (advanced by the caller's
 /// borrow).
 ///
@@ -75,32 +75,32 @@ impl RoutePolicy {
 /// sequence with and without bounds is identical). `LoadShed` instead
 /// restricts the candidate set to non-full nodes.
 ///
-/// With every node alive the decision — including the RNG draw
+/// With every node open the decision — including the RNG draw
 /// sequence of [`RoutePolicy::PowerOfTwo`] — is bit-identical to the
 /// pre-membership behaviour; that is what keeps the no-fault
-/// determinism pins green. Dead nodes shrink the candidate set:
+/// determinism pins green. Closed nodes shrink the candidate set:
 /// round-robin skips them (cursor still advances per attempt),
-/// power-of-two samples over the alive index map, and the argmin
+/// power-of-two samples over the open index map, and the argmin
 /// policies filter them out.
 pub(crate) fn pick(
     policy: RoutePolicy,
-    loads: &[f64],
-    limits: &[f64],
-    alive: &[bool],
+    n: usize,
+    view: impl Fn(usize) -> Option<(f64, f64)>,
     rr: &mut usize,
     rng: &mut SmallRng,
 ) -> Option<usize> {
-    let n = loads.len();
-    debug_assert!(n > 0 && limits.len() == n && alive.len() == n);
-    let full = |i: usize| loads[i] >= limits[i];
+    debug_assert!(n > 0);
+    let open = |i: usize| view(i).is_some();
+    let load = |i: usize| view(i).map_or(f64::INFINITY, |(load, _)| load);
+    let full = |i: usize| view(i).is_none_or(|(load, limit)| load >= limit);
     let node = match policy {
         RoutePolicy::RoundRobin => {
             let mut node = *rr % n;
             *rr = (*rr + 1) % n;
             let mut hops = 1;
-            while !alive[node] {
+            while !open(node) {
                 if hops == n {
-                    return None; // every node is dead
+                    return None; // every node is closed
                 }
                 node = *rr % n;
                 *rr = (*rr + 1) % n;
@@ -108,50 +108,42 @@ pub(crate) fn pick(
             }
             node
         }
-        RoutePolicy::LeastOutstanding => argmin(loads, (0..n).filter(|&i| alive[i]))?,
+        RoutePolicy::LeastOutstanding => argmin(load, (0..n).filter(|&i| open(i)))?,
         RoutePolicy::PowerOfTwo => {
-            if alive.iter().all(|&a| a) {
-                // The historical all-alive path, draw for draw.
-                if n == 1 {
-                    0
-                } else {
-                    let a = rng.gen_range(0..n);
-                    let mut b = rng.gen_range(0..n - 1);
+            // Sample over the open nodes' ranks; with every node open
+            // rank and index coincide and this is the historical path,
+            // draw for draw.
+            let nth = |k: usize| (0..n).filter(|&i| open(i)).nth(k);
+            match (0..n).filter(|&i| open(i)).count() {
+                0 => return None,
+                1 => nth(0)?,
+                m => {
+                    let a = rng.gen_range(0..m);
+                    let mut b = rng.gen_range(0..m - 1);
                     if b >= a {
                         b += 1;
                     }
-                    argmin(loads, [a.min(b), a.max(b)])?
-                }
-            } else {
-                let idx: Vec<usize> = (0..n).filter(|&i| alive[i]).collect();
-                match idx.len() {
-                    0 => return None,
-                    1 => idx[0],
-                    m => {
-                        let a = rng.gen_range(0..m);
-                        let mut b = rng.gen_range(0..m - 1);
-                        if b >= a {
-                            b += 1;
-                        }
-                        // `idx` ascends, so mapping min/max through it
-                        // preserves the low-id tie rule.
-                        argmin(loads, [idx[a.min(b)], idx[a.max(b)]])?
-                    }
+                    // Ranks ascend with indices, so mapping min/max
+                    // through them preserves the low-id tie rule.
+                    argmin(load, [nth(a.min(b))?, nth(a.max(b))?])?
                 }
             }
         }
-        RoutePolicy::LoadShed => return argmin(loads, (0..n).filter(|&i| alive[i] && !full(i))),
+        RoutePolicy::LoadShed => return argmin(load, (0..n).filter(|&i| !full(i))),
     };
     (!full(node)).then_some(node)
 }
 
 /// Index of the smallest load among `candidates` (first/lowest id wins
 /// ties), or `None` for an empty candidate set.
-fn argmin(loads: &[f64], candidates: impl IntoIterator<Item = usize>) -> Option<usize> {
+fn argmin(
+    load: impl Fn(usize) -> f64,
+    candidates: impl IntoIterator<Item = usize>,
+) -> Option<usize> {
     candidates
         .into_iter()
         .fold(None, |best: Option<usize>, i| match best {
-            Some(b) if loads[b] <= loads[i] => Some(b),
+            Some(b) if load(b) <= load(i) => Some(b),
             _ => Some(i),
         })
 }
@@ -163,6 +155,21 @@ mod tests {
 
     const NO_LIMIT: [f64; 8] = [f64::INFINITY; 8];
     const ALL_ALIVE: [bool; 8] = [true; 8];
+
+    /// [`super::pick`] over parallel slices: node `i` is open to
+    /// routing iff `alive[i]`.
+    fn pick(
+        policy: RoutePolicy,
+        loads: &[f64],
+        limits: &[f64],
+        alive: &[bool],
+        rr: &mut usize,
+        rng: &mut SmallRng,
+    ) -> Option<usize> {
+        assert!(limits.len() == loads.len() && alive.len() == loads.len());
+        let view = |i: usize| alive[i].then_some((loads[i], limits[i]));
+        super::pick(policy, loads.len(), view, rr, rng)
+    }
 
     #[test]
     fn round_robin_cycles() {
@@ -417,7 +424,7 @@ mod tests {
             if b >= a {
                 b += 1;
             }
-            super::argmin(loads, [a.min(b), a.max(b)]).unwrap()
+            super::argmin(|i| loads[i], [a.min(b), a.max(b)]).unwrap()
         };
         let loads = [3.0, 1.0, 4.0, 1.0, 5.0];
         let mut rng_a = SmallRng::seed_from_u64(11);

@@ -16,10 +16,11 @@
 //!    `// relaxed-ok: <reason>`; an orderings inventory is reported;
 //! 3. **unsafe** — every `unsafe` is preceded by `// SAFETY:`;
 //! 4. **panic** — no bare `.unwrap()` in non-test library code;
-//! 5. **contract** — every `ExecError` variant maps to a wire error
-//!    code, every `RoutePolicy` variant appears in the differential
-//!    matrix, every `FaultKind` variant is handled by the cluster's
-//!    fault plane;
+//! 5. **contract** — every `RoutePolicy` variant appears in the
+//!    differential matrix and every `MetricKind` has a `cluster_top`
+//!    row: coverage of tables rustc cannot see (a contract whose
+//!    target is a wildcard-free `match` would only repeat the
+//!    compiler's exhaustiveness check, so there is none);
 //! 6. **fault** — every intentional `panic!`/`panic_any` in
 //!    determinism-critical library code (the fault plane's kill
 //!    mechanism) carries `// fault-ok: <reason>` naming its catcher.
@@ -27,7 +28,7 @@
 //! On top of the line-local rules sits the function-graph layer
 //! ([`parse`]): per-file extraction of function boundaries, call
 //! sites, lock acquisitions and blocking waits/receives, merged into a
-//! workspace view by three more rules:
+//! workspace view by two more rules:
 //!
 //! 7. **lock-order** — held-lock sets propagate through intra-crate
 //!    call edges into a workspace lock-acquisition graph; acquisition
@@ -37,11 +38,7 @@
 //! 8. **blocking** — an unbounded `recv()` in control-plane code
 //!    (`das-cluster`, `das-msg`) must become `recv_timeout` /
 //!    `recv_backoff` / `try_recv*` or carry `// block-ok: <reason>`
-//!    naming the bounding mechanism;
-//! 9. **wire-protocol** — the `OP_*`/`ERR_*`/`ACK_*` constants of
-//!    `cluster/src/wire.rs` must have family-unique values, every
-//!    opcode must be dispatched by the agent loop, and every error
-//!    code must be handled on both the encode and decode paths.
+//!    naming the bounding mechanism.
 //!
 //! Run it as `cargo run --release -p das-lint`; it exits non-zero with
 //! `file:line` diagnostics on any unjustified violation (`--json` for
@@ -58,7 +55,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use lexer::mask;
-use rules::{check_contract, check_wire, Diagnostic, FileCtx, FileKind, LockEdge, OrderingCounts};
+use rules::{check_contract, Diagnostic, FileCtx, FileKind, LockEdge, OrderingCounts};
 
 /// A cross-file contract: every variant of `enum_name` (defined in
 /// `enum_file`) must be referenced as `Enum::Variant` in `target_file`.
@@ -67,15 +64,6 @@ pub struct Contract {
     pub enum_file: PathBuf,
     pub enum_name: String,
     pub target_file: PathBuf,
-}
-
-/// The wire-protocol contract (rule 9): the file defining the
-/// `OP_*`/`ERR_*`/`ACK_*` constants and the file whose agent loop must
-/// dispatch every opcode.
-#[derive(Debug, Clone)]
-pub struct WireContract {
-    pub wire_file: PathBuf,
-    pub dispatch_file: PathBuf,
 }
 
 /// What to audit and how to classify it. Paths are relative to `root`.
@@ -90,8 +78,6 @@ pub struct Config {
     /// violation fixtures).
     pub skip_prefixes: Vec<PathBuf>,
     pub contracts: Vec<Contract>,
-    /// The wire-protocol contract, if the tree has a wire tier.
-    pub wire: Option<WireContract>,
 }
 
 impl Config {
@@ -115,38 +101,18 @@ impl Config {
             ],
             contracts: vec![
                 Contract {
-                    enum_file: PathBuf::from("crates/core/src/exec.rs"),
-                    enum_name: "ExecError".to_string(),
-                    target_file: PathBuf::from("crates/cluster/src/wire.rs"),
-                },
-                Contract {
                     enum_file: PathBuf::from("crates/cluster/src/route.rs"),
                     enum_name: "RoutePolicy".to_string(),
                     target_file: PathBuf::from("tests/cluster_exec.rs"),
                 },
-                Contract {
-                    enum_file: PathBuf::from("crates/core/src/fault.rs"),
-                    enum_name: "FaultKind".to_string(),
-                    target_file: PathBuf::from("crates/cluster/src/lib.rs"),
-                },
-                // Every metric family must have a cluster-merge scalar
-                // (the `metric_scalar` match) …
-                Contract {
-                    enum_file: PathBuf::from("crates/core/src/metrics.rs"),
-                    enum_name: "MetricKind".to_string(),
-                    target_file: PathBuf::from("crates/cluster/src/lib.rs"),
-                },
-                // … and a row in the cluster_top dashboard.
+                // Every metric family must have a row in the
+                // cluster_top dashboard.
                 Contract {
                     enum_file: PathBuf::from("crates/core/src/metrics.rs"),
                     enum_name: "MetricKind".to_string(),
                     target_file: PathBuf::from("examples/cluster_top.rs"),
                 },
             ],
-            wire: Some(WireContract {
-                wire_file: PathBuf::from("crates/cluster/src/wire.rs"),
-                dispatch_file: PathBuf::from("crates/cluster/src/lib.rs"),
-            }),
         }
     }
 }
@@ -273,16 +239,6 @@ pub fn run(cfg: &Config) -> std::io::Result<Report> {
             &c.enum_name,
             &c.target_file,
             &mask(&target_src),
-        ));
-    }
-    if let Some(w) = &cfg.wire {
-        let wire_src = fs::read_to_string(cfg.root.join(&w.wire_file))?;
-        let dispatch_src = fs::read_to_string(cfg.root.join(&w.dispatch_file))?;
-        report.diagnostics.extend(check_wire(
-            &w.wire_file,
-            &mask(&wire_src),
-            &w.dispatch_file,
-            &mask(&dispatch_src),
         ));
     }
     report.diagnostics.sort();

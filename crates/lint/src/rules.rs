@@ -8,10 +8,9 @@
 //!
 //! Rules 1–4 and 6 are line-local; rule 5 (cross-file contracts) is a
 //! standalone check over an enum definition and a target file. Rules
-//! 7–9 are the graph layer: they consume [`crate::parse`]'s
+//! 7 and 8 are the graph layer: they consume [`crate::parse`]'s
 //! per-function extraction — rule 7 (lock-order) over the whole
-//! workspace at once, rule 8 (blocking) per control-plane file, rule 9
-//! (wire-protocol) over the wire definition and dispatch files.
+//! workspace at once, rule 8 (blocking) per control-plane file.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -51,7 +50,6 @@ pub const RULE_CONTRACT: &str = "contract";
 pub const RULE_FAULT: &str = "fault";
 pub const RULE_LOCK_ORDER: &str = "lock-order";
 pub const RULE_BLOCKING: &str = "blocking";
-pub const RULE_WIRE: &str = "wire-protocol";
 
 /// Every rule name, for stable zero-filled per-rule counts in reports.
 pub const RULES: &[&str] = &[
@@ -63,7 +61,6 @@ pub const RULES: &[&str] = &[
     RULE_FAULT,
     RULE_LOCK_ORDER,
     RULE_BLOCKING,
-    RULE_WIRE,
 ];
 
 /// How a file is classified for rule applicability.
@@ -966,125 +963,5 @@ pub fn rule_blocking(path: &Path, graph: &FileGraph, kind: FileKind) -> Vec<Diag
             }
         }
     }
-    out
-}
-
-// ---------------------------------------------------------------------
-// Rule 9: wire-protocol coherence
-// ---------------------------------------------------------------------
-
-/// The constant families of the wire protocol, matched by name prefix.
-const WIRE_FAMILIES: &[&str] = &["OP", "ERR", "ACK"];
-
-/// Parse the `OP_*`/`ERR_*`/`ACK_*` constants of the wire file:
-/// (family, name, value text, 1-based line).
-fn wire_consts(lines: &[LineInfo]) -> Vec<(String, String, String, usize)> {
-    let toks = crate::lexer::token_stream(lines);
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].1 == "const" {
-            if let Some((line, name)) = toks.get(i + 1).map(|t| (t.0, t.1.clone())) {
-                let family = WIRE_FAMILIES
-                    .iter()
-                    .find(|f| name.starts_with(&format!("{f}_")));
-                if let Some(f) = family {
-                    let mut j = i + 2;
-                    while j < toks.len() && toks[j].1 != "=" && toks[j].1 != ";" {
-                        j += 1;
-                    }
-                    if toks.get(j).map(|t| t.1.as_str()) == Some("=") {
-                        let mut value = String::new();
-                        j += 1;
-                        while j < toks.len() && toks[j].1 != ";" {
-                            value.push_str(&toks[j].1);
-                            j += 1;
-                        }
-                        out.push((f.to_string(), name, value, line + 1));
-                    }
-                }
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Rule 9: the wire-protocol constant space must be coherent — values
-/// unique within each family, every opcode dispatched by the agent
-/// loop, every error code handled explicitly on both the encode and
-/// decode paths (a `_ =>` fallback silently swallowing a code is
-/// exactly the drift this rule pins).
-pub fn check_wire(
-    wire_path: &Path,
-    wire_lines: &[LineInfo],
-    dispatch_path: &Path,
-    dispatch_lines: &[LineInfo],
-) -> Vec<Diagnostic> {
-    let consts = wire_consts(wire_lines);
-    let mut out = Vec::new();
-    if consts.is_empty() {
-        out.push(Diagnostic {
-            file: wire_path.to_path_buf(),
-            line: 1,
-            rule: RULE_WIRE,
-            msg: "no OP_*/ERR_*/ACK_* constants found (wire check is stale)".to_string(),
-        });
-        return out;
-    }
-    let mut seen: BTreeMap<(&str, &str), (&str, usize)> = BTreeMap::new();
-    for (family, name, value, line) in &consts {
-        if let Some((first, _)) = seen.get(&(family.as_str(), value.as_str())) {
-            out.push(Diagnostic {
-                file: wire_path.to_path_buf(),
-                line: *line,
-                rule: RULE_WIRE,
-                msg: format!(
-                    "wire value {value} of `{name}` collides with `{first}`; the {family}_* space must be injective"
-                ),
-            });
-        } else {
-            seen.insert((family.as_str(), value.as_str()), (name.as_str(), *line));
-        }
-    }
-    for (_, name, _, line) in consts.iter().filter(|(f, ..)| f == "OP") {
-        if !dispatch_lines.iter().any(|l| has_token(&l.code, name)) {
-            out.push(Diagnostic {
-                file: wire_path.to_path_buf(),
-                line: *line,
-                rule: RULE_WIRE,
-                msg: format!(
-                    "opcode `{name}` is never dispatched in {}; the agent loop must match every opcode",
-                    dispatch_path.display()
-                ),
-            });
-        }
-    }
-    let spans = crate::parse::fn_spans(wire_lines);
-    for path_fn in ["encode_err", "decode_err"] {
-        let Some((_, start, end)) = spans.iter().find(|(n, _, _)| n == path_fn) else {
-            out.push(Diagnostic {
-                file: wire_path.to_path_buf(),
-                line: 1,
-                rule: RULE_WIRE,
-                msg: format!("could not locate fn `{path_fn}` (wire check is stale)"),
-            });
-            continue;
-        };
-        for (_, name, _, line) in consts.iter().filter(|(f, ..)| f == "ERR") {
-            let body = &wire_lines[start - 1..(*end).min(wire_lines.len())];
-            if !body.iter().any(|l| has_token(&l.code, name)) {
-                out.push(Diagnostic {
-                    file: wire_path.to_path_buf(),
-                    line: *line,
-                    rule: RULE_WIRE,
-                    msg: format!(
-                        "error code `{name}` is not referenced in `{path_fn}`; every code must be handled explicitly on both wire paths"
-                    ),
-                });
-            }
-        }
-    }
-    out.sort();
     out
 }

@@ -16,13 +16,18 @@
 //!   and a fully-dead fleet surfaces `ExecError::Failed`;
 //! * **membership churn between drains loses nothing**: a node added
 //!   mid-stream takes traffic, a removed node's queue drains onto its
-//!   peers before departure.
+//!   peers before departure;
+//! * **every verb records a death it trips over**: `submit` and a
+//!   one-job `submit_many` count the same requeues, a trace pull that
+//!   finds a node dead retires it on the spot, and a summary drain
+//!   repairs a mid-drain death exactly like a record drain.
 
 use das::cluster::{ClusterBuilder, RoutePolicy};
-use das::core::jobs::JobSpec;
-use das::core::Policy;
+use das::core::jobs::{JobSpec, JobStats, StreamStats};
+use das::core::metrics::TraceSpan;
+use das::core::{ExecExtras, Policy};
 use das::dag::Dag;
-use das::exec::{ExecError, ExecReport, Executor, SessionBuilder};
+use das::exec::{ExecError, ExecReport, Executor, SessionBuilder, Ticket};
 use das::sim::Simulator;
 use das::topology::Topology;
 use das::workloads::arrivals::{JobShape, StreamConfig};
@@ -116,7 +121,6 @@ fn withheld_acks_become_typed_timeouts_not_hangs() {
     let base = base_session(5).fault_schedule(FaultSchedule::new(5).drop_acks(0, 1));
     let mut cluster = ClusterBuilder::new(base, 1)
         .rpc_deadline(Duration::from_millis(2))
-        .rpc_attempts(2)
         .build_sim();
     let err = cluster.submit(stream().remove(0)).unwrap_err();
     assert!(
@@ -173,4 +177,141 @@ fn membership_churn_mid_stream_loses_no_jobs() {
         .map(|n| extras.get(&format!("node{n}.jobs")).unwrap_or(0.0))
         .sum();
     assert_eq!(routed as usize, 14);
+}
+
+#[test]
+fn a_submit_loop_and_one_job_batches_count_the_same_requeues() {
+    // kill(2, 1) on 3 round-robin nodes: node 2 admits job 2 and dies
+    // on job 5's doorbell. Job 2 — acknowledged, then moved — is the
+    // one requeue; job 5 was never acknowledged by anyone, so placing
+    // it on a survivor is its first placement whichever verb carried
+    // it.
+    let run = |batched: bool| {
+        let base = base_session(13).fault_schedule(FaultSchedule::new(13).kill(2, 1));
+        let mut cluster = ClusterBuilder::new(base, 3)
+            .route(RoutePolicy::RoundRobin)
+            .build_sim();
+        for spec in stream().into_iter().take(9) {
+            if batched {
+                assert_eq!(cluster.submit_many(vec![spec]).expect("accepted").len(), 1);
+            } else {
+                cluster.submit(spec).expect("accepted");
+            }
+        }
+        let stats = cluster.drain().expect("drains");
+        (stats, cluster.take_extras())
+    };
+    let (loop_stats, loop_extras) = run(false);
+    let (batch_stats, batch_extras) = run(true);
+    assert_eq!(loop_stats.jobs.len(), 9);
+    assert_eq!(batch_stats, loop_stats, "records bit-identical");
+    assert_eq!(batch_extras, loop_extras, "extras bit-identical");
+    assert_eq!(loop_extras.get("jobs_requeued"), Some(1.0));
+    assert_eq!(loop_extras.get("node2.failed"), Some(1.0));
+}
+
+/// A sim node whose agent dies — outside any admission, so no submit
+/// can notice — the first time the dispatcher asks it for `dies_on`.
+struct Brittle {
+    sim: Simulator,
+    dies_on: Option<&'static str>,
+}
+
+impl Brittle {
+    fn trip(&self, verb: &'static str) {
+        assert!(self.dies_on != Some(verb), "brittle node: died on {verb}");
+    }
+}
+
+impl Executor for Brittle {
+    type Graph = Dag;
+
+    fn backend(&self) -> &'static str {
+        "brittle-sim"
+    }
+
+    fn submit(&mut self, spec: JobSpec<Dag>) -> Result<Ticket, ExecError> {
+        Executor::submit(&mut self.sim, spec)
+    }
+
+    fn wait(&mut self, ticket: Ticket) -> Result<JobStats, ExecError> {
+        Executor::wait(&mut self.sim, ticket)
+    }
+
+    fn drain(&mut self) -> Result<StreamStats, ExecError> {
+        Executor::drain(&mut self.sim)
+    }
+
+    // Both run on the agent outside its per-operation panic guard, so
+    // tripping here takes the whole agent down.
+    fn take_extras(&mut self) -> ExecExtras {
+        self.trip("extras");
+        self.sim.take_extras()
+    }
+
+    fn take_trace_spans(&mut self) -> Vec<TraceSpan> {
+        self.trip("trace");
+        self.sim.take_trace_spans()
+    }
+}
+
+/// 3 round-robin nodes, node 1 brittle on `verb`, 6 jobs submitted (2
+/// per node).
+fn brittle_cluster(verb: &'static str) -> das::cluster::Cluster<Dag> {
+    let mut cluster = ClusterBuilder::new(base_session(19), 3)
+        .route(RoutePolicy::RoundRobin)
+        .build_with(move |i, session| Brittle {
+            sim: Simulator::from_session(session),
+            dies_on: (i == 1).then_some(verb),
+        });
+    for spec in stream().into_iter().take(6) {
+        cluster.submit(spec).expect("accepted");
+    }
+    cluster
+}
+
+#[test]
+fn a_death_seen_by_a_trace_pull_is_recorded_on_the_spot() {
+    let mut cluster = brittle_cluster("trace");
+    assert_eq!(
+        cluster.collect_trace().unwrap_err(),
+        ExecError::NodeFailed { node: 1 }
+    );
+    // Not "until some later call trips over it": the node is retired
+    // and its two pending jobs are already on the survivors.
+    assert!(!cluster.is_alive(1));
+    assert_eq!(cluster.live_nodes(), 2);
+    for spec in stream().into_iter().skip(6) {
+        let ticket = cluster.submit(spec).expect("accepted");
+        assert_ne!(cluster.node_of(&ticket), Some(1), "routed to a dead node");
+    }
+    assert_eq!(cluster.drain().expect("drains").jobs.len(), 14);
+    let extras = cluster.take_extras();
+    assert_eq!(extras.get("node1.failed"), Some(1.0));
+    assert_eq!(extras.get("jobs_requeued"), Some(2.0));
+    assert_eq!(extras.get("jobs_lost"), None);
+}
+
+#[test]
+fn a_summary_drain_repairs_a_mid_drain_death_like_a_record_drain() {
+    // Node 1 executes its batch, then dies before answering. Its two
+    // jobs had started, so each is retried (once) on a survivor and a
+    // second round collects them: both drains complete the stream.
+    let mut records = brittle_cluster("extras");
+    let stats = records.drain().expect("the record drain repairs");
+    assert_eq!(stats.jobs.len(), 6);
+
+    let mut summary = brittle_cluster("extras");
+    let total = summary.drain_summary().expect("the summary drain repairs");
+    assert_eq!(total.jobs, 6);
+    assert_eq!(total.tasks as usize, stats.tasks);
+    assert_eq!(total.span, stats.span, "same global stream endpoints");
+    assert_eq!(total.report.nodes.len(), 2, "one snapshot per survivor");
+    for mut cluster in [records, summary] {
+        assert!(!cluster.is_alive(1));
+        let extras = cluster.take_extras();
+        assert_eq!(extras.get("node1.failed"), Some(1.0));
+        assert_eq!(extras.get("retries"), Some(2.0));
+        assert_eq!(extras.get("jobs_lost"), None);
+    }
 }
