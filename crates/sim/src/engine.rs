@@ -95,10 +95,62 @@ struct CoreState {
     poll_pending: bool,
 }
 
+/// A set of cores as a bitset, enumerated in ascending core order.
+#[derive(Default)]
+struct CoreSet {
+    words: Vec<u64>,
+}
+
+impl CoreSet {
+    /// Resize for `n` cores, holding none of them.
+    fn reset(&mut self, n: usize) {
+        self.words.clear();
+        self.words.resize(n.div_ceil(64), 0);
+    }
+
+    fn set(&mut self, c: usize, on: bool) {
+        let bit = 1u64 << (c % 64);
+        if on {
+            self.words[c / 64] |= bit;
+        } else {
+            self.words[c / 64] &= !bit;
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    fn contains(&self, c: usize) -> bool {
+        self.words[c / 64] & (1u64 << (c % 64)) != 0
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// Members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            std::iter::successors((word != 0).then_some(word), |&rest| {
+                let rest = rest & (rest - 1);
+                (rest != 0).then_some(rest)
+            })
+            .map(move |rest| w * 64 + rest.trailing_zeros() as usize)
+        })
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Ev {
     /// Core checks AQ, then WSQ, then tries to steal.
     Poll(usize),
+    /// The cores listed (ascending) in `poll_batches[.0]` each poll, in
+    /// that order: the sleepers one stealable wake-up roused. Stands
+    /// for one `Poll` per member with consecutive `seq`, the first of
+    /// them this item's.
+    PollBatch(usize),
     /// Assembly `.0` finishes, unless its generation moved past `.1`.
     Finish(usize, u64),
     /// The environment's piecewise-constant state changes now.
@@ -167,14 +219,21 @@ pub struct Simulator {
     /// would hold a million dead assemblies.
     free_assemblies: Vec<usize>,
     running: BTreeSet<usize>,
-    /// Cores currently idle (neither busy nor holding a pending poll),
-    /// ascending. A stealable wake-up polls exactly these cores — the
-    /// same set the old every-core broadcast reached after `wake_at`
-    /// filtered it, in the same order, so the event stream is
-    /// bit-identical at O(idle) instead of O(cores) per wake-up.
-    idle: BTreeSet<usize>,
-    /// Use the pre-idle-set broadcast wake-up path (O(cores) per
-    /// stealable wake-up). Differential-testing hook only.
+    /// Cores currently idle (neither busy nor holding a pending poll).
+    /// A stealable wake-up polls exactly these cores — the same set the
+    /// every-core broadcast reaches after `wake_at` filtered it, in the
+    /// same ascending order.
+    idle: CoreSet,
+    /// Cores whose WSQ holds a stealable entry
+    /// (`wsq.stealable_len() > 0`), re-synced by `sync_stealable` after
+    /// every WSQ change: the only cores a steal scan can pick from.
+    stealable: CoreSet,
+    /// Member lists of the `Ev::PollBatch` items in the heap, by batch
+    /// id; the buffers of consumed batches wait in `free_batches`.
+    poll_batches: Vec<Vec<usize>>,
+    free_batches: Vec<usize>,
+    /// Use the broadcast wake-up path (`wake_at` on every core, one
+    /// `Ev::Poll` per sleeper). Differential-testing reference only.
     broadcast_wakeups: bool,
     /// Number of running assemblies per cluster (independent streams
     /// contending for the cluster's cache/bandwidth).
@@ -188,9 +247,6 @@ pub struct Simulator {
     /// Scratch for steal-victim collection, reused across attempts so
     /// the hot steal path does not allocate per call.
     victims_scratch: Vec<usize>,
-    /// Scratch for the idle-set snapshot taken by `wakeup` (wake-ups
-    /// mutate the set while it is being walked).
-    wake_scratch: Vec<usize>,
     /// Scratch for the running-assembly snapshots taken by the replan
     /// paths (`handle_env_change`, `replan_cluster`).
     replan_scratch: Vec<usize>,
@@ -312,7 +368,10 @@ impl Simulator {
             assemblies: Vec::new(),
             free_assemblies: Vec::new(),
             running: BTreeSet::new(),
-            idle: BTreeSet::new(),
+            idle: CoreSet::default(),
+            stealable: CoreSet::default(),
+            poll_batches: Vec::new(),
+            free_batches: Vec::new(),
             broadcast_wakeups: false,
             streams: Vec::new(),
             preds: Vec::new(),
@@ -322,7 +381,6 @@ impl Simulator {
             completed: 0,
             stats: RunStats::default(),
             victims_scratch: Vec::new(),
-            wake_scratch: Vec::new(),
             replan_scratch: Vec::new(),
             job_of: Vec::new(),
             job_roots: Vec::new(),
@@ -438,11 +496,12 @@ impl Simulator {
         self.sched = sched;
     }
 
-    /// Route stealable wake-ups through the pre-idle-set broadcast
-    /// (`wake_at` on every core) instead of the idle set. The two are
-    /// bit-identical by construction — this hook exists so the
-    /// differential tests can prove it (`tests/sched_fastpath.rs`), and
-    /// costs O(cores) per wake-up. Off by default.
+    /// Route stealable wake-ups through the broadcast (`wake_at` on
+    /// every core, one poll event per sleeper) instead of one batched
+    /// event over the idle set. The two are bit-identical by
+    /// construction — this hook exists so the differential tests can
+    /// prove it (`tests/sched_fastpath.rs`), and costs O(cores) per
+    /// wake-up. Off by default.
     pub fn set_broadcast_wakeups(&mut self, on: bool) {
         self.broadcast_wakeups = on;
     }
@@ -711,14 +770,21 @@ impl Simulator {
             .collect();
         // With slot recycling the live assembly count is bounded by the
         // core count, not the task count.
-        self.assemblies = Vec::with_capacity(total.min(2 * n_cores));
+        self.assemblies.clear();
+        self.assemblies.reserve(total.min(2 * n_cores));
         self.free_assemblies.clear();
         self.running.clear();
-        // Every core starts neither busy nor poll-pending.
-        self.idle = (0..n_cores).collect();
+        // Every core starts neither busy nor poll-pending, its WSQ empty.
+        self.idle.reset(n_cores);
+        (0..n_cores).for_each(|c| self.idle.set(c, true));
+        self.stealable.reset(n_cores);
         self.streams = vec![0; self.cfg.topo.num_clusters()];
         // `preds` is owned by `drive`, which rebuilds it from the dag.
-        self.heap = BinaryHeap::new();
+        // The heap and the batch buffers keep their capacity: a session
+        // flushes many batches through one simulator.
+        self.heap.clear();
+        self.free_batches.clear();
+        self.free_batches.extend(0..self.poll_batches.len());
         self.seq = 0;
         self.now = 0.0;
         self.completed = 0;
@@ -744,23 +810,25 @@ impl Simulator {
         self.preds.extend(dag.nodes().iter().map(|n| n.num_preds));
         let mut events: u64 = 0;
         while let Some(item) = self.heap.pop() {
-            events += 1;
-            if events > self.max_events {
-                // det-ok: debug-only diagnostics on the failure path;
-                // the env var gates an eprintln, never a sim decision.
-                #[allow(clippy::disallowed_methods)]
-                if std::env::var_os("DAS_SIM_DEBUG").is_some() {
-                    eprintln!(
-                        "event budget: now={} completed={} running={} heap={} ev={:?} steals={} failed={}",
-                        self.now, self.completed, self.running.len(), self.heap.len(),
-                        item.ev, self.stats.steals, self.stats.failed_steals,
-                    );
-                }
-                return Err(SimError::EventLimitExceeded);
+            // A batch counts one event per member, as the per-sleeper
+            // polls it stands for would have.
+            if !matches!(item.ev, Ev::PollBatch(_)) {
+                self.count_event(&mut events, item.ev)?;
             }
             self.now = item.t.max(self.now);
             match item.ev {
                 Ev::Poll(c) => self.handle_poll(dag, c),
+                Ev::PollBatch(b) => {
+                    let members = std::mem::take(&mut self.poll_batches[b]);
+                    for &c in &members {
+                        self.count_event(&mut events, Ev::Poll(c))?;
+                        self.handle_poll(dag, c);
+                    }
+                    self.poll_batches[b] = members;
+                    self.free_batches.push(b);
+                    #[cfg(debug_assertions)]
+                    self.check_indices();
+                }
                 Ev::Finish(aid, gen) => self.handle_finish(dag, aid, gen),
                 Ev::EnvChange => self.handle_env_change(),
                 Ev::Release(task, core) => {
@@ -780,13 +848,66 @@ impl Simulator {
                 self.stats.makespan = self.now;
                 self.stats.events = events;
                 self.trace.makespan = self.now;
+                #[cfg(debug_assertions)]
+                self.check_indices();
                 return Ok(());
             }
         }
+        #[cfg(debug_assertions)]
+        self.check_indices();
         Err(SimError::Deadlock {
             completed: self.completed,
             total,
         })
+    }
+
+    /// Count one event against the `max_events` valve.
+    fn count_event(&self, events: &mut u64, ev: Ev) -> Result<(), SimError> {
+        *events += 1;
+        if *events > self.max_events {
+            // det-ok: debug-only diagnostics on the failure path;
+            // the env var gates an eprintln, never a sim decision.
+            #[allow(clippy::disallowed_methods)]
+            if std::env::var_os("DAS_SIM_DEBUG").is_some() {
+                eprintln!(
+                    "event budget: now={} completed={} running={} heap={} ev={:?} steals={} failed={}",
+                    self.now, self.completed, self.running.len(), self.heap.len(),
+                    ev, self.stats.steals, self.stats.failed_steals,
+                );
+            }
+            return Err(SimError::EventLimitExceeded);
+        }
+        Ok(())
+    }
+
+    /// Engine self-check of the idle-path indices against the state
+    /// they summarise (debug builds: after every batch and when `drive`
+    /// returns).
+    #[cfg(debug_assertions)]
+    fn check_indices(&self) {
+        for (c, st) in self.cores.iter().enumerate() {
+            assert_eq!(
+                self.idle.contains(c),
+                !st.busy && !st.poll_pending,
+                "idle bit of core {c}"
+            );
+            assert_eq!(
+                self.stealable.contains(c),
+                st.wsq.stealable_len() > 0,
+                "stealable bit of core {c}"
+            );
+        }
+        // Every batch buffer is free or named by exactly one heap item.
+        let mut owners = vec![0usize; self.poll_batches.len()];
+        for &b in &self.free_batches {
+            owners[b] += 1;
+        }
+        for item in &self.heap {
+            if let Ev::PollBatch(b) = item.ev {
+                owners[b] += 1;
+            }
+        }
+        assert!(owners.iter().all(|&n| n == 1), "batch owners: {owners:?}");
     }
 
     // ---- event helpers ----
@@ -806,7 +927,7 @@ impl Simulator {
         let st = &mut self.cores[core];
         if !st.busy && !st.poll_pending {
             st.poll_pending = true;
-            self.idle.remove(&core);
+            self.idle.set(core, false);
             self.push(t, Ev::Poll(core));
         }
     }
@@ -820,29 +941,56 @@ impl Simulator {
         let entry = ReadyEntry::new(task, &d);
         let migratable = entry.is_stealable();
         self.cores[d.queue.0].wsq.push(entry);
+        self.sync_stealable(d.queue.0);
         let wl = self.cfg.params.wake_latency;
         self.wake_at(d.queue.0, t + wl);
         if migratable {
             // Idle cores may steal it: wake every sleeper. Woken cores
-            // that lose the race simply go back to sleep. Only members
-            // of the idle set can pass `wake_at`'s busy/poll-pending
-            // filter, so walking the set (ascending, like the old
-            // 0..cores broadcast) pushes the identical Poll events in
-            // the identical order at O(idle) per wake-up.
+            // that lose the race simply go back to sleep.
             if self.broadcast_wakeups {
                 for c in 0..self.cores.len() {
                     self.wake_at(c, t + wl);
                 }
             } else {
-                let mut sleepers = std::mem::take(&mut self.wake_scratch);
-                sleepers.clear();
-                sleepers.extend(self.idle.iter().copied());
-                for c in sleepers.drain(..) {
-                    self.wake_at(c, t + wl);
-                }
-                self.wake_scratch = sleepers;
+                self.wake_sleepers(t + wl);
             }
         }
+    }
+
+    /// `wake_at(c, t)` for every core, as one heap item. Only members
+    /// of the idle set pass `wake_at`'s busy/poll-pending filter, and
+    /// their polls would carry equal `t` and consecutive `seq`; every
+    /// later push has a larger `seq` and a time no earlier than `now`,
+    /// so nothing can be ordered between them and one item holding the
+    /// ascending member list pops exactly where the first would have.
+    fn wake_sleepers(&mut self, t: f64) {
+        if self.idle.is_empty() {
+            return;
+        }
+        let b = self.free_batches.pop().unwrap_or_else(|| {
+            self.poll_batches.push(Vec::new());
+            self.poll_batches.len() - 1
+        });
+        let mut members = std::mem::take(&mut self.poll_batches[b]);
+        members.clear();
+        members.extend(self.idle.iter());
+        for &c in &members {
+            self.cores[c].poll_pending = true;
+        }
+        self.idle.clear();
+        self.push(t, Ev::PollBatch(b));
+        // The members after the first take the `seq`s their own polls
+        // would have.
+        self.seq += members.len() as u64 - 1;
+        self.poll_batches[b] = members;
+    }
+
+    /// Re-sync core `c`'s bit of the stealable-victim index with its
+    /// WSQ. Called after each of the three WSQ mutations (`wakeup`'s
+    /// push, `handle_poll`'s `pop_own`, `try_steal`'s `steal`).
+    fn sync_stealable(&mut self, c: usize) {
+        let on = self.cores[c].wsq.stealable_len() > 0;
+        self.stealable.set(c, on);
     }
 
     fn handle_poll(&mut self, dag: &Dag, c: usize) {
@@ -860,6 +1008,7 @@ impl Simulator {
         // stealable backlog newest-first) is the shared `das-core`
         // discipline — see `ReadyQueue::pop_own` for the rationale.
         if let Some(entry) = self.cores[c].wsq.pop_own() {
+            self.sync_stealable(c);
             self.dispatch(dag, entry, c, self.now + self.cfg.params.dispatch_overhead);
             return;
         }
@@ -875,25 +1024,26 @@ impl Simulator {
         // Nothing to do: sleep until woken by a push or a completion.
         // (The other exits of this poll leave the core busy or
         // poll-pending again; only this one idles it.)
-        self.idle.insert(c);
+        self.idle.set(c, true);
     }
 
     /// Steal scan: victims are cores whose WSQ would yield an entry to
     /// this thief; the victim is chosen uniformly at random (seeded RNG)
-    /// and the entry itself by the shared queue discipline.
+    /// and the entry itself by the shared queue discipline. Only cores
+    /// in the stealable index are probed — `can_steal` is false on
+    /// every other — so the victim list, its ascending order and the
+    /// one RNG draw are those of a scan over all cores.
     fn try_steal(&mut self, dag: &Dag, thief: usize) -> Option<ReadyEntry<TaskId>> {
         let sched = Arc::clone(&self.sched);
         let eligible = |task: &TaskId| sched.may_run_on(&dag.node(*task).meta, CoreId(thief));
-        // Reuse the engine-owned scratch buffer: steal attempts are the
-        // hottest idle-path operation and previously allocated a fresh
-        // Vec each time. The candidate set and the seeded RNG draw are
-        // unchanged, so the victim sequence is bit-identical (see
-        // `steal_order_unchanged_by_scratch_reuse` in
-        // tests/sim_determinism.rs).
+        // Engine-owned scratch buffer: steal attempts are the hottest
+        // idle-path operation and must not allocate per call.
         let mut victims = std::mem::take(&mut self.victims_scratch);
         victims.clear();
         victims.extend(
-            (0..self.cores.len()).filter(|&v| v != thief && self.cores[v].wsq.can_steal(eligible)),
+            self.stealable
+                .iter()
+                .filter(|&v| v != thief && self.cores[v].wsq.can_steal(eligible)),
         );
         let choice = if victims.is_empty() {
             None
@@ -901,7 +1051,10 @@ impl Simulator {
             Some(victims[self.rng.gen_range(0..victims.len())])
         };
         self.victims_scratch = victims;
-        self.cores[choice?].wsq.steal(eligible)
+        let victim = choice?;
+        let entry = self.cores[victim].wsq.steal(eligible);
+        self.sync_stealable(victim);
+        entry
     }
 
     /// Dequeue-time decision (Fig. 3 steps 4–6): pick the final place and
@@ -910,21 +1063,25 @@ impl Simulator {
         let (task, pinned) = entry.into_parts();
         let node = dag.node(task);
         let place = self.sched.on_dequeue(&node.meta, CoreId(core), pinned);
-        // Reuse a committed slot when one is free; its generation
-        // continues from the dead occupant's, so any superseded Finish
-        // events still in the heap (gen <= the old occupant's) miss the
-        // `gen` check exactly as they did before recycling.
-        let next_gen = |a: &Assembly| a.gen + 1;
-        let (aid, gen) = match self.free_assemblies.pop() {
-            Some(slot) => (slot, next_gen(&self.assemblies[slot])),
-            None => (self.assemblies.len(), 0),
+        // Reuse a committed slot when one is free, join-time buffer
+        // included; its generation continues from the dead occupant's,
+        // so any superseded Finish events still in the heap (gen <= the
+        // old occupant's) miss the `gen` check.
+        let (aid, gen, mut member_join_t) = match self.free_assemblies.pop() {
+            Some(slot) => {
+                let dead = &mut self.assemblies[slot];
+                (slot, dead.gen + 1, std::mem::take(&mut dead.member_join_t))
+            }
+            None => (self.assemblies.len(), 0, Vec::new()),
         };
+        member_join_t.clear();
+        member_join_t.resize(place.width, 0.0);
         let asm = Assembly {
             task,
             ty: node.meta.ty,
             place,
             joined: 0,
-            member_join_t: vec![0.0; place.width],
+            member_join_t,
             leader_join_t: 0.0,
             started: false,
             start_t: 0.0,
@@ -1014,16 +1171,10 @@ impl Simulator {
             self.streams[cl] -= 1;
             self.replan_cluster(cl, Some(aid), t);
         }
-        let (task, place, leader_join_t, start_t, member_join_t) = {
+        let (task, place, leader_join_t, start_t) = {
             let a = &mut self.assemblies[aid];
             a.done = true;
-            (
-                a.task,
-                a.place,
-                a.leader_join_t,
-                a.start_t,
-                std::mem::take(&mut a.member_join_t),
-            )
+            (a.task, a.place, a.leader_join_t, a.start_t)
         };
         let node = dag.node(task);
 
@@ -1035,7 +1186,7 @@ impl Simulator {
                 .rank_of(m)
                 .expect("assembly member without a rank in its own place");
             self.cores[m.0].busy = false;
-            self.stats.core_busy[m.0] += t - member_join_t[rank];
+            self.stats.core_busy[m.0] += t - self.assemblies[aid].member_join_t[rank];
             self.stats.core_work[m.0] += t - start_t;
             if self.record_trace {
                 self.trace.spans.push(Span {

@@ -20,6 +20,7 @@
 //! re-integrate running tasks only at those points.
 
 use das_topology::{ClusterId, CoreId, Topology};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One source of dynamic performance variation. Times are seconds of
@@ -113,29 +114,52 @@ impl Modifier {
         }
     }
 
-    fn speed_factor(&self, topo: &Topology, core: CoreId, t: f64) -> f64 {
+    /// The cores this modifier can ever slow, clamped to the cores
+    /// `topo` has: a window overhanging the last core, a co-runner on a
+    /// core that does not exist or a wave on an unknown cluster names
+    /// only what exists (possibly nothing). [`Environment`] resolves
+    /// this where it builds its lookup index, for speed and pressure
+    /// alike.
+    fn cores(&self, topo: &Topology) -> Range<usize> {
+        let n = topo.num_cores();
+        match *self {
+            Modifier::CoRunner { core, .. } => core.0.min(n)..core.0.saturating_add(1).min(n),
+            Modifier::DvfsSquareWave { cluster, .. } => topo
+                .clusters()
+                .get(cluster.0)
+                .map_or(0..0, |cl| cl.core_range()),
+            Modifier::Slowdown {
+                first_core,
+                num_cores,
+                ..
+            } => first_core.0.min(n)..first_core.0.saturating_add(num_cores).min(n),
+        }
+    }
+
+    /// Speed multiplier at `t` on each of this modifier's
+    /// [`cores`](Modifier::cores).
+    fn speed_factor(&self, t: f64) -> f64 {
         match *self {
             Modifier::CoRunner {
-                core: victim,
                 cpu_share,
                 from,
                 until,
                 ..
             } => {
-                if core == victim && t >= from && t < until {
+                if t >= from && t < until {
                     1.0 - cpu_share
                 } else {
                     1.0
                 }
             }
             Modifier::DvfsSquareWave {
-                cluster,
                 low_factor,
                 half_period,
                 from,
                 until,
+                ..
             } => {
-                if topo.cluster_of(core).id != cluster || t < from || t >= until {
+                if t < from || t >= until {
                     return 1.0;
                 }
                 let phase = ((t - from) / half_period).floor() as u64;
@@ -146,15 +170,12 @@ impl Modifier {
                 }
             }
             Modifier::Slowdown {
-                first_core,
-                num_cores,
                 factor,
                 from,
                 until,
                 ..
             } => {
-                let r = first_core.0..first_core.0 + num_cores;
-                if r.contains(&core.0) && t >= from && t < until {
+                if t >= from && t < until {
                     factor
                 } else {
                     1.0
@@ -163,48 +184,48 @@ impl Modifier {
         }
     }
 
-    /// Memory pressure propagates across the victim's whole *memory
-    /// domain* — every cluster sharing the DRAM controller ("the sharing
+    /// The memory pressure this modifier exerts while its window is
+    /// open (zero for a frequency wave).
+    fn peak_pressure(&self) -> f64 {
+        match *self {
+            Modifier::CoRunner { mem_pressure, .. } | Modifier::Slowdown { mem_pressure, .. } => {
+                mem_pressure
+            }
+            Modifier::DvfsSquareWave { .. } => 0.0,
+        }
+    }
+
+    /// The clusters (by id) this modifier can ever pressure: those
+    /// sharing a memory domain with one of its [`cores`](Modifier::cores),
+    /// none if its pressure is zero.
+    fn pressured_clusters<'a>(&self, topo: &'a Topology) -> impl Iterator<Item = usize> + 'a {
+        let (cores, clusters) = if self.peak_pressure() != 0.0 {
+            (self.cores(topo), topo.clusters())
+        } else {
+            (0..0, &[][..])
+        };
+        let domain_of = |c: usize| topo.cluster_of(CoreId(c)).mem_domain;
+        clusters
+            .iter()
+            .filter(move |cl| cores.clone().any(|c| domain_of(c) == cl.mem_domain))
+            .map(|cl| cl.id.0)
+    }
+
+    /// Memory pressure at `t`. It propagates across the victims' whole
+    /// *memory domain* — every cluster sharing the DRAM controller with
+    /// one of this modifier's [`cores`](Modifier::cores) ("the sharing
     /// of resources between applications", §1). On the TX2 both clusters
     /// share one LPDDR4 controller, so a streaming co-runner pressures
     /// the entire SoC; on a dual-socket Haswell each socket has its own
     /// controllers and pressure stays socket-local.
-    fn mem_pressure(&self, topo: &Topology, cluster: ClusterId, t: f64) -> f64 {
-        let domain = topo.cluster(cluster).mem_domain;
+    fn mem_pressure(&self, t: f64) -> f64 {
         match *self {
-            Modifier::CoRunner {
-                core,
-                mem_pressure,
-                from,
-                until,
-                ..
-            } => {
-                if topo.cluster_of(core).mem_domain == domain && t >= from && t < until {
-                    mem_pressure
-                } else {
-                    0.0
-                }
+            Modifier::CoRunner { from, until, .. } | Modifier::Slowdown { from, until, .. }
+                if t >= from && t < until =>
+            {
+                self.peak_pressure()
             }
-            Modifier::Slowdown {
-                first_core,
-                num_cores,
-                mem_pressure,
-                from,
-                until,
-                ..
-            } => {
-                if mem_pressure == 0.0 || t < from || t >= until {
-                    return 0.0;
-                }
-                let affected = (first_core.0..first_core.0 + num_cores)
-                    .any(|c| topo.cluster_of(CoreId(c)).mem_domain == domain);
-                if affected {
-                    mem_pressure
-                } else {
-                    0.0
-                }
-            }
-            Modifier::DvfsSquareWave { .. } => 0.0,
+            _ => 0.0,
         }
     }
 
@@ -256,32 +277,87 @@ impl Modifier {
     }
 }
 
+/// For each key (a core or a cluster), the indices into the modifier
+/// list of the modifiers that name it, ascending, all rows in one
+/// allocation: set-up cost and memory stay O(modifiers + keys).
+#[derive(Clone, Debug)]
+struct ModIndex {
+    /// Row `k` is `items[start[k]..start[k + 1]]`.
+    start: Vec<usize>,
+    items: Vec<usize>,
+}
+
+impl ModIndex {
+    fn build<K: Iterator<Item = usize>>(
+        rows: usize,
+        mods: &[Modifier],
+        keys: impl Fn(&Modifier) -> K,
+    ) -> Self {
+        let mut start = vec![0; rows + 1];
+        for m in mods {
+            for k in keys(m) {
+                start[k + 1] += 1;
+            }
+        }
+        for k in 0..rows {
+            start[k + 1] += start[k];
+        }
+        let mut items = vec![0; start[rows]];
+        let mut next = start.clone();
+        for (i, m) in mods.iter().enumerate() {
+            for k in keys(m) {
+                items[next[k]] = i;
+                next[k] += 1;
+            }
+        }
+        ModIndex { start, items }
+    }
+
+    fn row(&self, k: usize) -> &[usize] {
+        &self.items[self.start[k]..self.start[k + 1]]
+    }
+}
+
 /// The composed, time-varying performance state of the platform.
 #[derive(Clone, Debug)]
 pub struct Environment {
     topo: Arc<Topology>,
     mods: Vec<Modifier>,
+    /// Per core, the modifiers whose [`Modifier::cores`] hold it.
+    /// [`Environment::speed`] folds over these alone; every modifier it
+    /// skips would have multiplied by exactly `1.0`, so the product is
+    /// bit-identical to a fold over all of `mods`.
+    by_core: ModIndex,
+    /// Per cluster, the modifiers with non-zero pressure and a core in
+    /// the cluster's memory domain; the skipped ones would have added
+    /// exactly `0.0`.
+    by_cluster: ModIndex,
 }
 
 impl Environment {
     /// No interference at all: every core runs at its cluster's static
     /// base speed forever.
     pub fn interference_free(topo: Arc<Topology>) -> Self {
-        Environment {
-            topo,
-            mods: Vec::new(),
-        }
+        Environment::with_modifiers(topo, Vec::new())
     }
 
     /// An environment with the given modifiers.
     pub fn with_modifiers(topo: Arc<Topology>, mods: Vec<Modifier>) -> Self {
-        Environment { topo, mods }
+        Environment {
+            by_core: ModIndex::build(topo.num_cores(), &mods, |m| m.cores(&topo)),
+            by_cluster: ModIndex::build(topo.num_clusters(), &mods, |m| {
+                m.pressured_clusters(&topo)
+            }),
+            topo,
+            mods,
+        }
     }
 
-    /// Append a modifier (builder style).
+    /// Append a modifier (builder style). Rebuilds the lookup index, so
+    /// a long modifier list belongs in [`Environment::with_modifiers`].
     pub fn and(mut self, m: Modifier) -> Self {
         self.mods.push(m);
-        self
+        Environment::with_modifiers(self.topo, self.mods)
     }
 
     /// The modifiers in force.
@@ -290,21 +366,23 @@ impl Environment {
     }
 
     /// Effective speed of `core` at time `t`: static cluster base speed ×
-    /// all modifier factors.
+    /// the factors of all modifiers naming the core.
     pub fn speed(&self, core: CoreId, t: f64) -> f64 {
         let base = self.topo.cluster_of(core).base_speed;
-        self.mods
+        self.by_core
+            .row(core.0)
             .iter()
-            .fold(base, |s, m| s * m.speed_factor(&self.topo, core, t))
+            .fold(base, |s, &i| s * self.mods[i].speed_factor(t))
     }
 
-    /// Memory pressure on `cluster` at `t` (sum over modifiers, clamped
-    /// to 0.9 so rates never hit zero).
+    /// Memory pressure on `cluster` at `t` (sum over the modifiers
+    /// pressuring its memory domain, clamped to 0.9 so rates never hit
+    /// zero).
     pub fn mem_pressure(&self, cluster: ClusterId, t: f64) -> f64 {
-        self.mods
+        self.by_cluster
+            .row(cluster.0)
             .iter()
-            .map(|m| m.mem_pressure(&self.topo, cluster, t))
-            .sum::<f64>()
+            .fold(0.0, |s, &i| s + self.mods[i].mem_pressure(t))
             .min(0.9)
     }
 
@@ -321,6 +399,7 @@ impl Environment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tx2() -> Arc<Topology> {
         Arc::new(Topology::tx2())
@@ -415,6 +494,199 @@ mod tests {
                 .expect("infinite wave keeps changing");
             assert!(next > t, "no progress at t={t}");
             t = next;
+        }
+    }
+
+    #[test]
+    fn windows_overhanging_the_machine_name_only_existing_cores() {
+        // Regression: cores 14..18 of a 16-core machine. With pressure
+        // the domain walk used to index past the last core (a panic
+        // inside `exec_rate`, mid-simulation, when cluster 0 was asked
+        // first); without pressure the same window was accepted.
+        let h = Arc::new(Topology::haswell_2x8());
+        let overhang = |mem_pressure| Modifier::Slowdown {
+            first_core: CoreId(14),
+            num_cores: 4,
+            factor: 0.5,
+            mem_pressure,
+            from: 0.0,
+            until: 1.0,
+        };
+        let ghost = Modifier::CoRunner {
+            core: CoreId(99),
+            cpu_share: 0.5,
+            mem_pressure: 0.4,
+            from: 0.0,
+            until: 1.0,
+        };
+        let pressured = Environment::interference_free(Arc::clone(&h))
+            .and(overhang(0.3))
+            .and(ghost);
+        let plain = Environment::interference_free(Arc::clone(&h)).and(overhang(0.0));
+        // Pressure lands on the socket of cores 14 and 15 only; a
+        // co-runner on a core that does not exist pressures nothing.
+        assert_eq!(pressured.mem_pressure(ClusterId(0), 0.5), 0.0);
+        assert_eq!(pressured.mem_pressure(ClusterId(1), 0.5), 0.3);
+        assert_eq!(pressured.mem_pressure(ClusterId(1), 1.0), 0.0);
+        // Both halves agree on which cores the window names.
+        for c in h.cores() {
+            let want = if c.0 >= 14 { 0.5 } else { 1.0 };
+            assert_eq!(pressured.speed(c, 0.5), want, "{c}");
+            assert_eq!(plain.speed(c, 0.5), want, "{c}");
+        }
+    }
+
+    /// What one modifier does to `core`'s speed at `t`, asked of the
+    /// modifier alone: the reference `Environment::speed` is checked
+    /// against.
+    fn ref_speed_factor(topo: &Topology, m: &Modifier, core: CoreId, t: f64) -> f64 {
+        match *m {
+            Modifier::CoRunner {
+                core: victim,
+                cpu_share,
+                from,
+                until,
+                ..
+            } if core == victim && t >= from && t < until => 1.0 - cpu_share,
+            Modifier::DvfsSquareWave {
+                cluster,
+                low_factor,
+                half_period,
+                from,
+                until,
+            } if topo.cluster_of(core).id == cluster && t >= from && t < until => {
+                let phase = ((t - from) / half_period).floor() as u64;
+                if phase.is_multiple_of(2) {
+                    1.0
+                } else {
+                    low_factor
+                }
+            }
+            Modifier::Slowdown {
+                first_core,
+                num_cores,
+                factor,
+                from,
+                until,
+                ..
+            } if (first_core.0..first_core.0 + num_cores).contains(&core.0)
+                && t >= from
+                && t < until =>
+            {
+                factor
+            }
+            _ => 1.0,
+        }
+    }
+
+    /// The same for the pressure one modifier puts on `cluster`.
+    fn ref_mem_pressure(topo: &Topology, m: &Modifier, cluster: ClusterId, t: f64) -> f64 {
+        let shares_domain = |c: usize| {
+            c < topo.num_cores()
+                && topo.cluster_of(CoreId(c)).mem_domain == topo.cluster(cluster).mem_domain
+        };
+        match *m {
+            Modifier::CoRunner {
+                core,
+                mem_pressure,
+                from,
+                until,
+                ..
+            } if shares_domain(core.0) && t >= from && t < until => mem_pressure,
+            Modifier::Slowdown {
+                first_core,
+                num_cores,
+                mem_pressure,
+                from,
+                until,
+                ..
+            } if (first_core.0..first_core.0 + num_cores).any(shares_domain)
+                && t >= from
+                && t < until =>
+            {
+                mem_pressure
+            }
+            _ => 0.0,
+        }
+    }
+
+    /// All three kinds, on cores and clusters that may not exist, with
+    /// windows that overlap inside [0, 3).
+    fn arb_modifier() -> impl Strategy<Value = Modifier> {
+        let pressure = || prop_oneof![Just(0.0), 0.0f64..0.4];
+        let window = || (0.0f64..2.0, 0.0f64..1.0);
+        prop_oneof![
+            (0usize..24, 0.0f64..0.9, pressure(), window()).prop_map(
+                |(core, cpu_share, mem_pressure, (from, len))| Modifier::CoRunner {
+                    core: CoreId(core),
+                    cpu_share,
+                    mem_pressure,
+                    from,
+                    until: from + len,
+                }
+            ),
+            (0usize..4, 0.1f64..1.0, 0.05f64..0.5, window()).prop_map(
+                |(cluster, low_factor, half_period, (from, len))| Modifier::DvfsSquareWave {
+                    cluster: ClusterId(cluster),
+                    low_factor,
+                    half_period,
+                    from,
+                    until: from + len,
+                }
+            ),
+            ((0usize..24, 0usize..12), 0.1f64..1.0, pressure(), window()).prop_map(
+                |((first, num_cores), factor, mem_pressure, (from, len))| Modifier::Slowdown {
+                    first_core: CoreId(first),
+                    num_cores,
+                    factor,
+                    mem_pressure,
+                    from,
+                    until: from + len,
+                }
+            ),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn indexed_lookups_equal_a_fold_over_every_modifier(
+            topo in prop_oneof![Just(Topology::tx2()), Just(Topology::haswell_2x8())],
+            mods in prop::collection::vec(arb_modifier(), 0..24),
+            appended in 0usize..24,
+        ) {
+            let topo = Arc::new(topo);
+            // Some modifiers arrive through `with_modifiers`, the rest
+            // through `and` calls.
+            let split = mods.len() - appended.min(mods.len());
+            let env = mods[split..].iter().cloned().fold(
+                Environment::with_modifiers(Arc::clone(&topo), mods[..split].to_vec()),
+                Environment::and,
+            );
+            prop_assert_eq!(env.modifiers().len(), mods.len());
+            for step in 0..=32 {
+                let t = step as f64 * 0.1;
+                for core in topo.cores() {
+                    let want = env.modifiers().iter().fold(
+                        topo.cluster_of(core).base_speed,
+                        |s, m| s * ref_speed_factor(&topo, m, core, t),
+                    );
+                    prop_assert_eq!(env.speed(core, t).to_bits(), want.to_bits(), "{} t={}", core, t);
+                }
+                for cl in topo.clusters() {
+                    let want = env
+                        .modifiers()
+                        .iter()
+                        .fold(0.0, |s, m| s + ref_mem_pressure(&topo, m, cl.id, t))
+                        .min(0.9);
+                    prop_assert_eq!(
+                        env.mem_pressure(cl.id, t).to_bits(),
+                        want.to_bits(),
+                        "cluster {} t={}", cl.id.0, t
+                    );
+                }
+            }
         }
     }
 

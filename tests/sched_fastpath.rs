@@ -11,7 +11,7 @@
 
 use das::core::{Policy, Ptt, TaskTypeId, WeightRatio};
 use das::dag::generators;
-use das::sim::{cost::UniformCost, Environment, Modifier, SimConfig, Simulator};
+use das::sim::{cost::UniformCost, Environment, Modifier, Scenario, SimConfig, Simulator};
 use das::topology::{CoreId, Topology};
 use das::workloads::arrivals::{JobShape, StreamConfig};
 use proptest::prelude::*;
@@ -203,5 +203,44 @@ fn idle_set_wakeups_match_broadcast_on_wavefronts_across_seeds() {
             sim.run(&dag).unwrap()
         };
         assert_eq!(mk(false), mk(true), "seed {seed}");
+    }
+}
+
+#[test]
+fn idle_set_wakeups_match_broadcast_on_multi_word_core_sets() {
+    // The engine's idle set and stealable-victim index are bitsets and a
+    // stealable wake-up rouses all sleepers with one batched event. On
+    // the benchmark's shape (256 cores = four full words, rolling
+    // interference, a quarter of the tasks critical) and on a machine
+    // whose last word is partial (100 cores), the batched engine must
+    // replay the per-sleeper broadcast event for event: equal RunStats
+    // (events, steals, failed steals, per-core busy time) and traces.
+    let dag = generators::layered(TaskTypeId(0), 4, 100);
+    for topo in [Topology::grid(1, 16, 16), Topology::grid(1, 5, 20)] {
+        let topo = Arc::new(topo);
+        for seed in [7u64, 11] {
+            let run = |broadcast: bool| {
+                let mut sim = Simulator::new(
+                    SimConfig::new(Arc::clone(&topo), Policy::DamC)
+                        .seed(seed)
+                        .cost(Arc::new(UniformCost::new(1e-3))),
+                );
+                sim.set_env(
+                    Scenario::rolling_interference(&topo, 0.5, 0.05, 2.0)
+                        .environment(Arc::clone(&topo)),
+                );
+                sim.set_broadcast_wakeups(broadcast);
+                sim.record_trace(true);
+                let stats = sim.run(&dag).unwrap();
+                (stats, sim.take_trace())
+            };
+            let (ra, ta) = run(false);
+            let (rb, tb) = run(true);
+            let cores = topo.num_cores();
+            assert!(ra.failed_steals > 0 && ra.steals > 0, "{cores} cores");
+            assert_eq!(ra, rb, "{cores} cores, seed {seed}: RunStats diverged");
+            assert_eq!(ta.spans, tb.spans, "{cores} cores, seed {seed}");
+            assert_eq!(ta.makespan, tb.makespan, "{cores} cores, seed {seed}");
+        }
     }
 }
