@@ -19,7 +19,6 @@
 //! | `ablation_exploration` | extra: periodic exploration vs stale pessimism |
 //! | `ext_dheft` | extra: the dHEFT reference scheduler vs Table 1 |
 //! | `jobs_throughput` | extra: online multi-job streams (jobs/sec, sojourn percentiles) |
-//! | `perf_gate` | extra: scheduler-overhead gate; writes `BENCH_sched.json` at the repo root |
 //!
 //! All binaries accept `--scale N` (or env `DAS_SCALE=N`) to divide the
 //! paper-sized task counts by `N` for quick runs; `--scale 1` (default)

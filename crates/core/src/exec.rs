@@ -559,9 +559,8 @@ pub struct SessionBuilder {
     /// stream periodic [`crate::metrics::NodeSnapshot`]s, and the
     /// dispatcher merges them into a
     /// [`crate::metrics::MetricsReport`]. `None` (the default) records
-    /// nothing — the disabled path stays free (the `perf_gate`
-    /// `metrics_overhead_pct` series pins the enabled cost, CI pins
-    /// the disabled floors).
+    /// nothing — the disabled path stays free (`das_benchmark`'s
+    /// `metrics.on_tax_pct` prices the enabled one).
     pub metrics: Option<crate::metrics::MetricsConfig>,
 }
 

@@ -27,8 +27,8 @@
 //!   the per-batch fixed costs (the backend call, the cluster's one
 //!   wire message per node) amortise over everything that arrived
 //!   while the previous batch was committing. This is the classic
-//!   group-commit/flat-combining effect, and it is what
-//!   `perf_gate`'s `ingress_ops_per_sec` series measures.
+//!   group-commit/flat-combining effect; `das_benchmark` prices the
+//!   front door as `ingress.submit_ns` and `ingress.tax_pct`.
 //! * **Admission control** — a padded global counter bounds the jobs
 //!   admitted-but-not-retired at [`SessionBuilder::max_outstanding`];
 //!   beyond it, `submit` sheds with [`ExecError::Overloaded`] *before*

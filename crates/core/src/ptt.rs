@@ -363,8 +363,7 @@ impl Ptt {
     ///
     /// O(1): the borrow reads the running `(cluster, width)` aggregate
     /// maintained by [`Ptt::update`]/[`Ptt::seed`] instead of rescanning
-    /// the cluster's entries. See [`Ptt::estimate_rescan`] for the
-    /// reference recomputation.
+    /// the cluster's entries; the tests compare it against that rescan.
     pub fn estimate(&self, core: CoreId, width: usize) -> Option<f64> {
         let raw = self.predict(core, width)?;
         if raw > 0.0 {
@@ -407,35 +406,6 @@ impl Ptt {
         }
     }
 
-    /// Reference implementation of [`Ptt::estimate`]: recompute the
-    /// cluster-sibling mean from scratch, O(cluster size) per call.
-    ///
-    /// This is the pre-aggregate algorithm, kept (a) as the ground truth
-    /// the property tests compare the cached aggregates against, and
-    /// (b) so the `perf_gate` / criterion harnesses can measure what the
-    /// fast path buys. The two differ only by floating-point
-    /// association order (the aggregate folds deltas in observation
-    /// order, the rescan sums entries in core order), i.e. by at most a
-    /// few ULPs.
-    pub fn estimate_rescan(&self, core: CoreId, width: usize) -> Option<f64> {
-        let raw = self.predict(core, width)?;
-        if raw > 0.0 {
-            return Some(raw);
-        }
-        let cl = self.topo.cluster_of(core);
-        let mut sum = 0.0;
-        let mut n = 0u32;
-        for c in cl.cores() {
-            if let Some(v) = self.predict(c, width) {
-                if v > 0.0 {
-                    sum += v;
-                    n += 1;
-                }
-            }
-        }
-        Some(if n > 0 { sum / f64::from(n) } else { 0.0 })
-    }
-
     /// **Global search** (Algorithm 1, lines 8 and 11): sweep all places,
     /// minimising `time × width` when `minimize_cost` (DAM-C) or raw
     /// `time` otherwise (DAM-P). `width_one_only` restricts the sweep to
@@ -447,30 +417,6 @@ impl Ptt {
         width_one_only: bool,
         node: Option<usize>,
     ) -> ExecutionPlace {
-        self.global_search_with(minimize_cost, width_one_only, node, |s, c, w| {
-            Some(s.estimate_valid(c, w))
-        })
-    }
-
-    /// [`Ptt::global_search`] over the [`Ptt::estimate_rescan`]
-    /// reference path — the pre-aggregate O(places × cluster size)
-    /// sweep, kept for the perf harnesses to measure against.
-    pub fn global_search_rescan(
-        &self,
-        minimize_cost: bool,
-        width_one_only: bool,
-        node: Option<usize>,
-    ) -> ExecutionPlace {
-        self.global_search_with(minimize_cost, width_one_only, node, Self::estimate_rescan)
-    }
-
-    fn global_search_with(
-        &self,
-        minimize_cost: bool,
-        width_one_only: bool,
-        node: Option<usize>,
-        estimate: impl Fn(&Self, CoreId, usize) -> Option<f64>,
-    ) -> ExecutionPlace {
         let mut best: Option<(f64, ExecutionPlace)> = None;
         for place in self.topo.places() {
             if width_one_only && place.width != 1 {
@@ -481,8 +427,8 @@ impl Ptt {
                     continue;
                 }
             }
-            let t = estimate(self, place.leader, place.width)
-                .expect("iterator yields only valid places");
+            // `places()` yields only valid places.
+            let t = self.estimate_valid(place.leader, place.width);
             let cost = if minimize_cost {
                 t * place.width as f64
             } else {
@@ -733,6 +679,35 @@ impl PttRegistry {
     pub fn ratio(&self) -> WeightRatio {
         self.ratio
     }
+
+    /// Largest absolute PTT entry movement ([`PttSnapshot::delta`])
+    /// since the previous call with the same `last`, across every
+    /// table; `last` (indexed by task type, grown as types appear) is
+    /// left holding the current snapshots. A table seen for the first
+    /// time contributes its largest absolute entry (movement from the
+    /// all-zero initial model).
+    pub fn residual(&self, last: &mut Vec<PttSnapshot>) -> f64 {
+        let mut max = 0.0f64;
+        for ty in 0..self.len() {
+            let snap = self.table(TaskTypeId(ty as u16)).snapshot();
+            let d = match last.get(ty) {
+                Some(prev) => snap.delta(prev),
+                None => snap
+                    .rows
+                    .iter()
+                    .flatten()
+                    .filter(|v| !v.is_nan())
+                    .fold(0.0f64, |m, v| m.max(v.abs())),
+            };
+            max = max.max(d);
+            if ty < last.len() {
+                last[ty] = snap;
+            } else {
+                last.push(snap);
+            }
+        }
+        max
+    }
 }
 
 #[cfg(test)]
@@ -741,6 +716,51 @@ mod tests {
 
     fn tx2_ptt() -> Ptt {
         Ptt::new(Arc::new(Topology::tx2()), WeightRatio::PAPER)
+    }
+
+    /// Reference for [`Ptt::estimate`]: the pre-aggregate algorithm,
+    /// recomputing the cluster-sibling mean from scratch. It differs
+    /// from the cached aggregate only by floating-point association
+    /// order (deltas folded in observation order vs entries summed in
+    /// core order), i.e. by at most a few ULPs.
+    fn estimate_rescan(ptt: &Ptt, core: CoreId, width: usize) -> Option<f64> {
+        let raw = ptt.predict(core, width)?;
+        if raw > 0.0 {
+            return Some(raw);
+        }
+        let (mut sum, mut n) = (0.0, 0u32);
+        for c in ptt.topology().cluster_of(core).cores() {
+            if let Some(v) = ptt.predict(c, width).filter(|&v| v > 0.0) {
+                sum += v;
+                n += 1;
+            }
+        }
+        Some(if n > 0 { sum / f64::from(n) } else { 0.0 })
+    }
+
+    /// Reference for [`Ptt::global_search`] over [`estimate_rescan`]:
+    /// same strict-`<` arg-min in `places()` order.
+    fn global_search_rescan(
+        ptt: &Ptt,
+        minimize_cost: bool,
+        width_one_only: bool,
+    ) -> ExecutionPlace {
+        let mut best: Option<(f64, ExecutionPlace)> = None;
+        for place in ptt.topology().places() {
+            if width_one_only && place.width != 1 {
+                continue;
+            }
+            let t = estimate_rescan(ptt, place.leader, place.width).unwrap();
+            let cost = if minimize_cost {
+                t * place.width as f64
+            } else {
+                t
+            };
+            if best.as_ref().is_none_or(|(b, _)| cost < *b) {
+                best = Some((cost, place));
+            }
+        }
+        best.unwrap().1
     }
 
     #[test]
@@ -1093,7 +1113,7 @@ mod tests {
                 for &w in topo.all_widths() {
                     assert_eq!(
                         ptt.estimate(c, w),
-                        ptt.estimate_rescan(c, w),
+                        estimate_rescan(&ptt, c, w),
                         "({c}, w={w}) after step {k}"
                     );
                 }
@@ -1116,7 +1136,7 @@ mod tests {
         assert_eq!(ptt.estimate(CoreId(1), 8), Some(2.0));
         assert_eq!(
             ptt.estimate(CoreId(1), 8),
-            ptt.estimate_rescan(CoreId(1), 8)
+            estimate_rescan(&ptt, CoreId(1), 8)
         );
     }
 
@@ -1128,7 +1148,7 @@ mod tests {
         for minimize_cost in [false, true] {
             for width_one in [false, true] {
                 let a = ptt.global_search(minimize_cost, width_one, None);
-                let b = ptt.global_search_rescan(minimize_cost, width_one, None);
+                let b = global_search_rescan(&ptt, minimize_cost, width_one);
                 assert_eq!((a.leader, a.width), (b.leader, b.width));
             }
         }
@@ -1159,7 +1179,7 @@ mod tests {
         // single-threaded rescan is exact now that writers are done.
         let cached = ptt.estimate(CoreId(2), 1).unwrap();
         assert!(cached > 0.0);
-        let borrow = ptt.estimate_rescan(CoreId(3), 2).unwrap();
+        let borrow = estimate_rescan(&ptt, CoreId(3), 2).unwrap();
         assert_eq!(borrow, 0.0, "w=2 never observed");
         let mean_cached = {
             // Force the borrow path by querying through a snapshot of

@@ -137,10 +137,7 @@ pub fn classify(rel: &Path, cfg: &Config) -> FileKind {
     let p = rel.to_string_lossy().replace('\\', "/");
     let det_critical = cfg.det_prefixes.iter().any(|d| rel.starts_with(d));
     let control_plane = cfg.blocking_prefixes.iter().any(|d| rel.starts_with(d));
-    let test_file = p.starts_with("tests/")
-        || p.contains("/tests/")
-        || p.starts_with("benches/")
-        || p.contains("/benches/");
+    let test_file = p.starts_with("tests/") || p.contains("/tests/");
     let in_src = p.starts_with("src/") || p.contains("/src/");
     let bin_target = p.ends_with("/main.rs") || p == "src/main.rs" || p.contains("/src/bin/");
     let example = p.starts_with("examples/") || p.contains("/examples/");

@@ -68,11 +68,11 @@ pub const RULES: &[&str] = &[
 pub struct FileKind {
     /// Rule 1 applies (determinism-critical crate source).
     pub det_critical: bool,
-    /// Rule 4 applies (library code: not tests, benches, examples or
-    /// bin targets).
+    /// Rule 4 applies (library code: not tests, examples or bin
+    /// targets).
     pub lib_code: bool,
-    /// The whole file is test code (`tests/`, `benches/`): rules 1 and
-    /// 4 never apply, rules 2 and 3 still do.
+    /// The whole file is test code (`tests/`): rules 1 and 4 never
+    /// apply, rules 2 and 3 still do.
     pub test_file: bool,
     /// Rule 8 applies (dispatcher/cluster control-plane source, where
     /// an unbounded receive wedges the tier on a lost peer).

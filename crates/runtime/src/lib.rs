@@ -80,9 +80,7 @@ pub use stats::{PlaceKey, RtStats};
 
 use das_core::exec::{session_tag, ExecError, ExecExtras, Executor, SessionBuilder, Ticket};
 use das_core::metrics::ExecProbe;
-use das_core::{
-    Policy, PttSnapshot, QueueDiscipline, ReadyEntry, ReadyQueue, Scheduler, TaskTypeId,
-};
+use das_core::{Policy, PttSnapshot, QueueDiscipline, ReadyEntry, ReadyQueue, Scheduler};
 use das_dag::{DagError, TaskId};
 use das_topology::{CoreId, ExecutionPlace, Topology};
 use parking_lot::{Condvar, Mutex};
@@ -631,31 +629,10 @@ struct RtMetrics {
 }
 
 impl RtMetrics {
-    /// Largest absolute PTT entry movement since the previous call,
-    /// across every table the scheduler has learned. A table seen for
-    /// the first time contributes its largest absolute entry (movement
-    /// from the all-zero initial model).
-    fn ptt_residual(&mut self, sched: &Scheduler) -> f64 {
-        let mut max = 0.0f64;
-        for ty in 0..sched.ptts().len() {
-            let snap = sched.ptts().table(TaskTypeId(ty as u16)).snapshot();
-            let d = match self.last_ptt.get(ty) {
-                Some(prev) => snap.delta(prev),
-                None => snap
-                    .rows
-                    .iter()
-                    .flatten()
-                    .filter(|v| !v.is_nan())
-                    .fold(0.0f64, |m, v| m.max(v.abs())),
-            };
-            max = max.max(d);
-            if ty < self.last_ptt.len() {
-                self.last_ptt[ty] = snap;
-            } else {
-                self.last_ptt.push(snap);
-            }
-        }
-        max
+    /// Bank one finished job's contribution to the utilisation gauge.
+    fn bank_utilisation(&mut self, rt: &RtStats) {
+        self.probe.busy += rt.core_busy.iter().map(|d| d.as_secs_f64()).sum::<f64>();
+        self.probe.capacity += rt.makespan.as_secs_f64() * rt.core_busy.len() as f64;
     }
 }
 
@@ -959,14 +936,7 @@ impl Executor for Runtime {
             m.probe.steals += outcome.rt.steals as u64;
             m.probe.sojourn.record(outcome.stats.sojourn());
             m.probe.queueing.record(outcome.stats.queueing());
-            m.probe.busy += outcome
-                .rt
-                .core_busy
-                .iter()
-                .map(|d| d.as_secs_f64())
-                .sum::<f64>();
-            m.probe.capacity +=
-                outcome.rt.makespan.as_secs_f64() * outcome.rt.core_busy.len() as f64;
+            m.bank_utilisation(&outcome.rt);
         }
         Ok(outcome.stats)
     }
@@ -987,14 +957,7 @@ impl Executor for Runtime {
                 // The pool is drained, so every retained handle has an
                 // outcome; bank its utilisation contribution.
                 if let Some(out) = handle.try_outcome() {
-                    m.probe.busy += out
-                        .rt
-                        .core_busy
-                        .iter()
-                        .map(|d| d.as_secs_f64())
-                        .sum::<f64>();
-                    m.probe.capacity +=
-                        out.rt.makespan.as_secs_f64() * out.rt.core_busy.len() as f64;
+                    m.bank_utilisation(&out.rt);
                 }
             }
         }
@@ -1005,7 +968,7 @@ impl Executor for Runtime {
                 m.probe.sojourn.record(r.sojourn());
                 m.probe.queueing.record(r.queueing());
             }
-            m.probe.ptt_residual = m.ptt_residual(&self.sched);
+            m.probe.ptt_residual = self.sched.ptts().residual(&mut m.last_ptt);
         }
         Ok(StreamStats::from_jobs(records))
     }

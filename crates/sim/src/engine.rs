@@ -317,33 +317,6 @@ impl SessionMetrics {
             spans: Vec::new(),
         }
     }
-
-    /// Largest absolute PTT entry movement since the previous call,
-    /// across every table the scheduler has learned. A table seen for
-    /// the first time contributes its largest absolute entry (movement
-    /// from the all-zero initial model).
-    fn ptt_residual(&mut self, sched: &Scheduler) -> f64 {
-        let mut max = 0.0f64;
-        for ty in 0..sched.ptts().len() {
-            let snap = sched.ptts().table(TaskTypeId(ty as u16)).snapshot();
-            let d = match self.last_ptt.get(ty) {
-                Some(prev) => snap.delta(prev),
-                None => snap
-                    .rows
-                    .iter()
-                    .flatten()
-                    .filter(|v| !v.is_nan())
-                    .fold(0.0f64, |m, v| m.max(v.abs())),
-            };
-            max = max.max(d);
-            if ty < self.last_ptt.len() {
-                self.last_ptt[ty] = snap;
-            } else {
-                self.last_ptt.push(snap);
-            }
-        }
-        max
-    }
 }
 
 impl Simulator {
@@ -752,7 +725,7 @@ impl Simulator {
         // The residual reads the scheduler's PTTs once per flush — the
         // "has the model settled" signal of the snapshot stream.
         if let Some(m) = &mut self.metrics {
-            m.probe.ptt_residual = m.ptt_residual(&self.sched);
+            m.probe.ptt_residual = self.sched.ptts().residual(&mut m.last_ptt);
         }
         Ok(())
     }

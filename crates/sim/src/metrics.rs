@@ -36,7 +36,7 @@ pub struct RunStats {
     /// Steal attempts that found no victim.
     pub failed_steals: usize,
     /// Discrete events the engine processed to complete the run — the
-    /// denominator of the `perf_gate` events/sec series (simulator
+    /// numerator of `das_benchmark`'s `sim.events_per_s` (simulator
     /// throughput is events per *wall* second, measured by the caller).
     pub events: u64,
 }
