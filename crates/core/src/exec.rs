@@ -523,8 +523,8 @@ pub struct SessionBuilder {
     /// Ready-queue ordering rules; the paper's XiTAO discipline by
     /// default.
     pub discipline: QueueDiscipline,
-    /// Use the O(clusters) sampled global search instead of the
-    /// exhaustive sweep (see `Ptt::global_search_sampled`).
+    /// Use the representative-row sampled global search instead of the
+    /// exhaustive one (see `Ptt::global_search_sampled`).
     pub sampled_search: bool,
     /// Every `n`-th global placement explores round-robin instead of
     /// trusting the model; `0` disables (the paper's behaviour).

@@ -15,6 +15,16 @@
 //! patterns, so concurrent workers can read and update it without locks —
 //! the paper stresses that rows are cache-line sized and a core "mainly
 //! accesses a single cache line indexed with its own core id".
+//!
+//! Beside the entries the table keeps one cache-line-sized [`SlotCell`]
+//! per `(cluster, width)` *slot*: the running aggregate behind the
+//! symmetry prior, and an arg-min index over the slot's entries that
+//! writers invalidate (one version bump) and the global search rebuilds
+//! lazily. [`Ptt::global_search`] therefore reads `clusters × widths`
+//! cells instead of sweeping every place — §5.4's "non negligible
+//! overheads when scaling to platforms with large amount of execution
+//! places and cores" — and still returns exactly the place the sweep
+//! would.
 
 use das_topology::{CoreId, ExecutionPlace, Topology};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,14 +100,17 @@ const INVALID_WIDTH: usize = usize::MAX;
 /// racing weighted updates wins, which matches the tolerance of the
 /// model — it is a heuristic average, not an accounting ledger).
 ///
-/// Every read on the Algorithm 1 fast path is O(1): the width axis is
-/// resolved through a precomputed lookup table instead of a linear
-/// scan, and [`Ptt::estimate`]'s cluster-symmetry prior reads a running
-/// per-`(cluster, width)` aggregate (sum + count of observed entries,
-/// maintained by the write paths) instead of rescanning the cluster.
-/// `global_search` is therefore O(places), not O(places × cluster
-/// size) — the overhead §5.4 flags as the obstacle to "platforms with
-/// large amount of execution places and cores".
+/// Every per-place read on the Algorithm 1 fast path is O(1): the
+/// width axis is resolved through a precomputed lookup table instead of
+/// a linear scan, and [`Ptt::estimate`]'s cluster-symmetry prior reads a
+/// running per-`(cluster, width)` aggregate (sum + count of observed
+/// entries, maintained by the write paths) instead of rescanning the
+/// cluster. [`Ptt::global_search`] does not visit places at all: it
+/// combines one cached arg-min per `(cluster, width)` slot, so it costs
+/// O(clusters × widths) cell reads plus one O(cluster size) rescan per
+/// slot written since the previous search — not the O(places) sweep
+/// §5.4 flags as the obstacle to "platforms with large amount of
+/// execution places and cores".
 pub struct Ptt {
     topo: Arc<Topology>,
     ratio: WeightRatio,
@@ -107,15 +120,90 @@ pub struct Ptt {
     visits: Box<[AtomicU64]>,
     widths: Vec<usize>,
     /// `width -> position in widths` lookup (`INVALID_WIDTH` for gaps),
-    /// so `idx` never scans the width axis.
+    /// so no lookup scans the width axis.
     width_idx: Vec<usize>,
-    /// Running sum of the *current* non-zero entry values per
-    /// `(cluster, width_idx)` slot (f64 bit patterns, CAS-added).
-    agg_sum: Box<[AtomicU64]>,
-    /// Number of non-zero entries per `(cluster, width_idx)` slot.
-    /// Entries never return to zero (both write paths reject
-    /// non-positive samples), so the count only grows.
-    agg_cnt: Box<[AtomicU64]>,
+    /// One cell per `(cluster, width_idx)` slot, indexed
+    /// `cluster * num_widths + width_idx`.
+    slots: Box<[SlotCell]>,
+    /// Per slot, how many leading cores of the cluster lead a place of
+    /// that width (`⌊size / width⌋ × width`; the tail does not fit an
+    /// aligned block), `0` where the width is not one of the cluster's.
+    /// Read-only, so validating a place never touches a line writers
+    /// dirty.
+    spans: Box<[usize]>,
+    /// Debug builds only: writers in flight, for the cross-check in
+    /// [`Ptt::global_search`]. A writer adds `1` before it touches an
+    /// entry and `1 << 32` once its slot version is bumped, so the two
+    /// halves are equal exactly when no write is half-done (until 2³²
+    /// writes to one table, which no debug run reaches).
+    #[cfg(debug_assertions)]
+    write_log: AtomicU64,
+}
+
+/// "No such entry" in the offset fields of [`SlotCell::cache`].
+const NO_OFFSET: u64 = 0xFFFF;
+
+/// What the table keeps per `(cluster, width)` slot, on a cache line of
+/// its own: a writer training one cluster does not invalidate the line
+/// a writer (or a search) on the next cluster is using.
+///
+/// `sum` / `cnt` are the running aggregate behind [`Ptt::estimate`]'s
+/// borrow. `version` / `cache` are the arg-min index behind
+/// [`Ptt::global_search`]: a writer bumps `version` *after* its entry
+/// write, and a search that finds `cache`'s stamp different from
+/// `version` rescans the slot's entries and caches what it found under
+/// the version it read *before* the rescan — so a write racing the
+/// rescan leaves the stamp behind the version and the next search
+/// rescans again. Nothing is locked and writers never scan.
+///
+/// `cache` packs `stamp << 32 | min_off << 16 | zero_off` into one word
+/// so that racing searches replace it whole: the offsets (from the
+/// cluster's first core; [`NO_OFFSET`] for "none") of the smallest
+/// non-zero entry, lowest core on ties, and of the first zero entry.
+/// The stamp is the low 32 bits of `version`. A wrapped stamp could
+/// validate a stale cache only if a multiple of 2³² writes — not one
+/// more, not one fewer — hit this one slot between two consecutive
+/// searches of it (at one write per 100 ns, seven minutes with no
+/// critical task waking); and the price would be one advisory
+/// placement made on an old minimum, healed by the slot's next write.
+#[repr(align(64))]
+struct SlotCell {
+    /// Sum of the *current* non-zero entry values (f64 bits, CAS-added).
+    sum: AtomicU64,
+    /// Number of non-zero entries. Entries never return to zero (both
+    /// write paths reject non-positive samples), so it only grows.
+    cnt: AtomicU64,
+    version: AtomicU64,
+    cache: AtomicU64,
+}
+
+impl SlotCell {
+    /// The cell of an all-zero slot: no minimum, first zero at offset 0
+    /// (a valid width always fits the cluster's first block), stamped
+    /// with the initial version.
+    fn new() -> Self {
+        SlotCell {
+            sum: AtomicU64::new(0),
+            cnt: AtomicU64::new(0),
+            version: AtomicU64::new(0),
+            cache: AtomicU64::new(NO_OFFSET << 16),
+        }
+    }
+
+    /// Mean of the slot's non-zero entries — the estimate every zero
+    /// entry of the slot borrows — or `0.0` while there is none.
+    #[inline]
+    fn mean(&self) -> f64 {
+        // relaxed-ok: cluster-average fallback; count and sum are
+        // advisory and may be mutually stale without harm.
+        let n = self.cnt.load(Ordering::Relaxed);
+        if n > 0 {
+            // relaxed-ok: same advisory aggregate as the count above.
+            f64::from_bits(self.sum.load(Ordering::Relaxed)) / n as f64
+        } else {
+            0.0
+        }
+    }
 }
 
 /// CAS-add `delta` onto an f64 stored as bits in an atomic. Racing
@@ -147,9 +235,28 @@ impl Ptt {
         let n = topo.num_cores() * widths.len();
         let entries = (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
         let visits = (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
-        let slots = topo.num_clusters() * widths.len();
-        let agg_sum = (0..slots).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
-        let agg_cnt = (0..slots).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
+        assert!(
+            topo.clusters()
+                .iter()
+                .all(|cl| cl.num_cores < NO_OFFSET as usize),
+            "a cluster's core offsets must fit the slot cache's 16-bit fields"
+        );
+        let slots = (0..topo.num_clusters() * widths.len())
+            .map(|_| SlotCell::new())
+            .collect();
+        let spans = topo
+            .clusters()
+            .iter()
+            .flat_map(|cl| {
+                widths.iter().map(|&w| {
+                    if cl.valid_widths().contains(&w) {
+                        cl.num_cores / w * w
+                    } else {
+                        0
+                    }
+                })
+            })
+            .collect();
         Ptt {
             topo,
             ratio,
@@ -157,8 +264,10 @@ impl Ptt {
             visits: visits.into_boxed_slice(),
             widths,
             width_idx,
-            agg_sum: agg_sum.into_boxed_slice(),
-            agg_cnt: agg_cnt.into_boxed_slice(),
+            slots,
+            spans,
+            #[cfg(debug_assertions)]
+            write_log: AtomicU64::new(0),
         }
     }
 
@@ -172,45 +281,58 @@ impl Ptt {
         self.ratio
     }
 
+    /// Where `(core, width)` lives: its index into `entries` / `visits`
+    /// and its slot's index into `slots` / `spans` — or `None` if it is
+    /// not a place of this topology, the verdict [`Topology::place`]
+    /// gives, from two table lookups instead of a width scan.
     #[inline]
-    fn idx(&self, core: CoreId, width: usize) -> Option<usize> {
-        let w = *self.width_idx.get(width)?;
-        if w == INVALID_WIDTH {
+    fn locate(&self, core: CoreId, width: usize) -> Option<(usize, usize)> {
+        let wi = *self.width_idx.get(width)?;
+        if wi == INVALID_WIDTH {
             return None;
         }
-        Some(core.0 * self.widths.len() + w)
+        let cl = self.topo.cluster_of(core);
+        let slot = cl.id.0 * self.widths.len() + wi;
+        (core.0 - cl.first_core.0 < self.spans[slot])
+            .then_some((core.0 * self.widths.len() + wi, slot))
     }
 
-    /// Index of the `(cluster of `core`, width)` running aggregate.
-    /// `width` must already be validated through [`Ptt::idx`].
+    /// Entry `i` as stored.
     #[inline]
-    fn agg_idx(&self, core: CoreId, width: usize) -> usize {
-        self.topo.cluster_of(core).id.0 * self.widths.len() + self.width_idx[width]
+    fn load(&self, i: usize) -> f64 {
+        // relaxed-ok: advisory estimate read; a stale EWMA value only
+        // shades a scheduling decision, no invariant depends on it.
+        f64::from_bits(self.entries[i].load(Ordering::Relaxed))
     }
 
-    /// Fold one committed entry transition `old -> new` into the
-    /// cluster aggregate. `new` is always positive (the write paths
-    /// guard), so an entry leaves zero exactly once.
+    /// Fold one committed entry transition `old -> new` into slot
+    /// `slot`'s aggregate, then invalidate its arg-min cache. `new` is
+    /// always positive (the write paths guard), so an entry leaves zero
+    /// exactly once.
     #[inline]
-    fn record_aggregate(&self, core: CoreId, width: usize, old: f64, new: f64) {
-        let i = self.agg_idx(core, width);
+    fn record_aggregate(&self, slot: usize, old: f64, new: f64) {
+        let cell = &self.slots[slot];
         if old == 0.0 {
             // relaxed-ok: advisory sample counter for the cluster
             // fallback average; slight staleness only shades estimates.
-            self.agg_cnt[i].fetch_add(1, Ordering::Relaxed);
+            cell.cnt.fetch_add(1, Ordering::Relaxed);
         }
-        atomic_f64_add(&self.agg_sum[i], new - old);
+        atomic_f64_add(&cell.sum, new - old);
+        // Release, paired with the Acquire load in `slot_offsets`: a
+        // search that reads this version also sees the entry write
+        // sequenced before it, so it can never stamp a pre-write scan
+        // with a post-write version.
+        cell.version.fetch_add(1, Ordering::Release);
+        #[cfg(debug_assertions)]
+        self.write_log.fetch_add(1 << 32, Ordering::SeqCst);
     }
 
     /// Predicted execution time for leader `core` at `width`; `0.0` means
     /// the place has not been observed yet. `None` if `(core, width)` is
     /// not a valid place on this topology.
     pub fn predict(&self, core: CoreId, width: usize) -> Option<f64> {
-        self.topo.place(core, width)?;
-        let i = self.idx(core, width)?;
-        // relaxed-ok: advisory estimate read; a stale EWMA value only
-        // shades a scheduling decision, no invariant depends on it.
-        Some(f64::from_bits(self.entries[i].load(Ordering::Relaxed)))
+        let (i, _) = self.locate(core, width)?;
+        Some(self.load(i))
     }
 
     /// Record an observed execution time (seconds) for a committed task.
@@ -222,15 +344,14 @@ impl Ptt {
         if !seconds.is_finite() || seconds <= 0.0 {
             return;
         }
-        if self.topo.place(place.leader, place.width).is_none() {
-            // An invalid place must not touch a cluster aggregate the
-            // valid entries' estimates read.
-            return;
-        }
-        let Some(i) = self.idx(place.leader, place.width) else {
+        // An invalid place must not touch a cluster aggregate the valid
+        // entries' estimates read.
+        let Some((i, slot)) = self.locate(place.leader, place.width) else {
             return;
         };
         let cell = &self.entries[i];
+        #[cfg(debug_assertions)]
+        self.write_log.fetch_add(1, Ordering::SeqCst);
         // relaxed-ok: EWMA update CAS loop on one self-contained cell;
         // only atomicity of the blend matters.
         let mut cur = cell.load(Ordering::Relaxed);
@@ -251,7 +372,7 @@ impl Ptt {
                     // relaxed-ok: monotone visit counter, read only for
                     // interference detection heuristics and reports.
                     self.visits[i].fetch_add(1, Ordering::Relaxed);
-                    self.record_aggregate(place.leader, place.width, old, new);
+                    self.record_aggregate(slot, old, new);
                     return;
                 }
                 Err(actual) => cur = actual,
@@ -268,8 +389,7 @@ impl Ptt {
     /// PTT may not have enough training data within a single iteration to
     /// detect interference".
     pub fn visits(&self, core: CoreId, width: usize) -> Option<u64> {
-        self.topo.place(core, width)?;
-        let i = self.idx(core, width)?;
+        let (i, _) = self.locate(core, width)?;
         // relaxed-ok: monotone counter read for heuristics/reports.
         Some(self.visits[i].load(Ordering::Relaxed))
     }
@@ -308,19 +428,19 @@ impl Ptt {
         if !seconds.is_finite() || seconds <= 0.0 {
             return;
         }
-        if self.topo.place(core, width).is_none() {
-            // Seeding an invalid slot was always unobservable (every
-            // read validates the place first); now that the cluster
-            // aggregates are incremental it would also poison them, so
-            // reject it outright.
+        // Seeding an invalid slot was always unobservable (every read
+        // validates the place first); now that the cluster aggregates
+        // are incremental it would also poison them, so reject it
+        // outright.
+        let Some((i, slot)) = self.locate(core, width) else {
             return;
-        }
-        if let Some(i) = self.idx(core, width) {
-            // relaxed-ok: seeding an advisory estimate cell; the swap is
-            // atomic and nothing else is published under it.
-            let old = f64::from_bits(self.entries[i].swap(seconds.to_bits(), Ordering::Relaxed));
-            self.record_aggregate(core, width, old, seconds);
-        }
+        };
+        #[cfg(debug_assertions)]
+        self.write_log.fetch_add(1, Ordering::SeqCst);
+        // relaxed-ok: seeding an advisory estimate cell; the swap is
+        // atomic and nothing else is published under it.
+        let old = f64::from_bits(self.entries[i].swap(seconds.to_bits(), Ordering::Relaxed));
+        self.record_aggregate(slot, old, seconds);
     }
 
     /// **Local search** (Algorithm 1, line 4): keep the core fixed, mold
@@ -328,21 +448,20 @@ impl Ptt {
     /// cost* `time × width`. Zero (unexplored) entries yield cost 0 and
     /// are therefore explored first, smaller widths before larger ones.
     pub fn local_search(&self, core: CoreId) -> ExecutionPlace {
-        let cl = self.topo.cluster_of(core);
-        let mut best: Option<(f64, ExecutionPlace)> = None;
-        for &w in cl.valid_widths() {
-            let Some(place) = self.topo.place(core, w) else {
+        let mut best: Option<(f64, usize)> = None;
+        for &w in self.topo.cluster_of(core).valid_widths() {
+            let Some((i, _)) = self.locate(core, w) else {
                 continue;
             };
-            let t = self
-                .predict(core, w)
-                .expect("place validated against same topology");
-            let cost = t * w as f64;
-            if best.as_ref().is_none_or(|(b, _)| cost < *b) {
-                best = Some((cost, place));
+            let cost = self.load(i) * w as f64;
+            if best.is_none_or(|(b, _)| cost < b) {
+                best = Some((cost, w));
             }
         }
-        best.expect("every core has at least the width-1 place").1
+        let (_, width) = best.expect("every core has at least the width-1 place");
+        self.topo
+            .place(core, width)
+            .expect("located against the same topology")
     }
 
     /// Predicted time with a **cluster-symmetry prior** for unexplored
@@ -365,70 +484,166 @@ impl Ptt {
     /// maintained by [`Ptt::update`]/[`Ptt::seed`] instead of rescanning
     /// the cluster's entries; the tests compare it against that rescan.
     pub fn estimate(&self, core: CoreId, width: usize) -> Option<f64> {
-        let raw = self.predict(core, width)?;
-        if raw > 0.0 {
-            return Some(raw);
-        }
-        let i = self.agg_idx(core, width);
-        // relaxed-ok: cluster-average fallback; count and sum are
-        // advisory and may be mutually stale without harm.
-        let n = self.agg_cnt[i].load(Ordering::Relaxed);
-        Some(if n > 0 {
-            // relaxed-ok: same advisory aggregate as the count above.
-            f64::from_bits(self.agg_sum[i].load(Ordering::Relaxed)) / n as f64
-        } else {
-            0.0
-        })
+        let (i, slot) = self.locate(core, width)?;
+        Some(self.estimate_at(i, slot))
     }
 
-    /// [`Ptt::estimate`] for a place the *caller* has already
-    /// validated (e.g. one yielded by `Topology::places`): skips the
-    /// place check `predict` repeats, so the search sweeps do one
-    /// table load plus at most one aggregate load per candidate.
+    /// [`Ptt::estimate`] of entry `i` of slot `slot`: one table load
+    /// plus, for a zero entry, the slot's aggregate.
     #[inline]
-    fn estimate_valid(&self, core: CoreId, width: usize) -> f64 {
-        let w = self.width_idx[width];
-        let raw =
-            // relaxed-ok: advisory estimate read on the scheduling fast
-            // path; staleness only shades the placement decision.
-            f64::from_bits(self.entries[core.0 * self.widths.len() + w].load(Ordering::Relaxed));
+    fn estimate_at(&self, i: usize, slot: usize) -> f64 {
+        let raw = self.load(i);
         if raw > 0.0 {
-            return raw;
-        }
-        let i = self.topo.cluster_of(core).id.0 * self.widths.len() + w;
-        // relaxed-ok: advisory cluster-average fallback (count).
-        let n = self.agg_cnt[i].load(Ordering::Relaxed);
-        if n > 0 {
-            // relaxed-ok: advisory cluster-average fallback (sum).
-            f64::from_bits(self.agg_sum[i].load(Ordering::Relaxed)) / n as f64
+            raw
         } else {
-            0.0
+            self.slots[slot].mean()
         }
     }
 
-    /// **Global search** (Algorithm 1, lines 8 and 11): sweep all places,
+    /// Scan slot `slot`, whose first core's entry is `first`: offsets
+    /// from that core of the non-zero entry with the smallest
+    /// `value × scale` (lowest core on ties) and of the first zero
+    /// entry, [`NO_OFFSET`] where there is none. Cores past the slot's
+    /// span lead no place of this width and stay out.
+    fn scan_slot(&self, slot: usize, first: usize, scale: f64) -> (u64, u64) {
+        let mut min = (0.0, NO_OFFSET);
+        let mut zero = NO_OFFSET;
+        for off in 0..self.spans[slot] {
+            let v = self.load(first + off * self.widths.len());
+            if v > 0.0 {
+                if min.1 == NO_OFFSET || v * scale < min.0 {
+                    min = (v * scale, off as u64);
+                }
+            } else if zero == NO_OFFSET {
+                zero = off as u64;
+            }
+        }
+        (min.1, zero)
+    }
+
+    /// [`Ptt::scan_slot`] at `scale` 1 through the slot's cache: the
+    /// scan runs only if the slot was written since it was last cached
+    /// (see [`SlotCell`] for the protocol).
+    #[inline]
+    fn slot_offsets(&self, slot: usize, first: usize) -> (u64, u64) {
+        let cell = &self.slots[slot];
+        // Acquire, paired with the Release bump in `record_aggregate`:
+        // the scan below sees every entry write this version counts.
+        let version = cell.version.load(Ordering::Acquire);
+        // relaxed-ok: the packed word is self-contained (stamp and
+        // offsets travel together) and publishes no other memory.
+        let mut cached = cell.cache.load(Ordering::Relaxed);
+        if cached >> 32 != version & 0xFFFF_FFFF {
+            let (min, zero) = self.scan_slot(slot, first, 1.0);
+            cached = version << 32 | min << 16 | zero;
+            // relaxed-ok: same self-contained word; a racing search's
+            // store may win, and either is a scan no older than its stamp.
+            cell.cache.store(cached, Ordering::Relaxed);
+        }
+        (cached >> 16 & NO_OFFSET, cached & NO_OFFSET)
+    }
+
+    /// **Global search** (Algorithm 1, lines 8 and 11): the place
     /// minimising `time × width` when `minimize_cost` (DAM-C) or raw
-    /// `time` otherwise (DAM-P). `width_one_only` restricts the sweep to
-    /// solo places (the DA scheduler). `node` restricts the sweep to
-    /// clusters of one distributed-memory node.
+    /// `time` otherwise (DAM-P), the first such place in
+    /// [`Topology::places`] order on ties. `width_one_only` restricts
+    /// the search to solo places (the DA scheduler). `node` restricts it
+    /// to clusters of one distributed-memory node.
+    ///
+    /// The answer is the one a strict-`<` sweep of `places()` over
+    /// [`Ptt::estimate`] gives, without the sweep. Within a
+    /// `(cluster, width)` slot every zero entry borrows the same
+    /// estimate, so the lowest zero core stands for all of them, and
+    /// the cost is monotone in the entry value, so the smallest
+    /// non-zero entry (lowest core on ties) stands for the rest: two
+    /// candidates per slot, found through the slot's cached arg-min.
+    /// Candidates are then ordered by `(cost, core, width)`, which is
+    /// `places()` order among equal costs. (`value × width` is strictly
+    /// monotone only where the product is exact, i.e. for power-of-two
+    /// widths; a cluster-sized width such as 10 could round two
+    /// neighbouring values onto one cost, so under `minimize_cost` such
+    /// a slot is scanned by cost instead of read from the cache.)
+    ///
+    /// Under concurrent writers a cached slot may lag a write whose
+    /// version bump has not landed yet — indistinguishable from the
+    /// search having run just before that write; the table is advisory.
     pub fn global_search(
         &self,
         minimize_cost: bool,
         width_one_only: bool,
         node: Option<usize>,
     ) -> ExecutionPlace {
-        let mut best: Option<(f64, ExecutionPlace)> = None;
-        for place in self.topo.places() {
-            if width_one_only && place.width != 1 {
+        #[cfg(debug_assertions)]
+        let log = self.write_log.load(Ordering::SeqCst);
+        let nw = self.widths.len();
+        let mut best: Option<(f64, CoreId, usize)> = None;
+        for cl in self.topo.clusters() {
+            if node.is_some_and(|n| cl.node != n) {
                 continue;
             }
-            if let Some(n) = node {
-                if self.topo.cluster_of(place.leader).node != n {
-                    continue;
+            for &w in cl.valid_widths() {
+                if width_one_only && w != 1 {
+                    break;
+                }
+                let wi = self.width_idx[w];
+                let (slot, first) = (cl.id.0 * nw + wi, cl.first_core.0 * nw + wi);
+                let scale = if minimize_cost { w as f64 } else { 1.0 };
+                let (min_off, zero_off) = if minimize_cost && !w.is_power_of_two() {
+                    self.scan_slot(slot, first, scale)
+                } else {
+                    self.slot_offsets(slot, first)
+                };
+                for off in [min_off, zero_off] {
+                    if off == NO_OFFSET {
+                        continue;
+                    }
+                    let core = CoreId(cl.first_core.0 + off as usize);
+                    let cost = self.estimate_at(first + off as usize * nw, slot) * scale;
+                    if best
+                        .is_none_or(|(b, bc, bw)| cost < b || (cost == b && (core, w) < (bc, bw)))
+                    {
+                        best = Some((cost, core, w));
+                    }
                 }
             }
-            // `places()` yields only valid places.
-            let t = self.estimate_valid(place.leader, place.width);
+        }
+        let (_, core, width) = best.expect("topology has at least one place");
+        let place = self
+            .topo
+            .place(core, width)
+            .expect("slot offsets name valid places");
+        #[cfg(debug_assertions)]
+        self.check_against_sweep(log, place, minimize_cost, width_one_only, node);
+        place
+    }
+
+    /// Debug builds only: the plain strict-`<` sweep of `places()` must
+    /// name the place the index named, so every debug-profile test is a
+    /// differential test of the index. Skipped when a writer was in
+    /// flight at `log` (read before the indexed search) or since: the
+    /// two searches then read different tables.
+    #[cfg(debug_assertions)]
+    fn check_against_sweep(
+        &self,
+        log: u64,
+        indexed: ExecutionPlace,
+        minimize_cost: bool,
+        width_one_only: bool,
+        node: Option<usize>,
+    ) {
+        if log >> 32 != log & 0xFFFF_FFFF {
+            return;
+        }
+        let mut best: Option<(f64, ExecutionPlace)> = None;
+        for place in self.topo.places() {
+            if (width_one_only && place.width != 1)
+                || node.is_some_and(|n| self.topo.cluster_of(place.leader).node != n)
+            {
+                continue;
+            }
+            let t = self
+                .estimate(place.leader, place.width)
+                .expect("places() are valid");
             let cost = if minimize_cost {
                 t * place.width as f64
             } else {
@@ -438,7 +653,17 @@ impl Ptt {
                 best = Some((cost, place));
             }
         }
-        best.expect("topology has at least one place").1
+        // The fence keeps the sweep's loads ahead of the re-read.
+        std::sync::atomic::fence(Ordering::SeqCst);
+        if self.write_log.load(Ordering::SeqCst) == log {
+            let swept = best.expect("topology has at least one place").1;
+            debug_assert_eq!(
+                (indexed.leader, indexed.width),
+                (swept.leader, swept.width),
+                "arg-min index disagrees with the places() sweep \
+                 (minimize_cost={minimize_cost}, width_one_only={width_one_only}, node={node:?})"
+            );
+        }
     }
 
     /// Scalable **sampled global search** — an answer to the paper's
@@ -447,18 +672,25 @@ impl Ptt {
     /// places and cores. The design and evaluation of scalable performance
     /// prediction models is left for future work").
     ///
-    /// Instead of sweeping every `(core, width)` slot, the search
+    /// Instead of considering every `(core, width)` place, the search
     /// evaluates:
     ///
     /// * **all** places of `probe`'s own cluster (full local knowledge),
     /// * for every *other* cluster, only the places led by the cluster's
     ///   first core (one representative row per cluster).
     ///
-    /// Cost drops from `O(cores × widths)` to
-    /// `O((clusters + cluster_size) × widths)`. On symmetric clusters the
-    /// representative row is an unbiased stand-in; on a perturbed cluster
-    /// it can be stale for non-representative leaders, which is the
-    /// accuracy trade-off the `ablation_sampled_search` bench quantifies.
+    /// That is `O((clusters + cluster_size) × widths)` entry reads on
+    /// every call, whatever the writers did in between. The exhaustive
+    /// [`Ptt::global_search`] is no longer the `O(cores × widths)` sweep
+    /// this was designed against: it reads `O(clusters × widths)` cached
+    /// slots and is the cheaper of the two on a table at rest — but it
+    /// rescans every slot written since the previous search, `O(cores ×
+    /// widths)` again when all of them were. What the sampled search
+    /// still buys is that write-independent bound. On symmetric clusters
+    /// the representative row is an unbiased stand-in; on a perturbed
+    /// cluster it can be stale for non-representative leaders, which is
+    /// the accuracy trade-off the `ablation_sampled_search` bench
+    /// quantifies.
     pub fn global_search_sampled(
         &self,
         minimize_cost: bool,
@@ -468,8 +700,9 @@ impl Ptt {
         let home = self.topo.cluster_of(probe).id;
         let mut best: Option<(f64, ExecutionPlace)> = None;
         let mut consider = |place: ExecutionPlace, this: &Self| {
-            // Candidate places are valid by construction.
-            let t = this.estimate_valid(place.leader, place.width);
+            let t = this
+                .estimate(place.leader, place.width)
+                .expect("candidate places are valid by construction");
             let cost = if minimize_cost {
                 t * place.width as f64
             } else {
@@ -500,7 +733,7 @@ impl Ptt {
         match best {
             Some((_, p)) => p,
             // `probe` was outside the requested node: fall back to the
-            // full node-restricted sweep.
+            // exhaustive node-restricted search.
             None => self.global_search(minimize_cost, false, node),
         }
     }
@@ -522,16 +755,9 @@ impl Ptt {
         let mut rows = Vec::with_capacity(self.topo.num_cores());
         for c in 0..self.topo.num_cores() {
             let mut row = Vec::with_capacity(w);
-            for (wi, &width) in self.widths.iter().enumerate() {
-                if self.topo.place(CoreId(c), width).is_some() {
-                    row.push(f64::from_bits(
-                        // relaxed-ok: report snapshot of advisory cells;
-                        // tearing across cells is acceptable.
-                        self.entries[c * w + wi].load(Ordering::Relaxed),
-                    ));
-                } else {
-                    row.push(f64::NAN);
-                }
+            for &width in &self.widths {
+                // Tearing across cells is acceptable in a report.
+                row.push(self.predict(CoreId(c), width).unwrap_or(f64::NAN));
             }
             rows.push(row);
         }
@@ -815,6 +1041,29 @@ mod tests {
         let ptt = tx2_ptt();
         assert_eq!(ptt.predict(CoreId(0), 4), None); // denver max width 2
         assert_eq!(ptt.predict(CoreId(2), 4), Some(0.0));
+    }
+
+    #[test]
+    fn table_validity_is_topology_validity() {
+        // The table's own span lookup must give `Topology::place`'s
+        // verdict for every core and every width, on the axis or off it.
+        for topo in [
+            Topology::tx2(),
+            Topology::haswell_2x10(),
+            Topology::big_little(3, 5, 2.0),
+            Topology::grid(2, 2, 12),
+        ] {
+            let ptt = Ptt::new(Arc::new(topo.clone()), WeightRatio::PAPER);
+            for c in topo.cores() {
+                for w in 0..=topo.all_widths().last().unwrap() + 1 {
+                    assert_eq!(
+                        ptt.predict(c, w).is_some(),
+                        topo.place(c, w).is_some(),
+                        "({c}, w={w})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1187,6 +1436,134 @@ mod tests {
             ptt.estimate(CoreId(3), 4).unwrap()
         };
         assert_eq!(mean_cached, 0.0);
+    }
+
+    /// Reference for the indexed [`Ptt::global_search`]: the strict-`<`
+    /// sweep of `places()` over the public, cached [`Ptt::estimate`] —
+    /// the same floats the index compares, so equality is exact.
+    fn global_search_sweep(
+        ptt: &Ptt,
+        minimize_cost: bool,
+        width_one_only: bool,
+        node: Option<usize>,
+    ) -> ExecutionPlace {
+        let topo = ptt.topology();
+        let mut best: Option<(f64, ExecutionPlace)> = None;
+        for place in topo.places() {
+            if (width_one_only && place.width != 1)
+                || node.is_some_and(|n| topo.cluster_of(place.leader).node != n)
+            {
+                continue;
+            }
+            let t = ptt.estimate(place.leader, place.width).unwrap();
+            let cost = if minimize_cost {
+                t * place.width as f64
+            } else {
+                t
+            };
+            if best.as_ref().is_none_or(|(b, _)| cost < *b) {
+                best = Some((cost, place));
+            }
+        }
+        best.unwrap().1
+    }
+
+    #[test]
+    fn slot_cells_do_not_share_cache_lines() {
+        assert_eq!(std::mem::align_of::<SlotCell>(), 64);
+        assert_eq!(std::mem::size_of::<SlotCell>(), 64);
+    }
+
+    #[test]
+    fn indexed_search_skips_tail_cores_and_breaks_ties_in_places_order() {
+        // 10-core clusters: cores 8 and 9 lead no width-8 place, so the
+        // width-8 slot's "first zero" must never name them; and equal
+        // seeds across clusters and widths must resolve to the first
+        // place in `places()` order.
+        let topo = Arc::new(Topology::grid(2, 2, 10));
+        let ptt = Ptt::new(Arc::clone(&topo), WeightRatio::PAPER);
+        for p in topo.places() {
+            if p.width != 8 {
+                ptt.seed(p.leader, p.width, 4.0);
+            }
+        }
+        for c in 0..8 {
+            ptt.seed(CoreId(c), 8, 4.0);
+        }
+        // Only cluster 0's width-8 slot is fully explored; the others'
+        // zero entries (cost 0) win, lowest valid core first.
+        let p = ptt.global_search(false, false, None);
+        assert_eq!((p.leader, p.width), (CoreId(10), 8));
+        let p = ptt.global_search(true, false, Some(1));
+        assert_eq!((p.leader, p.width), (CoreId(20), 8));
+        for cl in 1..4 {
+            for c in 0..8 {
+                ptt.seed(CoreId(cl * 10 + c), 8, 4.0);
+            }
+        }
+        // Everything 4.0: DAM-P ties everywhere, (C0, 1) is first.
+        let p = ptt.global_search(false, false, None);
+        assert_eq!((p.leader, p.width), (CoreId(0), 1));
+        // A later core ties with an earlier core's wider place.
+        ptt.seed(CoreId(5), 1, 1.0);
+        ptt.seed(CoreId(3), 4, 1.0);
+        let p = ptt.global_search(false, false, None);
+        assert_eq!((p.leader, p.width), (CoreId(3), 4));
+        for (cost, one, node) in [(false, true, None), (true, false, Some(1))] {
+            let (a, b) = (
+                ptt.global_search(cost, one, node),
+                global_search_sweep(&ptt, cost, one, node),
+            );
+            assert_eq!((a.leader, a.width), (b.leader, b.width));
+        }
+    }
+
+    #[test]
+    fn searches_racing_writers_stay_valid_and_heal() {
+        // Four writers hammer overlapping slots of a three-cluster
+        // machine for as long as one thread searches (the searcher, not
+        // a timer, ends the writers, so every search overlaps them). A
+        // racing search may lag a write, but it must always name a real
+        // place; once the writers have joined, the cache must have
+        // healed: the indexed search equals the sweep for every
+        // argument combination.
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        let topo = Arc::new(Topology::grid(1, 3, 16));
+        let ptt = Ptt::new(Arc::clone(&topo), WeightRatio::PAPER);
+        let places: Vec<_> = topo.places().collect();
+        let start = Barrier::new(5);
+        let searching = AtomicBool::new(true);
+        std::thread::scope(|s| {
+            for t in 0..4usize {
+                let (ptt, places, start, searching) = (&ptt, &places, &start, &searching);
+                s.spawn(move || {
+                    start.wait();
+                    // At least one full pass, then until the searcher is
+                    // done. Strides coprime to the 240 places: every
+                    // writer visits every slot, in a different order.
+                    let mut i = 0usize;
+                    while i < places.len() || searching.load(Ordering::SeqCst) {
+                        let p = places[(i * [1, 7, 11, 13][t] + t) % places.len()];
+                        ptt.update(p, 1.0 + ((i * 7 + t * 13) % 97) as f64);
+                        i += 1;
+                    }
+                });
+            }
+            start.wait();
+            for k in 0..4_000 {
+                let p = ptt.global_search(k % 2 == 0, false, None);
+                assert_eq!(topo.place(p.leader, p.width), Some(p));
+            }
+            searching.store(false, Ordering::SeqCst);
+        });
+        for minimize_cost in [false, true] {
+            for width_one_only in [false, true] {
+                let a = ptt.global_search(minimize_cost, width_one_only, None);
+                let b = global_search_sweep(&ptt, minimize_cost, width_one_only, None);
+                assert_eq!((a.leader, a.width), (b.leader, b.width));
+            }
+        }
     }
 
     #[test]

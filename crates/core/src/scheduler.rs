@@ -40,7 +40,7 @@ pub struct Scheduler {
     /// priority tasks"; the `ablation_steal` bench quantifies why).
     allow_high_priority_steal: bool,
     /// Scalability knob: use the representative-row sampled global search
-    /// instead of the exhaustive sweep (the paper's future-work item on
+    /// instead of the exhaustive search (the paper's future-work item on
     /// scalable prediction; see [`crate::Ptt::global_search_sampled`]).
     sampled_search: bool,
     /// Exploration knob: every `n`-th global placement ignores the model
@@ -87,9 +87,9 @@ impl Scheduler {
         self
     }
 
-    /// Use the O(clusters) sampled global search instead of the exhaustive
-    /// sweep for high-priority placement (scalability extension; see
-    /// [`crate::Ptt::global_search_sampled`]).
+    /// Use the representative-row sampled global search instead of the
+    /// exhaustive one for high-priority placement (scalability extension;
+    /// see [`crate::Ptt::global_search_sampled`] for what it still buys).
     pub fn with_sampled_search(mut self, on: bool) -> Self {
         self.sampled_search = on;
         self
@@ -223,21 +223,17 @@ impl Scheduler {
         meta: &TaskMeta,
         width_one_only: bool,
     ) -> Option<ExecutionPlace> {
-        let places: Vec<_> = self
-            .topo
-            .places()
-            .filter(|p| {
+        let legal = || {
+            self.topo.places().filter(|p| {
                 (!width_one_only || p.width == 1)
                     && meta
                         .node_affinity
                         .is_none_or(|n| self.topo.cluster_of(p.leader).node == n)
             })
-            .collect();
-        if places.is_empty() {
-            None
-        } else {
-            Some(places[(k as usize) % places.len()])
-        }
+        };
+        // Count, then walk to the k-th: two passes, no list built.
+        let n = legal().count();
+        legal().nth((k as usize).checked_rem(n)?)
     }
 
     /// **Dequeue decision** (Algorithm 1; Fig. 3 steps 4–5): called by the

@@ -4,6 +4,9 @@
 //! * the aggregate-cached [`Ptt::estimate`] must equal the from-scratch
 //!   cluster rescan it replaced (property test over arbitrary
 //!   interleaved `update`/`seed` sequences);
+//! * the indexed [`Ptt::global_search`] must name exactly the place the
+//!   `places()` sweep it replaced names, for every argument combination,
+//!   on every topology shape, with searches interleaved between writes;
 //! * the sim engine's idle-set wake-ups (plus the stealable-entry count
 //!   and assembly recycling that ride along) must produce bit-identical
 //!   traces and stats to the old every-core broadcast, which is kept
@@ -147,6 +150,122 @@ proptest! {
             let a = ptt.global_search(minimize_cost, false, None);
             let b = global_search_rescan(&ptt, minimize_cost);
             prop_assert_eq!((a.leader, a.width), (b.leader, b.width));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// PTT arg-min index vs the places() sweep
+// ---------------------------------------------------------------------
+
+/// [`arb_topology`] plus the shapes the per-`(cluster, width)` index
+/// has to get right: several nodes, 10-core clusters whose tail cores
+/// lead no width-4/8 place, and more than two clusters of many slots.
+fn arb_indexed_topology() -> impl Strategy<Value = Topology> {
+    prop_oneof![
+        arb_topology(),
+        Just(Topology::grid(2, 2, 10)),
+        Just(Topology::haswell_cluster(2)),
+        Just(Topology::grid(1, 3, 16)),
+    ]
+}
+
+/// [`arb_writes`] with two values in five drawn from a few powers of two,
+/// so equal entries — and equal costs across widths (`4 × 1 = 2 × 2`) —
+/// turn up in different clusters and the `places()`-order tie-break
+/// decides.
+fn arb_tying_writes() -> impl Strategy<Value = Vec<(bool, usize, usize, f64)>> {
+    prop::collection::vec(
+        (
+            any::<bool>(),
+            0usize..64,
+            0usize..6,
+            prop_oneof![
+                prop::sample::select(vec![0.5, 1.0, 2.0, 4.0]),
+                prop::sample::select(vec![0.5, 1.0, 2.0, 4.0]),
+                1e-6f64..1e3,
+                1e-6f64..1e3,
+                prop::sample::select(vec![0.0, -1.0, f64::NAN, f64::INFINITY]),
+            ],
+        ),
+        1..40,
+    )
+}
+
+/// The oracle for the indexed [`Ptt::global_search`]: the sweep it
+/// replaced — strict `<` over `places()`, filters applied per place —
+/// reading the public [`Ptt::estimate`], i.e. the very floats the index
+/// compares, so the two must agree exactly.
+fn global_search_sweep(
+    ptt: &Ptt,
+    minimize_cost: bool,
+    width_one_only: bool,
+    node: Option<usize>,
+) -> ExecutionPlace {
+    let topo = ptt.topology();
+    let mut best: Option<(f64, ExecutionPlace)> = None;
+    for place in topo.places() {
+        if (width_one_only && place.width != 1)
+            || node.is_some_and(|n| topo.cluster_of(place.leader).node != n)
+        {
+            continue;
+        }
+        let t = ptt
+            .estimate(place.leader, place.width)
+            .expect("places() are valid");
+        let cost = if minimize_cost {
+            t * place.width as f64
+        } else {
+            t
+        };
+        if best.as_ref().is_none_or(|(b, _)| cost < *b) {
+            best = Some((cost, place));
+        }
+    }
+    best.expect("every node has a place").1
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn indexed_global_search_equals_the_places_sweep(
+        topo in arb_indexed_topology(),
+        writes in arb_tying_writes(),
+    ) {
+        let topo = Arc::new(topo);
+        let ptt = Ptt::new(Arc::clone(&topo), WeightRatio::PAPER);
+        let widths = topo.all_widths().to_vec();
+        let nodes: Vec<Option<usize>> =
+            std::iter::once(None).chain((0..topo.num_nodes()).map(Some)).collect();
+        // Search before the first write and after every one: each write
+        // re-dirties a slot the previous round of searches cached.
+        let check = |step: usize| {
+            for minimize_cost in [false, true] {
+                for width_one_only in [false, true] {
+                    for &node in &nodes {
+                        let a = ptt.global_search(minimize_cost, width_one_only, node);
+                        let b = global_search_sweep(&ptt, minimize_cost, width_one_only, node);
+                        prop_assert_eq!(
+                            (a.leader, a.width),
+                            (b.leader, b.width),
+                            "after {} writes, minimize_cost={}, width_one_only={}, node={:?}",
+                            step, minimize_cost, width_one_only, node
+                        );
+                    }
+                }
+            }
+        };
+        check(0);
+        for (k, &(is_seed, core, width_pick, value)) in writes.iter().enumerate() {
+            let core = CoreId(core % topo.num_cores());
+            let width = widths[width_pick % widths.len()];
+            if is_seed {
+                ptt.seed(core, width, value);
+            } else if let Some(place) = topo.place(core, width) {
+                ptt.update(place, value);
+            }
+            check(k + 1);
         }
     }
 }
