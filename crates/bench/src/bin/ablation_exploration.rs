@@ -1,59 +1,11 @@
 //! Ablation (beyond the paper): periodic exploration vs stale pessimism.
-//!
-//! The PTT only re-learns a place when something visits it. After an
-//! interference episode *ends*, the DAS searches keep avoiding the
-//! ex-victim core because its entries still carry the inflated times —
-//! the paper's design relies on incidental low-priority visits for
-//! refresh. This harness injects a co-runner for the FIRST HALF of the
-//! run only and compares DAM-C with exploration disabled (the paper)
-//! against sparse periodic exploration (1/16 and 1/64 of global
-//! placements).
 
-use das_bench::{scale_from_args, SEED};
-use das_core::{Policy, Scheduler, TaskTypeId, WeightRatio};
-use das_sim::{Environment, Modifier, SimConfig, Simulator};
-use das_topology::{CoreId, Topology};
-use das_workloads::cost::PaperCost;
-use das_workloads::synthetic::{self, Kernel};
-use std::sync::Arc;
-
-fn run(explore_every: u64, episode_end: f64, scale: usize) -> (f64, f64) {
-    let topo = Arc::new(Topology::tx2());
-    let sched = Arc::new(
-        Scheduler::with_ratio(Arc::clone(&topo), Policy::DamC, WeightRatio::PAPER)
-            .with_periodic_exploration(explore_every),
-    );
-    let mut sim = Simulator::new(
-        SimConfig::new(Arc::clone(&topo), Policy::DamC)
-            .cost(Arc::new(PaperCost::new()))
-            .seed(SEED),
-    );
-    sim.replace_scheduler(Arc::clone(&sched));
-    sim.set_env(
-        Environment::interference_free(Arc::clone(&topo)).and(Modifier::CoRunner {
-            core: CoreId(1),
-            cpu_share: 0.7,
-            mem_pressure: 0.0,
-            from: 0.0,
-            until: episode_end,
-        }),
-    );
-    let dag = synthetic::dag(Kernel::MatMul, 2, scale);
-    let st = sim.run(&dag).expect("ablation run");
-    // How much of the post-episode era still avoids core 1? Proxy: the
-    // model's belief about (C1,1) at the end vs the true recovered time.
-    let ptt = sched.ptts().table(TaskTypeId(0));
-    let belief = ptt.predict(CoreId(1), 1).unwrap_or(0.0);
-    (st.throughput(), belief)
-}
+use das_bench::{figures, scale_from_args};
 
 fn main() {
     let scale = scale_from_args();
-    // Size the episode so it covers roughly the first half of the
-    // baseline run.
-    let (base, _) = run(0, f64::INFINITY, scale);
-    let dag_tasks = synthetic::dag(Kernel::MatMul, 2, scale).len() as f64;
-    let episode_end = 0.5 * dag_tasks / base;
+    let t = figures::ablation_exploration(scale).swap_remove(0);
+    let episode_end = t.headlines[0].1;
 
     println!("Ablation — periodic exploration after interference ends");
     println!("(co-runner on Denver core 1 until t={episode_end:.2}s, then clean)\n");
@@ -61,14 +13,8 @@ fn main() {
         "{:>14} {:>12} {:>20}",
         "explore 1/n", "thru [t/s]", "final belief (C1,1)"
     );
-    for n in [0u64, 64, 16, 4] {
-        let (thru, belief) = run(n, episode_end, scale);
-        let label = if n == 0 {
-            "never (paper)".to_string()
-        } else {
-            format!("1/{n}")
-        };
-        println!("{label:>14} {thru:>12.0} {belief:>19.2e}s");
+    for (label, c) in &t.rows {
+        println!("{label:>14} {:>12.0} {:>19.2e}s", c[0], c[1]);
     }
     println!(
         "\nReading: stale pessimism self-heals in this configuration — stealable\n\

@@ -1,17 +1,7 @@
-//! Ablation (beyond the paper): PTT initialisation. §4.1.1 initialises
-//! entries to zero, "ensuring that all possible execution places are
-//! evaluated at least once". The alternative — a pessimistic prior that
-//! makes unexplored places look expensive — never explores and should
-//! lock the scheduler into its first observations.
+//! Ablation (beyond the paper): PTT initialisation, zero-init vs a
+//! pessimistic prior.
 
-use das_bench::{scale_from_args, SEED};
-use das_core::Policy;
-use das_sim::{Environment, Modifier, SimConfig, Simulator};
-use das_topology::{CoreId, Topology};
-use das_workloads::cost::PaperCost;
-use das_workloads::synthetic::{self, Kernel};
-use das_workloads::types;
-use std::sync::Arc;
+use das_bench::{figures, scale_from_args};
 
 fn main() {
     let scale = scale_from_args();
@@ -20,30 +10,8 @@ fn main() {
         "{:>12} {:>16} {:>18}",
         "parallelism", "zero-init [t/s]", "pessimistic [t/s]"
     );
-    for p in [2usize, 4, 6] {
-        let run = |pessimistic: bool| {
-            let topo = Arc::new(Topology::tx2());
-            let mut sim = Simulator::new(
-                SimConfig::new(Arc::clone(&topo), Policy::DamC)
-                    .cost(Arc::new(PaperCost::new()))
-                    .seed(SEED),
-            );
-            if pessimistic {
-                // Pre-fill every entry with a large value: searches have
-                // no zero (explore-me) entries, so whichever place the
-                // very first observation improves wins forever.
-                let ptt = sim.scheduler().ptts().table(types::MATMUL);
-                for place in Topology::tx2().places() {
-                    ptt.seed(place.leader, place.width, 1.0);
-                }
-            }
-            sim.set_env(
-                Environment::interference_free(Arc::clone(&sim.config().topo))
-                    .and(Modifier::compute_corunner(CoreId(0))),
-            );
-            let dag = synthetic::dag(Kernel::MatMul, p, scale);
-            sim.run(&dag).expect("ablation run").throughput()
-        };
-        println!("{:>12} {:>16.0} {:>18.0}", p, run(false), run(true));
+    let t = figures::ablation_ptt_init(scale).swap_remove(0);
+    for (p, c) in &t.rows {
+        println!("{:>12} {:>16.0} {:>18.0}", p, c[0], c[1]);
     }
 }

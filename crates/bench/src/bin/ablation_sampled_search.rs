@@ -5,24 +5,13 @@
 //! Two axes: schedule quality (throughput under the Fig. 4 co-runner
 //! scenario) and decision cost (mean search latency on a trained PTT),
 //! across machine sizes.
-//!
-//! The exhaustive search is no longer a sweep of every place: it
-//! combines one cached arg-min per `(cluster, width)` slot, so on the
-//! table at rest this latency loop times it is the *cheaper* search
-//! (speedup below 1). What the sampled search still buys is a cost that
-//! does not depend on write traffic: it never rescans, where the
-//! exhaustive search rescans every slot written since the previous
-//! search — every place, in the worst case.
 
 // Measurement harness: the wall clock is the instrument (clippy.toml
 // bans it workspace-wide for *decision* code).
 #![allow(clippy::disallowed_methods)]
-use das_bench::{scale_from_args, SEED};
-use das_core::{Policy, Scheduler, TaskTypeId, WeightRatio};
-use das_sim::{Environment, Modifier, SimConfig, Simulator};
+use das_bench::{figures, scale_from_args};
+use das_core::{Policy, Scheduler, TaskTypeId};
 use das_topology::{CoreId, Topology};
-use das_workloads::cost::PaperCost;
-use das_workloads::synthetic::{self, Kernel};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -45,24 +34,6 @@ fn latency_ns(topo: &Arc<Topology>, sampled: bool) -> f64 {
     t0.elapsed().as_secs_f64() * 1e9 / f64::from(N)
 }
 
-fn quality(topo: &Arc<Topology>, sampled: bool, scale: usize) -> f64 {
-    let sched = Arc::new(
-        Scheduler::with_ratio(Arc::clone(topo), Policy::DamC, WeightRatio::PAPER)
-            .with_sampled_search(sampled),
-    );
-    let mut sim = Simulator::new(
-        SimConfig::new(Arc::clone(topo), Policy::DamC)
-            .cost(Arc::new(PaperCost::new()))
-            .seed(SEED),
-    );
-    sim.replace_scheduler(sched);
-    sim.set_env(
-        Environment::interference_free(Arc::clone(topo)).and(Modifier::compute_corunner(CoreId(0))),
-    );
-    let dag = synthetic::dag(Kernel::MatMul, 4, scale);
-    sim.run(&dag).expect("ablation run").throughput()
-}
-
 fn main() {
     let scale = scale_from_args();
     println!("Ablation — sampled vs exhaustive global PTT search\n");
@@ -77,19 +48,22 @@ fn main() {
         "sampl [t/s]",
         "quality"
     );
-    for (name, topo) in [
-        ("TX2", Topology::tx2()),
-        ("haswell 2x10", Topology::haswell_2x10()),
-        ("cluster 4x2x10", Topology::haswell_cluster(4)),
-    ] {
+    let t = figures::ablation_sampled_search(scale).swap_remove(0);
+    let topos = [
+        Topology::tx2(),
+        Topology::haswell_2x10(),
+        Topology::haswell_cluster(4),
+    ];
+    for ((name, c), topo) in t.rows.iter().zip(topos) {
         let topo = Arc::new(topo);
         let (lf, ls) = (latency_ns(&topo, false), latency_ns(&topo, true));
-        let (qf, qs) = (quality(&topo, false, scale), quality(&topo, true, scale));
         println!(
-            "{name:<22} {:>7} {lf:>11.0} {ls:>11.0} {:>8.1}x {qf:>11.0} {qs:>11.0} {:>7.1}%",
-            topo.places().count(),
+            "{name:<22} {:>7} {lf:>11.0} {ls:>11.0} {:>8.1}x {:>11.0} {:>11.0} {:>7.1}%",
+            c[0] as usize,
             lf / ls,
-            100.0 * qs / qf
+            c[1],
+            c[2],
+            c[3]
         );
     }
     println!(

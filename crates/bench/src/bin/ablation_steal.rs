@@ -1,17 +1,8 @@
 //! Ablation (beyond the paper): what does disabling the stealing of
-//! high-priority tasks actually buy? §4.1.2 states the design — "we
-//! disable the stealing of high priority tasks in order to guarantee
-//! that all such tasks are executed according to their scheduling
-//! decision" — but does not quantify it. Here we run DAM-C and DAM-P
+//! high-priority tasks actually buy? Here we run DAM-C and DAM-P
 //! with and without that rule under the Fig. 4(a) interference scenario.
 
-use das_bench::{scale_from_args, SEED};
-use das_core::{Policy, Scheduler, WeightRatio};
-use das_sim::{Environment, Modifier, SimConfig, Simulator};
-use das_topology::{CoreId, Topology};
-use das_workloads::cost::PaperCost;
-use das_workloads::synthetic::{self, Kernel};
-use std::sync::Arc;
+use das_bench::{figures, scale_from_args};
 
 fn main() {
     let scale = scale_from_args();
@@ -20,33 +11,15 @@ fn main() {
         "{:>8} {:>12} {:>14} {:>14}",
         "policy", "parallelism", "no-steal [t/s]", "steal-ok [t/s]"
     );
-    for policy in [Policy::DamC, Policy::DamP] {
-        for p in [2usize, 4, 6] {
-            let run = |allow: bool| {
-                let topo = Arc::new(Topology::tx2());
-                let mut sim = Simulator::new(
-                    SimConfig::new(Arc::clone(&topo), policy)
-                        .cost(Arc::new(PaperCost::new()))
-                        .seed(SEED),
-                );
-                if allow {
-                    sim.replace_scheduler(Arc::new(
-                        Scheduler::with_ratio(Arc::clone(&topo), policy, WeightRatio::PAPER)
-                            .allow_high_priority_steal(true),
-                    ));
-                }
-                sim.set_env(
-                    Environment::interference_free(topo).and(Modifier::compute_corunner(CoreId(0))),
-                );
-                let dag = synthetic::dag(Kernel::MatMul, p, scale);
-                sim.run(&dag).expect("ablation run").throughput()
-            };
+    let t = figures::ablation_steal(scale).swap_remove(0);
+    for (i, policy) in ["DAM-C", "DAM-P"].into_iter().enumerate() {
+        for (p, c) in &t.rows {
             println!(
                 "{:>8} {:>12} {:>14.0} {:>14.0}",
-                policy.name(),
+                policy,
                 p,
-                run(false),
-                run(true)
+                c[2 * i],
+                c[2 * i + 1]
             );
         }
     }

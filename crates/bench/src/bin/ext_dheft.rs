@@ -8,13 +8,8 @@
 //! cannot reduce oversubscription by molding nor repair mispredictions
 //! by rebalancing.
 
-use das_bench::{run_synthetic, scale_from_args, tx2_sim, SEED};
+use das_bench::{figures, scale_from_args};
 use das_core::Policy;
-use das_sim::{Environment, Modifier, SimConfig, Simulator};
-use das_topology::{CoreId, Topology};
-use das_workloads::cost::PaperCost;
-use das_workloads::synthetic::Kernel;
-use std::sync::Arc;
 
 fn main() {
     let scale = scale_from_args();
@@ -31,25 +26,12 @@ fn main() {
         print!("{:>10}", p.name());
     }
     println!();
-    for parallelism in 2..=6usize {
+    let t = figures::fig04(scale).swap_remove(0);
+    let columns = policies.map(|p| t.column(p.name()));
+    for (i, (parallelism, _)) in t.rows.iter().enumerate() {
         print!("{parallelism:>12}");
-        for policy in policies {
-            let mut sim = if policy == Policy::DHeft {
-                let topo = Arc::new(Topology::tx2());
-                Simulator::new(
-                    SimConfig::new(topo, policy)
-                        .cost(Arc::new(PaperCost::new()))
-                        .seed(SEED),
-                )
-            } else {
-                tx2_sim(policy)
-            };
-            let topo = Arc::clone(&sim.config().topo);
-            sim.set_env(
-                Environment::interference_free(topo).and(Modifier::compute_corunner(CoreId(0))),
-            );
-            let st = run_synthetic(&mut sim, Kernel::MatMul, parallelism, scale);
-            print!("{:>10.0}", st.throughput());
+        for c in &columns {
+            print!("{:>10.0}", c[i]);
         }
         println!();
     }

@@ -6,36 +6,20 @@
 //! and a copy chain for Copy (memory interference), exactly as in the
 //! paper.
 
-use das_bench::{print_table, run_synthetic, scale_from_args, tx2_sim};
+use das_bench::{figures, print_table, scale_from_args};
 use das_core::Policy;
-use das_sim::{Environment, Modifier};
-use das_topology::CoreId;
 use das_workloads::synthetic::Kernel;
-use std::sync::Arc;
 
 fn main() {
     let scale = scale_from_args();
     println!("Fig. 4 — co-running application interference on Denver core 0 (scale 1/{scale})");
-    let parallelisms: Vec<usize> = (2..=6).collect();
-
-    for kernel in Kernel::ALL {
-        let mut cells = Vec::new();
-        for &p in &parallelisms {
-            let mut row = Vec::new();
-            for policy in Policy::ALL {
-                let mut sim = tx2_sim(policy);
-                let topo = Arc::clone(&sim.config().topo);
-                let corunner = match kernel {
-                    Kernel::Copy => Modifier::memory_corunner(CoreId(0)),
-                    _ => Modifier::compute_corunner(CoreId(0)),
-                };
-                sim.set_env(Environment::interference_free(topo).and(corunner));
-                let st = run_synthetic(&mut sim, kernel, p, scale);
-                row.push(st.throughput());
-            }
-            cells.push(row);
-        }
-        let xs: Vec<String> = parallelisms.iter().map(|p| p.to_string()).collect();
+    for (kernel, t) in Kernel::ALL.into_iter().zip(figures::fig04(scale)) {
+        let xs: Vec<String> = t.rows.iter().map(|(x, _)| x.clone()).collect();
+        let cells: Vec<Vec<f64>> = t
+            .rows
+            .iter()
+            .map(|(_, row)| row[..Policy::ALL.len()].to_vec())
+            .collect();
         print_table(
             &format!("Fig. 4({}) {kernel} throughput [tasks/s]", label(kernel)),
             "parallelism",
@@ -43,7 +27,13 @@ fn main() {
             &Policy::ALL,
             &cells,
         );
-        headline(kernel, &parallelisms, &cells);
+        let h = |i: usize| t.headlines[i].1;
+        println!(
+            "   {kernel}: DAM-C vs RWS up to {:.2}x | vs FA up to +{:.0}% | vs FAM-C up to +{:.0}%",
+            h(0),
+            (h(1) - 1.0) * 100.0,
+            (h(2) - 1.0) * 100.0,
+        );
     }
 }
 
@@ -53,21 +43,4 @@ fn label(k: Kernel) -> &'static str {
         Kernel::Copy => "b",
         Kernel::Stencil => "c",
     }
-}
-
-/// The §5.1 headline numbers: DAM-C vs RWS / FA / FAM-C.
-fn headline(kernel: Kernel, ps: &[usize], cells: &[Vec<f64>]) {
-    let idx = |p: Policy| Policy::ALL.iter().position(|&q| q == p).unwrap();
-    let best = |target: Policy, base: Policy| {
-        ps.iter()
-            .zip(cells)
-            .map(|(_, row)| row[idx(target)] / row[idx(base)])
-            .fold(f64::MIN, f64::max)
-    };
-    println!(
-        "   {kernel}: DAM-C vs RWS up to {:.2}x | vs FA up to +{:.0}% | vs FAM-C up to +{:.0}%",
-        best(Policy::DamC, Policy::Rws),
-        (best(Policy::DamC, Policy::Fa) - 1.0) * 100.0,
-        (best(Policy::DamC, Policy::FamC) - 1.0) * 100.0,
-    );
 }

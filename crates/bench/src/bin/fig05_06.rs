@@ -6,49 +6,38 @@
 //! execution place); we print the same distribution as a table. Fig. 6
 //! is the per-core cumulative kernel work time plus the total.
 
-use das_bench::{pct, run_synthetic, scale_from_args, tx2_sim};
+use das_bench::{figures, scale_from_args};
 use das_core::Policy;
-use das_sim::{Environment, Modifier};
-use das_topology::CoreId;
-use das_workloads::synthetic::Kernel;
-use std::sync::Arc;
 
 fn main() {
     let scale = scale_from_args();
     println!("Fig. 5/6 — MatMul, parallelism 2, co-runner on Denver core 0 (scale 1/{scale})");
+    let tables = figures::fig05_06(scale);
+    let (fig5, fig6) = (&tables[0], &tables[1]);
 
-    let mut fig6: Vec<(Policy, Vec<f64>, f64)> = Vec::new();
-    for policy in Policy::ALL {
-        let mut sim = tx2_sim(policy);
-        let topo = Arc::clone(&sim.config().topo);
-        sim.set_env(
-            Environment::interference_free(topo).and(Modifier::compute_corunner(CoreId(0))),
-        );
-        let st = run_synthetic(&mut sim, Kernel::MatMul, 2, scale);
-
-        let total: usize = st.high_priority_places.values().sum();
+    for (i, policy) in Policy::ALL.into_iter().enumerate() {
         println!(
             "\n== Fig. 5({}) {policy}: distribution of priority tasks ==",
-            (b'a' + Policy::ALL.iter().position(|&p| p == policy).unwrap() as u8) as char
+            (b'a' + i as u8) as char
         );
-        let mut entries: Vec<_> = st.high_priority_places.iter().collect();
-        entries.sort_by(|a, b| b.1.cmp(a.1));
-        for (&(core, width), &n) in entries {
-            let share = pct(n, total);
+        let shares = fig5.column(policy.name());
+        let mut entries: Vec<(&str, f64)> = fig5
+            .rows
+            .iter()
+            .zip(shares)
+            .filter(|&(_, s)| s > 0.0)
+            .map(|((place, _), s)| (place.as_str(), s))
+            .collect();
+        let small: f64 = entries.iter().map(|&(_, s)| s).filter(|&s| s < 0.5).sum();
+        entries.sort_by(|a, b| b.1.total_cmp(&a.1));
+        for (place, share) in entries {
             if share >= 0.5 {
-                println!("   (C{core},{width})  {share:5.1}%");
+                println!("   {place}  {share:5.1}%");
             }
         }
-        let small: f64 = st
-            .high_priority_places
-            .iter()
-            .filter(|(_, &n)| pct(n, total) < 0.5)
-            .map(|(_, &n)| pct(n, total))
-            .sum();
         if small > 0.0 {
             println!("   (other)  {small:5.1}%");
         }
-        fig6.push((policy, st.core_work.clone(), st.makespan));
     }
 
     println!("\n== Fig. 6: per-core kernel work time [s] (excl. runtime activity & idleness) ==");
@@ -57,11 +46,12 @@ fn main() {
         print!("{:>9}", format!("core{c}"));
     }
     println!("{:>9}{:>10}", "total", "makespan");
-    for (policy, work, makespan) in &fig6 {
-        print!("{:>8}", policy.name());
+    for (policy, cells) in &fig6.rows {
+        print!("{policy:>8}");
+        let (work, tail) = cells.split_at(cells.len() - 2);
         for w in work {
             print!("{w:>9.2}");
         }
-        println!("{:>9.2}{:>10.2}", work.iter().sum::<f64>(), makespan);
+        println!("{:>9.2}{:>10.2}", tail[0], tail[1]);
     }
 }

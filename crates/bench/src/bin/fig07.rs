@@ -2,34 +2,16 @@
 //! the Denver cluster's frequency alternates 2035 MHz ↔ 345 MHz with a
 //! 5 s + 5 s square wave (§5.2).
 
-use das_bench::{print_table, run_synthetic, scale_from_args, tx2_sim};
+use das_bench::{figures, print_table, scale_from_args};
 use das_core::Policy;
-use das_sim::{Environment, Modifier};
-use das_topology::ClusterId;
 use das_workloads::synthetic::Kernel;
-use std::sync::Arc;
 
 fn main() {
     let scale = scale_from_args();
     println!("Fig. 7 — DVFS square wave on the Denver cluster (scale 1/{scale})");
-    let parallelisms: Vec<usize> = (2..=6).collect();
-
-    for kernel in Kernel::ALL {
-        let mut cells = Vec::new();
-        for &p in &parallelisms {
-            let mut row = Vec::new();
-            for policy in Policy::ALL {
-                let mut sim = tx2_sim(policy);
-                let topo = Arc::clone(&sim.config().topo);
-                sim.set_env(
-                    Environment::interference_free(topo).and(Modifier::tx2_dvfs(ClusterId(0))),
-                );
-                let st = run_synthetic(&mut sim, kernel, p, scale);
-                row.push(st.throughput());
-            }
-            cells.push(row);
-        }
-        let xs: Vec<String> = parallelisms.iter().map(|p| p.to_string()).collect();
+    for (kernel, t) in Kernel::ALL.into_iter().zip(figures::fig07(scale)) {
+        let xs: Vec<String> = t.rows.iter().map(|(x, _)| x.clone()).collect();
+        let cells: Vec<Vec<f64>> = t.rows.iter().map(|(_, row)| row.clone()).collect();
         let label = match kernel {
             Kernel::MatMul => "a",
             Kernel::Copy => "b",
@@ -43,24 +25,14 @@ fn main() {
             &cells,
         );
         if kernel == Kernel::Copy {
-            headline_copy(&cells);
+            let h = |i: usize| t.headlines[i].1;
+            println!(
+                "   Copy: DAM-C avg {:.2}x vs RWS, {:.2}x vs RWSM-C, +{:.0}% vs FA, +{:.0}% vs FAM-C",
+                h(0),
+                h(1),
+                (h(2) - 1.0) * 100.0,
+                (h(3) - 1.0) * 100.0,
+            );
         }
     }
-}
-
-/// §5.2 headline (Copy): DAM-C ≈ 2.2×/1.9× over RWS/RWSM-C on average;
-/// +17 %/+12 % over FA/FAM-C.
-fn headline_copy(cells: &[Vec<f64>]) {
-    let idx = |p: Policy| Policy::ALL.iter().position(|&q| q == p).unwrap();
-    let avg = |a: Policy, b: Policy| {
-        let r: f64 = cells.iter().map(|row| row[idx(a)] / row[idx(b)]).sum();
-        r / cells.len() as f64
-    };
-    println!(
-        "   Copy: DAM-C avg {:.2}x vs RWS, {:.2}x vs RWSM-C, +{:.0}% vs FA, +{:.0}% vs FAM-C",
-        avg(Policy::DamC, Policy::Rws),
-        avg(Policy::DamC, Policy::RwsmC),
-        (avg(Policy::DamC, Policy::Fa) - 1.0) * 100.0,
-        (avg(Policy::DamC, Policy::FamC) - 1.0) * 100.0,
-    );
 }

@@ -1,89 +1,21 @@
 //! Fig. 8: sensitivity of DAM-C to the MatMul tile size (32/64/80/96)
 //! and the PTT weighted-update ratio (1/5, 2/5, 3/5, 4/5, 1) — §5.3.
-//!
-//! Small tiles mean sub-millisecond tasks whose observed times are noisy
-//! relative to queueing/rendezvous effects, so a low new-sample weight
-//! (the paper's 1:4) filters the noise; at larger tiles the ratio stops
-//! mattering. The interference source is the same DVFS square wave as
-//! §5.2, providing the performance variation the model must absorb.
 
-use das_bench::{scale_from_args, SEED};
-use das_core::{Policy, WeightRatio};
-use das_dag::generators;
-use das_sim::{Environment, Modifier, SimConfig, SimParams, Simulator};
-use das_topology::{ClusterId, Topology};
-use das_workloads::cost::PaperCost;
-use das_workloads::types;
-use std::sync::Arc;
-
-/// Leader-side measurement jitter (seconds): ±10% of a tile-32 task,
-/// ±1% of a tile-64 one — the mechanism behind the paper's finding that
-/// the weight ratio only matters for tiny tiles.
-const OBS_NOISE: f64 = 1.2e-4;
-
-fn run(tile: usize, ratio: WeightRatio, tasks: usize, half_period: f64) -> f64 {
-    let topo = Arc::new(Topology::tx2());
-    // Parallelism 2: the run is critical-path bound, so a mistrained
-    // model (placing the layer-gating task on the DVFS-throttled or
-    // wrong cluster) shows up directly in throughput. At parallelism 6
-    // the TX2 is saturated and no placement decision can move the
-    // aggregate rate.
-    let dag = generators::layered_total(types::MATMUL, 2, tasks);
-    let mut sim = Simulator::new(
-        SimConfig::new(Arc::clone(&topo), Policy::DamC)
-            .cost(Arc::new(PaperCost::with_tile(tile)))
-            .ratio(ratio)
-            .params(SimParams {
-                obs_noise: OBS_NOISE,
-                ..SimParams::default()
-            })
-            .seed(SEED),
-    );
-    sim.set_env(
-        Environment::interference_free(topo).and(Modifier::DvfsSquareWave {
-            cluster: ClusterId(0),
-            low_factor: 345.0 / 2035.0,
-            half_period,
-            from: 0.0,
-            until: f64::INFINITY,
-        }),
-    );
-    sim.run(&dag).expect("fig8 run").throughput()
-}
+use das_bench::{figures, scale_from_args};
 
 fn main() {
     let scale = scale_from_args();
     println!("Fig. 8 — tile size × PTT weight ratio, MatMul, DAM-C, DVFS (scale 1/{scale})");
-    let tiles = [32usize, 64, 80, 96];
-    let ratios = [
-        WeightRatio::new(1, 5),
-        WeightRatio::new(2, 5),
-        WeightRatio::new(3, 5),
-        WeightRatio::new(4, 5),
-        WeightRatio::replace(),
-    ];
-
+    let t = figures::fig08(scale).swap_remove(0);
     print!("{:>6}", "tile");
-    for r in ratios {
-        print!("{:>10}", r.label());
+    for r in &t.columns {
+        print!("{r:>10}");
     }
     println!("   [throughput, tasks/s]");
-
-    for tile in tiles {
+    for (tile, cells) in &t.rows {
         print!("{tile:>6}");
-        let _ = std::io::Write::flush(&mut std::io::stdout());
-        // Task count shrinks as tile work grows, keeping runs comparable
-        // (the paper's y axis spans 0..16k tasks/s at tile 32).
-        let tasks = (32_000 / scale).max(600);
-        // Calibrate the wave so every run spans ~8 full DVFS cycles
-        // regardless of tile size (tile-32 runs are ~40x shorter than
-        // tile-96 ones; a fixed 5 s phase would fit entirely inside the
-        // first high phase and the ratio could never matter).
-        let probe = tasks as f64 / run(tile, WeightRatio::PAPER, tasks, f64::INFINITY);
-        let half_period = probe / 16.0;
-        for ratio in ratios {
-            print!("{:>10.0}", run(tile, ratio, tasks, half_period));
-            let _ = std::io::Write::flush(&mut std::io::stdout());
+        for v in cells {
+            print!("{v:>10.0}");
         }
         println!();
     }

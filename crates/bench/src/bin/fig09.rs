@@ -1,114 +1,52 @@
 //! Fig. 9: K-means clustering on a 16-core dual-socket Haswell model.
 //! A co-runner occupies socket 0 during iterations 20–70; the PTT trains
 //! on the first iterations before the interference starts (§5.4).
-//!
-//! (a) per-iteration execution time for RWS, DAM-C and DAM-P;
-//! (b)/(c) execution places selected per iteration for RWS and DAM-P.
 
-use das_bench::{scale_from_args, SEED};
-use das_core::Policy;
-use das_sim::{Environment, Modifier, RunStats, SimConfig, Simulator};
-use das_topology::{CoreId, Topology};
-use das_workloads::cost::PaperCost;
-use das_workloads::kmeans;
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
-const ITERS: usize = 100;
-const INTERFERE: std::ops::Range<usize> = 20..70;
+use das_bench::{figures, scale_from_args};
 
 fn main() {
     let scale = scale_from_args();
-    // 64 chunks at 0.2 s of work each / 16 cores ≈ 0.8 s per iteration,
-    // the ballpark of the paper's Fig. 9(a) y-axis.
     let chunks = (64 / scale).max(8);
     println!(
         "Fig. 9 — K-means, 16-core 2-socket Haswell, co-runner on socket 0 \
-         during iterations {}..{} ({chunks} chunks/iteration)",
-        INTERFERE.start, INTERFERE.end
+         during iterations 20..70 ({chunks} chunks/iteration)"
     );
-
-    let policies = [Policy::DamP, Policy::DamC, Policy::Rws];
-    let mut times: BTreeMap<Policy, Vec<f64>> = BTreeMap::new();
-    let mut places: BTreeMap<Policy, Vec<RunStats>> = BTreeMap::new();
-
-    for policy in policies {
-        let topo = Arc::new(Topology::haswell_2x8());
-        let mut sim = Simulator::new(
-            SimConfig::new(Arc::clone(&topo), policy)
-                .cost(Arc::new(PaperCost::new()))
-                .seed(SEED),
-        );
-        for it in 0..ITERS {
-            let env = if INTERFERE.contains(&it) {
-                Environment::interference_free(Arc::clone(&topo)).and(Modifier::Slowdown {
-                    first_core: CoreId(0),
-                    num_cores: 8,
-                    factor: 0.5,
-                    mem_pressure: 0.2,
-                    from: 0.0,
-                    until: f64::INFINITY,
-                })
-            } else {
-                Environment::interference_free(Arc::clone(&topo))
-            };
-            sim.set_env(env);
-            let dag = kmeans::iteration_dag(chunks, it as u64);
-            let st = sim.run(&dag).expect("kmeans iteration");
-            times.entry(policy).or_default().push(st.makespan);
-            places.entry(policy).or_default().push(st);
-        }
-    }
+    let tables = figures::fig09(scale);
+    let a = &tables[0];
 
     println!("\n== Fig. 9(a): per-iteration time [s] ==");
     print!("{:>5}", "iter");
-    for p in policies {
-        print!("{:>10}", p.name());
+    for p in &a.columns {
+        print!("{p:>10}");
     }
     println!();
-    // Row-major print across the per-policy columns; indexing is the
-    // natural shape here.
-    #[allow(clippy::needless_range_loop)]
-    for it in 0..ITERS {
+    for (it, cells) in &a.rows {
         print!("{it:>5}");
-        for p in policies {
-            print!("{:>10.3}", times[&p][it]);
+        for v in cells {
+            print!("{v:>10.3}");
         }
         println!();
     }
-    for p in policies {
-        let avg = |r: std::ops::Range<usize>| {
-            let v = &times[&p][r.start..r.end];
-            v.iter().sum::<f64>() / v.len() as f64
-        };
+    for (p, h) in a.columns.iter().zip(a.headlines.chunks(3)) {
         println!(
             "   {p}: avg before {:.3}s | during interference {:.3}s | after {:.3}s",
-            avg(5..INTERFERE.start),
-            avg(INTERFERE.start..INTERFERE.end),
-            avg(INTERFERE.end..ITERS),
+            h[0].1, h[1].1, h[2].1,
         );
     }
 
-    for (policy, label) in [(Policy::Rws, "b"), (Policy::DamP, "c")] {
+    for (t, (policy, label)) in tables[1..].iter().zip([("RWS", "b"), ("DAM-P", "c")]) {
         println!("\n== Fig. 9({label}): task count per execution place, {policy} ==");
-        // Aggregate in three windows, like reading the curves of the
-        // figure at a glance.
-        for (name, r) in [
-            ("before (0..20)", 0..INTERFERE.start),
-            ("during (20..70)", INTERFERE.clone()),
-            ("after (70..100)", INTERFERE.end..ITERS),
-        ] {
-            let mut agg: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-            for st in &places[&policy][r] {
-                for (&k, &n) in &st.all_places {
-                    *agg.entry(k).or_insert(0) += n;
-                }
-            }
-            let mut v: Vec<_> = agg.into_iter().collect();
+        for (w, name) in t.columns.iter().enumerate() {
+            let mut v: Vec<(&str, usize)> = t
+                .rows
+                .iter()
+                .filter(|(_, c)| c[w] > 0.0)
+                .map(|(place, c)| (place.as_str(), c[w] as usize))
+                .collect();
             v.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
             print!("   {name:<16}");
-            for ((c, w), n) in v.into_iter().take(8) {
-                print!(" ({c},{w})x{n}");
+            for (place, n) in v.into_iter().take(8) {
+                print!(" {place}x{n}");
             }
             println!();
         }

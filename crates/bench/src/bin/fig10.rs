@@ -1,67 +1,32 @@
 //! Fig. 10: distributed 2-D Heat on the 4-node Haswell cluster model
 //! (80 cores), with an interfering matrix-multiplication kernel on 5
 //! cores of a single socket of node 0 (§5.4).
-//!
-//! Communication (ghost exchange) tasks are node-affine and high
-//! priority; FA/FAM-C are dropped because the platform is statically
-//! symmetric, exactly as in the paper.
 
-use das_bench::{scale_from_args, SEED};
-use das_core::Policy;
-use das_sim::{Environment, Modifier, SimConfig, Simulator};
-use das_topology::{CoreId, Topology};
-use das_workloads::cost::PaperCost;
-use das_workloads::heat;
-use std::sync::Arc;
+use das_bench::{figures, scale_from_args};
 
 fn main() {
     let scale = scale_from_args();
     let iters = (60 / scale).max(5);
-    let chunks = 16;
     println!(
         "Fig. 10 — distributed 2-D Heat, 4 nodes x 20 cores, \
          interference on 5 cores of node 0 socket 0 ({iters} iterations)"
     );
-
-    let mut results = Vec::new();
-    for policy in Policy::SYMMETRIC {
-        let topo = Arc::new(Topology::haswell_cluster(4));
-        let mut sim = Simulator::new(
-            SimConfig::new(Arc::clone(&topo), policy)
-                .cost(Arc::new(PaperCost::new()))
-                .seed(SEED),
-        );
-        sim.set_env(
-            Environment::interference_free(Arc::clone(&topo)).and(Modifier::Slowdown {
-                first_core: CoreId(0),
-                num_cores: 5,
-                factor: 0.5,
-                mem_pressure: 0.2,
-                from: 0.0,
-                until: f64::INFINITY,
-            }),
-        );
-        let dag = heat::cluster_dag(4, chunks, iters, 1e-3);
-        let st = sim.run(&dag).expect("fig10 run");
+    let t = figures::fig10(scale).swap_remove(0);
+    for (policy, c) in &t.rows {
         println!(
             "   {:<8} throughput {:>7.0} tasks/s  (makespan {:.2}s, steals {})",
-            policy.name(),
-            st.throughput(),
-            st.makespan,
-            st.steals
+            policy, c[0], c[1], c[2] as usize
         );
-        results.push((policy, st.throughput()));
     }
-
-    let get = |p: Policy| results.iter().find(|(q, _)| *q == p).unwrap().1;
+    let h = |i: usize| t.headlines[i].1;
     println!(
         "\n   headline: DAM-C +{:.0}% vs RWS (paper: +76%), +{:.0}% vs RWSM-C (paper: +17%)",
-        (get(Policy::DamC) / get(Policy::Rws) - 1.0) * 100.0,
-        (get(Policy::DamC) / get(Policy::RwsmC) - 1.0) * 100.0,
+        (h(0) - 1.0) * 100.0,
+        (h(1) - 1.0) * 100.0,
     );
     println!(
         "   moldability vs DA: DAM-C {:+.0}%, DAM-P {:+.0}%",
-        (get(Policy::DamC) / get(Policy::Da) - 1.0) * 100.0,
-        (get(Policy::DamP) / get(Policy::Da) - 1.0) * 100.0,
+        (h(2) - 1.0) * 100.0,
+        (h(3) - 1.0) * 100.0,
     );
 }

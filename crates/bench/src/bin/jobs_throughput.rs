@@ -1,82 +1,21 @@
 //! `jobs_throughput` — online multi-job scheduling under an open-loop
-//! arrival stream, driven **exclusively through the backend-neutral
-//! executor contract** (`das_core::exec::Executor`).
-//!
-//! The paper evaluates one DAG at a time; this harness measures the
-//! regime a production deployment lives in: jobs arriving continuously,
-//! multiple DAGs in flight, contending for the cores and sharing the
-//! PTT. For each policy it reports completed jobs/second and the
-//! sojourn-time distribution (p50/p95/p99) — sojourn (arrival to last
-//! commit) is what a client of the system observes.
-//!
-//! Every stream goes through one generic driver over
-//! `&mut dyn Executor<Graph = G>`: the simulator executes the seeded
-//! arrival process in simulated time (bit-reproducibly), and the same
-//! stream — converted to no-op task graphs — runs on the threaded
-//! worker pool in wall-clock time, demonstrating that one client works
-//! against either backend.
-//!
-//! Flags (all optional):
-//!
-//! * `--seed N`    RNG seed for arrivals, shapes and stealing (42)
-//! * `--jobs N`    jobs per stream (200; divided by `--scale`)
-//! * `--rate R`    mean arrival rate, jobs per simulated second (150)
-//! * `--burst N`   also run a bursty stream with bursts of N (4)
-//! * `--scale N`   divide the job count by N for quick runs (1)
-//!
-//! The simulator sections are deterministic: same flags, same numbers,
-//! bit for bit. The threaded-runtime section is wall clock and varies
-//! with the host (job counts and stream structure stay fixed).
+//! arrival stream, driven through the backend-neutral executor contract
+//! (`das_core::exec::Executor`). The simulator sections are
+//! deterministic; the threaded-runtime section is wall clock.
 
-use das_bench::scale_from_args;
+use das_bench::{figures, scale_from_args};
 use das_core::exec::{ExecReport, Executor, SessionBuilder};
 use das_core::jobs::JobSpec;
 use das_core::Policy;
-use das_dag::Dag;
 use das_runtime::{Runtime, TaskGraph};
-use das_sim::Simulator;
 use das_topology::Topology;
 use das_workloads::arrivals::{JobShape, StreamConfig};
 use std::sync::Arc;
 
-/// Parse `name <value>` from argv; integers stay integers (an f64
-/// round-trip would silently round seeds above 2^53).
-fn flag<T: std::str::FromStr>(name: &str) -> Option<T> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next().and_then(|v| v.parse().ok());
-        }
-    }
-    None
-}
-
-/// The one driver both backends go through: nothing here knows which
-/// executor it is talking to.
-fn run_via<G>(ex: &mut dyn Executor<Graph = G>, jobs: Vec<JobSpec<G>>) -> ExecReport {
-    ex.run_stream(jobs).expect("stream completes")
-}
-
-fn sim_executor(policy: Policy, seed: u64) -> Simulator {
-    Simulator::from_session(&SessionBuilder::new(Arc::new(Topology::tx2()), policy).seed(seed))
-}
-
-/// The same stream as a runtime workload: identical shapes, metadata
-/// and arrival plan, no-op bodies (the contract is about scheduling
-/// and accounting, not kernels).
-fn to_runtime_jobs(jobs: &[JobSpec<Dag>]) -> Vec<JobSpec<TaskGraph>> {
-    jobs.iter().map(TaskGraph::noop_job_from_dag).collect()
-}
-
-fn print_row(label: &str, report: &ExecReport) {
+fn print_row(label: &str, cells: [f64; 5]) {
     println!(
         "{:>8} {:>10.2} {:>12.6} {:>12.6} {:>12.6} {:>12.6}",
-        label,
-        report.jobs_per_sec(),
-        report.sojourn_percentile(0.50).unwrap_or(0.0),
-        report.sojourn_percentile(0.95).unwrap_or(0.0),
-        report.sojourn_percentile(0.99).unwrap_or(0.0),
-        report.queueing_percentile(0.99).unwrap_or(0.0),
+        label, cells[0], cells[1], cells[2], cells[3], cells[4],
     );
 }
 
@@ -88,65 +27,50 @@ fn header(title: &str) {
     );
 }
 
-fn report_sim(title: &str, seed: u64, policies: &[Policy], jobs: &[JobSpec<Dag>]) {
-    header(title);
-    for &policy in policies {
-        let mut sim = sim_executor(policy, seed);
-        let report = run_via(&mut sim, jobs.to_vec());
-        print_row(policy.name(), &report);
-    }
-}
-
 fn main() {
     let scale = scale_from_args();
-    let seed: u64 = flag("--seed").unwrap_or(42);
-    let jobs = (flag::<usize>("--jobs").unwrap_or(200) / scale).max(8);
-    let rate: f64 = flag("--rate").unwrap_or(150.0);
-    let burst: usize = flag("--burst").unwrap_or(4);
-
-    let policies = [Policy::Rws, Policy::RwsmC, Policy::DamC, Policy::DamP];
-    let shape = JobShape::Mixed {
-        parallelism: 4,
-        layers: 6,
-    };
-
+    let (seed, rate, burst) = (42u64, 150.0, 4);
+    let jobs = (200 / scale).max(8);
     println!("jobs_throughput: {jobs} jobs, rate {rate}/s, seed {seed}");
 
-    // Each stream is generated once (deterministically) and shared by
-    // every policy run and the runtime section below.
+    let titles = [
+        format!("Poisson arrivals ({rate}/s)"),
+        format!("Bursty arrivals ({rate}/s, bursts of {burst})"),
+    ];
+    for (title, t) in titles.iter().zip(figures::jobs_throughput(scale)) {
+        header(title);
+        for (policy, c) in &t.rows {
+            print_row(policy, [c[0], c[1], c[2], c[3], c[4]]);
+        }
+    }
+
     let poisson = StreamConfig::poisson(seed, jobs, rate)
-        .shape(shape)
+        .shape(JobShape::Mixed {
+            parallelism: 4,
+            layers: 6,
+        })
         .generate();
-    report_sim(
-        &format!("Poisson arrivals ({rate}/s)"),
-        seed,
-        &policies,
-        &poisson,
-    );
-
-    let bursty = StreamConfig::bursty(seed, jobs, rate, burst)
-        .shape(shape)
-        .generate();
-    report_sim(
-        &format!("Bursty arrivals ({rate}/s, bursts of {burst})"),
-        seed,
-        &policies,
-        &bursty,
-    );
-
-    // The same Poisson stream's prefix through the other backend: real
-    // worker threads, wall-clock time, no-op bodies. Job counts are
-    // capped so the smoke run stays quick; times here vary with the
-    // host.
-    let rt_jobs = to_runtime_jobs(&poisson[..jobs.min(64)]);
+    let rt_jobs: Vec<JobSpec<TaskGraph>> = poisson[..jobs.min(64)]
+        .iter()
+        .map(TaskGraph::noop_job_from_dag)
+        .collect();
     header("threaded runtime, same stream (wall clock)");
-    for &policy in &policies {
+    for policy in [Policy::Rws, Policy::RwsmC, Policy::DamC, Policy::DamP] {
         let mut rt = Runtime::from_session(&SessionBuilder::new(
             Arc::new(Topology::symmetric(4)),
             policy,
         ));
-        let report = run_via(&mut rt, rt_jobs.clone());
+        let report: ExecReport = rt.run_stream(rt_jobs.clone()).expect("stream completes");
         assert_eq!(report.jobs.jobs.len(), rt_jobs.len());
-        print_row(policy.name(), &report);
+        print_row(
+            policy.name(),
+            [
+                report.jobs_per_sec(),
+                report.sojourn_percentile(0.50).unwrap_or(0.0),
+                report.sojourn_percentile(0.95).unwrap_or(0.0),
+                report.sojourn_percentile(0.99).unwrap_or(0.0),
+                report.queueing_percentile(0.99).unwrap_or(0.0),
+            ],
+        );
     }
 }

@@ -9,23 +9,13 @@ use das_topology::Topology;
 use std::sync::Arc;
 
 fn main() {
-    println!("Table 1. Features summary of all evaluated schedulers");
-    println!(
-        "{:<8} {:<22} {:<13} {:<18}",
-        "Name", "[A]symmetry awareness", "[M]oldability", "Priority placement"
-    );
-    for p in Policy::ALL {
-        println!(
-            "{:<8} {:<22} {:<13} {:<18}",
-            p.name(),
-            p.asymmetry_awareness(),
-            if p.moldable() { "Yes" } else { "No" },
-            p.priority_placement(),
-        );
+    let t = das_bench::figures::table1(1).swap_remove(0);
+    println!("{}", t.title);
+    println!("{}", t.axis);
+    for (line, _) in &t.rows {
+        println!("{line}");
     }
 
-    // Every policy above runs unchanged on either side of the executor
-    // contract: one SessionBuilder, two backends.
     let session = SessionBuilder::new(Arc::new(Topology::tx2()), Policy::DamC);
     let sim = Simulator::from_session(&session);
     let rt = Runtime::from_session(&session);

@@ -31,6 +31,64 @@ use das_workloads::cost::PaperCost;
 use das_workloads::synthetic::{self, Kernel};
 use std::sync::Arc;
 
+pub mod figures;
+
+/// One table of a figure: labelled rows of numbers under labelled
+/// columns, plus the headline scalars the paper's text reads off it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Table {
+    /// What the table shows, units included.
+    pub title: String,
+    /// Header of the row-label column (the figure's x axis).
+    pub axis: String,
+    /// One label per cell column.
+    pub columns: Vec<String>,
+    /// `(label, cells)`, one cell per column.
+    pub rows: Vec<(String, Vec<f64>)>,
+    /// `(name, value)` headline scalars, e.g. a best ratio.
+    pub headlines: Vec<(String, f64)>,
+}
+
+impl Table {
+    /// An empty table.
+    pub fn new(
+        title: impl Into<String>,
+        axis: impl Into<String>,
+        columns: impl IntoIterator<Item = impl Into<String>>,
+    ) -> Self {
+        Table {
+            title: title.into(),
+            axis: axis.into(),
+            columns: columns.into_iter().map(Into::into).collect(),
+            rows: Vec::new(),
+            headlines: Vec::new(),
+        }
+    }
+
+    /// Append a row.
+    pub fn row(&mut self, label: impl Into<String>, cells: Vec<f64>) {
+        self.rows.push((label.into(), cells));
+    }
+
+    /// Append a headline scalar.
+    pub fn headline(&mut self, name: impl Into<String>, value: f64) {
+        self.headlines.push((name.into(), value));
+    }
+
+    /// The cells of column `name`, top to bottom.
+    ///
+    /// # Panics
+    /// Panics if the table has no column `name`.
+    pub fn column(&self, name: &str) -> Vec<f64> {
+        let i = self
+            .columns
+            .iter()
+            .position(|c| c == name)
+            .unwrap_or_else(|| panic!("no column {name:?} in {:?}", self.title));
+        self.rows.iter().map(|(_, cells)| cells[i]).collect()
+    }
+}
+
 /// Parse `--scale N` from argv or `DAS_SCALE` from the environment;
 /// defaults to 1 (paper-sized).
 pub fn scale_from_args() -> usize {
