@@ -10,7 +10,7 @@
 
 use crate::{pct, Table};
 use das_core::exec::{Executor, SessionBuilder};
-use das_core::{Policy, TaskTypeId, WeightRatio};
+use das_core::{Policy, WeightRatio};
 use das_dag::{generators, Dag};
 use das_sim::{Environment, Modifier, PlaceKey, RunStats, SimParams, Simulator};
 use das_topology::{ClusterId, CoreId, Topology};
@@ -23,7 +23,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 /// Fixed seed of every simulated figure (bit-for-bit reproducible).
-pub const SEED: u64 = 0x1c99_2020;
+const SEED: u64 = 0x1c99_2020;
 
 /// A figure: its tables with the paper's task counts divided by the
 /// argument (`1` is paper-sized).
@@ -77,16 +77,11 @@ fn corunner_sim(session: &SessionBuilder, kernel: Kernel) -> Simulator {
     perturbed(session, PaperCost::new(), corunner)
 }
 
-/// Throughput of the synthetic `kernel` DAG at `parallelism` in the
+/// Throughput of the synthetic `kernel` DAG at parallelism `p` in the
 /// co-runner scenario.
-fn corunner_throughput(
-    session: &SessionBuilder,
-    kernel: Kernel,
-    parallelism: usize,
-    scale: usize,
-) -> f64 {
+fn corunner_throughput(session: &SessionBuilder, kernel: Kernel, p: usize, scale: usize) -> f64 {
     let mut sim = corunner_sim(session, kernel);
-    run(&mut sim, &synthetic::dag(kernel, parallelism, scale)).throughput()
+    run(&mut sim, &synthetic::dag(kernel, p, scale)).throughput()
 }
 
 /// The §5.2 DVFS square wave on the Denver cluster: 2035 MHz ↔ 345 MHz,
@@ -101,12 +96,12 @@ fn dvfs(half_period: f64) -> Modifier {
     }
 }
 
-/// The §5.4 interfering application: the first `cores` cores run at half
-/// speed under memory pressure.
-fn slowdown(cores: usize) -> Modifier {
+/// The §5.4 interfering application: the first `num_cores` cores run at
+/// half speed under memory pressure.
+fn slowdown(num_cores: usize) -> Modifier {
     Modifier::Slowdown {
         first_core: CoreId(0),
-        num_cores: cores,
+        num_cores,
         factor: 0.5,
         mem_pressure: 0.2,
         from: 0.0,
@@ -114,33 +109,28 @@ fn slowdown(cores: usize) -> Modifier {
     }
 }
 
-/// Figure-panel letter of each kernel in Figs. 4 and 7.
-fn panel(kernel: Kernel) -> &'static str {
-    match kernel {
-        Kernel::MatMul => "a",
-        Kernel::Copy => "b",
-        Kernel::Stencil => "c",
-    }
-}
-
-/// Throughput [tasks/s] per DAG parallelism 2–6 (rows) and policy
-/// (columns).
-fn parallelism_sweep(
-    title: String,
-    policies: &[Policy],
-    mut throughput: impl FnMut(Policy, usize) -> f64,
-) -> Table {
-    let mut t = Table::new(title, "parallelism", policies.iter().map(|p| p.name()));
-    for p in 2..=6 {
-        t.row(
-            p.to_string(),
-            policies
+/// One throughput [tasks/s] table per kernel (panels a–c of Figs. 4 and
+/// 7): a row per DAG parallelism 2–6, a column per policy.
+fn kernel_sweeps(
+    figure: &str,
+    scenario: &str,
+    policies: impl Fn(Kernel) -> &'static [Policy],
+    throughput: impl Fn(&SessionBuilder, Kernel, usize) -> f64,
+) -> Vec<Table> {
+    let panels = Kernel::ALL.into_iter().zip(["a", "b", "c"]);
+    let tables = panels.map(|(kernel, panel)| {
+        let policies = policies(kernel);
+        let title = format!("{figure}({panel}) {kernel} throughput [tasks/s], {scenario}");
+        let mut t = Table::new(title, "parallelism", policies.iter().map(|p| p.name()));
+        for p in 2..=6 {
+            let cells = policies
                 .iter()
-                .map(|&policy| throughput(policy, p))
-                .collect(),
-        );
-    }
-    t
+                .map(|&policy| throughput(&tx2(policy), kernel, p));
+            t.row(p.to_string(), cells.collect());
+        }
+        t
+    });
+    tables.collect()
 }
 
 /// Row-wise `num / den` over two columns of `t`.
@@ -150,28 +140,26 @@ fn ratios(t: &Table, num: Policy, den: Policy) -> impl Iterator<Item = f64> {
 }
 
 /// Table 1: the feature matrix of the evaluated schedulers.
-pub fn table1(_scale: usize) -> Vec<Table> {
-    let line = |name, asym, mold, prio| format!("{name:<8} {asym:<22} {mold:<13} {prio:<18}");
-    let mut t = Table::new(
-        "Table 1. Features summary of all evaluated schedulers",
-        line(
-            "Name",
-            "[A]symmetry awareness",
-            "[M]oldability",
-            "Priority placement",
-        ),
-        Vec::<String>::new(),
-    );
+fn table1(_scale: usize) -> Vec<Table> {
+    let line = |c: [&str; 4]| format!("{:<8} {:<22} {:<13} {:<18}", c[0], c[1], c[2], c[3]);
+    let header = line([
+        "Name",
+        "[A]symmetry awareness",
+        "[M]oldability",
+        "Priority placement",
+    ]);
+    let title = "Table 1. Features summary of all evaluated schedulers";
+    let mut t = Table::new(title, header, Vec::<String>::new());
     for p in Policy::ALL {
         let mold = if p.moldable() { "Yes" } else { "No" };
         t.row(
-            line(
+            line([
                 p.name(),
                 p.asymmetry_awareness(),
                 mold,
                 p.priority_placement(),
-            ),
-            Vec::new(),
+            ]),
+            vec![],
         );
     }
     vec![t]
@@ -181,246 +169,190 @@ pub fn table1(_scale: usize) -> Vec<Table> {
 /// kernel and DAG parallelism. Panel (a) adds the dHEFT reference
 /// scheduler (§6): dynamic like DAM, but width-1 only and never
 /// stealing, so it can neither mold nor rebalance.
-pub fn fig04(scale: usize) -> Vec<Table> {
-    Kernel::ALL
-        .into_iter()
-        .map(|kernel| {
-            let policies: &[Policy] = if kernel == Kernel::MatMul {
-                &Policy::WITH_EXTENSIONS
-            } else {
-                &Policy::ALL
-            };
-            let mut t = parallelism_sweep(
-                format!(
-                    "Fig. 4({}) {kernel} throughput [tasks/s], co-runner on Denver core 0",
-                    panel(kernel)
-                ),
-                policies,
-                |policy, p| corunner_throughput(&tx2(policy), kernel, p, scale),
-            );
-            for base in [Policy::Rws, Policy::Fa, Policy::FamC] {
-                let best = ratios(&t, Policy::DamC, base).fold(f64::MIN, f64::max);
-                t.headline(format!("DAM-C / {base}, best"), best);
-            }
-            t
-        })
-        .collect()
+fn fig04(scale: usize) -> Vec<Table> {
+    let policies = |k| match k {
+        Kernel::MatMul => &Policy::WITH_EXTENSIONS[..],
+        _ => &Policy::ALL[..],
+    };
+    let scenario = "co-runner on Denver core 0";
+    let throughput = |s: &_, k, p| corunner_throughput(s, k, p, scale);
+    let mut tables = kernel_sweeps("Fig. 4", scenario, policies, throughput);
+    for t in &mut tables {
+        for base in [Policy::Rws, Policy::Fa, Policy::FamC] {
+            let best = ratios(t, Policy::DamC, base).fold(f64::MIN, f64::max);
+            t.headline(format!("DAM-C / {base}, best"), best);
+        }
+    }
+    tables
 }
 
 /// Figs. 5 and 6: where priority tasks execute, and how much kernel work
 /// each core accumulates, for MatMul at parallelism 2 under the
 /// co-runner.
-pub fn fig05_06(scale: usize) -> Vec<Table> {
-    let runs: Vec<RunStats> = Policy::ALL
-        .iter()
-        .map(|&policy| {
-            let mut sim = corunner_sim(&tx2(policy), Kernel::MatMul);
-            run(&mut sim, &synthetic::dag(Kernel::MatMul, 2, scale))
-        })
-        .collect();
+fn fig05_06(scale: usize) -> Vec<Table> {
+    let runs = Policy::ALL.map(|policy| {
+        let mut sim = corunner_sim(&tx2(policy), Kernel::MatMul);
+        run(&mut sim, &synthetic::dag(Kernel::MatMul, 2, scale))
+    });
     let names = Policy::ALL.map(Policy::name);
+    let title =
+        "Fig. 5 — priority tasks per execution place [%], MatMul, parallelism 2, co-runner on C0";
+    let shares = runs.each_ref().map(|st| {
+        let total = st.high_priority_places.values().sum();
+        let share = st
+            .high_priority_places
+            .iter()
+            .map(|(&k, &n)| (k, pct(n, total)));
+        share.collect()
+    });
+    let fig5 = by_place(Table::new(title, "place", names), "C", &shares);
 
-    let mut fig5 = Table::new(
-        "Fig. 5 — priority tasks per execution place [%], MatMul, parallelism 2, co-runner on C0",
-        "place",
-        names,
-    );
-    let places: BTreeSet<PlaceKey> = runs
-        .iter()
-        .flat_map(|st| st.high_priority_places.keys().copied())
-        .collect();
-    for place @ (core, width) in places {
-        let shares = runs.iter().map(|st| {
-            let total = st.high_priority_places.values().sum();
-            pct(
-                st.high_priority_places.get(&place).copied().unwrap_or(0),
-                total,
-            )
-        });
-        fig5.row(format!("(C{core},{width})"), shares.collect());
-    }
-
-    let cores = Topology::tx2().num_cores();
-    let mut fig6 = Table::new(
-        "Fig. 6 — per-core kernel work time [s] (excl. runtime activity and idleness)",
-        "policy",
-        (0..cores)
-            .map(|c| format!("core{c}"))
-            .chain(["total".into(), "makespan".into()]),
-    );
+    let title = "Fig. 6 — per-core kernel work time [s] (excl. runtime activity and idleness)";
+    let cores = (0..Topology::tx2().num_cores()).map(|c| format!("core{c}"));
+    let columns = cores.chain(["total".into(), "makespan".into()]);
+    let mut fig6 = Table::new(title, "policy", columns);
     for (name, st) in names.into_iter().zip(&runs) {
-        let mut cells = st.core_work.clone();
-        cells.push(st.core_work.iter().sum());
-        cells.push(st.makespan);
-        fig6.row(name, cells);
+        let total = st.core_work.iter().sum();
+        fig6.row(name, [&st.core_work[..], &[total, st.makespan]].concat());
     }
     vec![fig5, fig6]
 }
 
-/// Fig. 7: throughput of every scheduler under the §5.2 DVFS wave (5 s +
-/// 5 s) on the Denver cluster.
-pub fn fig07(scale: usize) -> Vec<Table> {
-    Kernel::ALL
-        .into_iter()
-        .map(|kernel| {
-            let mut t = parallelism_sweep(
-                format!(
-                    "Fig. 7({}) {kernel} throughput [tasks/s], DVFS square wave on Denver",
-                    panel(kernel)
-                ),
-                &Policy::ALL,
-                |policy, p| {
-                    let mut sim = perturbed(&tx2(policy), PaperCost::new(), dvfs(5.0));
-                    run(&mut sim, &synthetic::dag(kernel, p, scale)).throughput()
-                },
-            );
-            // §5.2 quotes Copy: DAM-C ≈ 2.2× / 1.9× over RWS / RWSM-C,
-            // +17 % / +12 % over FA / FAM-C, on average.
-            if kernel == Kernel::Copy {
-                for base in [Policy::Rws, Policy::RwsmC, Policy::Fa, Policy::FamC] {
-                    let r: f64 = ratios(&t, Policy::DamC, base).sum();
-                    t.headline(format!("DAM-C / {base}, mean"), r / t.rows.len() as f64);
-                }
-            }
-            t
-        })
-        .collect()
+/// `t` with one row per execution place any of `columns` holds, labelled
+/// `({core_prefix}core,width)`; absent places read 0.
+fn by_place(mut t: Table, core_prefix: &str, columns: &[BTreeMap<PlaceKey, f64>]) -> Table {
+    let places: BTreeSet<PlaceKey> = columns.iter().flat_map(|c| c.keys().copied()).collect();
+    for place @ (core, width) in places {
+        let cells = columns
+            .iter()
+            .map(|c| c.get(&place).copied().unwrap_or(0.0));
+        t.row(format!("({core_prefix}{core},{width})"), cells.collect());
+    }
+    t
 }
 
-/// Leader-side measurement jitter of Fig. 8 (seconds): ±10 % of a
-/// tile-32 task, ±1 % of a tile-64 one — why the weight ratio only
-/// matters for tiny tiles.
-const OBS_NOISE: f64 = 1.2e-4;
+/// Fig. 7: throughput of every scheduler under the §5.2 DVFS wave (5 s +
+/// 5 s) on the Denver cluster.
+fn fig07(scale: usize) -> Vec<Table> {
+    let throughput = |s: &_, k, p| {
+        let mut sim = perturbed(s, PaperCost::new(), dvfs(5.0));
+        run(&mut sim, &synthetic::dag(k, p, scale)).throughput()
+    };
+    let scenario = "DVFS square wave on Denver";
+    let mut tables = kernel_sweeps("Fig. 7", scenario, |_| &Policy::ALL, throughput);
+    // §5.2 quotes Copy: DAM-C ≈ 2.2× / 1.9× over RWS / RWSM-C, +17 % /
+    // +12 % over FA / FAM-C, on average.
+    let copy = &mut tables[1];
+    for base in [Policy::Rws, Policy::RwsmC, Policy::Fa, Policy::FamC] {
+        let r: f64 = ratios(copy, Policy::DamC, base).sum();
+        copy.headline(format!("DAM-C / {base}, mean"), r / copy.rows.len() as f64);
+    }
+    tables
+}
 
 /// One Fig. 8 cell: DAM-C throughput on a parallelism-2 MatMul DAG (the
 /// critical path bounds it, so a mistrained model shows) under a DVFS
-/// wave of `half_period`.
+/// wave of `half_period`. The leader-side measurement jitter, ±10 % of
+/// a tile-32 task and ±1 % of a tile-64 one, is why the weight ratio
+/// only matters for tiny tiles.
 fn fig08_run(tile: usize, ratio: WeightRatio, tasks: usize, half_period: f64) -> f64 {
-    let session = tx2(Policy::DamC).ratio(ratio).sim_params(SimParams {
-        obs_noise: OBS_NOISE,
+    let params = SimParams {
+        obs_noise: 1.2e-4,
         ..SimParams::default()
-    });
+    };
+    let session = tx2(Policy::DamC).ratio(ratio).sim_params(params);
     let mut sim = perturbed(&session, PaperCost::with_tile(tile), dvfs(half_period));
-    run(
-        &mut sim,
-        &generators::layered_total(types::MATMUL, 2, tasks),
-    )
-    .throughput()
+    let dag = generators::layered_total(types::MATMUL, 2, tasks);
+    run(&mut sim, &dag).throughput()
 }
 
 /// Fig. 8: DAM-C's sensitivity to the MatMul tile size and the PTT
 /// weighted-update ratio (§5.3). The paper finds the ratio matters only
 /// at tile 32, best at 1/5, with a ≈36 % spread.
-pub fn fig08(scale: usize) -> Vec<Table> {
-    let ratios = [
-        WeightRatio::new(1, 5),
-        WeightRatio::new(2, 5),
-        WeightRatio::new(3, 5),
-        WeightRatio::new(4, 5),
-        WeightRatio::replace(),
-    ];
+fn fig08(scale: usize) -> Vec<Table> {
+    let mut ratios = [1, 2, 3, 4].map(|n| WeightRatio::new(n, 5)).to_vec();
+    ratios.push(WeightRatio::replace());
     let tasks = (32_000 / scale).max(600);
-    let mut t = Table::new(
-        format!("Fig. 8 — DAM-C throughput [tasks/s], MatMul tile × PTT weight ratio, DVFS ({tasks} tasks)"),
-        "tile",
-        ratios.map(|r| r.label()),
+    let title = format!(
+        "Fig. 8 — DAM-C throughput [tasks/s], MatMul tile × PTT weight ratio, DVFS ({tasks} tasks)"
     );
-    for tile in [32usize, 64, 80, 96] {
+    let mut t = Table::new(title, "tile", ratios.iter().map(|r| r.label()));
+    for tile in [32, 64, 80, 96] {
         // Calibrate the wave to ~8 full cycles per run whatever the tile
         // size: a fixed 5 s phase would hold a whole tile-32 run.
         let probe = tasks as f64 / fig08_run(tile, WeightRatio::PAPER, tasks, f64::INFINITY);
-        let half_period = probe / 16.0;
-        let cells = ratios.map(|r| fig08_run(tile, r, tasks, half_period));
-        t.row(tile.to_string(), cells.to_vec());
+        let cells = ratios
+            .iter()
+            .map(|&r| fig08_run(tile, r, tasks, probe / 16.0));
+        t.row(tile.to_string(), cells.collect());
     }
     let tile32 = &t.rows[0].1;
-    let spread = tile32.iter().copied().fold(f64::MIN, f64::max)
-        / tile32.iter().copied().fold(f64::MAX, f64::min);
-    t.headline("tile 32 best / worst ratio (paper ≈1.36)", spread);
+    let best = tile32.iter().copied().fold(f64::MIN, f64::max);
+    let worst = tile32.iter().copied().fold(f64::MAX, f64::min);
+    t.headline("tile 32 best / worst ratio (paper ≈1.36)", best / worst);
     vec![t]
 }
 
-/// K-means iterations of Fig. 9.
+/// Iterations of Fig. 9, and those during which the co-runner occupies
+/// socket 0.
 const KMEANS_ITERS: usize = 100;
-/// Iterations during which the co-runner occupies socket 0.
 const KMEANS_INTERFERENCE: Range<usize> = 20..70;
 
 /// Fig. 9: K-means on a 16-core dual-socket Haswell with a co-runner on
 /// socket 0 during iterations 20–70 (§5.4). (a) per-iteration time;
 /// (b)/(c) tasks per execution place for RWS and DAM-P, read in three
 /// windows.
-pub fn fig09(scale: usize) -> Vec<Table> {
+fn fig09(scale: usize) -> Vec<Table> {
     let chunks = (64 / scale).max(8);
     let policies = [Policy::DamP, Policy::DamC, Policy::Rws];
     let runs = policies.map(|policy| {
         let session = session(Topology::haswell_2x8(), policy);
         let mut sim = Simulator::from_session_with_cost(&session, Arc::new(PaperCost::new()));
-        (0..KMEANS_ITERS)
-            .map(|it| {
-                let env = Environment::interference_free(Arc::clone(&session.topo));
-                sim.set_env(if KMEANS_INTERFERENCE.contains(&it) {
-                    env.and(slowdown(8))
-                } else {
-                    env
-                });
-                run(&mut sim, &kmeans::iteration_dag(chunks, it as u64))
-            })
-            .collect::<Vec<_>>()
+        let iteration = |it: usize| {
+            let env = Environment::interference_free(Arc::clone(&session.topo));
+            let interfered = KMEANS_INTERFERENCE.contains(&it);
+            sim.set_env(if interfered {
+                env.and(slowdown(8))
+            } else {
+                env
+            });
+            run(&mut sim, &kmeans::iteration_dag(chunks, it as u64))
+        };
+        (0..KMEANS_ITERS).map(iteration).collect::<Vec<_>>()
     });
 
-    let mut a = Table::new(
-        format!("Fig. 9(a) — K-means per-iteration time [s], co-runner on socket 0 during iterations 20..70 ({chunks} chunks/iteration)"),
-        "iteration",
-        policies.map(Policy::name),
-    );
+    let title = format!("Fig. 9(a) — K-means per-iteration time [s], co-runner on socket 0 during iterations 20..70 ({chunks} chunks/iteration)");
+    let mut a = Table::new(title, "iteration", policies.map(Policy::name));
     for it in 0..KMEANS_ITERS {
-        a.row(
-            it.to_string(),
-            runs.iter().map(|r| r[it].makespan).collect(),
-        );
+        let times = runs.iter().map(|r| r[it].makespan);
+        a.row(it.to_string(), times.collect());
     }
+    let (start, end) = (KMEANS_INTERFERENCE.start, KMEANS_INTERFERENCE.end);
     for (policy, r) in policies.iter().zip(&runs) {
         for (window, range) in [
-            ("before", 5..KMEANS_INTERFERENCE.start),
-            ("during", KMEANS_INTERFERENCE),
-            ("after", KMEANS_INTERFERENCE.end..KMEANS_ITERS),
+            ("before", 5..start),
+            ("during", start..end),
+            ("after", end..KMEANS_ITERS),
         ] {
-            let v = &r[range];
-            let mean = v.iter().map(|st| st.makespan).sum::<f64>() / v.len() as f64;
+            let mean =
+                r[range.clone()].iter().map(|st| st.makespan).sum::<f64>() / range.len() as f64;
             a.headline(format!("{policy} mean {window} [s]"), mean);
         }
     }
 
-    let windows = [
-        ("before (0..20)", 0..KMEANS_INTERFERENCE.start),
-        ("during (20..70)", KMEANS_INTERFERENCE),
-        ("after (70..100)", KMEANS_INTERFERENCE.end..KMEANS_ITERS),
-    ];
+    let windows = [0..start, start..end, end..KMEANS_ITERS];
+    let names = ["before (0..20)", "during (20..70)", "after (70..100)"];
     let mut tables = vec![a];
-    for (policy, panel) in [(Policy::Rws, "b"), (Policy::DamP, "c")] {
-        let r = &runs[policies.iter().position(|&p| p == policy).expect("run")];
-        let counts = windows.clone().map(|(_, range)| {
-            let mut agg: BTreeMap<PlaceKey, usize> = BTreeMap::new();
-            for st in &r[range] {
-                for (&k, &n) in &st.all_places {
-                    *agg.entry(k).or_insert(0) += n;
-                }
+    for (policy, r, panel) in [(Policy::Rws, &runs[2], "b"), (Policy::DamP, &runs[0], "c")] {
+        let counts = windows.clone().map(|range| {
+            let mut agg = BTreeMap::new();
+            for (&k, &n) in r[range].iter().flat_map(|st| &st.all_places) {
+                *agg.entry(k).or_insert(0.0) += n as f64;
             }
             agg
         });
-        let mut t = Table::new(
-            format!("Fig. 9({panel}) — tasks per execution place, {policy}"),
-            "place",
-            windows.clone().map(|(name, _)| name),
-        );
-        let places: BTreeSet<PlaceKey> = counts.iter().flat_map(|c| c.keys().copied()).collect();
-        for place @ (core, width) in places {
-            let cells = counts
-                .iter()
-                .map(|c| c.get(&place).copied().unwrap_or(0) as f64);
-            t.row(format!("({core},{width})"), cells.collect());
-        }
-        tables.push(t);
+        let title = format!("Fig. 9({panel}) — tasks per execution place, {policy}");
+        tables.push(by_place(Table::new(title, "place", names), "", &counts));
     }
     tables
 }
@@ -429,25 +361,18 @@ pub fn fig09(scale: usize) -> Vec<Table> {
 /// interfering kernel on 5 cores of node 0's first socket (§5.4).
 /// Ghost-exchange tasks are node-affine and critical; FA / FAM-C are
 /// dropped because the platform is statically symmetric.
-pub fn fig10(scale: usize) -> Vec<Table> {
+fn fig10(scale: usize) -> Vec<Table> {
     let iters = (60 / scale).max(5);
-    let mut t = Table::new(
-        format!("Fig. 10 — distributed 2-D heat, 4 nodes × 20 cores, co-runner on 5 cores of node 0 ({iters} iterations)"),
-        "policy",
-        ["throughput [tasks/s]", "makespan [s]", "steals"],
-    );
+    let title = format!("Fig. 10 — distributed 2-D heat, 4 nodes × 20 cores, co-runner on 5 cores of node 0 ({iters} iterations)");
+    let columns = ["throughput [tasks/s]", "makespan [s]", "steals"];
+    let mut t = Table::new(title, "policy", columns);
     let mut thru = BTreeMap::new();
     for policy in Policy::SYMMETRIC {
-        let mut sim = perturbed(
-            &session(Topology::haswell_cluster(4), policy),
-            PaperCost::new(),
-            slowdown(5),
-        );
+        let session = session(Topology::haswell_cluster(4), policy);
+        let mut sim = perturbed(&session, PaperCost::new(), slowdown(5));
         let st = run(&mut sim, &heat::cluster_dag(4, 16, iters, 1e-3));
-        t.row(
-            policy.name(),
-            vec![st.throughput(), st.makespan, st.steals as f64],
-        );
+        let cells = vec![st.throughput(), st.makespan, st.steals as f64];
+        t.row(policy.name(), cells);
         thru.insert(policy, st.throughput());
     }
     for (num, den, paper) in [
@@ -463,26 +388,22 @@ pub fn fig10(scale: usize) -> Vec<Table> {
 
 /// Ablation: what forbidding the stealing of high-priority tasks
 /// (§4.1.2) buys DAM-C and DAM-P under the Fig. 4(a) co-runner.
-pub fn ablation_steal(scale: usize) -> Vec<Table> {
+fn ablation_steal(scale: usize) -> Vec<Table> {
     let variants = [Policy::DamC, Policy::DamP]
-        .map(|policy| [false, true].map(|allow| tx2(policy).allow_high_priority_steal(allow)));
-    let mut t = Table::new(
-        "Ablation — stealing of high-priority tasks: throughput [tasks/s], MatMul, co-runner on C0",
-        "parallelism",
-        variants.iter().flatten().map(|s| {
-            let steal = if s.allow_high_priority_steal {
-                "steal-ok"
-            } else {
-                "no-steal"
-            };
-            format!("{} {steal}", s.policy)
-        }),
-    );
+        .map(|p| [(p, false), (p, true)])
+        .concat();
+    let label = |&(p, allow): &(Policy, bool)| match allow {
+        false => format!("{p} no-steal"),
+        true => format!("{p} steal-ok"),
+    };
+    let title =
+        "Ablation — stealing of high-priority tasks: throughput [tasks/s], MatMul, co-runner on C0";
+    let mut t = Table::new(title, "parallelism", variants.iter().map(label));
     for p in [2, 4, 6] {
-        let cells = variants
-            .iter()
-            .flatten()
-            .map(|s| corunner_throughput(s, Kernel::MatMul, p, scale));
+        let cells = variants.iter().map(|&(policy, allow)| {
+            let session = tx2(policy).allow_high_priority_steal(allow);
+            corunner_throughput(&session, Kernel::MatMul, p, scale)
+        });
         t.row(p.to_string(), cells.collect());
     }
     vec![t]
@@ -491,20 +412,16 @@ pub fn ablation_steal(scale: usize) -> Vec<Table> {
 /// Ablation: PTT initialisation. §4.1.1 zero-initialises entries so
 /// every place is tried once; a pessimistic prior never explores and
 /// locks DAM-C into whichever place its first observation improves.
-pub fn ablation_ptt_init(scale: usize) -> Vec<Table> {
-    let mut t = Table::new(
-        "Ablation — PTT initialisation: DAM-C throughput [tasks/s], MatMul, co-runner on C0",
-        "parallelism",
-        ["zero-init", "pessimistic"],
-    );
+fn ablation_ptt_init(scale: usize) -> Vec<Table> {
+    let title =
+        "Ablation — PTT initialisation: DAM-C throughput [tasks/s], MatMul, co-runner on C0";
+    let mut t = Table::new(title, "parallelism", ["zero-init", "pessimistic"]);
     for p in [2, 4, 6] {
         let cells = [false, true].map(|pessimistic| {
             let mut sim = corunner_sim(&tx2(Policy::DamC), Kernel::MatMul);
-            if pessimistic {
-                let ptt = sim.scheduler().ptts().table(types::MATMUL);
-                for place in sim.config().topo.places() {
-                    ptt.seed(place.leader, place.width, 1.0);
-                }
+            let ptt = sim.scheduler().ptts().table(types::MATMUL);
+            for place in sim.config().topo.places().filter(|_| pessimistic) {
+                ptt.seed(place.leader, place.width, 1.0);
             }
             run(&mut sim, &synthetic::dag(Kernel::MatMul, p, scale)).throughput()
         });
@@ -520,21 +437,18 @@ pub fn ablation_ptt_init(scale: usize) -> Vec<Table> {
 /// clusters make any row representative. What it costs per decision is
 /// `das_benchmark`'s `ptt.global_search_ns.*` and the `scalable_search`
 /// example's to measure.
-pub fn ablation_sampled_search(scale: usize) -> Vec<Table> {
-    let mut t = Table::new(
-        "Ablation — sampled vs exhaustive global PTT search: DAM-C throughput, MatMul, parallelism 4, co-runner on C0",
-        "platform",
-        ["places", "exhaustive [t/s]", "sampled [t/s]", "quality [%]"],
-    );
+fn ablation_sampled_search(scale: usize) -> Vec<Table> {
+    let title = "Ablation — sampled vs exhaustive global PTT search: DAM-C throughput, MatMul, parallelism 4, co-runner on C0";
+    let columns = ["places", "exhaustive [t/s]", "sampled [t/s]", "quality [%]"];
+    let mut t = Table::new(title, "platform", columns);
     for (name, topo) in [
         ("TX2", Topology::tx2()),
         ("haswell 2x10", Topology::haswell_2x10()),
         ("cluster 4x2x10", Topology::haswell_cluster(4)),
     ] {
         let full = session(topo, Policy::DamC);
-        let sampled = full.clone().sampled_search(true);
         let qf = corunner_throughput(&full, Kernel::MatMul, 4, scale);
-        let qs = corunner_throughput(&sampled, Kernel::MatMul, 4, scale);
+        let qs = corunner_throughput(&full.clone().sampled_search(true), Kernel::MatMul, 4, scale);
         let places = full.topo.places().count() as f64;
         t.row(name, vec![places, qf, qs, 100.0 * qs / qf]);
     }
@@ -542,20 +456,20 @@ pub fn ablation_sampled_search(scale: usize) -> Vec<Table> {
 }
 
 /// One exploration run: DAM-C exploring every `explore_every`-th global
-/// placement, a co-runner on Denver core 1 until `episode_end`. Returns
+/// placement, a co-runner on Denver core 1 until `until`. Returns
 /// throughput and the final PTT belief about `(C1, 1)`.
-fn exploration_run(explore_every: u64, episode_end: f64, scale: usize) -> (f64, f64) {
+fn exploration_run(explore_every: u64, until: f64, scale: usize) -> (f64, f64) {
     let corunner = Modifier::CoRunner {
         core: CoreId(1),
         cpu_share: 0.7,
         mem_pressure: 0.0,
         from: 0.0,
-        until: episode_end,
+        until,
     };
     let session = tx2(Policy::DamC).explore_every(explore_every);
     let mut sim = perturbed(&session, PaperCost::new(), corunner);
     let st = run(&mut sim, &synthetic::dag(Kernel::MatMul, 2, scale));
-    let ptt = sim.scheduler().ptts().table(TaskTypeId(0));
+    let ptt = sim.scheduler().ptts().table(types::MATMUL);
     (st.throughput(), ptt.predict(CoreId(1), 1).unwrap_or(0.0))
 }
 
@@ -565,82 +479,83 @@ fn exploration_run(explore_every: u64, episode_end: f64, scale: usize) -> (f64, 
 /// tasks keep re-measuring every core and the cluster-symmetry prior
 /// spreads each observation — so exploration is pure overhead; it
 /// would matter for a critical type no other channel re-measures.
-pub fn ablation_exploration(scale: usize) -> Vec<Table> {
+fn ablation_exploration(scale: usize) -> Vec<Table> {
     let (base, _) = exploration_run(0, f64::INFINITY, scale);
     let dag_tasks = synthetic::dag(Kernel::MatMul, 2, scale).len() as f64;
     let episode_end = 0.5 * dag_tasks / base;
-    let mut t = Table::new(
-        "Ablation — periodic exploration after interference ends: DAM-C, MatMul, co-runner on C1 for the first half",
-        "explore 1/n",
-        ["throughput [tasks/s]", "final belief (C1,1) [s]"],
-    );
-    for n in [0u64, 64, 16, 4] {
+    let title = "Ablation — periodic exploration after interference ends: DAM-C, MatMul, co-runner on C1 for the first half";
+    let columns = ["throughput [tasks/s]", "final belief (C1,1) [s]"];
+    let mut t = Table::new(title, "explore 1/n", columns);
+    for (n, label) in [(0, "never (paper)"), (64, "1/64"), (16, "1/16"), (4, "1/4")] {
         let (thru, belief) = exploration_run(n, episode_end, scale);
-        let label = if n == 0 {
-            "never (paper)".to_string()
-        } else {
-            format!("1/{n}")
-        };
         t.row(label, vec![thru, belief]);
     }
     t.headline("co-runner leaves at [s]", episode_end);
     vec![t]
 }
 
-/// Seed of the `jobs_throughput` arrival streams.
-const STREAM_SEED: u64 = 42;
-
 /// Extension: online multi-job streams on a simulated TX2, driven
 /// through the backend-neutral [`Executor`] contract — completed jobs
 /// per second and the sojourn (arrival → last commit) distribution a
-/// client observes, for a Poisson and a bursty stream.
-pub fn jobs_throughput(scale: usize) -> Vec<Table> {
-    let jobs = (200 / scale).max(8);
-    let (rate, burst) = (150.0, 4);
+/// client observes, for a Poisson and a bursty stream of seed 42.
+fn jobs_throughput(scale: usize) -> Vec<Table> {
+    let (seed, jobs, rate, burst) = (42, (200 / scale).max(8), 150.0, 4);
+    let poisson = format!("Poisson arrivals ({rate}/s)");
+    let bursty = format!("Bursty arrivals ({rate}/s, bursts of {burst})");
+    let streams = [
+        (poisson, StreamConfig::poisson(seed, jobs, rate)),
+        (bursty, StreamConfig::bursty(seed, jobs, rate, burst)),
+    ];
+    let columns = [
+        "jobs/s",
+        "p50 sojourn [s]",
+        "p95 sojourn [s]",
+        "p99 sojourn [s]",
+        "p99 queueing [s]",
+    ];
     let shape = JobShape::Mixed {
         parallelism: 4,
         layers: 6,
     };
-    let streams = [
-        (
-            format!("Poisson arrivals ({rate}/s)"),
-            StreamConfig::poisson(STREAM_SEED, jobs, rate),
-        ),
-        (
-            format!("Bursty arrivals ({rate}/s, bursts of {burst})"),
-            StreamConfig::bursty(STREAM_SEED, jobs, rate, burst),
-        ),
-    ];
-    streams
-        .into_iter()
-        .map(|(arrivals, stream)| {
-            let stream = stream.shape(shape).generate();
-            let mut t = Table::new(
-                format!("Job stream — {arrivals}, {jobs} jobs"),
-                "policy",
-                [
-                    "jobs/s",
-                    "p50 sojourn [s]",
-                    "p95 sojourn [s]",
-                    "p99 sojourn [s]",
-                    "p99 queueing [s]",
-                ],
-            );
-            for policy in [Policy::Rws, Policy::RwsmC, Policy::DamC, Policy::DamP] {
-                let mut sim = Simulator::from_session(
-                    &SessionBuilder::new(Arc::new(Topology::tx2()), policy).seed(STREAM_SEED),
-                );
-                let r = sim.run_stream(stream.clone()).expect("stream completes");
-                let cells = vec![
-                    r.jobs_per_sec(),
-                    r.sojourn_percentile(0.50).unwrap_or(0.0),
-                    r.sojourn_percentile(0.95).unwrap_or(0.0),
-                    r.sojourn_percentile(0.99).unwrap_or(0.0),
-                    r.queueing_percentile(0.99).unwrap_or(0.0),
-                ];
-                t.row(policy.name(), cells);
+    let tables = streams.map(|(arrivals, stream)| {
+        let stream = stream.shape(shape).generate();
+        let title = format!("Job stream — {arrivals}, {jobs} jobs");
+        let mut t = Table::new(title, "policy", columns);
+        for policy in [Policy::Rws, Policy::RwsmC, Policy::DamC, Policy::DamP] {
+            let session = SessionBuilder::new(Arc::new(Topology::tx2()), policy).seed(seed);
+            let r = Simulator::from_session(&session).run_stream(stream.clone());
+            let r = r.expect("stream completes");
+            let mut cells = vec![r.jobs_per_sec()];
+            cells.extend([0.50, 0.95, 0.99].map(|q| r.sojourn_percentile(q).unwrap_or(0.0)));
+            cells.push(r.queueing_percentile(0.99).unwrap_or(0.0));
+            t.row(policy.name(), cells);
+        }
+        t
+    });
+    tables.to_vec()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// What the renderer and the golden file rely on: unique figure
+    /// names, one cell per column in every row, and finite numbers.
+    /// Run coarse (scale 200): the golden test covers the values.
+    #[test]
+    fn registry_is_well_formed() {
+        let names: BTreeSet<&str> = REGISTRY.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names.len(), REGISTRY.len(), "figure names must be unique");
+        for (name, figure) in REGISTRY {
+            for t in figure(200) {
+                for (label, cells) in &t.rows {
+                    assert_eq!(cells.len(), t.columns.len(), "{name}: row {label:?}");
+                    assert!(cells.iter().all(|v| v.is_finite()), "{name}: row {label:?}");
+                }
+                for (h, v) in &t.headlines {
+                    assert!(v.is_finite(), "{name}: headline {h:?} = {v}");
+                }
             }
-            t
-        })
-        .collect()
+        }
+    }
 }

@@ -1,13 +1,19 @@
-//! # das-bench — the figure/table reproduction harness
+//! # das-bench — the paper's figures as data
 //!
-//! One binary per table/figure of the paper's evaluation (§5). Each
-//! binary prints the same series the figure plots, so `EXPERIMENTS.md`
-//! can record paper-vs-measured side by side:
+//! Every table and figure of the paper's evaluation (§5), and the
+//! ablations and extensions beyond it, is a function from a scale
+//! divisor to [`Table`]s, registered by name in [`figures::REGISTRY`].
+//! One renderer (`Table`'s `Display`) prints them all, through one
+//! binary:
 //!
-//! | binary | reproduces |
-//! |--------|------------|
+//! ```sh
+//! cargo run --release -p das-bench --bin figures -- [NAME…] [--scale N]
+//! ```
+//!
+//! | name | reproduces |
+//! |------|------------|
 //! | `table1` | Table 1 (scheduler feature matrix) |
-//! | `fig04`  | Fig. 4 (co-runner interference, throughput vs parallelism) |
+//! | `fig04`  | Fig. 4 (co-runner interference, throughput vs parallelism; panel (a) adds dHEFT) |
 //! | `fig05_06` | Fig. 5 (priority-task distribution) + Fig. 6 (per-core work time) |
 //! | `fig07`  | Fig. 7 (DVFS square wave) |
 //! | `fig08`  | Fig. 8 (tile size × PTT weight ratio sensitivity) |
@@ -17,21 +23,20 @@
 //! | `ablation_ptt_init` | extra: PTT zero-init vs pessimistic init |
 //! | `ablation_sampled_search` | extra: sampled vs exhaustive global search |
 //! | `ablation_exploration` | extra: periodic exploration vs stale pessimism |
-//! | `ext_dheft` | extra: the dHEFT reference scheduler vs Table 1 |
-//! | `jobs_throughput` | extra: online multi-job streams (jobs/sec, sojourn percentiles) |
+//! | `jobs_throughput` | extra: online multi-job streams (jobs/s, sojourn percentiles) |
 //!
-//! All binaries accept `--scale N` (or env `DAS_SCALE=N`) to divide the
-//! paper-sized task counts by `N` for quick runs; `--scale 1` (default)
-//! is paper-sized. Results are deterministic for a given seed/scale.
+//! No name prints every figure. `--scale N` divides the paper-sized
+//! task counts by `N`; `1`, the default, is paper-sized. Every number
+//! is a deterministic function of the fixed seed and the scale, and
+//! `tests/golden.rs` pins all of them at `--scale 20`, bit for bit,
+//! against `tests/golden/figures.tsv`.
 
-use das_core::Policy;
-use das_sim::{RunStats, SimConfig, Simulator};
-use das_topology::Topology;
-use das_workloads::cost::PaperCost;
-use das_workloads::synthetic::{self, Kernel};
-use std::sync::Arc;
+use std::fmt;
 
 pub mod figures;
+
+/// A registry entry: a figure and its name.
+type Named = (&'static str, figures::Figure);
 
 /// One table of a figure: labelled rows of numbers under labelled
 /// columns, plus the headline scalars the paper's text reads off it.
@@ -89,77 +94,95 @@ impl Table {
     }
 }
 
-/// Parse `--scale N` from argv or `DAS_SCALE` from the environment;
-/// defaults to 1 (paper-sized).
-pub fn scale_from_args() -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--scale" {
-            if let Some(v) = args.next().and_then(|v| v.parse::<usize>().ok()) {
-                // Clamp like the env path: `--scale 0` means paper-sized,
-                // not a divide-by-zero in the harnesses.
-                return v.max(1);
+/// `v` to four significant digits; integral values exactly.
+fn number(v: f64) -> String {
+    if v.fract() == 0.0 && v.abs() < 1e15 {
+        return format!("{v:.0}");
+    }
+    let magnitude = v.abs().log10().floor() as i32;
+    let decimals = (3 - magnitude).clamp(0, 6) as usize;
+    format!("{v:.decimals$}")
+}
+
+/// The one renderer: `== title ==`, a header, one line per row (labels
+/// left-aligned, cells right-aligned), then one `   name = value` line
+/// per headline.
+impl fmt::Display for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let text: Vec<Vec<String>> = self
+            .rows
+            .iter()
+            .map(|(_, cells)| cells.iter().map(|&v| number(v)).collect())
+            .collect();
+        let width = |s: &str| s.chars().count();
+        let label_w = self
+            .rows
+            .iter()
+            .map(|(label, _)| width(label))
+            .fold(width(&self.axis), usize::max);
+        let widths: Vec<usize> = self
+            .columns
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                text.iter()
+                    .map(|row| width(&row[i]))
+                    .fold(width(c), usize::max)
+            })
+            .collect();
+        let line = |label: &str, cells: &[String]| {
+            let mut s = format!("{label:<label_w$}");
+            for (cell, w) in cells.iter().zip(&widths) {
+                s += &format!("  {cell:>w$}");
             }
+            s.trim_end().to_string()
+        };
+        writeln!(f, "\n== {} ==", self.title)?;
+        writeln!(f, "{}", line(&self.axis, &self.columns))?;
+        for ((label, _), cells) in self.rows.iter().zip(&text) {
+            writeln!(f, "{}", line(label, cells))?;
+        }
+        for (name, v) in &self.headlines {
+            writeln!(f, "   {name} = {}", number(*v))?;
+        }
+        Ok(())
+    }
+}
+
+/// The `figures` binary's command line.
+pub const USAGE: &str = "usage: figures [NAME...] [--scale N]
+  NAME  a figure of das_bench::figures::REGISTRY (default: all of them)
+  N     divide the paper's task counts by N >= 1 (default 1, paper-sized)";
+
+/// Parse `argv` (without the program name) into the figures to print,
+/// in the order named, and the scale divisor. Rejects a missing,
+/// malformed or zero `--scale` value and an unknown figure name.
+pub fn parse_args(argv: &[String]) -> Result<(Vec<Named>, usize), String> {
+    let (mut named, mut scale) = (Vec::new(), 1);
+    let mut argv = argv.iter();
+    while let Some(arg) = argv.next() {
+        if arg == "--scale" {
+            scale = argv
+                .next()
+                .and_then(|v| v.parse().ok())
+                .filter(|&n| n >= 1)
+                .ok_or("--scale needs an integer N >= 1")?;
+        } else {
+            let figure = figures::REGISTRY
+                .iter()
+                .find(|(name, _)| name == arg)
+                .ok_or_else(|| format!("unknown figure or option {arg:?}"))?;
+            named.push(*figure);
         }
     }
-    // Harness sizing knob, read once at startup; never a scheduling input.
-    #[allow(clippy::disallowed_methods)]
-    std::env::var("DAS_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1)
-}
-
-/// Fixed seed used by every harness binary (bit-for-bit reproducible).
-pub const SEED: u64 = 0x1c99_2020;
-
-/// Build a TX2 simulator for `policy` with the paper cost model.
-pub fn tx2_sim(policy: Policy) -> Simulator {
-    let topo = Arc::new(Topology::tx2());
-    Simulator::new(
-        SimConfig::new(topo, policy)
-            .cost(Arc::new(PaperCost::new()))
-            .seed(SEED),
-    )
-}
-
-/// Run one synthetic-DAG experiment and return its stats.
-pub fn run_synthetic(
-    sim: &mut Simulator,
-    kernel: Kernel,
-    parallelism: usize,
-    scale: usize,
-) -> RunStats {
-    let dag = synthetic::dag(kernel, parallelism, scale);
-    sim.run(&dag).expect("synthetic DAG runs to completion")
-}
-
-/// Render a throughput table: one row per x-value, one column per policy.
-pub fn print_table(
-    title: &str,
-    x_name: &str,
-    xs: &[String],
-    policies: &[Policy],
-    cells: &[Vec<f64>],
-) {
-    println!("\n== {title} ==");
-    print!("{x_name:>12}");
-    for p in policies {
-        print!("{:>10}", p.name());
+    if named.is_empty() {
+        named = figures::REGISTRY.to_vec();
     }
-    println!();
-    for (x, row) in xs.iter().zip(cells) {
-        print!("{x:>12}");
-        for v in row {
-            print!("{v:>10.0}");
-        }
-        println!();
-    }
+    Ok((named, scale))
 }
 
-/// Percentage formatting helper for the Fig. 5-style distributions.
-pub fn pct(n: usize, total: usize) -> f64 {
+/// `n` as a percentage of `total` (0 when `total` is 0).
+pub(crate) fn pct(n: usize, total: usize) -> f64 {
     if total == 0 {
         0.0
     } else {
@@ -171,19 +194,41 @@ pub fn pct(n: usize, total: usize) -> f64 {
 mod tests {
     use super::*;
 
-    #[test]
-    fn scale_default_is_one() {
-        // argv of the test harness has no --scale.
-        std::env::remove_var("DAS_SCALE");
-        assert_eq!(scale_from_args(), 1);
+    fn parse(argv: &[&str]) -> Result<(Vec<&'static str>, usize), String> {
+        let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+        parse_args(&argv).map(|(named, scale)| (named.iter().map(|(n, _)| *n).collect(), scale))
     }
 
     #[test]
-    fn tx2_sim_runs_quickly_scaled() {
-        let mut sim = tx2_sim(Policy::DamC);
-        let st = run_synthetic(&mut sim, Kernel::MatMul, 4, 100);
-        assert_eq!(st.tasks, 320);
-        assert!(st.throughput() > 0.0);
+    fn parse_args_reads_scale_and_names() {
+        let (all, scale) = parse(&[]).expect("empty argv");
+        assert_eq!((all.len(), scale), (figures::REGISTRY.len(), 1));
+        assert_eq!(
+            parse(&["fig10", "--scale", "20", "table1"]),
+            Ok((vec!["fig10", "table1"], 20))
+        );
+        for bad in [
+            &["--scale"][..],
+            &["--scale", "x"],
+            &["--scale", "0"],
+            &["--scale", "-3"],
+            &["fig99"],
+            &["--sacle", "2"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn render_aligns_cells_to_four_significant_digits() {
+        let mut t = Table::new("T", "x", ["a", "bb"]);
+        t.row("one", vec![1234.56, 0.0012344]);
+        t.row("2", vec![7.0, 42.1234]);
+        t.headline("best", 2.0 / 3.0);
+        assert_eq!(
+            t.to_string(),
+            "\n== T ==\nx       a        bb\none  1235  0.001234\n2       7     42.12\n   best = 0.6667\n"
+        );
     }
 
     #[test]

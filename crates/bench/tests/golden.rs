@@ -30,21 +30,16 @@ fn render() -> String {
     for (name, figure) in REGISTRY {
         for t in figure(SCALE) {
             let cells = t.rows.iter().flat_map(|(row, cells)| {
+                let row = row.as_str();
                 t.columns
                     .iter()
                     .zip(cells)
-                    .map(move |(col, &v)| (row.as_str(), col.as_str(), v))
+                    .map(move |(col, &v)| (row, col, v))
             });
-            let headlines = t
-                .headlines
-                .iter()
-                .map(|(h, v)| ("headline", h.as_str(), *v));
+            let headlines = t.headlines.iter().map(|(h, v)| ("headline", h, *v));
             for (row, col, v) in cells.chain(headlines) {
-                let title = &t.title;
-                out += &format!(
-                    "{name}\t{title}\t{row}\t{col}\t{:#018x}\t{v:?}\n",
-                    v.to_bits()
-                );
+                let (title, bits) = (&t.title, v.to_bits());
+                out += &format!("{name}\t{title}\t{row}\t{col}\t{bits:#018x}\t{v:?}\n");
             }
         }
     }
@@ -58,10 +53,8 @@ fn parse(text: &str) -> BTreeMap<String, (String, String)> {
         let f: Vec<&str> = line.split('\t').collect();
         assert_eq!(f.len(), 6, "malformed golden line {line:?}");
         let cell = (f[4].to_string(), f[5].to_string());
-        assert!(
-            cells.insert(f[..4].join(" | "), cell).is_none(),
-            "duplicate cell {line:?}"
-        );
+        let duplicate = cells.insert(f[..4].join(" | "), cell);
+        assert!(duplicate.is_none(), "duplicate cell {line:?}");
     }
     cells
 }
@@ -71,10 +64,13 @@ fn parse(text: &str) -> BTreeMap<String, (String, String)> {
 fn diff(old: &str, new: &str) -> Vec<String> {
     let (old, new) = (parse(old), parse(new));
     let keys: BTreeSet<&String> = old.keys().chain(new.keys()).collect();
-    let value =
-        |cell: Option<&(String, String)>| cell.map_or("(none)", |(_, v)| v.as_str()).to_string();
-    keys.into_iter()
-        .filter(|k| old.get(*k).map(|c| &c.0) != new.get(*k).map(|c| &c.0))
+    fn value(cell: Option<&(String, String)>) -> &str {
+        cell.map_or("(none)", |(_, v)| v)
+    }
+    let changed = keys
+        .into_iter()
+        .filter(|k| old.get(*k).map(|c| &c.0) != new.get(*k).map(|c| &c.0));
+    changed
         .map(|k| format!("{k}: {} -> {}", value(old.get(k)), value(new.get(k))))
         .collect()
 }
@@ -100,7 +96,5 @@ fn regenerate_golden() {
     for line in diff(&old, &new) {
         println!("{line}");
     }
-    std::fs::create_dir_all(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden"))
-        .expect("create the golden directory");
     std::fs::write(GOLDEN, new).expect("write the golden file");
 }

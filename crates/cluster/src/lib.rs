@@ -8,9 +8,8 @@
 //! [`SessionBuilder`]) stitched together over [`das_msg::Endpoint`]s —
 //! and whose dispatcher **itself implements
 //! [`das_core::exec::Executor`]**, so any client written against
-//! `&mut dyn Executor` (the `job_stream` example, the `jobs_throughput`
-//! harness, the contract tests) scales from one node to a fleet with
-//! zero changes.
+//! `&mut dyn Executor` (the `job_stream` example, the contract tests)
+//! scales from one node to a fleet with zero changes.
 //!
 //! ## Architecture
 //!

@@ -17,8 +17,8 @@
 //! * **makespan** = `completed - started`: the job's own critical path
 //!   under whatever contention it experienced;
 //! * **sojourn** = `completed - arrival`: what a user of the system
-//!   observes end to end — the headline metric of the `jobs_throughput`
-//!   harness.
+//!   observes end to end — the headline metric of `das-bench`'s
+//!   `jobs_throughput` figure.
 
 use std::fmt;
 

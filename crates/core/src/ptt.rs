@@ -689,8 +689,8 @@ impl Ptt {
     /// still buys is that write-independent bound. On symmetric clusters
     /// the representative row is an unbiased stand-in; on a perturbed
     /// cluster it can be stale for non-representative leaders, which is
-    /// the accuracy trade-off the `ablation_sampled_search` bench
-    /// quantifies.
+    /// the accuracy trade-off `das-bench`'s `ablation_sampled_search`
+    /// figure quantifies.
     pub fn global_search_sampled(
         &self,
         minimize_cost: bool,

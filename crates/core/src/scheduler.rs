@@ -37,7 +37,7 @@ pub struct Scheduler {
     fa_cursor: AtomicUsize,
     /// Ablation knob: when `true`, even high-priority tasks may be stolen
     /// (the paper disables this — §4.1.2 "we disable the stealing of high
-    /// priority tasks"; the `ablation_steal` bench quantifies why).
+    /// priority tasks"; `das-bench`'s `ablation_steal` figure quantifies why).
     allow_high_priority_steal: bool,
     /// Scalability knob: use the representative-row sampled global search
     /// instead of the exhaustive search (the paper's future-work item on

@@ -1,6 +1,7 @@
 //! `PaperCost` — the simulator cost model for the paper's workloads.
 //!
-//! Calibration targets (see `EXPERIMENTS.md` for the measured outcome):
+//! Calibration targets (the `das-bench` `figures` binary prints the
+//! measured outcome; `crates/bench/tests/golden.rs` pins it):
 //!
 //! * **MatMul** is compute-dense: the Denver cores enjoy an extra
 //!   micro-architectural affinity on top of their 2× base speed, and the

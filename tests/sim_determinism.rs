@@ -1,6 +1,7 @@
-//! Reproducibility guarantees: every figure of `EXPERIMENTS.md` is
-//! regenerated bit-for-bit from a seed, so determinism is a contract,
-//! not a convenience.
+//! Reproducibility guarantees: every figure the `das-bench` `figures`
+//! binary prints is regenerated bit-for-bit from a seed (and pinned by
+//! `crates/bench/tests/golden.rs`), so determinism is a contract, not a
+//! convenience.
 
 use das::core::{Policy, TaskTypeId};
 use das::dag::generators;
