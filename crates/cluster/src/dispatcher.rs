@@ -682,8 +682,10 @@ impl<G: Clone> Executor for Cluster<G> {
     /// Cluster job ids are dense in batch order across the whole
     /// cluster (rejected jobs consume no id, as on the bare backends).
     ///
-    /// On a shed decision mid-batch nothing is admitted (local view
-    /// rolled back, error returned). A node *rejecting* its sub-batch
+    /// A batch larger than the live nodes' bounds summed is
+    /// [`ExecError::Rejected`] before any routing. On a shed decision
+    /// mid-batch nothing is admitted (local view rolled back, error
+    /// returned). A node *rejecting* its sub-batch
     /// admits nothing on that node (backend batches are atomic on
     /// validation), but the sub-batches of other nodes remain admitted
     /// and surface in the next drain — their tickets are lost with the
@@ -696,6 +698,20 @@ impl<G: Clone> Executor for Cluster<G> {
     fn submit_many(&mut self, specs: Vec<JobSpec<G>>) -> Result<Vec<Ticket>, ExecError> {
         if specs.is_empty() {
             return Err(ExecError::Rejected("empty batch".into()));
+        }
+        // A batch larger than every live node's bound together can
+        // never be placed, however much is drained first.
+        let capacity: f64 = self
+            .nodes
+            .iter()
+            .filter_map(Node::view)
+            .map(|(_, limit)| limit)
+            .sum();
+        if self.live_nodes() > 0 && specs.len() as f64 > capacity {
+            return Err(ExecError::Rejected(format!(
+                "a batch of {} jobs exceeds the live nodes' admission bounds of {capacity} in total",
+                specs.len()
+            )));
         }
         self.refresh_loads();
         // Phase 1: route every job against the locally-updated view.

@@ -19,7 +19,9 @@
 //!   knobs, queue discipline, seed, simulator overheads, runtime park
 //!   timeout) from which each backend constructs itself, replacing the
 //!   previous scatter across `Scheduler::with_*`, `SimParams` plumbing
-//!   and the `Runtime` constructor chain.
+//!   and the `Runtime` constructor chain;
+//! * [`Session`] — the façade bookkeeping (ticket ledger, admission
+//!   bound, extras, probe) both single-node backends embed.
 //!
 //! Backends implement the trait for themselves (`das-sim` for its
 //! `Simulator`, `das-runtime` for its `Runtime`), so harnesses,
@@ -107,8 +109,10 @@ impl fmt::Display for Ticket {
 /// (backends map their native error types into these three shapes).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecError {
-    /// The job was rejected at submission (e.g. structural DAG
-    /// validation failed); nothing was enqueued.
+    /// The job was rejected at submission: an invalid DAG, an empty
+    /// batch, or a batch larger than the admission bound
+    /// ([`SessionBuilder::max_outstanding`]). Nothing was enqueued, and
+    /// resubmitting it can never succeed.
     Rejected(String),
     /// The backend failed while executing accepted work (e.g. the
     /// simulator's event budget tripped). Jobs of the failed batch are
@@ -123,7 +127,7 @@ pub enum ExecError {
     /// bound of `limit` ([`SessionBuilder::max_outstanding`]). Nothing
     /// was enqueued; the client should shed load or `drain` and retry.
     /// Unlike [`ExecError::Rejected`] this is a *transient* condition —
-    /// the job itself is fine.
+    /// the batch fits the bound, so a retry after a drain is admitted.
     Overloaded {
         /// Jobs currently held against the bound.
         outstanding: usize,
@@ -440,6 +444,146 @@ pub trait Executor {
     }
 }
 
+/// The façade bookkeeping a single-node backend embeds, so every
+/// backend keeps the [`Executor`] promises the same way: the session
+/// tag stamped into tickets, the admission bound, the ticket ledger
+/// (job id → the backend's per-job state `R`), the extras banked for
+/// [`Executor::take_extras`] and — when [`SessionBuilder::metrics`] is
+/// set — the cumulative [`ExecProbe`](crate::metrics::ExecProbe).
+///
+/// The bound counts ledger entries (jobs neither waited nor drained),
+/// never how fast the backend retires work.
+pub struct Session<R> {
+    tag: u64,
+    limit: Option<usize>,
+    /// By job id, so a full retire yields job-id order.
+    ledger: BTreeMap<u64, R>,
+    /// Backend counters banked for [`Executor::take_extras`].
+    pub extras: ExecExtras,
+    /// The cumulative probe, for the backend's own counters; `None`
+    /// while metrics are off.
+    pub probe: Option<crate::metrics::ExecProbe>,
+    /// Each PTT table at the previous [`Session::bank_residual`], by
+    /// task type.
+    last_ptt: Vec<crate::PttSnapshot>,
+}
+
+impl<R> Default for Session<R> {
+    /// An unbounded session without metrics.
+    fn default() -> Self {
+        Session {
+            tag: session_tag(),
+            limit: None,
+            ledger: BTreeMap::new(),
+            extras: ExecExtras::default(),
+            probe: None,
+            last_ptt: Vec::new(),
+        }
+    }
+}
+
+impl<R> Session<R> {
+    /// A session with `builder`'s admission bound and metrics switch.
+    pub fn new(builder: &SessionBuilder) -> Self {
+        Session {
+            limit: builder.max_outstanding,
+            probe: builder.metrics.map(|_| Default::default()),
+            ..Session::default()
+        }
+    }
+
+    /// Admission control for a batch of `n` jobs; records nothing.
+    /// An empty batch, or one larger than the bound, is
+    /// [`ExecError::Rejected`]; a batch that fits the bound but not
+    /// beside the outstanding jobs is [`ExecError::Overloaded`].
+    pub fn admit(&self, n: usize) -> Result<(), ExecError> {
+        if n == 0 {
+            return Err(ExecError::Rejected("empty batch".into()));
+        }
+        let Some(limit) = self.limit else {
+            return Ok(());
+        };
+        if n > limit {
+            return Err(ExecError::Rejected(format!(
+                "a batch of {n} jobs exceeds the admission bound of {limit}"
+            )));
+        }
+        let outstanding = self.ledger.len();
+        if outstanding + n > limit {
+            return Err(ExecError::Overloaded { outstanding, limit });
+        }
+        Ok(())
+    }
+
+    /// Enter admitted job `id` into the ledger with its backend state
+    /// and return its ticket.
+    pub fn issue(&mut self, id: JobId, state: R) -> Ticket {
+        self.ledger.insert(id.0, state);
+        if let Some(p) = &mut self.probe {
+            p.jobs_admitted += 1;
+        }
+        Ticket::new(self.tag, id)
+    }
+
+    /// The state of the ticket's job; `None` for a ticket of another
+    /// session or a job no longer outstanding.
+    pub fn get(&self, ticket: &Ticket) -> Option<&R> {
+        let mine = ticket.session() == self.tag;
+        mine.then(|| self.ledger.get(&ticket.job().0)).flatten()
+    }
+
+    /// The state of outstanding job `id`.
+    pub fn get_mut(&mut self, id: JobId) -> Option<&mut R> {
+        self.ledger.get_mut(&id.0)
+    }
+
+    /// Take the ticket's job out of the ledger. A ticket of another
+    /// session, or of a job no longer outstanding, is
+    /// [`ExecError::UnknownTicket`].
+    pub fn redeem(&mut self, ticket: Ticket) -> Result<R, ExecError> {
+        let (id, mine) = (ticket.job(), ticket.session() == self.tag);
+        let state = mine.then(|| self.ledger.remove(&id.0)).flatten();
+        state.ok_or(ExecError::UnknownTicket(id))
+    }
+
+    /// Drop every outstanding job whose state fails `keep`; their
+    /// tickets redeem as [`ExecError::UnknownTicket`] from now on.
+    pub fn retain(&mut self, mut keep: impl FnMut(&R) -> bool) {
+        self.ledger.retain(|_, state| keep(state));
+    }
+
+    /// Take every outstanding job out of the ledger, in job-id order.
+    pub fn retire_all(&mut self) -> impl Iterator<Item = R> {
+        std::mem::take(&mut self.ledger).into_values()
+    }
+
+    /// Count one completed job into the probe.
+    pub fn complete(&mut self, job: &JobStats) {
+        if let Some(p) = &mut self.probe {
+            p.jobs_completed += 1;
+            p.tasks_completed += job.tasks as u64;
+            p.sojourn.record(job.sojourn());
+            p.queueing.record(job.queueing());
+        }
+    }
+
+    /// Set the probe's PTT residual: how far `sched`'s tables moved
+    /// since the previous call.
+    pub fn bank_residual(&mut self, sched: &Scheduler) {
+        if let Some(p) = &mut self.probe {
+            p.ptt_residual = sched.ptts().residual(&mut self.last_ptt);
+        }
+    }
+
+    /// A copy of the probe with `queue_depth` set to the outstanding
+    /// jobs — what [`Executor::metrics_probe`] returns.
+    pub fn metrics_probe(&self) -> Option<crate::metrics::ExecProbe> {
+        let mut p = self.probe.clone()?;
+        p.queue_depth = self.ledger.len() as u64;
+        Some(p)
+    }
+}
+
 /// Fixed overheads of the simulated XiTAO-like runtime, in seconds of
 /// simulated time. Defaults are calibrated to the paper's observation
 /// that a global PTT search costs "in the order of one microsecond" on
@@ -691,21 +835,17 @@ mod tests {
     /// the contract of the provided methods and the
     /// wait-consumes-drain-record rule.
     struct InstantExec {
-        session: u64,
+        session: Session<JobStats>,
         now: f64,
         next: u64,
-        unclaimed: Vec<JobStats>,
-        steals: u64,
     }
 
     impl InstantExec {
         fn new() -> Self {
             InstantExec {
-                session: session_tag(),
+                session: Session::default(),
                 now: 0.0,
                 next: 0,
-                unclaimed: Vec::new(),
-                steals: 0,
             }
         }
     }
@@ -724,8 +864,8 @@ mod tests {
             let id = JobId(self.next);
             self.next += 1;
             self.now += 1.0;
-            self.steals += 1;
-            self.unclaimed.push(JobStats {
+            *self.session.extras.steals.get_or_insert(0) += 1;
+            let stats = JobStats {
                 id,
                 class: spec.class,
                 arrival: spec.arrival,
@@ -733,32 +873,20 @@ mod tests {
                 completed: self.now,
                 tasks: spec.graph,
                 deadline: spec.deadline,
-            });
-            Ok(Ticket::new(self.session, id))
+            };
+            Ok(self.session.issue(id, stats))
         }
 
         fn wait(&mut self, ticket: Ticket) -> Result<JobStats, ExecError> {
-            let id = ticket.job();
-            if ticket.session() != self.session {
-                return Err(ExecError::UnknownTicket(id));
-            }
-            let i = self
-                .unclaimed
-                .iter()
-                .position(|j| j.id == id)
-                .ok_or(ExecError::UnknownTicket(id))?;
-            Ok(self.unclaimed.remove(i))
+            self.session.redeem(ticket)
         }
 
         fn drain(&mut self) -> Result<StreamStats, ExecError> {
-            Ok(StreamStats::from_jobs(std::mem::take(&mut self.unclaimed)))
+            Ok(StreamStats::from_jobs(self.session.retire_all().collect()))
         }
 
         fn take_extras(&mut self) -> ExecExtras {
-            let mut e = ExecExtras {
-                steals: Some(std::mem::take(&mut self.steals)),
-                ..ExecExtras::default()
-            };
+            let mut e = std::mem::take(&mut self.session.extras);
             e.set("fake", 1.0);
             e
         }

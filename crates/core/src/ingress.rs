@@ -374,23 +374,21 @@ impl<E: Executor> Ingress<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::session_tag;
+    use crate::exec::Session;
     use crate::jobs::JobId;
 
     /// The `InstantExec` of the exec tests, reduced: "executes" at
     /// wait/drain time, counts via usize graphs.
     struct Instant {
-        session: u64,
+        session: Session<JobStats>,
         next: u64,
-        unclaimed: Vec<JobStats>,
     }
 
     impl Instant {
         fn new() -> Self {
             Instant {
-                session: session_tag(),
+                session: Session::default(),
                 next: 0,
-                unclaimed: Vec::new(),
             }
         }
     }
@@ -408,7 +406,7 @@ mod tests {
             }
             let id = JobId(self.next);
             self.next += 1;
-            self.unclaimed.push(JobStats {
+            let stats = JobStats {
                 id,
                 class: spec.class,
                 arrival: spec.arrival,
@@ -416,25 +414,16 @@ mod tests {
                 completed: self.next as f64 + 0.5,
                 tasks: spec.graph,
                 deadline: spec.deadline,
-            });
-            Ok(Ticket::new(self.session, id))
+            };
+            Ok(self.session.issue(id, stats))
         }
 
         fn wait(&mut self, ticket: Ticket) -> Result<JobStats, ExecError> {
-            let id = ticket.job();
-            if ticket.session() != self.session {
-                return Err(ExecError::UnknownTicket(id));
-            }
-            let i = self
-                .unclaimed
-                .iter()
-                .position(|j| j.id == id)
-                .ok_or(ExecError::UnknownTicket(id))?;
-            Ok(self.unclaimed.remove(i))
+            self.session.redeem(ticket)
         }
 
         fn drain(&mut self) -> Result<StreamStats, ExecError> {
-            Ok(StreamStats::from_jobs(std::mem::take(&mut self.unclaimed)))
+            Ok(StreamStats::from_jobs(self.session.retire_all().collect()))
         }
     }
 

@@ -17,10 +17,9 @@
 //! 3. **unsafe** — every `unsafe` is preceded by `// SAFETY:`;
 //! 4. **panic** — no bare `.unwrap()` in non-test library code;
 //! 5. **contract** — every `RoutePolicy` variant appears in the
-//!    differential matrix and every `MetricKind` has a `cluster_top`
-//!    row: coverage of tables rustc cannot see (a contract whose
-//!    target is a wildcard-free `match` would only repeat the
-//!    compiler's exhaustiveness check, so there is none);
+//!    differential matrix: coverage of a test table rustc cannot see
+//!    (a contract whose target is a wildcard-free `match` would only
+//!    repeat the compiler's exhaustiveness check, so there is none);
 //! 6. **fault** — every intentional `panic!`/`panic_any` in
 //!    determinism-critical library code (the fault plane's kill
 //!    mechanism) carries `// fault-ok: <reason>` naming its catcher.
@@ -99,20 +98,11 @@ impl Config {
                 PathBuf::from("target"),
                 PathBuf::from("crates/lint/fixtures"),
             ],
-            contracts: vec![
-                Contract {
-                    enum_file: PathBuf::from("crates/cluster/src/route.rs"),
-                    enum_name: "RoutePolicy".to_string(),
-                    target_file: PathBuf::from("tests/cluster_exec.rs"),
-                },
-                // Every metric family must have a row in the
-                // cluster_top dashboard.
-                Contract {
-                    enum_file: PathBuf::from("crates/core/src/metrics.rs"),
-                    enum_name: "MetricKind".to_string(),
-                    target_file: PathBuf::from("examples/cluster_top.rs"),
-                },
-            ],
+            contracts: vec![Contract {
+                enum_file: PathBuf::from("crates/cluster/src/route.rs"),
+                enum_name: "RoutePolicy".to_string(),
+                target_file: PathBuf::from("tests/cluster_exec.rs"),
+            }],
         }
     }
 }

@@ -7,7 +7,10 @@
 //! non-empty reason, on the flagged line or the line directly above it.
 //!
 //! Rules 1–4 and 6 are line-local; rule 5 (cross-file contracts) is a
-//! standalone check over an enum definition and a target file. Rules
+//! standalone check over an enum definition and a target file, kept
+//! only for a target rustc cannot check — a test matrix, never a
+//! wildcard-free `match`, whose exhaustiveness the compiler already
+//! enforces. Rules
 //! 7 and 8 are the graph layer: they consume [`crate::parse`]'s
 //! per-function extraction — rule 7 (lock-order) over the whole
 //! workspace at once, rule 8 (blocking) per control-plane file.

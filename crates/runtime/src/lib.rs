@@ -78,9 +78,9 @@ pub use das_core::jobs::{JobClass, JobId, JobSpec, JobStats, StreamStats};
 pub use graph::{TaskCtx, TaskFn, TaskGraph};
 pub use stats::{PlaceKey, RtStats};
 
-use das_core::exec::{session_tag, ExecError, ExecExtras, Executor, SessionBuilder, Ticket};
+use das_core::exec::{ExecError, ExecExtras, Executor, Session, SessionBuilder, Ticket};
 use das_core::metrics::ExecProbe;
-use das_core::{Policy, PttSnapshot, QueueDiscipline, ReadyEntry, ReadyQueue, Scheduler};
+use das_core::{Policy, QueueDiscipline, ReadyEntry, ReadyQueue, Scheduler};
 use das_dag::{DagError, TaskId};
 use das_topology::{CoreId, ExecutionPlace, Topology};
 use parking_lot::{Condvar, Mutex};
@@ -270,12 +270,6 @@ impl JobHandle {
             panic!("task body panicked in {}", self.job.id);
         }
         out
-    }
-
-    /// The job's outcome if it has already completed (non-blocking).
-    /// Does not consume the drain record and does not re-raise panics.
-    pub fn try_outcome(&self) -> Option<JobOutcome> {
-        self.job.done.lock().clone()
     }
 }
 
@@ -591,49 +585,9 @@ pub struct Runtime {
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
     seed: u64,
     park_timeout: Duration,
-    /// Handles of jobs submitted through the [`Executor`] façade,
-    /// redeemable by ticket; cleared by `Executor::drain`.
-    exec_tickets: HashMap<u64, JobHandle>,
-    /// Backend counters accumulated for [`Executor::take_extras`].
-    exec_extras: ExecExtras,
-    /// This executor instance's [`session_tag`]: stamped into every
-    /// ticket, checked on redemption.
-    exec_session: u64,
-    /// Admission bound for the [`Executor`] façade: the most tickets
-    /// that may be live (issued and neither waited nor drained) at
-    /// once. `None` (the default) is unbounded; set from
-    /// [`SessionBuilder::max_outstanding`] by [`Runtime::from_session`]
-    /// or [`Runtime::max_outstanding`]. Counted on the ticket ledger —
-    /// not the pool's in-flight count — so rejection is deterministic:
-    /// it depends only on the client's submit/wait/drain sequence,
-    /// never on how fast workers happen to retire jobs.
-    max_outstanding: Option<usize>,
-    /// Observability probe behind [`SessionBuilder::metrics`]; `None`
-    /// (the default) keeps every façade path branch-cheap and
-    /// allocation-free.
-    metrics: Option<RtMetrics>,
-}
-
-/// Observability state of the [`Executor`] façade: the cumulative
-/// [`ExecProbe`] fed at submit/wait/drain, plus the previous PTT
-/// snapshots the convergence residual is measured against. The
-/// runtime's utilisation gauge accumulates per-job (`busy` = kernel
-/// time, `capacity` = job makespan × cores), so with overlapping jobs
-/// it is a per-job-normalised figure, not a wall-clock one.
-#[derive(Default)]
-struct RtMetrics {
-    probe: ExecProbe,
-    /// Snapshot of each PTT table at the previous drain, indexed by
-    /// task type; grown as new types appear.
-    last_ptt: Vec<PttSnapshot>,
-}
-
-impl RtMetrics {
-    /// Bank one finished job's contribution to the utilisation gauge.
-    fn bank_utilisation(&mut self, rt: &RtStats) {
-        self.probe.busy += rt.core_busy.iter().map(|d| d.as_secs_f64()).sum::<f64>();
-        self.probe.capacity += rt.makespan.as_secs_f64() * rt.core_busy.len() as f64;
-    }
+    /// The [`Executor`] façade's ledger (the handles of jobs submitted
+    /// through it, redeemable by ticket), bound and probe.
+    session: Session<JobHandle>,
 }
 
 impl Runtime {
@@ -659,8 +613,7 @@ impl Runtime {
         if let Some(timeout) = session.park_timeout {
             rt = rt.park_timeout(timeout);
         }
-        rt.max_outstanding = session.max_outstanding;
-        rt.metrics = session.metrics.map(|_| RtMetrics::default());
+        rt.session = Session::new(session);
         rt
     }
 
@@ -694,19 +647,8 @@ impl Runtime {
             // SessionBuilder/SimConfig default.
             seed: 0x5eed,
             park_timeout: PARK_TIMEOUT,
-            exec_tickets: HashMap::new(),
-            exec_extras: ExecExtras::default(),
-            exec_session: session_tag(),
-            max_outstanding: None,
-            metrics: None,
+            session: Session::default(),
         }
-    }
-
-    /// Bound the [`Executor`] façade's live tickets at `limit`; beyond
-    /// it, façade submissions shed with [`ExecError::Overloaded`].
-    pub fn max_outstanding(mut self, limit: usize) -> Self {
-        self.max_outstanding = Some(limit);
-        self
     }
 
     /// Set the base seed of the per-worker steal RNGs. Takes effect at
@@ -734,18 +676,6 @@ impl Runtime {
         &self.topo
     }
 
-    /// Shed `incoming` more façade submissions if they would push the
-    /// live-ticket count past the admission bound.
-    fn check_admission(&self, incoming: usize) -> Result<(), ExecError> {
-        if let Some(limit) = self.max_outstanding {
-            let outstanding = self.exec_tickets.len();
-            if outstanding + incoming > limit {
-                return Err(ExecError::Overloaded { outstanding, limit });
-            }
-        }
-        Ok(())
-    }
-
     fn ensure_workers(&self) {
         let mut handles = self.handles.lock();
         if !handles.is_empty() {
@@ -769,42 +699,26 @@ impl Runtime {
     /// time); a relative deadline (`spec.deadline - spec.arrival`) is
     /// preserved against the actual arrival.
     pub fn submit(&self, spec: JobSpec<TaskGraph>) -> Result<JobHandle, DagError> {
-        spec.graph.validate()?;
-        self.ensure_workers();
-        let arrival = self.shared.now();
-        // relaxed-ok: job-id allocation; ids only need uniqueness, the
-        // queue push below publishes the job itself.
-        let id = JobId(self.shared.next_job.fetch_add(1, Ordering::Relaxed));
-        let job = self.make_job(spec, id, arrival);
-        self.shared.active.fetch_add(1, Ordering::AcqRel);
-        // The submitting thread plays the role of XiTAO's main thread
-        // (core 0 context) releasing the roots.
-        for root in job.graph.shape().roots() {
-            self.shared.wakeup(&job, root, 0);
-        }
-        Ok(JobHandle {
-            job,
-            pool: Arc::clone(&self.shared),
-        })
+        let mut handles = self.submit_all(vec![spec])?;
+        Ok(handles.pop().expect("a one-job batch has one handle"))
     }
 
-    /// Submit a whole batch with the per-job fixed costs paid once:
-    /// one pool-lock acquisition (`ensure_workers`), one
-    /// arrival stamp, one `JobId` block reservation (a single
-    /// `fetch_add(n)` on the id counter) and one active-count update
-    /// for all `n` jobs. Ids are dense in batch order — exactly the ids
-    /// a loop of [`Runtime::submit`] would issue. Validation is
-    /// all-or-nothing: an invalid graph anywhere rejects the batch
-    /// before any job is admitted.
-    pub fn submit_batch(&self, specs: Vec<JobSpec<TaskGraph>>) -> Result<Vec<JobHandle>, DagError> {
+    /// The one way into the pool, with the per-job fixed costs paid
+    /// once per batch: one pool-lock acquisition (`ensure_workers`),
+    /// one arrival stamp, one `JobId` block reservation (a single
+    /// `fetch_add(n)` on the id counter) and one active-count update.
+    /// Ids are dense in batch order. Validation is all-or-nothing: an
+    /// invalid graph anywhere rejects the batch before any job is
+    /// admitted.
+    fn submit_all(&self, specs: Vec<JobSpec<TaskGraph>>) -> Result<Vec<JobHandle>, DagError> {
         for spec in &specs {
             spec.graph.validate()?;
         }
         self.ensure_workers();
         let n = specs.len();
         let arrival = self.shared.now();
-        // relaxed-ok: batched job-id allocation; same argument as the
-        // single-submit path — uniqueness only.
+        // relaxed-ok: job-id allocation; ids only need uniqueness, the
+        // queue pushes below publish the jobs themselves.
         let base = self.shared.next_job.fetch_add(n as u64, Ordering::Relaxed);
         let jobs: Vec<Arc<ActiveJob>> = specs
             .into_iter()
@@ -812,6 +726,8 @@ impl Runtime {
             .map(|(k, spec)| self.make_job(spec, JobId(base + k as u64), arrival))
             .collect();
         self.shared.active.fetch_add(n, Ordering::AcqRel);
+        // The submitting thread plays the role of XiTAO's main thread
+        // (core 0 context) releasing the roots.
         for job in &jobs {
             for root in job.graph.shape().roots() {
                 self.shared.wakeup(job, root, 0);
@@ -827,7 +743,7 @@ impl Runtime {
     }
 
     /// Construct the live-job record for a pre-validated spec under a
-    /// pre-allocated id (shared by the single and batch submit paths).
+    /// pre-allocated id.
     fn make_job(&self, spec: JobSpec<TaskGraph>, id: JobId, arrival: f64) -> Arc<ActiveJob> {
         let deadline = spec.deadline.map(|d| arrival + (d - spec.arrival).max(0.0));
         Arc::new(ActiveJob {
@@ -864,6 +780,23 @@ impl Runtime {
         self.shared.wait_drained();
         self.shared.completed.lock().drain()
     }
+
+    /// Bank a completed façade job's steals and its share of the
+    /// utilisation gauge, which sums per job (kernel time over job
+    /// makespan × cores) and so is not a wall-clock figure.
+    fn bank(&mut self, handle: &JobHandle) {
+        // relaxed-ok: read after the job completed; the completion
+        // handshake ordered the counter updates.
+        let steals = handle.job.steals.load(Ordering::Relaxed) as u64;
+        *self.session.extras.steals.get_or_insert(0) += steals;
+        if let Some(p) = self.session.probe.as_mut() {
+            p.steals += steals;
+            if let Some(JobOutcome { rt, .. }) = handle.job.done.lock().as_ref() {
+                p.busy += rt.core_busy.iter().map(Duration::as_secs_f64).sum::<f64>();
+                p.capacity += rt.makespan.as_secs_f64() * rt.core_busy.len() as f64;
+            }
+        }
+    }
 }
 
 /// The backend-neutral executor contract over the threaded worker
@@ -884,104 +817,50 @@ impl Executor for Runtime {
     }
 
     fn submit(&mut self, spec: JobSpec<TaskGraph>) -> Result<Ticket, ExecError> {
-        self.check_admission(1)?;
-        let handle = Runtime::submit(self, spec).map_err(|e| ExecError::Rejected(e.to_string()))?;
-        let id = handle.id();
-        self.exec_tickets.insert(id.0, handle);
-        if let Some(m) = &mut self.metrics {
-            m.probe.jobs_admitted += 1;
-        }
-        Ok(Ticket::new(self.exec_session, id))
+        let mut tickets = self.submit_many(vec![spec])?;
+        Ok(tickets.pop().expect("a one-job batch has one ticket"))
     }
 
+    /// All or nothing: a batch over the bound or holding an invalid
+    /// graph admits no job.
     fn submit_many(&mut self, specs: Vec<JobSpec<TaskGraph>>) -> Result<Vec<Ticket>, ExecError> {
-        if specs.is_empty() {
-            return Err(ExecError::Rejected("empty batch".into()));
-        }
-        // A batch either fits under the admission bound or is shed
-        // whole; and `submit_batch` validates all-or-nothing, so a
-        // rejected batch admits *nothing* (the façade's documented
-        // batch semantics — stronger than the default's prefix).
-        self.check_admission(specs.len())?;
-        let handles =
-            Runtime::submit_batch(self, specs).map_err(|e| ExecError::Rejected(e.to_string()))?;
-        let tickets: Vec<Ticket> = handles
+        self.session.admit(specs.len())?;
+        let handles = self
+            .submit_all(specs)
+            .map_err(|e| ExecError::Rejected(e.to_string()))?;
+        Ok(handles
             .into_iter()
-            .map(|handle| {
-                let id = handle.id();
-                self.exec_tickets.insert(id.0, handle);
-                Ticket::new(self.exec_session, id)
-            })
-            .collect();
-        if let Some(m) = &mut self.metrics {
-            m.probe.jobs_admitted += tickets.len() as u64;
-        }
-        Ok(tickets)
+            .map(|handle| self.session.issue(handle.id(), handle))
+            .collect())
     }
 
     fn wait(&mut self, ticket: Ticket) -> Result<JobStats, ExecError> {
-        let id = ticket.job();
-        if ticket.session() != self.exec_session {
-            return Err(ExecError::UnknownTicket(id));
-        }
-        let handle = self
-            .exec_tickets
-            .remove(&id.0)
-            .ok_or(ExecError::UnknownTicket(id))?;
+        let handle = self.session.redeem(ticket)?;
         let outcome = handle.wait();
-        *self.exec_extras.steals.get_or_insert(0) += outcome.rt.steals as u64;
-        if let Some(m) = &mut self.metrics {
-            m.probe.jobs_completed += 1;
-            m.probe.tasks_completed += outcome.stats.tasks as u64;
-            m.probe.steals += outcome.rt.steals as u64;
-            m.probe.sojourn.record(outcome.stats.sojourn());
-            m.probe.queueing.record(outcome.stats.queueing());
-            m.bank_utilisation(&outcome.rt);
-        }
+        self.bank(&handle);
+        self.session.complete(&outcome.stats);
         Ok(outcome.stats)
     }
 
     fn drain(&mut self) -> Result<StreamStats, ExecError> {
         let records = Runtime::drain(self);
-        // Every outstanding job is complete after the pool drain; bank
-        // the leftover (un-waited) tickets' steal counts straight from
-        // the per-job counters — no JobOutcome clone — and retire the
-        // handles.
-        for (_, handle) in std::mem::take(&mut self.exec_tickets) {
-            // relaxed-ok: read after wait() completed the job; the
-            // completion handshake ordered the counter updates.
-            let steals = handle.job.steals.load(Ordering::Relaxed) as u64;
-            *self.exec_extras.steals.get_or_insert(0) += steals;
-            if let Some(m) = &mut self.metrics {
-                m.probe.steals += steals;
-                // The pool is drained, so every retained handle has an
-                // outcome; bank its utilisation contribution.
-                if let Some(out) = handle.try_outcome() {
-                    m.bank_utilisation(&out.rt);
-                }
-            }
+        // Every outstanding job is complete after the pool drain.
+        for handle in self.session.retire_all() {
+            self.bank(&handle);
         }
-        if let Some(m) = &mut self.metrics {
-            for r in &records {
-                m.probe.jobs_completed += 1;
-                m.probe.tasks_completed += r.tasks as u64;
-                m.probe.sojourn.record(r.sojourn());
-                m.probe.queueing.record(r.queueing());
-            }
-            m.probe.ptt_residual = self.sched.ptts().residual(&mut m.last_ptt);
+        for r in &records {
+            self.session.complete(r);
         }
+        self.session.bank_residual(&self.sched);
         Ok(StreamStats::from_jobs(records))
     }
 
     fn take_extras(&mut self) -> ExecExtras {
-        std::mem::take(&mut self.exec_extras)
+        std::mem::take(&mut self.session.extras)
     }
 
     fn metrics_probe(&mut self) -> Option<ExecProbe> {
-        let depth = self.exec_tickets.len() as u64;
-        let m = self.metrics.as_mut()?;
-        m.probe.queue_depth = depth;
-        Some(m.probe.clone())
+        self.session.metrics_probe()
     }
 }
 
@@ -1487,7 +1366,7 @@ mod tests {
         };
         let t0 = Executor::submit(&mut runtime, JobSpec::new(mk())).unwrap();
         let t1 = Executor::submit(&mut runtime, JobSpec::new(mk())).unwrap();
-        let id0 = t0.job();
+        let (id0, session) = (t0.job(), t0.session());
         let s0 = Executor::wait(&mut runtime, t0).unwrap();
         assert_eq!(s0.id, id0);
         assert!(s0.completed >= s0.started && s0.started >= s0.arrival);
@@ -1496,7 +1375,7 @@ mod tests {
         assert_eq!(rest.jobs.len(), 1);
         assert_eq!(rest.jobs[0].id, t1.job());
         // …a consumed ticket is unknown…
-        let stale = Ticket::new(runtime.exec_session, id0);
+        let stale = Ticket::new(session, id0);
         assert!(matches!(
             Executor::wait(&mut runtime, stale),
             Err(ExecError::UnknownTicket(_))

@@ -3,14 +3,14 @@
 //! integration across environment changes.
 
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-use das_core::exec::{session_tag, ExecError, ExecExtras, Executor, SessionBuilder, Ticket};
+use das_core::exec::{ExecError, ExecExtras, Executor, Session, SessionBuilder, Ticket};
 use das_core::jobs::{JobId, JobSpec, JobStats, StreamStats};
-use das_core::metrics::{ExecProbe, MetricsConfig, TraceSpan};
-use das_core::{PttSnapshot, ReadyEntry, ReadyQueue, Scheduler, TaskTypeId};
+use das_core::metrics::{ExecProbe, TraceSpan};
+use das_core::{ReadyEntry, ReadyQueue, Scheduler, TaskTypeId};
 use das_dag::{Dag, DagError, TaskId};
 use das_topology::{CoreId, ExecutionPlace};
 use rand::rngs::SmallRng;
@@ -36,10 +36,6 @@ pub enum SimError {
     },
     /// The run exceeded the configured event budget (runaway model).
     EventLimitExceeded,
-    /// [`Simulator::wait`] was handed a job id this simulator never
-    /// issued — or one whose record was already consumed by an earlier
-    /// `wait` or `drain`.
-    UnknownJob(JobId),
 }
 
 impl fmt::Display for SimError {
@@ -50,7 +46,6 @@ impl fmt::Display for SimError {
                 write!(f, "simulation deadlocked after {completed}/{total} tasks")
             }
             SimError::EventLimitExceeded => write!(f, "event budget exceeded"),
-            SimError::UnknownJob(id) => write!(f, "unknown or already-collected job: {id}"),
         }
     }
 }
@@ -61,7 +56,6 @@ impl From<SimError> for ExecError {
     fn from(e: SimError) -> ExecError {
         match e {
             SimError::InvalidDag(d) => ExecError::Rejected(d.to_string()),
-            SimError::UnknownJob(id) => ExecError::UnknownTicket(id),
             other => ExecError::Failed(other.to_string()),
         }
     }
@@ -200,13 +194,6 @@ pub struct Simulator {
     rng: SmallRng,
     /// Safety valve against runaway event loops.
     pub max_events: u64,
-    /// Admission bound for the executor-session path: the most jobs
-    /// that may be admitted-but-not-retired (pending plus
-    /// executed-but-uncollected) at once. `None` (the default) is
-    /// unbounded; set from [`SessionBuilder::max_outstanding`] by the
-    /// session constructors. Beyond the bound, the [`Executor`] façade
-    /// sheds with [`ExecError::Overloaded`].
-    pub max_outstanding: Option<usize>,
     record_trace: bool,
     trace: Trace,
 
@@ -265,58 +252,25 @@ pub struct Simulator {
 
     // ---- executor-session state (persists across runs and drains;
     // deliberately untouched by `reset`) ----
-    /// Jobs accepted by [`Simulator::submit`] and not yet executed.
+    /// The façade's ledger, bound and probe. A job's state is `None`
+    /// while it waits in `pending_specs` and its completion record once
+    /// its batch has executed.
+    session: Session<Option<JobStats>>,
+    /// Jobs admitted through the façade and not yet executed: the
+    /// newest ids, ending just before `next_ticket`.
     pending_specs: Vec<JobSpec<Dag>>,
-    /// Session job id of `pending_specs[0]`.
-    pending_base: u64,
     /// Next session job id to issue.
     next_ticket: u64,
-    /// Completion records of executed-but-uncollected jobs, by raw job
-    /// id. `wait` consumes one record, `drain` the rest.
-    ledger: HashMap<u64, JobStats>,
-    /// Backend counters (events, steals, …) accumulated by executed
-    /// batches since the last [`Executor::take_extras`].
-    exec_extras: ExecExtras,
-    /// This executor instance's [`session_tag`]: stamped into every
-    /// ticket, checked on redemption.
-    exec_session: u64,
     /// Monotone session clock: the summed makespans of every executed
     /// batch. Each batch runs from its own simulated time zero; its
     /// records are offset by this clock before entering the ledger, so
     /// cross-batch aggregates (span, jobs/sec) are on one timeline —
     /// the truth of how the session executed the batches: sequentially.
     session_clock: f64,
-    /// Observability state ([`SessionBuilder::metrics`]); `None` (the
-    /// default) records nothing — the disabled path costs one branch
-    /// per flush.
-    metrics: Option<SessionMetrics>,
-}
-
-/// The simulator's half of the observability plane: a cumulative
-/// [`ExecProbe`] fed by every executed batch, the previous PTT
-/// snapshots (for the convergence residual), and — when trace recording
-/// is on — the session-clock trace spans of every batch, accumulated
-/// for [`Executor::take_trace_spans`].
-struct SessionMetrics {
-    cfg: MetricsConfig,
-    probe: ExecProbe,
-    /// Snapshot of each PTT table at the previous flush, indexed by
-    /// task type; grown as new types appear.
-    last_ptt: Vec<PttSnapshot>,
-    /// Session-offset spans of every flushed batch (empty unless
-    /// `cfg.trace`).
-    spans: Vec<TraceSpan>,
-}
-
-impl SessionMetrics {
-    fn new(cfg: MetricsConfig) -> Self {
-        SessionMetrics {
-            cfg,
-            probe: ExecProbe::default(),
-            last_ptt: Vec::new(),
-            spans: Vec::new(),
-        }
-    }
+    /// Session-clock trace spans of every executed batch for
+    /// [`Executor::take_trace_spans`]; `None` unless the session's
+    /// metrics asked for a trace.
+    session_spans: Option<Vec<TraceSpan>>,
 }
 
 impl Simulator {
@@ -334,7 +288,6 @@ impl Simulator {
             env,
             rng,
             max_events: 2_000_000_000,
-            max_outstanding: None,
             record_trace: false,
             trace: Trace::default(),
             cores: Vec::new(),
@@ -360,34 +313,27 @@ impl Simulator {
             job_remaining: Vec::new(),
             job_started: Vec::new(),
             job_done_at: Vec::new(),
+            session: Session::default(),
             pending_specs: Vec::new(),
-            pending_base: 0,
             next_ticket: 0,
-            ledger: HashMap::new(),
-            exec_extras: ExecExtras::default(),
-            exec_session: session_tag(),
             session_clock: 0.0,
-            metrics: None,
+            session_spans: None,
             cfg,
         }
     }
 
     /// Build a simulator from the backend-neutral [`SessionBuilder`]:
     /// the configuration surface (topology, policy, ratio, seed, queue
-    /// discipline, simulated overheads) *and* the scheduler knobs
-    /// (sampled search, periodic exploration, the steal ablation) all
-    /// take effect. The cost model keeps the [`SimConfig`] default
-    /// (uniform 1 ms tasks); build via [`SimConfig::from_session`] +
-    /// [`Simulator::new`] + [`Simulator::replace_scheduler`] to combine
-    /// a session with a custom cost model.
+    /// discipline, simulated overheads), the scheduler knobs (sampled
+    /// search, periodic exploration, the steal ablation), the admission
+    /// bound and the observability plane all take effect. The cost
+    /// model keeps the [`SimConfig`] default (uniform 1 ms tasks); use
+    /// [`Simulator::from_session_with_cost`] for another.
+    /// Metrics only read completed batches and never touch the RNG or
+    /// the event loop, so the executed job stream stays bit-identical.
     pub fn from_session(session: &SessionBuilder) -> Self {
-        let mut sim = Simulator::new(SimConfig::from_session(session));
-        sim.replace_scheduler(Arc::new(session.scheduler()));
-        sim.max_outstanding = session.max_outstanding;
-        if let Some(cfg) = session.metrics {
-            sim.enable_metrics(cfg);
-        }
-        sim
+        let default_cost = SimConfig::from_session(session).cost;
+        Simulator::from_session_with_cost(session, default_cost)
     }
 
     /// [`Simulator::from_session`] with a custom cost model — the full
@@ -395,34 +341,19 @@ impl Simulator {
     /// task costs, in one constructor. Prefer this over hand-combining
     /// [`SimConfig::from_session`] with [`Simulator::new`], which
     /// applies the config surface but not the session's *scheduler*
-    /// knobs (those live on the scheduler this constructor installs).
+    /// knobs, bound or metrics.
     pub fn from_session_with_cost(
         session: &SessionBuilder,
         cost: Arc<dyn crate::cost::CostModel>,
     ) -> Self {
         let mut sim = Simulator::new(SimConfig::from_session(session).cost(cost));
         sim.replace_scheduler(Arc::new(session.scheduler()));
-        sim.max_outstanding = session.max_outstanding;
-        if let Some(cfg) = session.metrics {
-            sim.enable_metrics(cfg);
+        sim.session = Session::new(session);
+        if session.metrics.is_some_and(|m| m.trace) {
+            sim.record_trace = true;
+            sim.session_spans = Some(Vec::new());
         }
         sim
-    }
-
-    /// Turn on the observability plane for this session: every flushed
-    /// batch feeds the cumulative [`ExecProbe`] (counters, utilization,
-    /// PTT residual, sojourn/queueing sketches) returned by
-    /// [`Executor::metrics_probe`]; with
-    /// [`MetricsConfig::trace`] set, batch traces are also retained on
-    /// the session clock for [`Executor::take_trace_spans`]. A pure
-    /// observer: it reads completed-batch state only and never touches
-    /// the RNG or the event loop, so enabling it leaves the executed
-    /// job stream bit-identical.
-    pub fn enable_metrics(&mut self, cfg: MetricsConfig) {
-        if cfg.trace {
-            self.record_trace = true;
-        }
-        self.metrics = Some(SessionMetrics::new(cfg));
     }
 
     /// Record per-core execution [`Span`]s during subsequent runs;
@@ -504,34 +435,25 @@ impl Simulator {
         Ok(std::mem::take(&mut self.stats))
     }
 
-    /// The batch engine behind the executor session's
-    /// [`flush_pending`]: every job's roots become ready at its
+    /// The batch engine behind [`Simulator::flush_pending`] over
+    /// pre-validated jobs: every job's roots become ready at its
     /// [`JobSpec::arrival`] (an event in the simulation heap), so jobs
     /// whose executions overlap share the cores, the ready queues and
     /// the PTT — the multi-tenant regime the paper's one-DAG-at-a-time
-    /// evaluation never reaches. Returns per-job completion stats
-    /// aggregated into a [`StreamStats`], plus the batch's [`RunStats`]
-    /// for the session's extras accounting. (The pre-façade
-    /// `Simulator::run_stream` shim over this engine was removed after
-    /// its one-release deprecation window; `tests/executor_contract.rs`
-    /// pins the façade path instead.)
+    /// evaluation never reaches. Returns per-job completion stats with
+    /// batch-local ids, plus the batch's [`RunStats`] for the session's
+    /// extras accounting.
     ///
     /// The simulated clock restarts at zero (stream start); PTT state
     /// carries over from previous runs, as with [`Simulator::run`].
-    ///
-    /// [`flush_pending`]: Simulator::flush_pending
     fn run_stream_inner(
         &mut self,
         jobs: &[JobSpec<Dag>],
-    ) -> Result<(StreamStats, RunStats), SimError> {
-        if jobs.is_empty() {
-            return Ok((StreamStats::default(), RunStats::default()));
-        }
+    ) -> Result<(Vec<JobStats>, RunStats), SimError> {
         let mut merged = Dag::new("job-stream");
         let mut job_of = Vec::new();
         let mut job_roots = Vec::with_capacity(jobs.len());
         for (j, spec) in jobs.iter().enumerate() {
-            spec.graph.validate().map_err(SimError::InvalidDag)?;
             let offset = merged.append(&spec.graph);
             job_of.resize(merged.len(), j);
             job_roots.push(
@@ -568,109 +490,31 @@ impl Simulator {
                 deadline: spec.deadline,
             })
             .collect();
-        let run = std::mem::take(&mut self.stats);
-        Ok((StreamStats::from_jobs(per_job), run))
+        Ok((per_job, std::mem::take(&mut self.stats)))
     }
 
-    // ---- the incremental executor-session path ----
-
-    /// Accept a job into the simulator's **session batch**. The graph
-    /// is validated now; execution is deferred until the next
-    /// [`Simulator::wait`] or [`Simulator::drain`], which runs every
-    /// pending job as one discrete-event batch (arrivals relative to
-    /// the batch's simulated time zero). Returns the session job id —
-    /// stable across batches, monotonically increasing per submission.
-    ///
-    /// This is the incremental path behind the backend-neutral
-    /// [`Executor`] implementation; with equal seeds and submission
-    /// order it executes the identical event sequence as the old
-    /// pre-merged `run_stream` batch, bit for bit.
-    pub fn submit(&mut self, spec: JobSpec<Dag>) -> Result<JobId, SimError> {
-        spec.graph.validate().map_err(SimError::InvalidDag)?;
-        if self.pending_specs.is_empty() {
-            self.pending_base = self.next_ticket;
-        }
-        let id = JobId(self.next_ticket);
-        self.next_ticket += 1;
-        self.pending_specs.push(spec);
-        if let Some(m) = &mut self.metrics {
-            m.probe.jobs_admitted += 1;
-        }
-        Ok(id)
-    }
-
-    /// Complete the job `id` and return its stats, consuming its drain
-    /// record. If the job is still pending this executes the whole
-    /// pending batch first (a discrete-event simulator cannot run one
-    /// job of a shared-core batch in isolation — the batch *is* the
-    /// contention being modelled). An unknown or already-consumed id
-    /// returns [`SimError::UnknownJob`] *without* executing anything —
-    /// an erroneous call never perturbs PTT or RNG state.
-    pub fn wait(&mut self, id: JobId) -> Result<JobStats, SimError> {
-        if let Some(stats) = self.ledger.remove(&id.0) {
-            return Ok(stats);
-        }
-        let pending = self.pending_base..self.pending_base + self.pending_specs.len() as u64;
-        if !pending.contains(&id.0) {
-            return Err(SimError::UnknownJob(id));
-        }
-        self.flush_pending()?;
-        self.ledger.remove(&id.0).ok_or(SimError::UnknownJob(id))
-    }
-
-    /// Execute every pending job and return the records of all session
-    /// jobs completed since the last drain that were not individually
-    /// waited. Records are aggregated by [`StreamStats::from_jobs`]
-    /// (job-id order). Record timestamps are on the **session clock**
-    /// (batches execute sequentially; each batch's simulated times are
-    /// offset by the summed makespans of its predecessors), so
-    /// cross-batch spans and rates are meaningful; PTT state carries
-    /// across batches.
-    pub fn drain(&mut self) -> Result<StreamStats, SimError> {
-        self.flush_pending()?;
-        // det-ok: hash order never reaches the output — from_jobs sorts
-        // the drained records by job id at the emission point.
-        let jobs: Vec<JobStats> = self.ledger.drain().map(|(_, j)| j).collect();
-        Ok(StreamStats::from_jobs(jobs))
-    }
-
-    /// Number of submitted jobs not yet executed.
-    pub fn pending_jobs(&self) -> usize {
-        self.pending_specs.len()
-    }
-
-    /// Jobs admitted into the session and not yet retired: pending plus
-    /// executed-but-uncollected. This is the count
-    /// [`Simulator::max_outstanding`] bounds.
-    pub fn outstanding_jobs(&self) -> usize {
-        self.pending_specs.len() + self.ledger.len()
-    }
-
-    /// Shed `incoming` more jobs if they would push
-    /// [`Simulator::outstanding_jobs`] past the admission bound.
-    fn check_admission(&self, incoming: usize) -> Result<(), ExecError> {
-        if let Some(limit) = self.max_outstanding {
-            let outstanding = self.outstanding_jobs();
-            if outstanding + incoming > limit {
-                return Err(ExecError::Overloaded { outstanding, limit });
-            }
-        }
-        Ok(())
-    }
+    // ---- the executor-session path ----
 
     /// Run the pending batch through the stream engine, remap the
     /// batch-local job ids onto the session ids issued at submission,
     /// and bank the batch's engine counters for the next
-    /// [`Executor::take_extras`].
+    /// [`Executor::take_extras`]. A failed batch loses its jobs: they
+    /// leave the ledger, freeing their admission slots.
     fn flush_pending(&mut self) -> Result<(), SimError> {
         if self.pending_specs.is_empty() {
             return Ok(());
         }
         let specs = std::mem::take(&mut self.pending_specs);
-        let base = self.pending_base;
-        let (stream, run) = self.run_stream_inner(&specs)?;
+        let base = self.next_ticket - specs.len() as u64;
+        let (records, run) = match self.run_stream_inner(&specs) {
+            Ok(batch) => batch,
+            Err(e) => {
+                self.session.retain(Option::is_some);
+                return Err(e);
+            }
+        };
         let offset = self.session_clock;
-        for mut job in stream.jobs {
+        for mut job in records {
             job.id = JobId(base + job.id.0);
             job.arrival += offset;
             job.started += offset;
@@ -678,35 +522,27 @@ impl Simulator {
             if let Some(d) = &mut job.deadline {
                 *d += offset;
             }
-            // Observability is a pure read of the completed record:
-            // sketches are fed in batch job-id order (deterministic),
-            // before the ledger's hashed insertion can reorder anything.
-            if let Some(m) = &mut self.metrics {
-                m.probe.jobs_completed += 1;
-                m.probe.sojourn.record(job.sojourn());
-                m.probe.queueing.record(job.queueing());
-            }
-            self.ledger.insert(job.id.0, job);
+            // Sketches are fed in batch job-id order (deterministic).
+            self.session.complete(&job);
+            let slot = self
+                .session
+                .get_mut(job.id)
+                .expect("a batch job is outstanding");
+            *slot = Some(job);
         }
-        if let Some(m) = &mut self.metrics {
-            m.probe.tasks_completed += run.tasks as u64;
-            m.probe.steals += run.steals as u64;
-            m.probe.failed_steals += run.failed_steals as u64;
-            m.probe.events += run.events;
-            m.probe.busy += run.core_busy.iter().sum::<f64>();
-            m.probe.capacity += run.makespan * run.core_busy.len() as f64;
+        if let Some(p) = self.session.probe.as_mut() {
+            p.steals += run.steals as u64;
+            p.failed_steals += run.failed_steals as u64;
+            p.events += run.events;
+            p.busy += run.core_busy.iter().sum::<f64>();
+            p.capacity += run.makespan * run.core_busy.len() as f64;
         }
-        if self
-            .metrics
-            .as_ref()
-            .is_some_and(|m| m.cfg.trace && self.record_trace)
-        {
+        if let (Some(spans), true) = (&mut self.session_spans, self.record_trace) {
             // Batch traces restart at simulated zero; re-anchor on the
             // session clock so the multi-batch (and multi-node) merge
             // shares one timeline.
             let batch = std::mem::take(&mut self.trace);
-            let m = self.metrics.as_mut().expect("checked above");
-            m.spans.extend(batch.spans.iter().map(|s| TraceSpan {
+            spans.extend(batch.spans.iter().map(|s| TraceSpan {
                 core: s.core,
                 start: s.start + offset,
                 end: s.end + offset,
@@ -718,15 +554,13 @@ impl Simulator {
             }));
         }
         self.session_clock += run.makespan;
-        *self.exec_extras.events.get_or_insert(0) += run.events;
-        *self.exec_extras.steals.get_or_insert(0) += run.steals as u64;
-        self.exec_extras
-            .bump("failed_steals", run.failed_steals as f64);
+        let extras = &mut self.session.extras;
+        *extras.events.get_or_insert(0) += run.events;
+        *extras.steals.get_or_insert(0) += run.steals as u64;
+        extras.bump("failed_steals", run.failed_steals as f64);
         // The residual reads the scheduler's PTTs once per flush — the
         // "has the model settled" signal of the snapshot stream.
-        if let Some(m) = &mut self.metrics {
-            m.probe.ptt_residual = self.sched.ptts().residual(&mut m.last_ptt);
-        }
+        self.session.bank_residual(&self.sched);
         Ok(())
     }
 
@@ -1337,11 +1171,15 @@ impl Simulator {
 }
 
 /// The backend-neutral executor contract over the discrete-event
-/// simulator. Jobs accumulate through `submit` and execute as one
-/// seeded batch at the next `wait`/`drain` (arrivals are simulated-time
-/// events relative to the batch's time zero); with equal seeds and
-/// submission order the event sequence is bit-identical to the old
-/// pre-merged `run_stream` batch.
+/// simulator. `submit` validates and buffers; the pending jobs execute
+/// as one seeded batch at the next `wait` of a pending job or the next
+/// `drain` (arrivals are simulated-time events relative to the batch's
+/// time zero) — a discrete-event simulator cannot run one job of a
+/// shared-core batch in isolation, because the batch *is* the
+/// contention being modelled. A `wait` on an unknown or consumed
+/// ticket executes nothing, so an erroneous call never perturbs PTT or
+/// RNG state. Records are on the session clock; PTT state carries
+/// across batches.
 impl Executor for Simulator {
     type Graph = Dag;
 
@@ -1350,70 +1188,54 @@ impl Executor for Simulator {
     }
 
     fn submit(&mut self, spec: JobSpec<Dag>) -> Result<Ticket, ExecError> {
-        self.check_admission(1)?;
-        Ok(Ticket::new(
-            self.exec_session,
-            Simulator::submit(self, spec)?,
-        ))
+        let mut tickets = self.submit_many(vec![spec])?;
+        Ok(tickets.pop().expect("a one-job batch has one ticket"))
     }
 
+    /// Validate the whole batch before buffering any of it, so a
+    /// rejected batch admits nothing. Session job ids are stable across
+    /// batches and increase by one per admitted job.
     fn submit_many(&mut self, specs: Vec<JobSpec<Dag>>) -> Result<Vec<Ticket>, ExecError> {
-        if specs.is_empty() {
-            return Err(ExecError::Rejected("empty batch".into()));
+        self.session.admit(specs.len())?;
+        for spec in &specs {
+            spec.graph.validate().map_err(SimError::InvalidDag)?;
         }
-        // Shed the whole batch up front: a batch either fits under the
-        // admission bound or none of it is admitted.
-        self.check_admission(specs.len())?;
-        // One pass: validate-and-buffer through the native path — the
-        // ids come out exactly as a loop of `submit` would issue them.
-        // On a mid-batch rejection, rewind to the pre-batch state so an
-        // overridden batch admits *nothing* (the façade's documented
-        // batch semantics — stronger than the default's prefix).
-        let saved_pending = self.pending_specs.len();
-        let saved_next = self.next_ticket;
-        let mut tickets = Vec::with_capacity(specs.len());
-        for spec in specs {
-            match Simulator::submit(self, spec) {
-                Ok(id) => tickets.push(Ticket::new(self.exec_session, id)),
-                Err(e) => {
-                    self.pending_specs.truncate(saved_pending);
-                    if let Some(m) = &mut self.metrics {
-                        m.probe.jobs_admitted -= self.next_ticket - saved_next;
-                    }
-                    self.next_ticket = saved_next;
-                    return Err(e.into());
-                }
-            }
-        }
-        Ok(tickets)
+        let first = self.next_ticket;
+        self.next_ticket += specs.len() as u64;
+        self.pending_specs.extend(specs);
+        let ids = first..self.next_ticket;
+        Ok(ids.map(|id| self.session.issue(JobId(id), None)).collect())
     }
 
     fn wait(&mut self, ticket: Ticket) -> Result<JobStats, ExecError> {
-        if ticket.session() != self.exec_session {
-            return Err(ExecError::UnknownTicket(ticket.job()));
+        if matches!(self.session.get(&ticket), Some(None)) {
+            self.flush_pending()?;
         }
-        Ok(Simulator::wait(self, ticket.job())?)
+        let stats = self.session.redeem(ticket)?;
+        Ok(stats.expect("an outstanding job is pending only until a flush"))
     }
 
     fn drain(&mut self) -> Result<StreamStats, ExecError> {
-        Ok(Simulator::drain(self)?)
+        self.flush_pending()?;
+        let jobs = self
+            .session
+            .retire_all()
+            .map(|stats| stats.expect("an outstanding job is pending only until a flush"));
+        Ok(StreamStats::from_jobs(jobs.collect()))
     }
 
     fn take_extras(&mut self) -> ExecExtras {
-        std::mem::take(&mut self.exec_extras)
+        std::mem::take(&mut self.session.extras)
     }
 
     fn metrics_probe(&mut self) -> Option<ExecProbe> {
-        let depth = self.outstanding_jobs() as u64;
-        let m = self.metrics.as_mut()?;
-        m.probe.queue_depth = depth;
-        Some(m.probe.clone())
+        self.session.metrics_probe()
     }
 
     fn take_trace_spans(&mut self) -> Vec<TraceSpan> {
-        self.metrics
+        self.session_spans
             .as_mut()
-            .map(|m| std::mem::take(&mut m.spans))
+            .map(std::mem::take)
             .unwrap_or_default()
     }
 }
@@ -1423,6 +1245,7 @@ mod tests {
     use super::*;
     use crate::cost::{TableCost, UniformCost};
     use crate::env::Modifier;
+    use das_core::metrics::MetricsConfig;
     use das_core::Policy;
     use das_dag::generators;
     use das_topology::{ClusterId, Topology};
@@ -1432,11 +1255,11 @@ mod tests {
         Simulator::new(SimConfig::new(topo, policy).cost(Arc::new(UniformCost::new(1e-3))))
     }
 
-    /// Push a borrowed batch through the incremental session path.
+    /// Push a borrowed batch through the façade's session path.
     fn drain_stream(
         s: &mut Simulator,
         jobs: &[das_core::jobs::JobSpec<Dag>],
-    ) -> Result<StreamStats, SimError> {
+    ) -> Result<StreamStats, ExecError> {
         for spec in jobs {
             s.submit(spec.clone())?;
         }
@@ -1797,14 +1620,14 @@ mod tests {
         let jobs = vec![das_core::jobs::JobSpec::new(das_dag::Dag::new("empty"))];
         assert!(matches!(
             drain_stream(&mut s, &jobs),
-            Err(SimError::InvalidDag(_))
+            Err(ExecError::Rejected(_))
         ));
     }
 
     #[test]
     fn incremental_wait_flushes_and_consumes() {
         let mut s = sim(Policy::DamC);
-        let ids: Vec<_> = (0..3)
+        let mut tickets: Vec<_> = (0..3)
             .map(|j| {
                 s.submit(
                     das_core::jobs::JobSpec::new(generators::chain(TaskTypeId(0), 4))
@@ -1813,22 +1636,25 @@ mod tests {
                 .unwrap()
             })
             .collect();
+        let ids: Vec<_> = tickets.iter().map(Ticket::job).collect();
         assert_eq!(ids, vec![JobId(0), JobId(1), JobId(2)]);
-        assert_eq!(s.pending_jobs(), 3);
+        assert_eq!(s.pending_specs.len(), 3);
+        let session = tickets[0].session();
+        let stale = |id| Ticket::new(session, JobId(id));
         // Waiting the middle job executes the whole batch…
-        let st = s.wait(JobId(1)).unwrap();
+        let st = s.wait(tickets.remove(1)).unwrap();
         assert_eq!(st.id, JobId(1));
         assert_eq!(st.tasks, 4);
-        assert_eq!(s.pending_jobs(), 0);
+        assert_eq!(s.pending_specs.len(), 0);
         // …consumes exactly that record…
-        assert_eq!(s.wait(JobId(1)), Err(SimError::UnknownJob(JobId(1))));
+        assert_eq!(s.wait(stale(1)), Err(ExecError::UnknownTicket(JobId(1))));
         // …and leaves the others for drain (job-id order).
         let rest = s.drain().unwrap();
         let rest_ids: Vec<_> = rest.jobs.iter().map(|j| j.id).collect();
         assert_eq!(rest_ids, vec![JobId(0), JobId(2)]);
         // A drained simulator is empty.
         assert!(s.drain().unwrap().jobs.is_empty());
-        assert_eq!(s.wait(JobId(7)), Err(SimError::UnknownJob(JobId(7))));
+        assert_eq!(s.wait(stale(7)), Err(ExecError::UnknownTicket(JobId(7))));
     }
 
     #[test]
@@ -1852,7 +1678,7 @@ mod tests {
                 2,
             )))
             .unwrap();
-        assert_eq!(id, JobId(2));
+        assert_eq!(id.job(), JobId(2));
         let second = s.drain().unwrap();
         assert_eq!(second.jobs[0].id, JobId(2));
         assert_eq!(first.jobs.len(), 2);
@@ -1867,29 +1693,32 @@ mod tests {
     #[test]
     fn wait_on_unknown_id_has_no_side_effects() {
         let mut s = sim(Policy::DamC);
-        s.submit(das_core::jobs::JobSpec::new(generators::chain(
-            TaskTypeId(0),
-            3,
-        )))
-        .unwrap();
+        let t = s
+            .submit(das_core::jobs::JobSpec::new(generators::chain(
+                TaskTypeId(0),
+                3,
+            )))
+            .unwrap();
+        let session = t.session();
+        let stale = |id| Ticket::new(session, JobId(id));
         // Neither a never-issued id nor an already-consumed one may
         // execute the pending batch as a side effect.
-        assert_eq!(s.wait(JobId(99)), Err(SimError::UnknownJob(JobId(99))));
-        assert_eq!(s.pending_jobs(), 1, "pending batch untouched");
-        let st = s.wait(JobId(0)).unwrap();
+        assert_eq!(s.wait(stale(99)), Err(ExecError::UnknownTicket(JobId(99))));
+        assert_eq!(s.pending_specs.len(), 1, "pending batch untouched");
+        let st = s.wait(t).unwrap();
         assert_eq!(st.tasks, 3);
-        assert_eq!(s.wait(JobId(0)), Err(SimError::UnknownJob(JobId(0))));
-        assert_eq!(s.pending_jobs(), 0);
+        assert_eq!(s.wait(stale(0)), Err(ExecError::UnknownTicket(JobId(0))));
+        assert_eq!(s.pending_specs.len(), 0);
     }
 
     #[test]
     fn cross_batch_drain_reports_one_monotone_timeline() {
         let mut s = sim(Policy::Rws);
         let job = || das_core::jobs::JobSpec::new(generators::chain(TaskTypeId(0), 4));
-        // Batch 1: two jobs; consume one record by id.
+        // Batch 1: two jobs; consume one record by ticket.
+        let first = s.submit(job()).unwrap();
         s.submit(job()).unwrap();
-        s.submit(job()).unwrap();
-        s.wait(JobId(0)).unwrap();
+        s.wait(first).unwrap();
         // Batch 2: one more job, then drain both leftovers together.
         s.submit(job()).unwrap();
         let st = s.drain().unwrap();
@@ -1923,7 +1752,7 @@ mod tests {
         assert!(report.extras.get("failed_steals").is_some());
         // Extras were surrendered: a second take is empty.
         assert!(Executor::take_extras(&mut s).is_empty());
-        // And the per-job records equal the inherent session path's.
+        // And the per-job records equal a submit loop's.
         let mut direct = sim(Policy::DamC);
         assert_eq!(report.jobs, drain_stream(&mut direct, &jobs).unwrap());
     }
@@ -2015,6 +1844,26 @@ mod tests {
         let p2 = s.metrics_probe().unwrap();
         assert_eq!(p2.jobs_completed, 24);
         assert_eq!(p2.sojourn.count(), 24);
+    }
+
+    #[test]
+    fn a_failed_batch_frees_its_admission_slots() {
+        let session = SessionBuilder::new(Arc::new(Topology::tx2()), Policy::DamC)
+            .max_outstanding(3)
+            .metrics(MetricsConfig::default());
+        let mut s = Simulator::from_session(&session);
+        s.max_events = 10;
+        let job = || JobSpec::new(generators::layered(TaskTypeId(0), 3, 20));
+        let tickets: Vec<Ticket> = (0..3).map(|_| s.submit(job()).unwrap()).collect();
+        assert!(matches!(s.drain(), Err(ExecError::Failed(_))));
+        // The failed batch took its jobs with it: every ticket is
+        // unknown and every slot is free again.
+        for t in tickets {
+            let id = t.job();
+            assert_eq!(s.wait(t), Err(ExecError::UnknownTicket(id)));
+        }
+        assert_eq!(s.metrics_probe().unwrap().queue_depth, 0);
+        s.submit(job()).expect("a freed slot admits");
     }
 
     #[test]

@@ -23,25 +23,25 @@ use das::topology::Topology;
 use das::workloads::arrivals::{JobShape, StreamConfig};
 use std::sync::Arc;
 
-/// Render order and display unit for every metric family. das-lint's
-/// cross-file contract check requires each `MetricKind` variant to be
-/// handled here by name; adding a variant without a row fails CI.
-const ROWS: [(MetricKind, Unit); 12] = [
-    (MetricKind::QueueDepth, Unit::Count),
-    (MetricKind::JobsAdmitted, Unit::Count),
-    (MetricKind::JobsCompleted, Unit::Count),
-    (MetricKind::TasksCompleted, Unit::Count),
-    (MetricKind::Steals, Unit::Count),
-    (MetricKind::FailedSteals, Unit::Count),
-    (MetricKind::Events, Unit::Count),
-    (MetricKind::Utilization, Unit::Percent),
-    (MetricKind::PttResidual, Unit::Seconds),
-    (MetricKind::SojournP50, Unit::Seconds),
-    (MetricKind::SojournP99, Unit::Seconds),
-    (MetricKind::QueueingP99, Unit::Seconds),
-];
+/// Display unit of every metric family. The match is wildcard-free, so
+/// a new `MetricKind` variant without a unit fails the build.
+fn unit(kind: MetricKind) -> Unit {
+    match kind {
+        MetricKind::QueueDepth
+        | MetricKind::JobsAdmitted
+        | MetricKind::JobsCompleted
+        | MetricKind::TasksCompleted
+        | MetricKind::Steals
+        | MetricKind::FailedSteals
+        | MetricKind::Events => Unit::Count,
+        MetricKind::Utilization => Unit::Percent,
+        MetricKind::PttResidual
+        | MetricKind::SojournP50
+        | MetricKind::SojournP99
+        | MetricKind::QueueingP99 => Unit::Seconds,
+    }
+}
 
-#[derive(Clone, Copy)]
 enum Unit {
     Count,
     Percent,
@@ -68,12 +68,12 @@ fn render(frame: usize, label: &str, report: &MetricsReport) {
         print!("{:>12}", format!("node{}", s.node));
     }
     println!("{:>12}", "TOTAL");
-    for (kind, unit) in ROWS {
+    for kind in MetricKind::ALL {
         print!("  {:<16}", kind.name());
         for s in &report.nodes {
-            print!("{}", cell(metric_scalar(kind, &s.probe), unit));
+            print!("{}", cell(metric_scalar(kind, &s.probe), unit(kind)));
         }
-        println!("{}", cell(metric_scalar(kind, &totals), unit));
+        println!("{}", cell(metric_scalar(kind, &totals), unit(kind)));
     }
     println!();
 }

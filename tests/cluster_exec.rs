@@ -359,6 +359,22 @@ fn load_shed_routes_around_full_nodes_and_sheds_only_when_all_are_full() {
 }
 
 #[test]
+fn a_batch_larger_than_every_bound_together_is_rejected() {
+    // Limits 1 + 3: no drain can ever make room for 5 jobs, so the
+    // batch is `Rejected` before routing, with nothing admitted.
+    let sessions = [1, 3].map(|limit| base_session(11).max_outstanding(limit));
+    let mut cluster = ClusterBuilder::from_sessions(sessions.to_vec())
+        .route(RoutePolicy::LoadShed)
+        .build_sim();
+    let batch = |n| (0..n).map(chain_job).collect();
+    assert!(matches!(
+        cluster.submit_many(batch(5)),
+        Err(ExecError::Rejected(_))
+    ));
+    assert_eq!(cluster.submit_many(batch(4)).expect("4 fit").len(), 4);
+}
+
+#[test]
 fn overloaded_stream_conserves_jobs_and_its_sojourn_p99_is_reproducible() {
     // 4 nodes x 64 slots under LoadShed, offered 320 jobs at twice the
     // arrival rate of `stream()`: the 257th submission finds every node

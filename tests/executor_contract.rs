@@ -331,6 +331,34 @@ fn runtime_overload_rejects_at_exactly_the_limit_and_recovers() {
     Executor::drain(&mut rt).expect("final drain");
 }
 
+/// Under a bound of 3, a batch of 4 can never fit: it is `Rejected`
+/// (not `Overloaded`, which promises a retry after a drain) and admits
+/// nothing, so a batch of 3 still fits afterwards.
+fn check_oversized_batch_is_rejected<G>(ex: &mut dyn Executor<Graph = G>, jobs: Vec<JobSpec<G>>) {
+    let mut jobs = jobs.into_iter();
+    let four: Vec<_> = jobs.by_ref().take(4).collect();
+    assert!(matches!(ex.submit_many(four), Err(ExecError::Rejected(_))));
+    let three = ex
+        .submit_many(jobs.take(3).collect())
+        .expect("fits the bound");
+    assert_eq!(three[0].job(), JobId(0), "the rejected batch took no ids");
+    assert_eq!(ex.drain().expect("drains").jobs.len(), 3);
+}
+
+#[test]
+fn a_batch_larger_than_the_bound_is_rejected_on_both_backends() {
+    let session = |topo| SessionBuilder::new(Arc::new(topo), Policy::DamC).max_outstanding(3);
+    let jobs = stream();
+    check_oversized_batch_is_rejected(
+        &mut Simulator::from_session(&session(Topology::tx2())),
+        jobs.clone(),
+    );
+    check_oversized_batch_is_rejected(
+        &mut Runtime::from_session(&session(Topology::symmetric(2))),
+        to_runtime_jobs(&jobs),
+    );
+}
+
 #[test]
 fn rejected_jobs_do_not_poison_the_session() {
     // An invalid graph is rejected by submit on both backends; the

@@ -14,6 +14,7 @@
 
 use das::core::{Policy, Ptt, TaskTypeId, WeightRatio};
 use das::dag::generators;
+use das::exec::Executor;
 use das::sim::{cost::UniformCost, Environment, Modifier, Scenario, SimConfig, Simulator};
 use das::topology::{CoreId, ExecutionPlace, Topology};
 use das::workloads::arrivals::{JobShape, StreamConfig};
