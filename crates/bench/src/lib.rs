@@ -84,6 +84,10 @@ impl Table {
     ///
     /// # Panics
     /// Panics if the table has no column `name`.
+    #[expect(
+        clippy::panic,
+        reason = "a missing column is a typo in a figure table, documented under # Panics"
+    )]
     pub fn column(&self, name: &str) -> Vec<f64> {
         let i = self
             .columns

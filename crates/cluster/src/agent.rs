@@ -81,6 +81,18 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The fault plane's kill: a node agent dies by panicking, so the
+/// spawn wrapper's failure path is its one and only death path.
+#[expect(
+    clippy::panic,
+    reason = "the scheduled Kill fault takes this agent down by design: the spawn \
+              wrapper catches the panic, publishes the down flag and sends the \
+              `NodeFailed` frame the blocked dispatcher is waiting on"
+)]
+fn fault_kill(admitted: u64) -> ! {
+    panic!("fault plane: killed after {admitted} admitted jobs");
+}
+
 /// Run one executor-contract operation on the node agent, translating
 /// errors (and executor panics — a runtime node's `wait` re-raises task
 /// body panics) into the error to reply with, its human-readable
@@ -278,14 +290,7 @@ fn node_agent<E: Executor>(
                     specs.push(spec);
                 }
                 if plane.on_admit(k as u64) {
-                    // fault-ok: the scheduled Kill fault takes this agent
-                    // down by design — the spawn wrapper catches the panic,
-                    // publishes the down flag and sends the `NodeFailed`
-                    // frame the blocked dispatcher is waiting on.
-                    panic!(
-                        "fault plane: killed after {} admitted jobs",
-                        plane.admitted()
-                    );
+                    fault_kill(plane.admitted());
                 }
                 // The backend batch is atomic on validation: on error
                 // the node admits nothing and the count is untouched.

@@ -444,6 +444,25 @@ mod tests {
     }
 
     #[test]
+    fn all_lists_every_variant() {
+        // Walk the variants through a wildcard-free `match`, each arm
+        // naming its successor: a new variant stops this test compiling
+        // until its arm links it into the walk, and then fails it until
+        // `ALL` lists it too — so every sweep over `ALL` (the cluster
+        // differential matrix among them) covers it.
+        let mut walked = vec![RoutePolicy::RoundRobin];
+        while let Some(next) = match walked[walked.len() - 1] {
+            RoutePolicy::RoundRobin => Some(RoutePolicy::LeastOutstanding),
+            RoutePolicy::LeastOutstanding => Some(RoutePolicy::PowerOfTwo),
+            RoutePolicy::PowerOfTwo => Some(RoutePolicy::LoadShed),
+            RoutePolicy::LoadShed => None,
+        } {
+            walked.push(next);
+        }
+        assert_eq!(walked, RoutePolicy::ALL);
+    }
+
+    #[test]
     fn names_are_stable() {
         for p in RoutePolicy::ALL {
             assert!(!p.name().is_empty());

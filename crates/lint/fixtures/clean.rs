@@ -18,10 +18,8 @@ impl State {
     }
 
     pub fn reset(&mut self) -> u64 {
-        // SAFETY: no-op transmute of u64 to itself (fixture).
-        let v = unsafe { std::mem::transmute::<u64, u64>(7) };
         self.table.clear();
-        self.hits.swap(v, Ordering::AcqRel);
+        self.hits.swap(7, Ordering::AcqRel);
         self.hits.load(Ordering::SeqCst)
     }
 }

@@ -10,7 +10,7 @@
 //!   against this view cannot false-positive on prose or log messages.
 //! * `comment` — the concatenated comment text of the line (doc and
 //!   plain, line and block), which is where justification annotations
-//!   (`det-ok:`, `relaxed-ok:`, `SAFETY:`, …) live.
+//!   (`det-ok:`, `relaxed-ok:`, `lock-ok:`, …) live.
 //!
 //! The state machine understands nested block comments, string escapes,
 //! raw strings (`r"…"`, `r#"…"#`, byte variants) and the char-literal /
@@ -242,6 +242,13 @@ pub fn find_token(code: &str, token: &str) -> Option<usize> {
 
 fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// Is the token (from [`tokens`]) an identifier or keyword?
+pub fn is_ident(t: &str) -> bool {
+    t.chars()
+        .next()
+        .is_some_and(|c| c.is_alphabetic() || c == '_')
 }
 
 /// Tokenize a masked code line into identifier and punctuation tokens

@@ -8,36 +8,32 @@
 //! ([`rules`]), and a workspace walker (this module) that classifies
 //! every `.rs` file and applies the rules that fit it:
 //!
-//! 1. **determinism** — no `Instant::now` / `SystemTime` / `thread_rng`
-//!    / `rand::random` / `std::env` reads and no `HashMap`/`HashSet`
-//!    iteration in the determinism-critical crates (`das-core`,
-//!    `das-sim`, `das-cluster`, `das-msg`) without `// det-ok: <reason>`;
+//! 1. **determinism** — no `HashMap`/`HashSet` iteration in the
+//!    determinism-critical crates (`das-core`, `das-sim`,
+//!    `das-cluster`, `das-msg`) without `// det-ok: <reason>`;
 //! 2. **atomics** — every `Ordering::Relaxed` carries
-//!    `// relaxed-ok: <reason>`; an orderings inventory is reported;
-//! 3. **unsafe** — every `unsafe` is preceded by `// SAFETY:`;
-//! 4. **panic** — no bare `.unwrap()` in non-test library code;
-//! 5. **contract** — every `RoutePolicy` variant appears in the
-//!    differential matrix: coverage of a test table rustc cannot see
-//!    (a contract whose target is a wildcard-free `match` would only
-//!    repeat the compiler's exhaustiveness check, so there is none);
-//! 6. **fault** — every intentional `panic!`/`panic_any` in
-//!    determinism-critical library code (the fault plane's kill
-//!    mechanism) carries `// fault-ok: <reason>` naming its catcher.
+//!    `// relaxed-ok: <reason>`; an orderings inventory is reported.
 //!
 //! On top of the line-local rules sits the function-graph layer
 //! ([`parse`]): per-file extraction of function boundaries, call
 //! sites, lock acquisitions and blocking waits/receives, merged into a
 //! workspace view by two more rules:
 //!
-//! 7. **lock-order** — held-lock sets propagate through intra-crate
+//! 3. **lock-order** — held-lock sets propagate through intra-crate
 //!    call edges into a workspace lock-acquisition graph; acquisition
 //!    cycles (potential deadlock) and locks held across a blocking
 //!    wait/receive are reported unless justified with
 //!    `// lock-ok: <reason>`;
-//! 8. **blocking** — an unbounded `recv()` in control-plane code
+//! 4. **blocking** — an unbounded `recv()` in control-plane code
 //!    (`das-cluster`, `das-msg`) must become `recv_timeout` /
 //!    `recv_backoff` / `try_recv*` or carry `// block-ok: <reason>`
 //!    naming the bounding mechanism.
+//!
+//! Everything a compiler can check is left to it: clippy gates
+//! `// SAFETY:` comments, bare `.unwrap()`, intentional panics and the
+//! wall-clock / RNG / environment APIs (the workspace `Cargo.toml`
+//! lints and `clippy.toml`), and a wildcard-free test pins
+//! `RoutePolicy::ALL` to the enum.
 //!
 //! Run it as `cargo run --release -p das-lint`; it exits non-zero with
 //! `file:line` diagnostics on any unjustified violation (`--json` for
@@ -54,16 +50,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use lexer::mask;
-use rules::{check_contract, Diagnostic, FileCtx, FileKind, LockEdge, OrderingCounts};
-
-/// A cross-file contract: every variant of `enum_name` (defined in
-/// `enum_file`) must be referenced as `Enum::Variant` in `target_file`.
-#[derive(Debug, Clone)]
-pub struct Contract {
-    pub enum_file: PathBuf,
-    pub enum_name: String,
-    pub target_file: PathBuf,
-}
+use rules::{Diagnostic, FileCtx, FileKind, LockEdge, OrderingCounts};
 
 /// What to audit and how to classify it. Paths are relative to `root`.
 #[derive(Debug, Clone)]
@@ -71,17 +58,16 @@ pub struct Config {
     pub root: PathBuf,
     /// Path prefixes whose files are determinism-critical (rule 1).
     pub det_prefixes: Vec<PathBuf>,
-    /// Path prefixes whose files are control-plane code (rule 8).
+    /// Path prefixes whose files are control-plane code (rule 4).
     pub blocking_prefixes: Vec<PathBuf>,
     /// Path prefixes never walked (vendored deps, build output, the
     /// violation fixtures).
     pub skip_prefixes: Vec<PathBuf>,
-    pub contracts: Vec<Contract>,
 }
 
 impl Config {
-    /// The workspace configuration: determinism-critical crates, skip
-    /// list and contract checks for this repository.
+    /// The workspace configuration: determinism-critical and
+    /// control-plane crates and the skip list for this repository.
     pub fn workspace(root: PathBuf) -> Config {
         Config {
             root,
@@ -98,11 +84,6 @@ impl Config {
                 PathBuf::from("target"),
                 PathBuf::from("crates/lint/fixtures"),
             ],
-            contracts: vec![Contract {
-                enum_file: PathBuf::from("crates/cluster/src/route.rs"),
-                enum_name: "RoutePolicy".to_string(),
-                target_file: PathBuf::from("tests/cluster_exec.rs"),
-            }],
         }
     }
 }
@@ -125,23 +106,15 @@ impl Report {
 /// Classify one file (path relative to the workspace root).
 pub fn classify(rel: &Path, cfg: &Config) -> FileKind {
     let p = rel.to_string_lossy().replace('\\', "/");
-    let det_critical = cfg.det_prefixes.iter().any(|d| rel.starts_with(d));
-    let control_plane = cfg.blocking_prefixes.iter().any(|d| rel.starts_with(d));
-    let test_file = p.starts_with("tests/") || p.contains("/tests/");
-    let in_src = p.starts_with("src/") || p.contains("/src/");
-    let bin_target = p.ends_with("/main.rs") || p == "src/main.rs" || p.contains("/src/bin/");
-    let example = p.starts_with("examples/") || p.contains("/examples/");
-    let lib_code = in_src && !bin_target && !example && !test_file;
     FileKind {
-        det_critical,
-        lib_code,
-        test_file,
-        control_plane,
+        det_critical: cfg.det_prefixes.iter().any(|d| rel.starts_with(d)),
+        test_file: p.starts_with("tests/") || p.contains("/tests/"),
+        control_plane: cfg.blocking_prefixes.iter().any(|d| rel.starts_with(d)),
     }
 }
 
 /// Audit a single source text under an explicit classification with
-/// the **line-local** rules (1–4, 6) only. This is the entry point the
+/// the **line-local** rules (1 and 2) only. This is the entry point the
 /// fixture self-tests drive directly — and the pass the cross-function
 /// fixtures are demonstrably invisible to (see
 /// `graph_inversion_is_invisible_to_line_local_rules`).
@@ -151,14 +124,11 @@ pub fn audit_source(rel: &Path, source: &str, kind: FileKind) -> (Vec<Diagnostic
     let mut diags = rules::rule_determinism(&ctx);
     let (atomics, counts) = rules::rule_atomics(&ctx);
     diags.extend(atomics);
-    diags.extend(rules::rule_unsafe(&ctx));
-    diags.extend(rules::rule_panic(&ctx));
-    diags.extend(rules::rule_fault(&ctx));
     (diags, counts)
 }
 
 /// Extract the function graph of a single source text — the substrate
-/// of the cross-function rules (7 and 8).
+/// of the cross-function rules (3 and 4).
 pub fn graph_source(rel: &Path, source: &str, kind: FileKind) -> parse::FileGraph {
     let lines = mask(source);
     let ctx = FileCtx::new(rel, &lines, kind);
@@ -195,8 +165,8 @@ fn rust_files(root: &Path, cfg: &Config) -> std::io::Result<Vec<PathBuf>> {
 }
 
 /// Run the full audit over the configured tree: the line-local rules
-/// per file, the graph rules over the merged per-crate function
-/// graphs, and the cross-file contracts.
+/// per file and the graph rules over the merged per-crate function
+/// graphs.
 pub fn run(cfg: &Config) -> std::io::Result<Report> {
     let mut report = Report::default();
     let mut graphs: Vec<(PathBuf, parse::FileGraph)> = Vec::new();
@@ -217,17 +187,6 @@ pub fn run(cfg: &Config) -> std::io::Result<Report> {
     let (lock_diags, lock_edges) = rules::rule_lock_order(&graphs);
     report.diagnostics.extend(lock_diags);
     report.lock_edges = lock_edges;
-    for c in &cfg.contracts {
-        let enum_src = fs::read_to_string(cfg.root.join(&c.enum_file))?;
-        let target_src = fs::read_to_string(cfg.root.join(&c.target_file))?;
-        report.diagnostics.extend(check_contract(
-            &c.enum_file,
-            &mask(&enum_src),
-            &c.enum_name,
-            &c.target_file,
-            &mask(&target_src),
-        ));
-    }
     report.diagnostics.sort();
     Ok(report)
 }

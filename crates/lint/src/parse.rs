@@ -24,7 +24,7 @@
 //! identity, closures attributed to the enclosing function, `if let`
 //! guard bindings treated as temporaries).
 
-use crate::lexer::token_stream;
+use crate::lexer::{is_ident, token_stream};
 use crate::rules::{FileCtx, BLOCK_TAG, LOCK_TAG};
 
 /// Methods that acquire a `Mutex`/`RwLock` guard.
@@ -410,10 +410,4 @@ fn waited_guard(body: &[(usize, String)], open_idx: usize) -> Option<String> {
     }
     let var = &body.get(k)?.1;
     is_ident(var).then(|| var.to_string())
-}
-
-fn is_ident(t: &str) -> bool {
-    t.chars()
-        .next()
-        .is_some_and(|c| c.is_alphabetic() || c == '_')
 }

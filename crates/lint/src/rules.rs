@@ -6,20 +6,18 @@
 //! comment view. A justification is `// <tag> <reason>` with a
 //! non-empty reason, on the flagged line or the line directly above it.
 //!
-//! Rules 1–4 and 6 are line-local; rule 5 (cross-file contracts) is a
-//! standalone check over an enum definition and a target file, kept
-//! only for a target rustc cannot check — a test matrix, never a
-//! wildcard-free `match`, whose exhaustiveness the compiler already
-//! enforces. Rules
-//! 7 and 8 are the graph layer: they consume [`crate::parse`]'s
-//! per-function extraction — rule 7 (lock-order) over the whole
-//! workspace at once, rule 8 (blocking) per control-plane file.
+//! Rules 1 and 2 are line-local. Rules 3 and 4 are the graph layer:
+//! they consume [`crate::parse`]'s per-function extraction — rule 3
+//! (lock-order) over the whole workspace at once, rule 4 (blocking)
+//! per control-plane file. What a compiler can check (`// SAFETY:`
+//! comments, bare `.unwrap()`, intentional panics, wall-clock / RNG /
+//! environment APIs, variant coverage) is left to clippy and rustc.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use crate::lexer::{find_token, has_token, tokens, LineInfo};
+use crate::lexer::{find_token, has_token, is_ident, token_stream, tokens, LineInfo};
 use crate::parse::{FileGraph, FnInfo};
 
 /// One `file:line` finding. Ordered by (file, line, rule) for stable
@@ -47,10 +45,6 @@ impl fmt::Display for Diagnostic {
 
 pub const RULE_DETERMINISM: &str = "determinism";
 pub const RULE_ATOMICS: &str = "atomics";
-pub const RULE_UNSAFE: &str = "unsafe";
-pub const RULE_PANIC: &str = "panic";
-pub const RULE_CONTRACT: &str = "contract";
-pub const RULE_FAULT: &str = "fault";
 pub const RULE_LOCK_ORDER: &str = "lock-order";
 pub const RULE_BLOCKING: &str = "blocking";
 
@@ -58,10 +52,6 @@ pub const RULE_BLOCKING: &str = "blocking";
 pub const RULES: &[&str] = &[
     RULE_DETERMINISM,
     RULE_ATOMICS,
-    RULE_UNSAFE,
-    RULE_PANIC,
-    RULE_CONTRACT,
-    RULE_FAULT,
     RULE_LOCK_ORDER,
     RULE_BLOCKING,
 ];
@@ -71,13 +61,10 @@ pub const RULES: &[&str] = &[
 pub struct FileKind {
     /// Rule 1 applies (determinism-critical crate source).
     pub det_critical: bool,
-    /// Rule 4 applies (library code: not tests, examples or bin
-    /// targets).
-    pub lib_code: bool,
-    /// The whole file is test code (`tests/`): rules 1 and 4 never
-    /// apply, rules 2 and 3 still do.
+    /// The whole file is test code (`tests/`): only rule 2 applies —
+    /// the others skip test code.
     pub test_file: bool,
-    /// Rule 8 applies (dispatcher/cluster control-plane source, where
+    /// Rule 4 applies (dispatcher/cluster control-plane source, where
     /// an unbounded receive wedges the tier on a lost peer).
     pub control_plane: bool,
 }
@@ -212,17 +199,6 @@ fn justified(ctx: &FileCtx<'_>, idx: usize, tag: &str) -> bool {
 // Rule 1: determinism
 // ---------------------------------------------------------------------
 
-/// Sources of nondeterminism that must never appear unjustified in a
-/// determinism-critical crate. Matched as whole tokens in code.
-const DET_PATTERNS: &[(&str, &str)] = &[
-    ("Instant::now", "wall-clock read"),
-    ("SystemTime", "wall-clock type"),
-    ("thread_rng", "OS-seeded RNG"),
-    ("rand::random", "OS-seeded RNG"),
-    ("std::env", "environment read"),
-    ("env::var", "environment read"),
-];
-
 /// Map-iteration methods whose order is unspecified for hash maps.
 const MAP_ITER_METHODS: &[&str] = &[
     "iter",
@@ -236,8 +212,8 @@ const MAP_ITER_METHODS: &[&str] = &[
 
 pub const DET_TAG: &str = "det-ok:";
 
-/// Rule 1: forbid nondeterminism sources and `HashMap`/`HashSet`
-/// iteration in determinism-critical code unless `// det-ok: <reason>`.
+/// Rule 1: forbid `HashMap`/`HashSet` iteration in
+/// determinism-critical code unless `// det-ok: <reason>`.
 pub fn rule_determinism(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     if !ctx.kind.det_critical {
         return Vec::new();
@@ -247,15 +223,6 @@ pub fn rule_determinism(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     for (idx, line) in ctx.lines.iter().enumerate() {
         if ctx.is_test_line(idx) {
             continue;
-        }
-        for (pat, what) in DET_PATTERNS {
-            if has_token(&line.code, pat) && !justified(ctx, idx, DET_TAG) {
-                out.push(ctx.diag(
-                    idx,
-                    RULE_DETERMINISM,
-                    format!("`{pat}` ({what}) in determinism-critical code; remove it or justify with `// det-ok: <reason>`"),
-                ));
-            }
         }
         for m in for_loop_iterations(&line.code, &maps) {
             if !justified(ctx, idx, DET_TAG) {
@@ -269,12 +236,9 @@ pub fn rule_determinism(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     }
     // Method-call iteration is matched on a file-wide token stream so
     // multi-line builder chains (`self\n.route\n.drain()`) are caught.
-    let stream: Vec<(usize, String)> = ctx
-        .lines
-        .iter()
-        .enumerate()
+    let stream: Vec<(usize, String)> = token_stream(ctx.lines)
+        .into_iter()
         .filter(|(i, _)| !ctx.is_test_line(*i))
-        .flat_map(|(i, l)| tokens(&l.code).into_iter().map(move |t| (i, t)))
         .collect();
     for i in 2..stream.len() {
         if MAP_ITER_METHODS.contains(&stream[i].1.as_str())
@@ -374,12 +338,6 @@ fn for_loop_iterations(code: &str, maps: &BTreeSet<String>) -> Vec<String> {
     hits
 }
 
-fn is_ident(t: &str) -> bool {
-    t.chars()
-        .next()
-        .is_some_and(|c| c.is_alphabetic() || c == '_')
-}
-
 // ---------------------------------------------------------------------
 // Rule 2: atomics discipline
 // ---------------------------------------------------------------------
@@ -426,260 +384,7 @@ pub fn rule_atomics(ctx: &FileCtx<'_>) -> (Vec<Diagnostic>, OrderingCounts) {
 }
 
 // ---------------------------------------------------------------------
-// Rule 3: unsafe hygiene
-// ---------------------------------------------------------------------
-
-pub const SAFETY_TAG: &str = "SAFETY:";
-
-/// Rule 3: every `unsafe` block/fn/impl must carry a `// SAFETY:`
-/// comment on the same line or in the contiguous comment/attribute
-/// block directly above it.
-pub fn rule_unsafe(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for (idx, line) in ctx.lines.iter().enumerate() {
-        if !has_token(&line.code, "unsafe") {
-            continue;
-        }
-        if safety_documented(ctx, idx) {
-            continue;
-        }
-        out.push(ctx.diag(
-            idx,
-            RULE_UNSAFE,
-            "`unsafe` without a preceding `// SAFETY:` argument".to_string(),
-        ));
-    }
-    out
-}
-
-/// Same-line `SAFETY:` comment, or walk up through the contiguous
-/// block of comment-only / attribute-only lines above. A rustdoc
-/// `# Safety` section (the `unsafe fn` documentation convention) is
-/// accepted too.
-fn safety_documented(ctx: &FileCtx<'_>, idx: usize) -> bool {
-    let has_tag = |l: &LineInfo| l.comment.contains(SAFETY_TAG) || l.comment.contains("# Safety");
-    if has_tag(&ctx.lines[idx]) {
-        return true;
-    }
-    let mut j = idx;
-    while j > 0 {
-        j -= 1;
-        let l = &ctx.lines[j];
-        let code = l.code.trim();
-        let passthrough = code.is_empty() || code.starts_with("#[") || code.starts_with("#![");
-        if !passthrough {
-            return false;
-        }
-        if has_tag(l) {
-            return true;
-        }
-        if code.is_empty() && l.comment.is_empty() {
-            // A fully blank line ends the contiguous block.
-            return false;
-        }
-    }
-    false
-}
-
-// ---------------------------------------------------------------------
-// Rule 4: panic policy
-// ---------------------------------------------------------------------
-
-pub const UNWRAP_TAG: &str = "unwrap-ok:";
-
-/// Rule 4: bare `.unwrap()` in non-test library code must become
-/// `.expect("<invariant>")` or carry `// unwrap-ok: <reason>`.
-pub fn rule_panic(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
-    if !ctx.kind.lib_code {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (idx, line) in ctx.lines.iter().enumerate() {
-        if ctx.is_test_line(idx) {
-            continue;
-        }
-        if line.code.contains(".unwrap()") && !justified(ctx, idx, UNWRAP_TAG) {
-            out.push(ctx.diag(
-                idx,
-                RULE_PANIC,
-                "bare `.unwrap()` in library code; use `.expect(\"<invariant>\")` or justify with `// unwrap-ok: <reason>`".to_string(),
-            ));
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// Rule 5: cross-file contract checks
-// ---------------------------------------------------------------------
-
-/// Parse the variant names (and their 1-based lines) of `enum <name>`
-/// from masked lines. Handles tuple, struct and unit variants plus
-/// attributes; nested braces inside struct variants are skipped.
-pub fn enum_variants(lines: &[LineInfo], name: &str) -> Vec<(String, usize)> {
-    let mut start = None;
-    for (idx, line) in lines.iter().enumerate() {
-        if has_token(&line.code, "enum") && has_token(&line.code, name) {
-            start = Some(idx);
-            break;
-        }
-    }
-    let Some(start) = start else {
-        return Vec::new();
-    };
-    let mut variants = Vec::new();
-    let mut brace: i64 = 0;
-    let mut paren: i64 = 0;
-    let mut angle: i64 = 0;
-    let mut opened = false;
-    let mut expecting = false;
-    let mut in_attr: i64 = 0;
-    'outer: for (idx, line) in lines.iter().enumerate().skip(start) {
-        let toks = tokens(&line.code);
-        let mut t = 0;
-        while t < toks.len() {
-            let tok = toks[t].as_str();
-            if in_attr > 0 {
-                match tok {
-                    "[" => in_attr += 1,
-                    "]" => in_attr -= 1,
-                    _ => {}
-                }
-                t += 1;
-                continue;
-            }
-            match tok {
-                "#" => {
-                    // Attribute: skip its bracket group.
-                    if toks.get(t + 1).map(String::as_str) == Some("[") {
-                        in_attr = 1;
-                        t += 2;
-                        continue;
-                    }
-                }
-                "{" => {
-                    brace += 1;
-                    if !opened {
-                        opened = true;
-                        expecting = true;
-                    }
-                }
-                "}" => {
-                    brace -= 1;
-                    if opened && brace == 0 {
-                        break 'outer;
-                    }
-                }
-                "(" => paren += 1,
-                ")" => paren -= 1,
-                "<" => angle += 1,
-                ">" => angle -= 1,
-                "," => {
-                    if opened && brace == 1 && paren == 0 && angle == 0 {
-                        expecting = true;
-                    }
-                }
-                _ => {
-                    if opened
-                        && expecting
-                        && brace == 1
-                        && paren == 0
-                        && angle == 0
-                        && is_ident(tok)
-                        && tok.chars().next().is_some_and(char::is_uppercase)
-                    {
-                        variants.push((tok.to_string(), idx + 1));
-                        expecting = false;
-                    }
-                }
-            }
-            t += 1;
-        }
-    }
-    variants
-}
-
-/// Rule 5: every variant of `enum_name` (defined in `enum_lines` of
-/// `enum_path`) must be referenced as `enum_name::Variant` in
-/// `target_lines`. Missing variants are reported at their definition
-/// line so the diagnostic points at the code that grew.
-pub fn check_contract(
-    enum_path: &Path,
-    enum_lines: &[LineInfo],
-    enum_name: &str,
-    target_path: &Path,
-    target_lines: &[LineInfo],
-) -> Vec<Diagnostic> {
-    let variants = enum_variants(enum_lines, enum_name);
-    let mut out = Vec::new();
-    if variants.is_empty() {
-        out.push(Diagnostic {
-            file: enum_path.to_path_buf(),
-            line: 1,
-            rule: RULE_CONTRACT,
-            msg: format!("could not locate `enum {enum_name}` (contract check is stale)"),
-        });
-        return out;
-    }
-    for (v, line) in variants {
-        let needle = format!("{enum_name}::{v}");
-        let referenced = target_lines.iter().any(|l| has_token(&l.code, &needle));
-        if !referenced {
-            out.push(Diagnostic {
-                file: enum_path.to_path_buf(),
-                line,
-                rule: RULE_CONTRACT,
-                msg: format!(
-                    "variant `{needle}` has no reference in {}; extend the mapping/matrix there",
-                    target_path.display()
-                ),
-            });
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// Rule 6: intentional-panic policy (fault plane)
-// ---------------------------------------------------------------------
-
-pub const FAULT_TAG: &str = "fault-ok:";
-
-/// Rule 6: an *intentional* panic — a `panic!` or `panic_any` call in
-/// determinism-critical library code — must justify itself with
-/// `// fault-ok: <reason>`. These panics are the fault plane's kill
-/// mechanism (a node-agent dies by panicking so the spawn wrapper's
-/// failure path is the one and only death path); any such site must
-/// say who catches it and how the failure is surfaced, so a stray
-/// debugging `panic!` cannot masquerade as fault injection. Matched on
-/// the token stream so `std::panic::catch_unwind` (the *catcher*) is
-/// not confused with the macro.
-pub fn rule_fault(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
-    if !ctx.kind.det_critical || !ctx.kind.lib_code {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (idx, line) in ctx.lines.iter().enumerate() {
-        if ctx.is_test_line(idx) {
-            continue;
-        }
-        let toks = tokens(&line.code);
-        let intentional = toks.iter().enumerate().any(|(i, t)| {
-            t == "panic_any" || (t == "panic" && toks.get(i + 1).map(String::as_str) == Some("!"))
-        });
-        if intentional && !justified(ctx, idx, FAULT_TAG) {
-            out.push(ctx.diag(
-                idx,
-                RULE_FAULT,
-                "intentional panic in determinism-critical library code; state who catches it with `// fault-ok: <reason>`".to_string(),
-            ));
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// Rule 7: lock-order (the call-graph pass)
+// Rule 3: lock-order (the call-graph pass)
 // ---------------------------------------------------------------------
 
 pub const LOCK_TAG: &str = "lock-ok:";
@@ -718,7 +423,7 @@ fn crate_of(rel: &Path) -> String {
     }
 }
 
-/// Rule 7: build the workspace lock-acquisition graph and report
+/// Rule 3: build the workspace lock-acquisition graph and report
 /// (a) acquisition-order cycles — potential deadlock — and (b) locks
 /// held across a blocking wait/receive, either directly or through a
 /// call to a function that transitively blocks unbounded. Held-lock
@@ -936,12 +641,12 @@ fn lock_path<'g>(
 }
 
 // ---------------------------------------------------------------------
-// Rule 8: blocking discipline on the control plane
+// Rule 4: blocking discipline on the control plane
 // ---------------------------------------------------------------------
 
 pub const BLOCK_TAG: &str = "block-ok:";
 
-/// Rule 8: an unbounded `recv()` in control-plane code wedges its
+/// Rule 4: an unbounded `recv()` in control-plane code wedges its
 /// thread forever when the peer dies — exactly the hang the cluster's
 /// fault plane exists to rule out. Every such site must use a bounded
 /// variant (`recv_timeout`, `recv_backoff`, `try_recv*`) or carry

@@ -9,17 +9,14 @@
 
 use std::path::{Path, PathBuf};
 
-use das_lint::lexer::mask;
 use das_lint::rules::{
-    check_contract, rule_blocking, rule_lock_order, FileKind, LockEdge, RULE_ATOMICS,
-    RULE_BLOCKING, RULE_CONTRACT, RULE_DETERMINISM, RULE_FAULT, RULE_LOCK_ORDER, RULE_PANIC,
-    RULE_UNSAFE,
+    rule_blocking, rule_lock_order, FileKind, LockEdge, RULE_ATOMICS, RULE_BLOCKING,
+    RULE_DETERMINISM, RULE_LOCK_ORDER,
 };
 use das_lint::{audit_source, graph_source, Config};
 
 const DET_LIB: FileKind = FileKind {
     det_critical: true,
-    lib_code: true,
     test_file: false,
     control_plane: false,
 };
@@ -41,21 +38,6 @@ fn audit(name: &str, kind: FileKind) -> Vec<(usize, &'static str)> {
 }
 
 #[test]
-fn det_clock_flags_unjustified_reads_only() {
-    let got = audit("det_clock.rs", DET_LIB);
-    // Line 4: Instant::now. Line 11: std::env + env::var both match (one
-    // line, two patterns). Line 10 is justified by the det-ok above it.
-    assert_eq!(
-        got,
-        vec![
-            (4, RULE_DETERMINISM),
-            (11, RULE_DETERMINISM),
-            (11, RULE_DETERMINISM),
-        ]
-    );
-}
-
-#[test]
 fn det_map_iter_flags_hash_iteration_not_justified_drain() {
     let got = audit("det_map_iter.rs", DET_LIB);
     // Line 11: entries.values(). Line 22: `for … in &self.seen`.
@@ -67,11 +49,9 @@ fn det_map_iter_flags_hash_iteration_not_justified_drain() {
 fn det_rules_do_not_fire_outside_critical_crates() {
     let kind = FileKind {
         det_critical: false,
-        lib_code: true,
         test_file: false,
         control_plane: false,
     };
-    assert_eq!(audit("det_clock.rs", kind), vec![]);
     assert_eq!(audit("det_map_iter.rs", kind), vec![]);
 }
 
@@ -96,174 +76,17 @@ fn relaxed_inventory_counts_orderings() {
 }
 
 #[test]
-fn unsafe_block_without_safety_is_flagged() {
-    let got = audit("unsafe_block.rs", FileKind::default());
-    assert_eq!(got, vec![(4, RULE_UNSAFE)]);
-}
-
-#[test]
-fn unsafe_impl_and_fn_hygiene() {
-    let got = audit("unsafe_impl.rs", FileKind::default());
-    // Line 5: bare `unsafe impl Send`. Line 16: bare `unsafe fn`.
-    // Line 8 has a SAFETY comment, line 12 a rustdoc `# Safety` section.
-    assert_eq!(got, vec![(5, RULE_UNSAFE), (16, RULE_UNSAFE)]);
-}
-
-#[test]
-fn bare_unwrap_in_lib_code_is_flagged() {
-    let got = audit("unwrap_bare.rs", DET_LIB);
-    assert_eq!(got, vec![(4, RULE_PANIC)]);
-}
-
-#[test]
-fn unwrap_exemptions_tests_and_annotations() {
-    let got = audit("unwrap_scoped.rs", DET_LIB);
-    // Line 4 is annotated, line 15 sits in #[cfg(test)]; only line 8
-    // is a bare library unwrap.
-    assert_eq!(got, vec![(8, RULE_PANIC)]);
-
-    // The same file as a test file produces no panic findings at all.
-    let kind = FileKind {
-        det_critical: false,
-        lib_code: false,
-        test_file: true,
-        control_plane: false,
-    };
-    assert_eq!(audit("unwrap_scoped.rs", kind), vec![]);
-}
-
-#[test]
-fn intentional_panics_need_fault_ok_in_det_critical_lib_code() {
-    let got = audit("fault_panic.rs", DET_LIB);
-    // Line 4: bare `panic!`. Line 13: bare `panic_any`. Line 9 is
-    // justified, `catch_unwind` is not a macro call, and the
-    // `#[cfg(test)]` module panics freely.
-    assert_eq!(got, vec![(4, RULE_FAULT), (13, RULE_FAULT)]);
-}
-
-#[test]
-fn fault_rule_is_scoped_to_det_critical_lib_code() {
-    let non_critical = FileKind {
-        det_critical: false,
-        lib_code: true,
-        test_file: false,
-        control_plane: false,
-    };
-    assert_eq!(audit("fault_panic.rs", non_critical), vec![]);
-    let test_kind = FileKind {
-        det_critical: true,
-        lib_code: false,
-        test_file: true,
-        control_plane: false,
-    };
-    assert_eq!(audit("fault_panic.rs", test_kind), vec![]);
-}
-
-#[test]
-fn contract_missing_variant_points_at_its_definition_line() {
-    let e = mask(&fixture("contract_enum.rs"));
-    let t = mask(&fixture("contract_target_partial.rs"));
-    let diags = check_contract(
-        Path::new("contract_enum.rs"),
-        &e,
-        "Signal",
-        Path::new("contract_target_partial.rs"),
-        &t,
-    );
-    assert_eq!(diags.len(), 1);
-    assert_eq!(diags[0].rule, RULE_CONTRACT);
-    assert_eq!(diags[0].line, 7, "Stop is declared on line 7");
-    assert!(diags[0].msg.contains("Signal::Stop"));
-}
-
-#[test]
-fn contract_full_coverage_is_clean_and_stale_enum_is_loud() {
-    let e = mask(&fixture("contract_enum.rs"));
-    let t = mask(&fixture("contract_target_full.rs"));
-    let clean = check_contract(
-        Path::new("contract_enum.rs"),
-        &e,
-        "Signal",
-        Path::new("contract_target_full.rs"),
-        &t,
-    );
-    assert_eq!(clean, vec![]);
-
-    // A contract naming an enum that no longer exists must fail loudly,
-    // not silently pass with zero variants.
-    let stale = check_contract(
-        Path::new("contract_enum.rs"),
-        &e,
-        "Missing",
-        Path::new("contract_target_full.rs"),
-        &t,
-    );
-    assert_eq!(stale.len(), 1);
-    assert!(stale[0].msg.contains("stale"));
-}
-
-#[test]
-fn metric_contract_accepts_full_merge_and_render_matrices() {
-    let e = mask(&fixture("metric_enum.rs"));
-    for target in ["metric_merge_full.rs", "metric_render_full.rs"] {
-        let t = mask(&fixture(target));
-        let diags = check_contract(
-            Path::new("metric_enum.rs"),
-            &e,
-            "MetricKind",
-            Path::new(target),
-            &t,
-        );
-        assert_eq!(diags, vec![], "{target} covers every metric kind");
-    }
-}
-
-#[test]
-fn metric_contract_flags_wildcard_hidden_and_forgotten_kinds() {
-    let e = mask(&fixture("metric_enum.rs"));
-
-    // A wildcard match arm hides two kinds from the merge.
-    let t = mask(&fixture("metric_merge_partial.rs"));
-    let diags = check_contract(
-        Path::new("metric_enum.rs"),
-        &e,
-        "MetricKind",
-        Path::new("metric_merge_partial.rs"),
-        &t,
-    );
-    assert_eq!(diags.len(), 2);
-    assert!(diags.iter().all(|d| d.rule == RULE_CONTRACT));
-    assert!(diags[0].msg.contains("MetricKind::Utilization"));
-    assert_eq!(diags[0].line, 8, "Utilization is declared on line 8");
-    assert!(diags[1].msg.contains("MetricKind::SojournP99"));
-    assert_eq!(diags[1].line, 9, "SojournP99 is declared on line 9");
-
-    // The dashboard render matrix misses its p99 row.
-    let t = mask(&fixture("metric_render_partial.rs"));
-    let diags = check_contract(
-        Path::new("metric_enum.rs"),
-        &e,
-        "MetricKind",
-        Path::new("metric_render_partial.rs"),
-        &t,
-    );
-    assert_eq!(diags.len(), 1);
-    assert!(diags[0].msg.contains("MetricKind::SojournP99"));
-}
-
-#[test]
 fn clean_fixture_is_clean_under_strictest_classification() {
     assert_eq!(audit("clean.rs", DET_LIB), vec![]);
 }
 
 // ---------------------------------------------------------------------
-// Graph-layer fixtures: rules 7 (lock-order), 8 (blocking).
+// Graph-layer fixtures: rules 3 (lock-order), 4 (blocking).
 // ---------------------------------------------------------------------
 
-/// Control-plane library code: the classification rule 8 fires on.
+/// Control-plane library code: the classification rule 4 fires on.
 const CONTROL: FileKind = FileKind {
     det_critical: false,
-    lib_code: true,
     test_file: false,
     control_plane: true,
 };
@@ -304,7 +127,7 @@ fn lock_cycle_reports_both_inversion_sites() {
 fn graph_inversion_is_invisible_to_line_local_rules() {
     // Each function takes one lock directly and the other through a
     // helper call: no single line shows two locks, so the line-local
-    // pass (rules 1-4, 6) sees nothing at all…
+    // pass (rules 1 and 2) sees nothing at all…
     let src = fixture("lock_inversion_xfn.rs");
     let (line_local, _) = audit_source(Path::new("lock_inversion_xfn.rs"), &src, DET_LIB);
     assert_eq!(line_local, vec![]);

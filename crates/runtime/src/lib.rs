@@ -255,6 +255,11 @@ impl JobHandle {
     /// # Panics
     /// Re-raises if any task body of this job panicked (the worker
     /// itself survives; the pool stays usable).
+    #[expect(
+        clippy::panic,
+        reason = "re-raises a task body's panic in the waiting caller; \
+                  the worker that caught it survives"
+    )]
     pub fn wait(&self) -> JobOutcome {
         let out = {
             let mut g = self.job.done.lock();

@@ -35,7 +35,12 @@ pub enum SimError {
         total: usize,
     },
     /// The run exceeded the configured event budget (runaway model).
-    EventLimitExceeded,
+    EventLimitExceeded {
+        /// Tasks committed when the budget tripped.
+        completed: usize,
+        /// Total tasks in the DAG.
+        total: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -45,7 +50,9 @@ impl fmt::Display for SimError {
             SimError::Deadlock { completed, total } => {
                 write!(f, "simulation deadlocked after {completed}/{total} tasks")
             }
-            SimError::EventLimitExceeded => write!(f, "event budget exceeded"),
+            SimError::EventLimitExceeded { completed, total } => {
+                write!(f, "event budget exceeded after {completed}/{total} tasks")
+            }
         }
     }
 }
@@ -620,7 +627,7 @@ impl Simulator {
             // A batch counts one event per member, as the per-sleeper
             // polls it stands for would have.
             if !matches!(item.ev, Ev::PollBatch(_)) {
-                self.count_event(&mut events, item.ev)?;
+                self.count_event(&mut events, total)?;
             }
             self.now = item.t.max(self.now);
             match item.ev {
@@ -628,7 +635,7 @@ impl Simulator {
                 Ev::PollBatch(b) => {
                     let members = std::mem::take(&mut self.poll_batches[b]);
                     for &c in &members {
-                        self.count_event(&mut events, Ev::Poll(c))?;
+                        self.count_event(&mut events, total)?;
                         self.handle_poll(dag, c);
                     }
                     self.poll_batches[b] = members;
@@ -669,20 +676,13 @@ impl Simulator {
     }
 
     /// Count one event against the `max_events` valve.
-    fn count_event(&self, events: &mut u64, ev: Ev) -> Result<(), SimError> {
+    fn count_event(&self, events: &mut u64, total: usize) -> Result<(), SimError> {
         *events += 1;
         if *events > self.max_events {
-            // det-ok: debug-only diagnostics on the failure path;
-            // the env var gates an eprintln, never a sim decision.
-            #[allow(clippy::disallowed_methods)]
-            if std::env::var_os("DAS_SIM_DEBUG").is_some() {
-                eprintln!(
-                    "event budget: now={} completed={} running={} heap={} ev={:?} steals={} failed={}",
-                    self.now, self.completed, self.running.len(), self.heap.len(),
-                    ev, self.stats.steals, self.stats.failed_steals,
-                );
-            }
-            return Err(SimError::EventLimitExceeded);
+            return Err(SimError::EventLimitExceeded {
+                completed: self.completed,
+                total,
+            });
         }
         Ok(())
     }
@@ -1429,7 +1429,13 @@ mod tests {
         let mut s = sim(Policy::Rws);
         s.max_events = 10;
         let dag = generators::layered(TaskTypeId(0), 4, 100);
-        assert_eq!(s.run(&dag), Err(SimError::EventLimitExceeded));
+        match s.run(&dag) {
+            Err(SimError::EventLimitExceeded { completed, total }) => {
+                assert!(completed < total, "{completed}/{total}");
+                assert_eq!(total, dag.len());
+            }
+            other => panic!("expected EventLimitExceeded, got {other:?}"),
+        }
     }
 
     #[test]

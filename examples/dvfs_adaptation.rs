@@ -36,8 +36,12 @@ fn main() {
         if policy == Policy::DamC {
             // Show what the model learned about the two clusters.
             let ptt = sim.scheduler().ptts().table(TaskTypeId(0));
-            let denver = ptt.predict(CoreId(1), 1).unwrap();
-            let a57 = ptt.predict(CoreId(2), 1).unwrap();
+            let denver = ptt
+                .predict(CoreId(1), 1)
+                .expect("DAM-C trained the Denver entry");
+            let a57 = ptt
+                .predict(CoreId(2), 1)
+                .expect("DAM-C trained the A57 entry");
             println!(
                 "         PTT after the run: denver w1 = {denver:.2e}s, a57 w1 = {a57:.2e}s \
                  (averages across high/low phases)"

@@ -79,9 +79,9 @@ fn n_node_sim_cluster_is_reproducible_and_completes_the_baseline_job_set() {
     let baseline = Executor::run_stream(&mut bare, jobs.clone()).expect("baseline stream");
 
     for policy in RoutePolicy::ALL {
-        // The matrix is exhaustive by construction: adding a RoutePolicy
-        // variant without extending ALL (and this match) stops compiling,
-        // and das-lint's contract rule pins each variant to this file.
+        // The matrix is exhaustive by construction: a new RoutePolicy
+        // variant stops this match compiling, and `route.rs`'s
+        // `all_lists_every_variant` test fails until ALL lists it.
         let tag = match policy {
             RoutePolicy::RoundRobin => "rr",
             RoutePolicy::LeastOutstanding => "least-out",

@@ -226,7 +226,9 @@ fn run_runtime_style(metas: &[TaskMeta], ops: &[Op]) -> Vec<Observed> {
         .join()
         .expect("scripted step panicked");
     }
-    Arc::try_unwrap(log).unwrap().into_inner()
+    Arc::try_unwrap(log)
+        .expect("every scripted thread has joined")
+        .into_inner()
 }
 
 #[test]
