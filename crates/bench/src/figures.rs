@@ -420,7 +420,7 @@ fn ablation_ptt_init(scale: usize) -> Vec<Table> {
         let cells = [false, true].map(|pessimistic| {
             let mut sim = corunner_sim(&tx2(Policy::DamC), Kernel::MatMul);
             let ptt = sim.scheduler().ptts().table(types::MATMUL);
-            for place in sim.config().topo.places().filter(|_| pessimistic) {
+            for place in sim.config().session.topo.places().filter(|_| pessimistic) {
                 ptt.seed(place.leader, place.width, 1.0);
             }
             run(&mut sim, &synthetic::dag(Kernel::MatMul, p, scale)).throughput()

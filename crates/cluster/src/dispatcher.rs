@@ -157,11 +157,6 @@ impl<G> Cluster<G> {
             .collect()
     }
 
-    /// The routing policy in force.
-    pub fn route_policy(&self) -> RoutePolicy {
-        self.policy
-    }
-
     /// The node an outstanding ticket's job was routed to; `None` for
     /// tickets of other executors or jobs already waited/drained.
     pub fn node_of(&self, ticket: &Ticket) -> Option<usize> {

@@ -16,10 +16,8 @@
 //!   backend-specific extras);
 //! * [`SessionBuilder`] — the one typed configuration surface
 //!   (topology, policy, PTT weight ratio, search/exploration/steal
-//!   knobs, queue discipline, seed, simulator overheads, runtime park
-//!   timeout) from which each backend constructs itself, replacing the
-//!   previous scatter across `Scheduler::with_*`, `SimParams` plumbing
-//!   and the `Runtime` constructor chain;
+//!   knobs, seed, simulator overheads, admission bound, faults,
+//!   metrics) from which each backend constructs itself;
 //! * [`Session`] — the façade bookkeeping (ticket ledger, admission
 //!   bound, extras, probe) both single-node backends embed.
 //!
@@ -43,12 +41,11 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use das_topology::Topology;
 
 use crate::jobs::{JobId, JobSpec, JobStats, StreamStats};
-use crate::{Policy, QueueDiscipline, Scheduler, WeightRatio};
+use crate::{Policy, Scheduler, WeightRatio};
 
 /// Process-wide executor session tags. Job ids are dense per executor
 /// (both backends count from 0), so a ticket must also carry *which*
@@ -601,9 +598,6 @@ pub struct SimParams {
     pub dispatch_overhead: f64,
     /// Cost of one successful steal (victim selection + CAS traffic).
     pub steal_overhead: f64,
-    /// Upper bound on random victim probes per steal attempt, as a
-    /// multiple of the core count.
-    pub steal_tries_factor: usize,
     /// Absolute measurement jitter (seconds) added to the execution time
     /// the leader *reports* to the PTT — real clocks include cache
     /// state, interrupts and timer granularity. The task's actual
@@ -621,7 +615,6 @@ impl Default for SimParams {
             wake_latency: 0.5e-6,
             dispatch_overhead: 1.0e-6,
             steal_overhead: 2.0e-6,
-            steal_tries_factor: 2,
             obs_noise: 0.0,
         }
     }
@@ -629,12 +622,11 @@ impl Default for SimParams {
 
 /// The one typed configuration surface for an execution session.
 ///
-/// Every knob that used to be scattered across `Scheduler::with_*`
-/// builders, `SimConfig`/`SimParams` plumbing and the `Runtime`
-/// constructor chain lives here once; each backend constructs itself
-/// from the same value (`Simulator::from_session`,
-/// `Runtime::from_session`), so a harness configures *the session*,
-/// not the backend:
+/// Every backend setting lives here once; each backend constructs
+/// itself from the same value (`Simulator::from_session`,
+/// `Runtime::from_session`, `das_sim::SimConfig` wraps one beside its
+/// cost model), so a harness configures *the session*, not the
+/// backend:
 ///
 /// ```
 /// use das_core::exec::SessionBuilder;
@@ -664,9 +656,6 @@ pub struct SessionBuilder {
     /// Seed for work-stealing RNGs; equal seeds give bit-identical
     /// simulator runs.
     pub seed: u64,
-    /// Ready-queue ordering rules; the paper's XiTAO discipline by
-    /// default.
-    pub discipline: QueueDiscipline,
     /// Use the representative-row sampled global search instead of the
     /// exhaustive one (see `Ptt::global_search_sampled`).
     pub sampled_search: bool,
@@ -678,14 +667,6 @@ pub struct SessionBuilder {
     pub allow_high_priority_steal: bool,
     /// Simulated-runtime overheads (`das-sim` only).
     pub sim_params: SimParams,
-    /// Idle-worker park timeout override (`das-runtime` only); `None`
-    /// keeps the runtime's default.
-    pub park_timeout: Option<Duration>,
-    /// Shard count of the MPMC submission tier built over this session
-    /// (`das_core::ingress`): more shards spread concurrent submitters
-    /// across more cache-padded slot buffers. Backends themselves
-    /// ignore it.
-    pub ingress_shards: usize,
     /// Admission bound: the most jobs a backend (or, on the cluster
     /// tier, each node) may hold un-retired before `submit` rejects
     /// with [`ExecError::Overloaded`]. `None` (the default) keeps the
@@ -710,21 +691,18 @@ pub struct SessionBuilder {
 
 impl SessionBuilder {
     /// A session over `topo` with `policy` and defaults everywhere
-    /// else (paper ratio, XiTAO discipline, exhaustive search, no
-    /// exploration, default overheads).
+    /// else (paper ratio, exhaustive search, no exploration, default
+    /// overheads).
     pub fn new(topo: Arc<Topology>, policy: Policy) -> Self {
         SessionBuilder {
             topo,
             policy,
             ratio: WeightRatio::PAPER,
             seed: 0x5eed,
-            discipline: QueueDiscipline::XITAO,
             sampled_search: false,
             explore_every: 0,
             allow_high_priority_steal: false,
             sim_params: SimParams::default(),
-            park_timeout: None,
-            ingress_shards: 8,
             max_outstanding: None,
             fault_schedule: None,
             metrics: None,
@@ -740,12 +718,6 @@ impl SessionBuilder {
     /// Set the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Set the ready-queue discipline.
-    pub fn discipline(mut self, discipline: QueueDiscipline) -> Self {
-        self.discipline = discipline;
         self
     }
 
@@ -770,22 +742,6 @@ impl SessionBuilder {
     /// Set the simulated-runtime overheads.
     pub fn sim_params(mut self, params: SimParams) -> Self {
         self.sim_params = params;
-        self
-    }
-
-    /// Override the threaded runtime's idle-worker park timeout.
-    pub fn park_timeout(mut self, timeout: Duration) -> Self {
-        self.park_timeout = Some(timeout);
-        self
-    }
-
-    /// Set the ingress shard count (see [`SessionBuilder::ingress_shards`]).
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`.
-    pub fn ingress_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "ingress needs at least one shard");
-        self.ingress_shards = shards;
         self
     }
 
@@ -1073,7 +1029,6 @@ mod tests {
         let s = SessionBuilder::new(Arc::clone(&topo), Policy::DamP)
             .seed(9)
             .ratio(WeightRatio::new(2, 5))
-            .discipline(QueueDiscipline::PLAIN_LIFO)
             .sampled_search(true)
             .explore_every(8)
             .allow_high_priority_steal(true)
@@ -1081,8 +1036,6 @@ mod tests {
                 wake_latency: 1e-6,
                 ..SimParams::default()
             })
-            .park_timeout(Duration::from_millis(1))
-            .ingress_shards(4)
             .max_outstanding(128)
             .fault_schedule(crate::fault::FaultSchedule::new(9).kill(1, 50))
             .metrics(
@@ -1092,10 +1045,7 @@ mod tests {
             );
         assert_eq!(s.seed, 9);
         assert_eq!(s.ratio, WeightRatio::new(2, 5));
-        assert_eq!(s.discipline, QueueDiscipline::PLAIN_LIFO);
         assert_eq!(s.sim_params.wake_latency, 1e-6);
-        assert_eq!(s.park_timeout, Some(Duration::from_millis(1)));
-        assert_eq!(s.ingress_shards, 4);
         assert_eq!(s.max_outstanding, Some(128));
         assert_eq!(
             s.fault_schedule,

@@ -9,8 +9,8 @@
 //! "high-throughput ingress" item calls for:
 //!
 //! * **Sharded, cache-padded slot buffers** — an [`Ingress`] owns
-//!   `ingress_shards` shards ([`SessionBuilder::ingress_shards`]),
-//!   each a [`CachePadded`] slot buffer with its own lock and its own
+//!   eight shards (or an explicit count through
+//!   [`Ingress::with_config`]), each a [`CachePadded`] slot buffer with its own lock and its own
 //!   atomic id counter, so submitters on different shards never touch
 //!   the same cache line, in the style of block-STM's scheduler
 //!   counters.
@@ -105,6 +105,9 @@ impl<T> DerefMut for CachePadded<T> {
     }
 }
 
+/// Shard count of [`Ingress::new`].
+const SHARDS: usize = 8;
+
 /// SplitMix64 — the statelesss mixer seeding the lane→shard
 /// assignment. Public domain constants (Steele et al.).
 fn splitmix64(mut x: u64) -> u64 {
@@ -173,16 +176,11 @@ pub struct Ingress<E: Executor> {
 }
 
 impl<E: Executor> Ingress<E> {
-    /// An ingress over `exec`, configured by the session's
-    /// [`ingress_shards`](SessionBuilder::ingress_shards),
-    /// [`max_outstanding`](SessionBuilder::max_outstanding) and seed.
+    /// An ingress of eight shards over `exec`, configured by the
+    /// session's [`max_outstanding`](SessionBuilder::max_outstanding)
+    /// and seed.
     pub fn new(exec: E, session: &SessionBuilder) -> Self {
-        Self::with_config(
-            exec,
-            session.ingress_shards,
-            session.max_outstanding,
-            session.seed,
-        )
+        Self::with_config(exec, SHARDS, session.max_outstanding, session.seed)
     }
 
     /// An ingress with an explicit shard count, admission bound and
@@ -203,11 +201,6 @@ impl<E: Executor> Ingress<E> {
                 claims: HashMap::new(),
             }),
         }
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// Jobs admitted and not yet retired.

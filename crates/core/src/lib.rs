@@ -77,7 +77,7 @@ pub use metrics::{
 };
 pub use policy::Policy;
 pub use ptt::{Ptt, PttRegistry, PttSnapshot, WeightRatio};
-pub use queue::{QueueDiscipline, ReadyEntry, ReadyQueue};
+pub use queue::{ReadyEntry, ReadyQueue};
 pub use scheduler::{Scheduler, WakeupDecision};
 
 use std::fmt;

@@ -213,11 +213,12 @@ impl LogHistogram {
 /// The metric families every node renders and the dispatcher merges.
 ///
 /// This enum is the observability plane's cross-file contract, checked
-/// by `das-lint`: every variant must be handled in the dispatcher's
-/// merge matrix (`crates/cluster/src/lib.rs`) *and* rendered by the
-/// dashboard (`examples/cluster_top.rs`). Adding a metric family here
-/// without extending both fails CI — a stale dashboard or a silently
-/// unmerged metric is a lint error, not a latent bug.
+/// by the compiler: the dispatcher's merge (`metric_scalar` in
+/// `crates/cluster/src/dispatcher.rs`) and the dashboard's display unit
+/// (`unit` in `examples/cluster_top.rs`) both match on it without a
+/// wildcard, so a metric family added here without extending both
+/// fails the build — a stale dashboard or a silently unmerged metric is
+/// a compile error, not a latent bug.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MetricKind {
     /// Jobs admitted and not yet retired on the node (gauge).
@@ -561,6 +562,11 @@ pub struct TraceSpan {
 }
 
 impl TraceSpan {
+    /// Span length in seconds.
+    pub fn duration(&self) -> f64 {
+        self.end - self.start
+    }
+
     /// Serialize into [`TRACE_SPAN_SLOTS`] f64 slots appended to `out`.
     pub fn push_values(&self, out: &mut Vec<f64>) {
         out.push(self.core as f64);

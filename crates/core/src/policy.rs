@@ -130,12 +130,6 @@ impl Policy {
         !matches!(self, Policy::Rws | Policy::RwsmC)
     }
 
-    /// Does the policy consult the PTT at all? (FA and DA need it only
-    /// for their respective searches; FA not at all; RWS not at all.)
-    pub fn uses_ptt(self) -> bool {
-        !matches!(self, Policy::Rws | Policy::Fa)
-    }
-
     /// Is the policy aware of *dynamic* asymmetry (the DAS family)?
     pub fn dynamic(self) -> bool {
         matches!(

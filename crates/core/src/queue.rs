@@ -41,52 +41,6 @@ use das_topology::ExecutionPlace;
 
 use crate::WakeupDecision;
 
-/// How a [`ReadyQueue`] orders pops and steals. [`Self::XITAO`] is the
-/// paper's discipline; the knobs exist for ablations (e.g. showing why
-/// plain LIFO serialises Fig. 4/6-shaped layers).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct QueueDiscipline {
-    /// Owner services non-stealable entries (pinned high-priority tasks
-    /// under the paper's policies) before stealable ones, oldest first.
-    /// Keys on stealability: a pinned-but-stealable entry (the
-    /// high-priority-steal ablation) gets no precedence.
-    pub pinned_first: bool,
-    /// Owner pops its stealable backlog newest-first (LIFO); `false`
-    /// pops oldest-first.
-    pub owner_lifo: bool,
-    /// Thieves take the oldest eligible entry (FIFO end); `false` steals
-    /// the newest.
-    pub thief_fifo: bool,
-}
-
-impl QueueDiscipline {
-    /// The XiTAO discipline described in §4.1.2 (pinned-first FIFO,
-    /// owner LIFO, thief FIFO).
-    pub const XITAO: QueueDiscipline = QueueDiscipline {
-        pinned_first: true,
-        owner_lifo: true,
-        thief_fifo: true,
-    };
-
-    /// A single plain LIFO stack with FIFO steals — the discipline
-    /// without the pinned-first rule. Not reachable from the shipped
-    /// backends (both construct queues with [`QueueDiscipline::XITAO`]);
-    /// it exists so the unit tests can demonstrate the Fig. 4/6
-    /// serialisation shape the pinned-first rule prevents, and as the
-    /// knob a future ablation binary would plumb through `SimConfig`.
-    pub const PLAIN_LIFO: QueueDiscipline = QueueDiscipline {
-        pinned_first: false,
-        owner_lifo: true,
-        thief_fifo: true,
-    };
-}
-
-impl Default for QueueDiscipline {
-    fn default() -> Self {
-        QueueDiscipline::XITAO
-    }
-}
-
 /// One ready task waiting in a [`ReadyQueue`]: the backend's payload
 /// (a task id, a node handle, …) plus the wake-up decision flags that
 /// drive the discipline. Backends construct entries from the
@@ -144,7 +98,6 @@ impl<T> ReadyEntry<T> {
 #[derive(Clone, Debug)]
 pub struct ReadyQueue<T> {
     entries: VecDeque<ReadyEntry<T>>,
-    discipline: QueueDiscipline,
     /// Number of stealable entries currently queued. Lets the steal
     /// path's victim scan reject an empty-handed queue in O(1) instead
     /// of walking every entry — on a large machine the thief's
@@ -160,24 +113,12 @@ impl<T> Default for ReadyQueue<T> {
 }
 
 impl<T> ReadyQueue<T> {
-    /// An empty queue with the paper's [`QueueDiscipline::XITAO`]
-    /// discipline.
+    /// An empty queue.
     pub fn new() -> Self {
-        ReadyQueue::with_discipline(QueueDiscipline::XITAO)
-    }
-
-    /// An empty queue with an explicit discipline (ablations).
-    pub fn with_discipline(discipline: QueueDiscipline) -> Self {
         ReadyQueue {
             entries: VecDeque::new(),
-            discipline,
             stealable: 0,
         }
-    }
-
-    /// The discipline in force.
-    pub fn discipline(&self) -> QueueDiscipline {
-        self.discipline
     }
 
     /// Number of queued entries.
@@ -213,19 +154,14 @@ impl<T> ReadyQueue<T> {
     }
 
     /// The owner's pop: unstealable entries first (oldest first), then
-    /// the stealable backlog (newest first under XiTAO).
+    /// the stealable backlog (newest first).
     pub fn pop_own(&mut self) -> Option<ReadyEntry<T>> {
-        if self.discipline.pinned_first && self.stealable < self.entries.len() {
+        if self.stealable < self.entries.len() {
             if let Some(i) = self.entries.iter().position(|e| !e.stealable) {
                 return self.entries.remove(i).map(|e| self.took(e));
             }
         }
-        let e = if self.discipline.owner_lifo {
-            self.entries.pop_back()
-        } else {
-            self.entries.pop_front()
-        };
-        e.map(|e| self.took(e))
+        self.entries.pop_back().map(|e| self.took(e))
     }
 
     /// Would a thief whose eligibility test is `eligible` get an entry
@@ -240,22 +176,19 @@ impl<T> ReadyQueue<T> {
                 .any(|e| e.stealable && eligible(&e.payload))
     }
 
-    /// A thief's take: the oldest entry (under XiTAO) that is both
-    /// stealable and `eligible` for the thief. Entries the thief may not
+    /// A thief's take: the oldest entry that is both stealable and
+    /// `eligible` for the thief. Entries the thief may not
     /// run (node affinity) are skipped without being reordered. O(1)
     /// when nothing is stealable.
     pub fn steal(&mut self, mut eligible: impl FnMut(&T) -> bool) -> Option<ReadyEntry<T>> {
         if self.stealable == 0 {
             return None;
         }
-        let matches = |e: &ReadyEntry<T>| e.stealable && eligible(&e.payload);
-        let idx = if self.discipline.thief_fifo {
-            self.entries.iter().position(matches)
-        } else {
-            self.entries.iter().rposition(matches)
-        };
-        idx.and_then(|i| self.entries.remove(i))
-            .map(|e| self.took(e))
+        let i = self
+            .entries
+            .iter()
+            .position(|e| e.stealable && eligible(&e.payload))?;
+        self.entries.remove(i).map(|e| self.took(e))
     }
 }
 
@@ -335,19 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn plain_lifo_discipline_lets_stealable_jump_pinned() {
-        let topo = Topology::tx2();
-        let p = place(&topo);
-        let mut q = ReadyQueue::with_discipline(QueueDiscipline::PLAIN_LIFO);
-        q.push(pinned_entry(10, p));
-        q.push(ReadyEntry::loose(0));
-        // The Fig. 4/6 bug shape: plain LIFO runs the stealable sibling
-        // while the unstealable critical entry waits.
-        assert_eq!(*q.pop_own().unwrap().payload(), 0);
-        assert_eq!(*q.pop_own().unwrap().payload(), 10);
-    }
-
-    #[test]
     fn entries_mirror_wakeup_decisions() {
         let topo = Arc::new(Topology::tx2());
         let sched = Scheduler::new(Arc::clone(&topo), Policy::DamC);
@@ -392,14 +312,5 @@ mod tests {
         q.push(ReadyEntry::loose(7));
         assert!(q.steal(|_| false).is_none());
         assert_eq!(q.stealable_len(), 1);
-    }
-
-    #[test]
-    fn default_discipline_is_the_papers() {
-        assert_eq!(
-            ReadyQueue::<u32>::new().discipline(),
-            QueueDiscipline::XITAO
-        );
-        assert_eq!(QueueDiscipline::default(), QueueDiscipline::XITAO);
     }
 }

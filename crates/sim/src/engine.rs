@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use crate::env::Environment;
 use crate::metrics::RunStats;
 use crate::params::SimConfig;
-use crate::trace::{Span, Trace};
+use crate::trace::Trace;
 
 /// Simulation failures.
 #[derive(Debug, Clone, PartialEq)]
@@ -282,20 +282,21 @@ pub struct Simulator {
 
 impl Simulator {
     /// Build a simulator; the environment defaults to interference-free.
+    /// Everything the session describes takes effect: the scheduler
+    /// (policy, ratio, sampled search, periodic exploration, the steal
+    /// ablation), the seed, the simulated overheads, the admission bound
+    /// and the observability plane. Metrics only read completed batches
+    /// and never touch the RNG or the event loop, so the executed job
+    /// stream stays bit-identical.
     pub fn new(cfg: SimConfig) -> Self {
-        let sched = Arc::new(Scheduler::with_ratio(
-            Arc::clone(&cfg.topo),
-            cfg.policy,
-            cfg.ratio,
-        ));
-        let env = Environment::interference_free(Arc::clone(&cfg.topo));
-        let rng = SmallRng::seed_from_u64(cfg.seed);
+        let session = &cfg.session;
+        let trace = session.metrics.is_some_and(|m| m.trace);
         Simulator {
-            sched,
-            env,
-            rng,
+            sched: Arc::new(session.scheduler()),
+            env: Environment::interference_free(Arc::clone(&session.topo)),
+            rng: SmallRng::seed_from_u64(session.seed),
             max_events: 2_000_000_000,
-            record_trace: false,
+            record_trace: trace,
             trace: Trace::default(),
             cores: Vec::new(),
             assemblies: Vec::new(),
@@ -320,50 +321,30 @@ impl Simulator {
             job_remaining: Vec::new(),
             job_started: Vec::new(),
             job_done_at: Vec::new(),
-            session: Session::default(),
+            session: Session::new(session),
             pending_specs: Vec::new(),
             next_ticket: 0,
             session_clock: 0.0,
-            session_spans: None,
+            session_spans: trace.then(Vec::new),
             cfg,
         }
     }
 
-    /// Build a simulator from the backend-neutral [`SessionBuilder`]:
-    /// the configuration surface (topology, policy, ratio, seed, queue
-    /// discipline, simulated overheads), the scheduler knobs (sampled
-    /// search, periodic exploration, the steal ablation), the admission
-    /// bound and the observability plane all take effect. The cost
-    /// model keeps the [`SimConfig`] default (uniform 1 ms tasks); use
-    /// [`Simulator::from_session_with_cost`] for another.
-    /// Metrics only read completed batches and never touch the RNG or
-    /// the event loop, so the executed job stream stays bit-identical.
+    /// [`Simulator::new`] over `session` with the default cost model
+    /// (uniform 1 ms tasks).
     pub fn from_session(session: &SessionBuilder) -> Self {
-        let default_cost = SimConfig::from_session(session).cost;
-        Simulator::from_session_with_cost(session, default_cost)
+        Simulator::new(SimConfig::with_session(session.clone()))
     }
 
-    /// [`Simulator::from_session`] with a custom cost model — the full
-    /// session surface (scheduler knobs included) plus sim-specific
-    /// task costs, in one constructor. Prefer this over hand-combining
-    /// [`SimConfig::from_session`] with [`Simulator::new`], which
-    /// applies the config surface but not the session's *scheduler*
-    /// knobs, bound or metrics.
+    /// [`Simulator::new`] over `session` with the cost model `cost`.
     pub fn from_session_with_cost(
         session: &SessionBuilder,
         cost: Arc<dyn crate::cost::CostModel>,
     ) -> Self {
-        let mut sim = Simulator::new(SimConfig::from_session(session).cost(cost));
-        sim.replace_scheduler(Arc::new(session.scheduler()));
-        sim.session = Session::new(session);
-        if session.metrics.is_some_and(|m| m.trace) {
-            sim.record_trace = true;
-            sim.session_spans = Some(Vec::new());
-        }
-        sim
+        Simulator::new(SimConfig::with_session(session.clone()).cost(cost))
     }
 
-    /// Record per-core execution [`Span`]s during subsequent runs;
+    /// Record per-core execution [`TraceSpan`]s during subsequent runs;
     /// retrieve them with [`Simulator::take_trace`]. Off by default
     /// (paper-sized runs commit tens of thousands of tasks).
     pub fn record_trace(&mut self, on: bool) {
@@ -392,21 +373,6 @@ impl Simulator {
         &self.cfg
     }
 
-    /// Swap in a custom scheduler (e.g. one built with the
-    /// high-priority-steal ablation knob). The scheduler must be shaped
-    /// for the same topology.
-    ///
-    /// # Panics
-    /// Panics if the scheduler's topology has a different core count.
-    pub fn replace_scheduler(&mut self, sched: Arc<Scheduler>) {
-        assert_eq!(
-            sched.topology().num_cores(),
-            self.cfg.topo.num_cores(),
-            "scheduler topology mismatch"
-        );
-        self.sched = sched;
-    }
-
     /// Route stealable wake-ups through the broadcast (`wake_at` on
     /// every core, one poll event per sleeper) instead of one batched
     /// event over the idle set. The two are bit-identical by
@@ -417,13 +383,10 @@ impl Simulator {
         self.broadcast_wakeups = on;
     }
 
-    /// Drop all learned PTT state (fresh scheduler, same policy).
+    /// Drop all learned PTT state (a fresh scheduler as the session
+    /// describes it).
     pub fn reset_model(&mut self) {
-        self.sched = Arc::new(Scheduler::with_ratio(
-            Arc::clone(&self.cfg.topo),
-            self.cfg.policy,
-            self.cfg.ratio,
-        ));
+        self.sched = Arc::new(self.cfg.session.scheduler());
     }
 
     /// Execute `dag` to completion in simulated time. The simulated clock
@@ -549,15 +512,10 @@ impl Simulator {
             // session clock so the multi-batch (and multi-node) merge
             // shares one timeline.
             let batch = std::mem::take(&mut self.trace);
-            spans.extend(batch.spans.iter().map(|s| TraceSpan {
-                core: s.core,
+            spans.extend(batch.spans.into_iter().map(|s| TraceSpan {
                 start: s.start + offset,
                 end: s.end + offset,
-                task: s.task.0 as u64,
-                ty: s.ty.0,
-                leader: s.place.0,
-                width: s.place.1,
-                tag: s.tag,
+                ..s
             }));
         }
         self.session_clock += run.makespan;
@@ -575,13 +533,8 @@ impl Simulator {
     /// (Executor-session state — pending jobs, the record ledger, the
     /// extras counters — is *not* per-run and survives.)
     fn reset(&mut self, total: usize) {
-        let n_cores = self.cfg.topo.num_cores();
-        self.cores = (0..n_cores)
-            .map(|_| CoreState {
-                wsq: ReadyQueue::with_discipline(self.cfg.discipline),
-                ..CoreState::default()
-            })
-            .collect();
+        let n_cores = self.cfg.session.topo.num_cores();
+        self.cores = (0..n_cores).map(|_| CoreState::default()).collect();
         // With slot recycling the live assembly count is bounded by the
         // core count, not the task count.
         self.assemblies.clear();
@@ -592,7 +545,7 @@ impl Simulator {
         self.idle.reset(n_cores);
         (0..n_cores).for_each(|c| self.idle.set(c, true));
         self.stealable.reset(n_cores);
-        self.streams = vec![0; self.cfg.topo.num_clusters()];
+        self.streams = vec![0; self.cfg.session.topo.num_clusters()];
         // `preds` is owned by `drive`, which rebuilds it from the dag.
         // The heap and the batch buffers keep their capacity: a session
         // flushes many batches through one simulator.
@@ -749,7 +702,7 @@ impl Simulator {
         let migratable = entry.is_stealable();
         self.cores[d.queue.0].wsq.push(entry);
         self.sync_stealable(d.queue.0);
-        let wl = self.cfg.params.wake_latency;
+        let wl = self.cfg.session.sim_params.wake_latency;
         self.wake_at(d.queue.0, t + wl);
         if migratable {
             // Idle cores may steal it: wake every sleeper. Woken cores
@@ -816,14 +769,21 @@ impl Simulator {
         // discipline — see `ReadyQueue::pop_own` for the rationale.
         if let Some(entry) = self.cores[c].wsq.pop_own() {
             self.sync_stealable(c);
-            self.dispatch(dag, entry, c, self.now + self.cfg.params.dispatch_overhead);
+            self.dispatch(
+                dag,
+                entry,
+                c,
+                self.now + self.cfg.session.sim_params.dispatch_overhead,
+            );
             return;
         }
         // 3. Random steal from a victim (`ReadyQueue::steal` picks the
         // entry).
         if let Some(entry) = self.try_steal(dag, c) {
             self.stats.steals += 1;
-            let t = self.now + self.cfg.params.steal_overhead + self.cfg.params.dispatch_overhead;
+            let t = self.now
+                + self.cfg.session.sim_params.steal_overhead
+                + self.cfg.session.sim_params.dispatch_overhead;
             self.dispatch(dag, entry, c, t);
             return;
         }
@@ -932,7 +892,7 @@ impl Simulator {
             let node = dag.node(task);
             let work = self.cfg.cost.work(node.meta.ty) * node.work_scale;
             let (ty, place) = (a.ty, a.place);
-            let cl = self.cfg.topo.cluster_of(place.first_core()).id.0;
+            let cl = self.cfg.session.topo.cluster_of(place.first_core()).id.0;
             self.streams[cl] += 1;
             let rate = self.exec_rate(ty, place, t);
             let a = &mut self.assemblies[aid];
@@ -971,6 +931,7 @@ impl Simulator {
         {
             let cl = self
                 .cfg
+                .session
                 .topo
                 .cluster_of(self.assemblies[aid].place.first_core())
                 .id
@@ -996,13 +957,14 @@ impl Simulator {
             self.stats.core_busy[m.0] += t - self.assemblies[aid].member_join_t[rank];
             self.stats.core_work[m.0] += t - start_t;
             if self.record_trace {
-                self.trace.spans.push(Span {
+                self.trace.spans.push(TraceSpan {
                     core: m.0,
                     start: start_t,
                     end: t,
-                    task,
-                    ty: node.meta.ty,
-                    place: (place.leader.0, place.width),
+                    task: u64::from(task.0),
+                    ty: node.meta.ty.0,
+                    leader: place.leader.0,
+                    width: place.width,
                     tag: node.tag,
                 });
             }
@@ -1015,7 +977,7 @@ impl Simulator {
         // granularity and cache effects — it perturbs only the training
         // signal, never the actual duration.
         let mut observed = t - leader_join_t;
-        let j = self.cfg.params.obs_noise;
+        let j = self.cfg.session.sim_params.obs_noise;
         if j > 0.0 {
             // Symmetric clock jitter, plus the occasional large outlier
             // (a timer interrupt or preemption landing inside the
@@ -1121,6 +1083,7 @@ impl Simulator {
             Some(aid) != skip
                 && self
                     .cfg
+                    .session
                     .topo
                     .cluster_of(self.assemblies[aid].place.first_core())
                     .id
@@ -1139,7 +1102,7 @@ impl Simulator {
     fn streams_sensitive_types_absent(&self, cl: usize) -> bool {
         !self.running.iter().any(|&aid| {
             let a = &self.assemblies[aid];
-            self.cfg.topo.cluster_of(a.place.first_core()).id.0 == cl
+            self.cfg.session.topo.cluster_of(a.place.first_core()).id.0 == cl
                 && self.cfg.cost.contention_sensitivity(a.ty) > 0.0
         })
     }
@@ -1153,7 +1116,7 @@ impl Simulator {
     /// ("a simple event slowing down the execution of a single thread
     /// [...] delays sibling threads waiting at a synchronization point").
     fn exec_rate(&self, ty: TaskTypeId, place: ExecutionPlace, t: f64) -> f64 {
-        let cl = self.cfg.topo.cluster_of(place.first_core());
+        let cl = self.cfg.session.topo.cluster_of(place.first_core());
         let eff = self.cfg.cost.efficiency(ty, place.width, cl);
         let press = self.env.mem_pressure(cl.id, t) * self.cfg.cost.mem_sensitivity(ty);
         let min_speed: f64 = place
@@ -1870,6 +1833,16 @@ mod tests {
         }
         assert_eq!(s.metrics_probe().unwrap().queue_depth, 0);
         s.submit(job()).expect("a freed slot admits");
+    }
+
+    #[test]
+    fn reset_model_keeps_the_session_scheduler_knobs() {
+        let session = SessionBuilder::new(Arc::new(Topology::tx2()), Policy::DamC)
+            .allow_high_priority_steal(true);
+        let mut s = Simulator::from_session_with_cost(&session, Arc::new(UniformCost::new(1e-3)));
+        s.reset_model();
+        let high = das_core::TaskMeta::new(TaskTypeId(0), das_core::Priority::High);
+        assert!(s.scheduler().stealable(&high));
     }
 
     #[test]

@@ -55,4 +55,4 @@ pub use engine::{SimError, Simulator};
 pub use env::{Environment, Modifier};
 pub use metrics::{PlaceKey, RunStats};
 pub use params::{SimConfig, SimParams};
-pub use trace::{validate_chrome_json, ClusterTrace, Span, Trace};
+pub use trace::{validate_chrome_json, ClusterTrace, Trace};

@@ -2,7 +2,7 @@
 
 use crate::cost::{CostModel, UniformCost};
 use das_core::exec::SessionBuilder;
-use das_core::{Policy, QueueDiscipline, WeightRatio};
+use das_core::Policy;
 use das_topology::Topology;
 use std::sync::Arc;
 
@@ -13,60 +13,30 @@ use std::sync::Arc;
 /// the historical `das_sim::SimParams` path, preserved by re-export.
 pub use das_core::exec::SimParams;
 
-/// Everything needed to construct a [`crate::Simulator`].
+/// Everything needed to construct a [`crate::Simulator`]: the
+/// backend-neutral session plus the one sim-specific setting, the task
+/// cost model.
 #[derive(Clone)]
 pub struct SimConfig {
-    /// Platform shape (shared with the scheduler and environment).
-    pub topo: Arc<Topology>,
-    /// Scheduling policy under evaluation.
-    pub policy: Policy,
-    /// PTT weighted-update ratio (Fig. 8 sweep); defaults to the paper's
-    /// 1:4.
-    pub ratio: WeightRatio,
+    /// Topology, policy, PTT ratio, seed, scheduler knobs, simulated
+    /// overheads, admission bound and metrics.
+    pub session: SessionBuilder,
     /// Task cost model; defaults to [`UniformCost`] with 1 ms tasks.
     pub cost: Arc<dyn CostModel>,
-    /// Runtime overheads.
-    pub params: SimParams,
-    /// Ready-queue ordering rules for every simulated worker; the
-    /// paper's XiTAO discipline by default.
-    pub discipline: QueueDiscipline,
-    /// Seed for the work-stealing RNG; equal seeds give bit-identical
-    /// runs.
-    pub seed: u64,
 }
 
 impl SimConfig {
     /// A config with defaults for everything but platform and policy.
     pub fn new(topo: Arc<Topology>, policy: Policy) -> Self {
-        SimConfig {
-            topo,
-            policy,
-            ratio: WeightRatio::PAPER,
-            cost: Arc::new(UniformCost::new(1e-3)),
-            params: SimParams::default(),
-            discipline: QueueDiscipline::XITAO,
-            seed: 0x5eed,
-        }
+        SimConfig::with_session(SessionBuilder::new(topo, policy))
     }
 
-    /// Adopt the backend-neutral parts of a [`SessionBuilder`]:
-    /// topology, policy, PTT ratio, seed, queue discipline and
-    /// simulated overheads. The cost model stays sim-specific — set it
-    /// with [`SimConfig::cost`] afterwards (the default is
-    /// [`UniformCost`] at 1 ms).
-    ///
-    /// The session's *scheduler* knobs (sampled search, periodic
-    /// exploration, the steal ablation) are **not** part of a
-    /// `SimConfig` — they live on the scheduler, which
-    /// `Simulator::from_session` / `from_session_with_cost` install
-    /// for you. Build through those constructors unless you are
-    /// deliberately supplying your own scheduler.
-    pub fn from_session(session: &SessionBuilder) -> Self {
-        SimConfig::new(Arc::clone(&session.topo), session.policy)
-            .ratio(session.ratio)
-            .seed(session.seed)
-            .params(session.sim_params)
-            .discipline(session.discipline)
+    /// `session` with the default cost model.
+    pub(crate) fn with_session(session: SessionBuilder) -> Self {
+        SimConfig {
+            session,
+            cost: Arc::new(UniformCost::new(1e-3)),
+        }
     }
 
     /// Set the cost model.
@@ -75,27 +45,9 @@ impl SimConfig {
         self
     }
 
-    /// Set the PTT update ratio.
-    pub fn ratio(mut self, ratio: WeightRatio) -> Self {
-        self.ratio = ratio;
-        self
-    }
-
     /// Set the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Set the runtime overheads.
-    pub fn params(mut self, params: SimParams) -> Self {
-        self.params = params;
-        self
-    }
-
-    /// Set the ready-queue discipline (ablations).
-    pub fn discipline(mut self, discipline: QueueDiscipline) -> Self {
-        self.discipline = discipline;
+        self.session.seed = seed;
         self
     }
 }
@@ -109,34 +61,9 @@ mod tests {
         let topo = Arc::new(Topology::tx2());
         let c = SimConfig::new(topo, Policy::Rws)
             .seed(42)
-            .ratio(WeightRatio::new(2, 5))
-            .discipline(QueueDiscipline::PLAIN_LIFO)
-            .params(SimParams {
-                wake_latency: 1e-6,
-                ..SimParams::default()
-            });
-        assert_eq!(c.seed, 42);
-        assert_eq!(c.ratio, WeightRatio::new(2, 5));
-        assert_eq!(c.discipline, QueueDiscipline::PLAIN_LIFO);
-        assert_eq!(c.params.wake_latency, 1e-6);
-    }
-
-    #[test]
-    fn from_session_copies_the_neutral_surface() {
-        let topo = Arc::new(Topology::tx2());
-        let s = SessionBuilder::new(Arc::clone(&topo), Policy::DamP)
-            .seed(7)
-            .ratio(WeightRatio::new(1, 2))
-            .sim_params(SimParams {
-                obs_noise: 3e-5,
-                ..SimParams::default()
-            });
-        let c = SimConfig::from_session(&s);
-        assert_eq!(c.policy, Policy::DamP);
-        assert_eq!(c.seed, 7);
-        assert_eq!(c.ratio, WeightRatio::new(1, 2));
-        assert_eq!(c.params.obs_noise, 3e-5);
-        assert_eq!(c.discipline, QueueDiscipline::XITAO);
-        assert_eq!(c.topo.num_cores(), topo.num_cores());
+            .cost(Arc::new(UniformCost::new(2e-3)));
+        assert_eq!(c.session.seed, 42);
+        assert_eq!(c.session.policy, Policy::Rws);
+        assert_eq!(c.cost.work(das_core::TaskTypeId(0)), 2e-3);
     }
 }

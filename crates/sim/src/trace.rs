@@ -4,44 +4,18 @@
 //!
 //! Tracing is opt-in ([`crate::Simulator::record_trace`]) because the
 //! paper-sized runs commit tens of thousands of tasks; when enabled, one
-//! [`Span`] is recorded per participating core per assembly.
+//! [`TraceSpan`] is recorded per participating core per assembly, from
+//! rendezvous to commit.
 
 use das_core::metrics::TraceSpan;
 use das_core::TaskTypeId;
-use das_dag::TaskId;
 use std::fmt::Write as _;
-
-/// One core's participation in one task assembly.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Span {
-    /// The executing core.
-    pub core: usize,
-    /// Simulated start of execution (rendezvous complete).
-    pub start: f64,
-    /// Simulated commit time.
-    pub end: f64,
-    /// The task.
-    pub task: TaskId,
-    /// Task type (indexes the PTT that was trained by this span).
-    pub ty: TaskTypeId,
-    /// `(leader, width)` of the place.
-    pub place: (usize, usize),
-    /// Application tag (layer / iteration).
-    pub tag: u64,
-}
-
-impl Span {
-    /// Span length in simulated seconds.
-    pub fn duration(&self) -> f64 {
-        self.end - self.start
-    }
-}
 
 /// A completed run's trace.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// All spans, in commit order.
-    pub spans: Vec<Span>,
+    pub spans: Vec<TraceSpan>,
     /// Total simulated time of the run.
     pub makespan: f64,
     /// Number of cores of the platform.
@@ -64,8 +38,8 @@ impl Trace {
     }
 
     /// Spans executed by `core`, in time order.
-    pub fn spans_of_core(&self, core: usize) -> Vec<Span> {
-        let mut v: Vec<Span> = self
+    pub fn spans_of_core(&self, core: usize) -> Vec<TraceSpan> {
+        let mut v: Vec<TraceSpan> = self
             .spans
             .iter()
             .filter(|s| s.core == core)
@@ -77,7 +51,7 @@ impl Trace {
 
     /// Verify the physical invariant that no core executes two spans at
     /// once. Returns the first overlapping pair if any.
-    pub fn find_overlap(&self) -> Option<(Span, Span)> {
+    pub fn find_overlap(&self) -> Option<(TraceSpan, TraceSpan)> {
         for core in 0..self.num_cores {
             let v = self.spans_of_core(core);
             for w in v.windows(2) {
@@ -122,7 +96,7 @@ impl Trace {
     pub fn by_type(&self) -> Vec<(TaskTypeId, usize, f64, f64)> {
         let mut agg: std::collections::BTreeMap<u16, (usize, f64)> = Default::default();
         for s in &self.spans {
-            let e = agg.entry(s.ty.0).or_insert((0, 0.0));
+            let e = agg.entry(s.ty).or_insert((0, 0.0));
             e.0 += 1;
             e.1 += s.duration();
         }
@@ -154,7 +128,7 @@ impl Trace {
                     let overlap = (s.end.min(t1) - s.start.max(t0)).max(0.0);
                     if overlap > 0.0 {
                         busy += overlap;
-                        *per_ty.entry(s.ty.0).or_insert(0.0) += overlap;
+                        *per_ty.entry(s.ty).or_insert(0.0) += overlap;
                     }
                 }
                 for (ty, v) in per_ty {
@@ -175,31 +149,17 @@ impl Trace {
         out
     }
 
-    /// Rebuild a trace from the backend-neutral numeric spans returned
-    /// by `Executor::take_trace_spans` — the inverse of the conversion
-    /// the simulator's session path applies, used by the cluster's
+    /// A trace of the spans returned by `Executor::take_trace_spans`,
+    /// its makespan the latest finite span end; used by the cluster's
     /// unified-trace assembly.
     pub fn from_trace_spans(num_cores: usize, spans: &[TraceSpan]) -> Trace {
-        let mut makespan = 0.0f64;
-        let spans: Vec<Span> = spans
+        let makespan = spans
             .iter()
-            .map(|s| {
-                if s.end.is_finite() {
-                    makespan = makespan.max(s.end);
-                }
-                Span {
-                    core: s.core,
-                    start: s.start,
-                    end: s.end,
-                    task: TaskId(s.task as u32),
-                    ty: TaskTypeId(s.ty),
-                    place: (s.leader, s.width),
-                    tag: s.tag,
-                }
-            })
-            .collect();
+            .map(|s| s.end)
+            .filter(|e| e.is_finite())
+            .fold(0.0, f64::max);
         Trace {
-            spans,
+            spans: spans.to_vec(),
             makespan,
             num_cores,
         }
@@ -221,15 +181,15 @@ fn json_num(v: f64) -> f64 {
 /// Emit one complete (`"ph":"X"`) trace event for `s` under process id
 /// `pid` (0 for single-node traces, the node index in the cluster
 /// merge).
-fn push_chrome_event(out: &mut String, pid: usize, s: &Span) {
+fn push_chrome_event(out: &mut String, pid: usize, s: &TraceSpan) {
     let ts = json_num(s.start * 1e6);
     let dur = json_num(s.duration() * 1e6).max(0.0);
     let _ = write!(
         out,
-        "{{\"name\":\"{} {}\",\"cat\":\"task\",\"ph\":\"X\",\
+        "{{\"name\":\"T{} t{}\",\"cat\":\"task\",\"ph\":\"X\",\
          \"ts\":{ts:.3},\"dur\":{dur:.3},\"pid\":{pid},\"tid\":{},\
          \"args\":{{\"place\":\"(C{},{})\",\"tag\":{}}}}}",
-        s.ty, s.task, s.core, s.place.0, s.place.1, s.tag,
+        s.ty, s.task, s.core, s.leader, s.width, s.tag,
     );
 }
 
@@ -512,14 +472,15 @@ impl JsonParser<'_> {
 mod tests {
     use super::*;
 
-    fn span(core: usize, start: f64, end: f64, ty: u16) -> Span {
-        Span {
+    fn span(core: usize, start: f64, end: f64, ty: u16) -> TraceSpan {
+        TraceSpan {
             core,
             start,
             end,
-            task: TaskId(0),
-            ty: TaskTypeId(ty),
-            place: (core, 1),
+            task: 0,
+            ty,
+            leader: core,
+            width: 1,
             tag: 0,
         }
     }
@@ -668,21 +629,7 @@ mod tests {
             makespan: 2.0,
             num_cores: 2,
         };
-        let numeric: Vec<TraceSpan> = t
-            .spans
-            .iter()
-            .map(|s| TraceSpan {
-                core: s.core,
-                start: s.start,
-                end: s.end,
-                task: s.task.0 as u64,
-                ty: s.ty.0,
-                leader: s.place.0,
-                width: s.place.1,
-                tag: s.tag,
-            })
-            .collect();
-        let back = Trace::from_trace_spans(2, &numeric);
+        let back = Trace::from_trace_spans(2, &t.spans);
         assert_eq!(back.spans, t.spans);
         assert!((back.makespan - t.makespan).abs() < 1e-12);
     }

@@ -298,12 +298,6 @@ impl Topology {
         })
     }
 
-    /// Total number of `(core, width)` PTT slots, valid or not; the PTT
-    /// uses this as its dense table size.
-    pub fn num_place_slots(&self) -> usize {
-        self.num_cores * self.all_widths.len()
-    }
-
     fn from_clusters(clusters: Vec<Cluster>) -> Self {
         assert!(!clusters.is_empty(), "topology needs at least one cluster");
         let mut cluster_of = Vec::new();

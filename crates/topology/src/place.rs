@@ -67,12 +67,6 @@ impl ExecutionPlace {
     pub fn contains(&self, core: CoreId) -> bool {
         self.rank_of(core).is_some()
     }
-
-    /// Parallel cost weight: the product `width × predicted_time` is what
-    /// the `*-C` schedulers minimise.
-    pub fn cost_weight(&self) -> f64 {
-        self.width as f64
-    }
 }
 
 impl fmt::Display for ExecutionPlace {

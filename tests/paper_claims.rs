@@ -35,7 +35,7 @@ fn throughput(
     env_of: impl Fn(&Arc<Topology>) -> Environment,
 ) -> f64 {
     let mut sim = tx2_sim(policy, 42);
-    let topo = Arc::clone(&sim.config().topo);
+    let topo = Arc::clone(&sim.config().session.topo);
     sim.set_env(env_of(&topo));
     let dag = synthetic::dag(kernel, parallelism, 20); // 1/20 of paper size
     sim.run(&dag).expect("run").throughput()
@@ -87,7 +87,7 @@ fn fig5_critical_task_distribution() {
     let dag = generators::layered(TaskTypeId(0), 2, 800);
 
     let mut fa = tx2_sim(Policy::Fa, 1);
-    let topo = Arc::clone(&fa.config().topo);
+    let topo = Arc::clone(&fa.config().session.topo);
     fa.set_env(corunner_env(&topo, Kernel::MatMul));
     let st = fa.run(&dag).unwrap();
     let s0 = st.high_priority_share_on_core(0);

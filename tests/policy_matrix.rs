@@ -4,6 +4,7 @@
 
 use das::core::{Policy, TaskTypeId};
 use das::dag::generators;
+use das::exec::SessionBuilder;
 use das::sim::{Scenario, SimConfig, Simulator};
 use das::topology::Topology;
 use das::workloads::cost::PaperCost;
@@ -136,13 +137,8 @@ fn sampled_search_quality_close_to_full_on_tx2() {
     let topo = Arc::new(Topology::tx2());
     let scenario = Scenario::cpu_occupy(das::topology::CoreId(0), 0.5, 0.0, f64::INFINITY);
     let run = |sampled: bool| {
-        let sched = Arc::new(
-            das::core::Scheduler::new(Arc::clone(&topo), Policy::DamC).with_sampled_search(sampled),
-        );
-        let mut sim = Simulator::new(
-            SimConfig::new(Arc::clone(&topo), Policy::DamC).cost(Arc::new(PaperCost::new())),
-        );
-        sim.replace_scheduler(sched);
+        let session = SessionBuilder::new(Arc::clone(&topo), Policy::DamC).sampled_search(sampled);
+        let mut sim = Simulator::from_session_with_cost(&session, Arc::new(PaperCost::new()));
         sim.set_env(scenario.environment(Arc::clone(&topo)));
         let dag = generators::layered(TaskTypeId(0), 4, 500);
         sim.run(&dag).unwrap().throughput()
@@ -160,14 +156,8 @@ fn periodic_exploration_costs_little_during_steady_interference() {
     let topo = Arc::new(Topology::tx2());
     let scenario = Scenario::cpu_occupy(das::topology::CoreId(0), 0.5, 0.0, f64::INFINITY);
     let run = |explore: u64| {
-        let sched = Arc::new(
-            das::core::Scheduler::new(Arc::clone(&topo), Policy::DamC)
-                .with_periodic_exploration(explore),
-        );
-        let mut sim = Simulator::new(
-            SimConfig::new(Arc::clone(&topo), Policy::DamC).cost(Arc::new(PaperCost::new())),
-        );
-        sim.replace_scheduler(sched);
+        let session = SessionBuilder::new(Arc::clone(&topo), Policy::DamC).explore_every(explore);
+        let mut sim = Simulator::from_session_with_cost(&session, Arc::new(PaperCost::new()));
         sim.set_env(scenario.environment(Arc::clone(&topo)));
         let dag = generators::layered(TaskTypeId(0), 4, 500);
         sim.run(&dag).unwrap().throughput()

@@ -150,3 +150,36 @@ fn ptt_state_carryover_is_the_only_cross_run_state() {
     // A reset model re-explores; it cannot beat the trained run by much.
     assert!(fresh.makespan >= second.makespan * 0.95);
 }
+
+/// `SimConfig` and `SessionBuilder` are one construction path: the same
+/// settings through either give the same run, bit for bit.
+#[test]
+fn sim_config_and_session_build_the_same_simulator() {
+    use das::exec::SessionBuilder;
+    use das::sim::cost::UniformCost;
+    let topo = Arc::new(Topology::grid(1, 16, 16));
+    let dag = generators::layered(TaskTypeId(0), 4, 250);
+    let env =
+        || Scenario::rolling_interference(&topo, 0.5, 0.05, 60.0).environment(Arc::clone(&topo));
+    for seed in [7, 11] {
+        let cost = Arc::new(UniformCost::new(1e-3));
+        let mut a = Simulator::new(
+            SimConfig::new(Arc::clone(&topo), Policy::DamC)
+                .seed(seed)
+                .cost(cost.clone()),
+        );
+        let session = SessionBuilder::new(Arc::clone(&topo), Policy::DamC).seed(seed);
+        let mut b = Simulator::from_session_with_cost(&session, cost);
+        a.set_env(env());
+        b.set_env(env());
+        let (a, b) = (a.run(&dag).unwrap(), b.run(&dag).unwrap());
+        assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "seed {seed}");
+        assert_eq!(a.events, b.events, "seed {seed}");
+        assert_eq!(a.steals, b.steals, "seed {seed}");
+        assert_eq!(a.failed_steals, b.failed_steals, "seed {seed}");
+        assert!(
+            a.steals > 0 && a.failed_steals > 0,
+            "the run exercises stealing"
+        );
+    }
+}
