@@ -3,27 +3,24 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
 use das_core::exec::{ExecError, ExecExtras, Executor, SessionBuilder, Ticket};
 use das_core::fault::FaultPlane;
-use das_core::jobs::{JobId, JobSpec};
+use das_core::jobs::JobId;
 use das_core::metrics::{MetricsConfig, NodeSnapshot};
-use das_msg::{Communicator, Endpoint, Payload};
-use parking_lot::Mutex;
+use das_msg::Communicator;
 
 use crate::dispatcher::{Node, NodeState};
-use crate::wire::{Ctrl, Drained, Reply, DISPATCHER, NODE, T_ACK, T_CTRL, T_LOAD, T_METRICS};
+use crate::wire::{post, Ctrl, Drained, Frame, Link, Reply, DISPATCHER, NODE, T_CTRL};
 
-/// Spawn one node: a private 2-rank link, the spec side channel, and
-/// the agent thread. The thread body runs under `catch_unwind`: on a
-/// panic (a scheduled kill, or an agent bug) the wrapper records the
-/// panic message, publishes the down flag — `Release`, paired with the
-/// dispatcher's `Acquire` in `reply` — and sends a
-/// [`ExecError::NodeFailed`] reply as its last frame, so a dispatcher
-/// blocked on this command's ack observes the death deterministically
-/// instead of timing out.
+/// Spawn one node: a private 2-rank link and the agent thread. The
+/// thread body runs under `catch_unwind`: on a panic (a scheduled
+/// kill, or an agent bug) the wrapper publishes the down flag —
+/// `Release`, paired with the dispatcher's `Acquire` in `reply` and
+/// `ring` — and sends a [`ExecError::NodeFailed`] reply as its last
+/// frame, so a dispatcher blocked on this command's ack observes the
+/// death deterministically instead of timing out.
 pub(crate) fn spawn_node<E>(
     i: usize,
     exec: E,
@@ -34,32 +31,26 @@ where
     E: Executor + Send + 'static,
     E::Graph: Send + 'static,
 {
-    let comm = Communicator::new(2);
+    let comm = Communicator::typed(2);
     let agent_ep = comm.endpoint(NODE);
     let last_frame_ep = agent_ep.clone();
-    let (tx, rx) = std::sync::mpsc::channel();
-    let errs = Arc::new(Mutex::new(String::new()));
     let down = Arc::new(AtomicBool::new(false));
-    let errs_agent = Arc::clone(&errs);
     let down_agent = Arc::clone(&down);
     let metrics = session.metrics;
     let agent = std::thread::Builder::new()
         .name(format!("das-cluster-node-{i}"))
         .spawn(move || {
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                node_agent(i, exec, agent_ep, rx, &errs_agent, plane, metrics);
+                node_agent(i, exec, &agent_ep, plane, metrics);
             }));
-            if let Err(payload) = run {
-                *errs_agent.lock() = panic_text(payload.as_ref());
+            if run.is_err() {
                 down_agent.store(true, Ordering::Release);
                 let last = Reply::Err(ExecError::NodeFailed { node: i });
-                last_frame_ep.send(DISPATCHER, T_ACK, last.encode());
+                post(&last_frame_ep, Frame::Reply(last));
             }
         })
         .expect("spawn cluster node agent");
     Node {
-        tx,
-        errs,
         ep: comm.endpoint(DISPATCHER),
         down,
         agent: Some(agent),
@@ -67,17 +58,6 @@ where
         load: 0.0,
         limit: session.max_outstanding.map_or(f64::INFINITY, |l| l as f64),
         snapshot: None,
-    }
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "node agent panicked".into()
     }
 }
 
@@ -93,41 +73,23 @@ fn fault_kill(admitted: u64) -> ! {
     panic!("fault plane: killed after {admitted} admitted jobs");
 }
 
-/// Run one executor-contract operation on the node agent, translating
-/// errors (and executor panics — a runtime node's `wait` re-raises task
-/// body panics) into the error to reply with, its human-readable
-/// message left in the in-process side channel.
-fn run_op<T>(
-    errs: &Mutex<String>,
-    f: impl FnOnce() -> Result<T, ExecError>,
-) -> Result<T, ExecError> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(Ok(v)) => {
-            // A successful op clears the slot: drain-failure diagnostics
-            // must not drag in long-resolved errors of healthy nodes.
-            errs.lock().clear();
-            Ok(v)
-        }
-        Ok(Err(e)) => {
-            *errs.lock() = e.to_string();
-            Err(e)
-        }
-        Err(_) => {
-            *errs.lock() = "node executor panicked".into();
-            Err(ExecError::Failed(String::new()))
-        }
-    }
+/// Run one executor-contract operation on the node agent, turning an
+/// executor panic (a runtime node's `wait` re-raises task body panics)
+/// into the error to reply with.
+fn run_op<T>(f: impl FnOnce() -> Result<T, ExecError>) -> Result<T, ExecError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .unwrap_or_else(|_| Err(ExecError::Failed("node executor panicked".into())))
 }
 
 /// The agent's snapshot-cadence state while its session has metrics
 /// enabled: the sequence counter, admissions since the last snapshot,
-/// the last frame actually sent (what a `DelayLoadReports` fault
+/// the last snapshot actually sent (what a `DelayLoadReports` fault
 /// re-sends), and the fault-attribution counters since the last drain.
 struct SnapState {
     cfg: MetricsConfig,
     seq: u64,
     since: u64,
-    last_frame: Payload,
+    last_sent: Option<NodeSnapshot>,
     sent: f64,
     dropped: f64,
     delayed: f64,
@@ -139,7 +101,7 @@ impl SnapState {
             cfg,
             seq: 0,
             since: 0,
-            last_frame: Payload::new(),
+            last_sent: None,
             sent: 0.0,
             dropped: 0.0,
             delayed: 0.0,
@@ -180,8 +142,8 @@ impl SnapState {
 /// fault schedules reproduce identically either way), and the
 /// snapshot goes first — the dispatcher's keep-latest reads then
 /// never see a load value fresher than the snapshot beside it.
-fn report_state(
-    ep: &Endpoint,
+fn report_state<G>(
+    ep: &Link<G>,
     plane: &mut FaultPlane,
     last: &mut f64,
     outstanding: f64,
@@ -195,25 +157,22 @@ fn report_state(
             state.dropped += 1.0;
         } else if delayed {
             state.delayed += 1.0;
-            if !state.last_frame.is_empty() {
-                ep.send(DISPATCHER, T_METRICS, state.last_frame.clone());
+            if let Some(stale) = &state.last_sent {
+                post(ep, Frame::Metrics(Box::new(stale.clone())));
             }
         } else {
-            let frame = snap.to_values();
             state.sent += 1.0;
-            state.last_frame = frame.clone();
-            ep.send(DISPATCHER, T_METRICS, frame);
+            state.last_sent = Some(snap.clone());
+            post(ep, Frame::Metrics(Box::new(snap)));
         }
     }
     if dropped {
         return;
     }
-    if delayed {
-        ep.send(DISPATCHER, T_LOAD, vec![*last]);
-        return;
+    if !delayed {
+        *last = value;
     }
-    *last = value;
-    ep.send(DISPATCHER, T_LOAD, vec![value]);
+    post(ep, Frame::Load(*last));
 }
 
 /// Build the node's metrics snapshot when one is due: `force` (drain
@@ -257,9 +216,7 @@ fn snapshot_if_due<'a, E: Executor>(
 fn node_agent<E: Executor>(
     node: usize,
     mut exec: E,
-    ep: Endpoint,
-    inbox: Receiver<JobSpec<E::Graph>>,
-    errs: &Mutex<String>,
+    ep: &Link<E::Graph>,
     mut plane: FaultPlane,
     metrics: Option<MetricsConfig>,
 ) {
@@ -271,30 +228,18 @@ fn node_agent<E: Executor>(
         // block-ok: the agent's idle state is "parked on the control
         // link"; `Cluster::drop` always sends `Ctrl::Shutdown` as its
         // last frame, so this recv is bounded by dispatcher lifetime.
-        let cmd = ep.recv(DISPATCHER, T_CTRL);
-        // A command that does not decode kills the agent, loudly, on
-        // the one death path — the dispatcher sees `NodeFailed`.
-        let ctrl = Ctrl::decode(&cmd).expect("both ends of the link share one codec");
+        let Frame::Ctrl(ctrl) = ep.recv(DISPATCHER, T_CTRL) else {
+            unreachable!("`post` sends only commands under T_CTRL")
+        };
         let reply = match ctrl {
             Ctrl::Shutdown => return,
-            Ctrl::Submit { k } => {
-                // One doorbell for a k-job sub-batch; the specs arrived
-                // on the side channel, in batch order, before it.
-                let mut specs = Vec::with_capacity(k);
-                for _ in 0..k {
-                    // block-ok: the dispatcher queues all k specs
-                    // *before* sending the doorbell, so this recv can
-                    // only block until an already-sent spec lands; a
-                    // dropped sender returns Err and the agent exits.
-                    let Ok(spec) = inbox.recv() else { return };
-                    specs.push(spec);
-                }
-                if plane.on_admit(k as u64) {
+            Ctrl::Submit(specs) => {
+                if plane.on_admit(specs.len() as u64) {
                     fault_kill(plane.admitted());
                 }
                 // The backend batch is atomic on validation: on error
                 // the node admits nothing and the count is untouched.
-                let admitted = run_op(errs, || exec.submit_many(specs)).map(|batch| {
+                let admitted = run_op(|| exec.submit_many(specs)).map(|batch| {
                     let locals: Vec<u64> = batch.iter().map(|t| t.job().0).collect();
                     tickets.extend(locals.iter().copied().zip(batch));
                     locals
@@ -302,7 +247,7 @@ fn node_agent<E: Executor>(
                 let n = admitted.as_ref().map_or(0, Vec::len);
                 outstanding += n as f64;
                 let snap = snapshot_if_due(node, &mut exec, &mut snap_state, n as u64, false);
-                report_state(&ep, &mut plane, &mut last_load, outstanding, snap);
+                report_state(ep, &mut plane, &mut last_load, outstanding, snap);
                 admitted.map_or_else(Reply::Err, Reply::Admitted)
             }
             Ctrl::Wait { local } => {
@@ -320,14 +265,14 @@ fn node_agent<E: Executor>(
                         // steering new jobs away from a node that just failed
                         // a batch is the right routing bias anyway.
                         outstanding -= 1.0;
-                        run_op(errs, || exec.wait(ticket)).map_or_else(Reply::Err, Reply::Job)
+                        run_op(|| exec.wait(ticket)).map_or_else(Reply::Err, Reply::Job)
                     }
                 };
-                report_state(&ep, &mut plane, &mut last_load, outstanding, None);
+                report_state(ep, &mut plane, &mut last_load, outstanding, None);
                 reply
             }
             Ctrl::Drain { summary } => {
-                let drained = run_op(errs, || exec.drain());
+                let drained = run_op(|| exec.drain());
                 tickets.clear();
                 outstanding = 0.0;
                 // A drain epoch always snapshots (post-drain, so the probe
@@ -344,7 +289,7 @@ fn node_agent<E: Executor>(
                         probe: exec.metrics_probe().unwrap_or_default(),
                     },
                 });
-                report_state(&ep, &mut plane, &mut last_load, outstanding, snap);
+                report_state(ep, &mut plane, &mut last_load, outstanding, snap);
                 // Extras leave the executor either way (a failed drain
                 // discards them, exactly as the collective design did).
                 let mut extras = exec.take_extras();
@@ -360,7 +305,7 @@ fn node_agent<E: Executor>(
             Ctrl::PullTrace => Reply::Trace(exec.take_trace_spans()),
         };
         if !plane.drop_ack() {
-            ep.send(DISPATCHER, T_ACK, reply.encode());
+            post(ep, Frame::Reply(reply));
         }
     }
 }

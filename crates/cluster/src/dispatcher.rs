@@ -4,7 +4,6 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -12,14 +11,14 @@ use std::time::Duration;
 use das_core::exec::{ExecError, ExecExtras, Executor, SessionBuilder, Ticket};
 use das_core::jobs::{JobId, JobSpec, JobStats, StreamStats};
 use das_core::metrics::{ExecProbe, MetricKind, MetricsReport, NodeSnapshot};
-use das_msg::Endpoint;
 use das_sim::ClusterTrace;
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 
 use crate::builder::RPC_ATTEMPTS;
 use crate::route::{self, RoutePolicy};
-use crate::wire::{Ctrl, DrainBody, Drained, Reply, NODE, T_ACK, T_CTRL, T_LOAD, T_METRICS};
+use crate::wire::{
+    post, Ctrl, DrainBody, Drained, Frame, Link, Reply, NODE, T_ACK, T_LOAD, T_METRICS,
+};
 
 /// Spawns node `i` from its session: builds the executor, wires the
 /// private link and starts the agent thread. Boxed so [`Cluster`] can
@@ -40,15 +39,11 @@ pub(crate) enum NodeState {
 }
 
 /// Everything the dispatcher holds about one node: its end of the
-/// private link (the graph side channel, the node's last error message
-/// — strings stay in-process, only codes cross the payload format —
-/// the endpoint, the agent's down flag and join handle) and its view of
+/// private link, the agent's down flag and join handle, and its view of
 /// the node. Slots of dead nodes stay in place so node indices are
 /// stable for the lifetime of the cluster.
 pub(crate) struct Node<G> {
-    pub(crate) tx: Sender<JobSpec<G>>,
-    pub(crate) errs: Arc<Mutex<String>>,
-    pub(crate) ep: Endpoint,
+    pub(crate) ep: Link<G>,
     pub(crate) down: Arc<AtomicBool>,
     pub(crate) agent: Option<JoinHandle<()>>,
     pub(crate) state: NodeState,
@@ -196,10 +191,10 @@ impl<G> Cluster<G> {
     /// report per node wins; dead nodes stay pinned at 0).
     pub(crate) fn refresh_loads(&mut self) {
         for node in self.nodes.iter_mut().filter(|n| n.is_live()) {
-            if let Some(p) = node.ep.try_recv_latest(NODE, T_LOAD) {
-                if let Some(&v) = p.first() {
-                    node.load = v;
-                }
+            match node.ep.try_recv_latest(NODE, T_LOAD) {
+                Some(Frame::Load(v)) => node.load = v,
+                Some(_) => unreachable!("`post` sends only load reports under T_LOAD"),
+                None => {}
             }
         }
     }
@@ -209,15 +204,15 @@ impl<G> Cluster<G> {
     /// Empty unless the node sessions enabled
     /// [`SessionBuilder::metrics`]. Non-blocking — this only folds in
     /// the `T_METRICS` frames already on the links (newest frame per
-    /// node wins, exactly like the loads; a misframed frame is skipped
-    /// and only costs freshness); snapshots arrive on logical triggers
-    /// (every `snapshot_every` admitted jobs, and at every drain).
+    /// node wins, exactly like the loads); snapshots arrive on logical
+    /// triggers (every `snapshot_every` admitted jobs, and at every
+    /// drain).
     pub fn metrics_report(&mut self) -> MetricsReport {
         for node in self.nodes.iter_mut().filter(|n| n.is_live()) {
-            if let Some(p) = node.ep.try_recv_latest(NODE, T_METRICS) {
-                if let Some(snap) = NodeSnapshot::from_values(&p) {
-                    node.snapshot = Some(snap);
-                }
+            match node.ep.try_recv_latest(NODE, T_METRICS) {
+                Some(Frame::Metrics(snap)) => node.snapshot = Some(*snap),
+                Some(_) => unreachable!("`post` sends only snapshots under T_METRICS"),
+                None => {}
             }
         }
         MetricsReport {
@@ -285,39 +280,25 @@ impl<G> Cluster<G> {
         ExecError::Overloaded { outstanding, limit }
     }
 
-    /// The node's side-channel error string (set before every error
-    /// acknowledgement).
-    fn node_error(&self, node: usize) -> String {
-        let msg = self.nodes[node].errs.lock().clone();
-        if msg.is_empty() {
-            format!("node {node} failed")
-        } else {
-            format!("node {node}: {msg}")
-        }
-    }
-
-    pub(crate) fn send(&self, node: usize, ctrl: Ctrl) {
-        self.nodes[node].ep.send(NODE, T_CTRL, ctrl.encode());
+    pub(crate) fn send(&self, node: usize, ctrl: Ctrl<G>) {
+        post(&self.nodes[node].ep, Frame::Ctrl(ctrl));
     }
 
     /// Receive `node`'s acknowledgement of the last command under the
-    /// bounded-backoff deadline. An error reply comes back as `Err`, and
-    /// a node death is [`ExecError::NodeFailed`] however it was seen —
-    /// as the agent's last frame, or as its down flag after a missed
-    /// deadline (the frame race lost). Any other missing frame is a
-    /// typed [`ExecError::Timeout`] — never a hang.
+    /// bounded-backoff deadline. An error reply comes back as `Err`
+    /// ([`from_node`]), and a node death is [`ExecError::NodeFailed`]
+    /// however it was seen — as the agent's last frame, or as its down
+    /// flag after a missed deadline (the frame race lost). Any other
+    /// missing frame is a typed [`ExecError::Timeout`] — never a hang.
     fn reply(&self, node: usize) -> Result<Reply, ExecError> {
         let link = &self.nodes[node];
         match link
             .ep
             .recv_backoff(NODE, T_ACK, self.rpc_base, RPC_ATTEMPTS)
         {
-            Ok((p, _)) => match Reply::decode(&p, node, || self.node_error(node))
-                .expect("both ends of the link share one codec")
-            {
-                Reply::Err(e) => Err(e),
-                reply => Ok(reply),
-            },
+            Ok((Frame::Reply(Reply::Err(e)), _)) => Err(from_node(node, e)),
+            Ok((Frame::Reply(reply), _)) => Ok(reply),
+            Ok(_) => unreachable!("`post` sends only replies under T_ACK"),
             Err(_) if link.down.load(Ordering::Acquire) => Err(ExecError::NodeFailed { node }),
             Err(waited) => Err(ExecError::Timeout {
                 waited_ms: waited.as_millis() as u64,
@@ -325,17 +306,15 @@ impl<G> Cluster<G> {
         }
     }
 
-    /// Feed `group` down `node`'s side channel, then ring ONE doorbell
-    /// for all of it. [`ExecError::NodeFailed`] when the agent's
-    /// receiver is gone: the thread exited without the dispatcher
-    /// noticing yet.
+    /// Send `group` to `node` as ONE submit command.
+    /// [`ExecError::NodeFailed`] when the agent is already down — the
+    /// thread died without the dispatcher noticing yet — so no admission
+    /// waits out the RPC deadline on a dead node.
     pub(crate) fn ring(&self, node: usize, group: Vec<JobSpec<G>>) -> Result<(), ExecError> {
-        let k = group.len();
-        for spec in group {
-            let sent = self.nodes[node].tx.send(spec);
-            sent.map_err(|_| ExecError::NodeFailed { node })?;
+        if self.nodes[node].down.load(Ordering::Acquire) {
+            return Err(ExecError::NodeFailed { node });
         }
-        self.send(node, Ctrl::Submit { k });
+        self.send(node, Ctrl::Submit(group));
         Ok(())
     }
 
@@ -401,8 +380,8 @@ impl<G> Cluster<G> {
 
 impl<G: Clone> Cluster<G> {
     /// Drain every live node for a *summary* — counts, span, extras and
-    /// the node's post-drain snapshot — without shipping one wire slot
-    /// per completed job. The cluster-wide percentiles come from the
+    /// the node's post-drain snapshot — without shipping one record per
+    /// completed job. The cluster-wide percentiles come from the
     /// merged sketches instead of per-job records, so the reply size is
     /// independent of how many jobs completed. The stream's tickets are
     /// retired, node deaths repaired and node errors surfaced exactly
@@ -488,7 +467,7 @@ impl<G: Clone> Cluster<G> {
     /// One control exchange with `node`. A death it runs into is
     /// repaired ([`Cluster::handle_node_down`]) before the error
     /// returns, so no caller can leave a dead node marked live.
-    pub(crate) fn rpc(&mut self, node: usize, ctrl: Ctrl) -> Result<Reply, ExecError> {
+    pub(crate) fn rpc(&mut self, node: usize, ctrl: Ctrl<G>) -> Result<Reply, ExecError> {
         self.send(node, ctrl);
         let reply = self.reply(node);
         self.repaired(node, reply)
@@ -513,7 +492,8 @@ impl<G: Clone> Cluster<G> {
                     Ok(d) => fold(self, node, d),
                     Err(ExecError::NodeFailed { .. }) => died.push(node),
                     Err(e @ ExecError::Timeout { .. }) => silent = silent.or(Some(e)),
-                    Err(_) => failures.push(self.node_error(node)),
+                    Err(ExecError::Rejected(why) | ExecError::Failed(why)) => failures.push(why),
+                    Err(e) => failures.push(format!("node {node}: {e}")),
                 }
             }
             if died.is_empty() {
@@ -634,6 +614,18 @@ pub fn metric_scalar(kind: MetricKind, t: &ExecProbe) -> f64 {
     }
 }
 
+/// A node executor's error as the cluster reports it: a message names
+/// the node (`"node {i}: {e}"`), and a death names the link it was seen
+/// on — an agent cannot report a peer's failure.
+fn from_node(node: usize, e: ExecError) -> ExecError {
+    match e {
+        ExecError::Rejected(_) => ExecError::Rejected(format!("node {node}: {e}")),
+        ExecError::Failed(_) => ExecError::Failed(format!("node {node}: {e}")),
+        ExecError::NodeFailed { .. } => ExecError::NodeFailed { node },
+        ExecError::UnknownTicket(_) | ExecError::Overloaded { .. } | ExecError::Timeout { .. } => e,
+    }
+}
+
 /// Absorb one node's drain extras into `merged`, first attributing its
 /// snapshot-fault counters (`snapshots_sent` / `snapshots_dropped` /
 /// `snapshots_delayed`) under the `node{i}.` prefix, so a fault-gated
@@ -723,8 +715,8 @@ impl<G: Clone> Executor for Cluster<G> {
             assignment.push(node);
         }
         // Phase 2: per-node sub-batches (batch order within each node),
-        // one side-channel transfer per job, ONE control message per
-        // node. The originals stay behind as the ledger copies.
+        // ONE control message per node. The originals stay behind as
+        // the ledger copies.
         let n = self.nodes.len();
         let mut groups: Vec<Vec<JobSpec<G>>> = vec![Vec::new(); n];
         for (spec, &node) in specs.iter().zip(&assignment) {
@@ -830,9 +822,8 @@ impl<G: Clone> Executor for Cluster<G> {
         }
     }
 
-    /// Drain every live node and merge the per-node records — each
-    /// reply's header cross-checks them — with the ones banked by node
-    /// removals. A node death mid-drain requeues its stranded jobs onto
+    /// Drain every live node and merge the per-node records with the
+    /// ones banked by node removals. A node death mid-drain requeues its stranded jobs onto
     /// survivors and triggers another round, so the stream still
     /// completes (deaths are repaired only *after* a round's acks are
     /// all consumed). A missing reply within the RPC deadline is a
@@ -877,5 +868,46 @@ impl<G> Drop for Cluster<G> {
                 let _ = agent.join();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn node_errors_carry_the_node_and_the_message() {
+        assert_eq!(
+            from_node(2, ExecError::Rejected("empty graph".into())),
+            ExecError::Rejected("node 2: job rejected: empty graph".into())
+        );
+        assert_eq!(
+            from_node(0, ExecError::Failed("event budget".into())),
+            ExecError::Failed("node 0: execution failed: event budget".into())
+        );
+        for e in [
+            ExecError::UnknownTicket(JobId(9)),
+            ExecError::Overloaded {
+                outstanding: 64,
+                limit: 64,
+            },
+            ExecError::Timeout { waited_ms: 1500 },
+        ] {
+            assert_eq!(
+                from_node(1, e.clone()),
+                e,
+                "numeric errors pass as they are"
+            );
+        }
+    }
+
+    #[test]
+    fn a_reported_death_names_the_link() {
+        // An agent cannot report a peer's failure: the node is the link
+        // the reply arrived on.
+        assert_eq!(
+            from_node(2, ExecError::NodeFailed { node: 7 }),
+            ExecError::NodeFailed { node: 2 }
+        );
     }
 }

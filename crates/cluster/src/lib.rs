@@ -22,13 +22,12 @@
 //! share each link:
 //!
 //! * **control** — submit/wait/drain/shutdown commands and their
-//!   acknowledgements as point-to-point messages, one typed frame per
-//!   direction with a single encode/decode pair (graphs themselves
-//!   move through an in-process side channel; `das_msg` payloads are
-//!   `f64` rows, and task closures could never transit a wire format —
-//!   on a real deployment this channel is the RPC body). There is one
-//!   admission path: `submit` is a one-job `submit_many`, and a batch
-//!   costs one command per node it touches;
+//!   acknowledgements as point-to-point messages. The link carries
+//!   typed frames as Rust values: a submit command holds the job specs
+//!   themselves, graphs included, and an error reply holds the node
+//!   executor's error with its message. There is one admission path:
+//!   `submit` is a one-job `submit_many`, and a batch costs one
+//!   command per node it touches;
 //! * **load** — after *every* command a node pushes its
 //!   outstanding-job count back over the message layer; the dispatcher
 //!   collapses the backlog with [`das_msg::Endpoint::try_recv_latest`]
@@ -37,10 +36,9 @@
 //! * **stats** — there is one drain: `drain`, `drain_summary` and
 //!   `remove_node` all send a node the same command and read back one
 //!   combined reply — a header (jobs, tasks, first arrival, last
-//!   completion), the node's extras, and *either* the completion
-//!   records *or* the node's post-drain metrics snapshot. The header
-//!   cross-checks the decoded records — a wire-format regression trips
-//!   an assert, not a silently wrong percentile.
+//!   completion), the node's extras, every key of them, and *either*
+//!   the completion records *or* the node's post-drain metrics
+//!   snapshot.
 //!
 //! ## Failure domains and recovery
 //!

@@ -174,40 +174,6 @@ impl LogHistogram {
     pub fn buckets(&self) -> usize {
         self.counts.len()
     }
-
-    /// Serialize into flat f64 slots (appended to `out`):
-    /// `[lo, growth, buckets, underflow, overflow, counts...]`. Counts
-    /// stay far below 2^53, so the f64 round-trip is exact.
-    pub fn push_values(&self, out: &mut Vec<f64>) {
-        out.push(self.lo);
-        out.push(self.growth);
-        out.push(self.counts.len() as f64);
-        out.push(self.underflow as f64);
-        out.push(self.overflow as f64);
-        out.extend(self.counts.iter().map(|&c| c as f64));
-    }
-
-    /// Deserialize a sketch written by [`LogHistogram::push_values`]
-    /// from the front of `p`; returns the sketch and the number of
-    /// slots consumed, or `None` on a misframed payload.
-    pub fn read_values(p: &[f64]) -> Option<(LogHistogram, usize)> {
-        if p.len() < 5 {
-            return None;
-        }
-        let (lo, growth, buckets) = (p[0], p[1], p[2] as usize);
-        // NaN headers must fail the comparisons, hence the ordered forms.
-        let header_ok = lo > 0.0 && growth > 1.0 && buckets > 0;
-        if !header_ok || p.len() < 5 + buckets {
-            return None;
-        }
-        let mut h = LogHistogram::new(lo, growth, buckets);
-        h.underflow = p[3] as u64;
-        h.overflow = p[4] as u64;
-        for (c, v) in h.counts.iter_mut().zip(&p[5..5 + buckets]) {
-            *c = *v as u64;
-        }
-        Some((h, 5 + buckets))
-    }
 }
 
 /// The metric families every node renders and the dispatcher merges.
@@ -375,54 +341,6 @@ impl ExecProbe {
         self.sojourn.merge(&other.sojourn);
         self.queueing.merge(&other.queueing);
     }
-
-    /// Number of f64 slots before the two sketches.
-    const SCALAR_SLOTS: usize = 10;
-
-    /// Serialize into flat f64 slots appended to `out` (scalars, then
-    /// the sojourn and queueing sketches).
-    pub fn push_values(&self, out: &mut Vec<f64>) {
-        out.push(self.queue_depth as f64);
-        out.push(self.jobs_admitted as f64);
-        out.push(self.jobs_completed as f64);
-        out.push(self.tasks_completed as f64);
-        out.push(self.steals as f64);
-        out.push(self.failed_steals as f64);
-        out.push(self.events as f64);
-        out.push(self.busy);
-        out.push(self.capacity);
-        out.push(self.ptt_residual);
-        self.sojourn.push_values(out);
-        self.queueing.push_values(out);
-    }
-
-    /// Deserialize a probe written by [`ExecProbe::push_values`] from
-    /// the front of `p`; returns the probe and slots consumed, or
-    /// `None` on a misframed payload.
-    pub fn read_values(p: &[f64]) -> Option<(ExecProbe, usize)> {
-        if p.len() < Self::SCALAR_SLOTS {
-            return None;
-        }
-        let (sojourn, a) = LogHistogram::read_values(&p[Self::SCALAR_SLOTS..])?;
-        let (queueing, b) = LogHistogram::read_values(&p[Self::SCALAR_SLOTS + a..])?;
-        Some((
-            ExecProbe {
-                queue_depth: p[0] as u64,
-                jobs_admitted: p[1] as u64,
-                jobs_completed: p[2] as u64,
-                tasks_completed: p[3] as u64,
-                steals: p[4] as u64,
-                failed_steals: p[5] as u64,
-                events: p[6] as u64,
-                busy: p[7],
-                capacity: p[8],
-                ptt_residual: p[9],
-                sojourn,
-                queueing,
-            },
-            Self::SCALAR_SLOTS + a + b,
-        ))
-    }
 }
 
 /// One node's periodic metrics frame: the cumulative probe plus the
@@ -436,34 +354,6 @@ pub struct NodeSnapshot {
     pub seq: u64,
     /// The node executor's cumulative observability state.
     pub probe: ExecProbe,
-}
-
-impl NodeSnapshot {
-    /// Serialize into a flat f64 payload: `[node, seq, probe...]`.
-    pub fn to_values(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(2 + ExecProbe::SCALAR_SLOTS + 2 * (5 + 272));
-        out.push(self.node as f64);
-        out.push(self.seq as f64);
-        self.probe.push_values(&mut out);
-        out
-    }
-
-    /// Deserialize a snapshot written by [`NodeSnapshot::to_values`];
-    /// `None` on a misframed payload (including trailing junk).
-    pub fn from_values(p: &[f64]) -> Option<NodeSnapshot> {
-        if p.len() < 2 {
-            return None;
-        }
-        let (probe, used) = ExecProbe::read_values(&p[2..])?;
-        if 2 + used != p.len() {
-            return None;
-        }
-        Some(NodeSnapshot {
-            node: p[0] as u64,
-            seq: p[1] as u64,
-            probe,
-        })
-    }
 }
 
 /// The cluster-wide aggregate the dispatcher assembles from the latest
@@ -534,9 +424,6 @@ impl MetricsConfig {
     }
 }
 
-/// Number of f64 slots per encoded [`TraceSpan`].
-pub const TRACE_SPAN_SLOTS: usize = 8;
-
 /// One executed task interval in backend-neutral numeric form — the
 /// unit the cluster pulls from node executors to assemble the unified
 /// multi-node chrome trace (`das-sim` renders these with pid = node,
@@ -565,35 +452,6 @@ impl TraceSpan {
     /// Span length in seconds.
     pub fn duration(&self) -> f64 {
         self.end - self.start
-    }
-
-    /// Serialize into [`TRACE_SPAN_SLOTS`] f64 slots appended to `out`.
-    pub fn push_values(&self, out: &mut Vec<f64>) {
-        out.push(self.core as f64);
-        out.push(self.start);
-        out.push(self.end);
-        out.push(self.task as f64);
-        out.push(f64::from(self.ty));
-        out.push(self.leader as f64);
-        out.push(self.width as f64);
-        out.push(self.tag as f64);
-    }
-
-    /// Deserialize one span from exactly [`TRACE_SPAN_SLOTS`] slots.
-    pub fn from_values(p: &[f64]) -> Option<TraceSpan> {
-        if p.len() != TRACE_SPAN_SLOTS {
-            return None;
-        }
-        Some(TraceSpan {
-            core: p[0] as usize,
-            start: p[1],
-            end: p[2],
-            task: p[3] as u64,
-            ty: p[4] as u16,
-            leader: p[5] as usize,
-            width: p[6] as usize,
-            tag: p[7] as u64,
-        })
     }
 }
 
@@ -706,51 +564,6 @@ mod tests {
     }
 
     #[test]
-    fn sketch_round_trips_through_values() {
-        let mut h = LogHistogram::latency();
-        for v in [1e-5, 3e-2, 0.5, 9e9, -1.0] {
-            h.record(v);
-        }
-        let mut out = Vec::new();
-        h.push_values(&mut out);
-        let (d, used) = LogHistogram::read_values(&out).unwrap();
-        assert_eq!(used, out.len());
-        assert_eq!(d, h);
-        assert!(LogHistogram::read_values(&out[..4]).is_none());
-    }
-
-    #[test]
-    fn snapshot_round_trips_bit_exact() {
-        let mut probe = ExecProbe {
-            queue_depth: 3,
-            jobs_admitted: 100,
-            jobs_completed: 97,
-            tasks_completed: 4242,
-            steals: 17,
-            failed_steals: 5,
-            events: 123_456,
-            busy: 1.25,
-            capacity: 6.0,
-            ptt_residual: 3.5e-4,
-            ..ExecProbe::default()
-        };
-        probe.sojourn.record(0.125);
-        probe.queueing.record(1e-5);
-        let snap = NodeSnapshot {
-            node: 2,
-            seq: 9,
-            probe,
-        };
-        let v = snap.to_values();
-        assert_eq!(NodeSnapshot::from_values(&v), Some(snap.clone()));
-        // Trailing junk and truncation are both misframes.
-        let mut long = v.clone();
-        long.push(0.0);
-        assert_eq!(NodeSnapshot::from_values(&long), None);
-        assert_eq!(NodeSnapshot::from_values(&v[..v.len() - 1]), None);
-    }
-
-    #[test]
     fn report_totals_fold_counters_and_sketches() {
         let mut a = ExecProbe {
             jobs_completed: 10,
@@ -786,25 +599,6 @@ mod tests {
         assert_eq!(t.ptt_residual, 0.75, "residual is the worst node");
         assert_eq!(t.sojourn.count(), 2);
         assert!(report.node(1).is_some() && report.node(7).is_none());
-    }
-
-    #[test]
-    fn trace_span_round_trips() {
-        let s = TraceSpan {
-            core: 3,
-            start: 0.5,
-            end: 0.5, // zero-duration spans are legal
-            task: 42,
-            ty: 7,
-            leader: 2,
-            width: 4,
-            tag: 11,
-        };
-        let mut out = Vec::new();
-        s.push_values(&mut out);
-        assert_eq!(out.len(), TRACE_SPAN_SLOTS);
-        assert_eq!(TraceSpan::from_values(&out), Some(s));
-        assert_eq!(TraceSpan::from_values(&out[..5]), None);
     }
 
     #[test]

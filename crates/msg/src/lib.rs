@@ -14,6 +14,12 @@
 //! boundary arrives, creating the same cross-rank critical path as MPI
 //! ghost-cell exchange.
 //!
+//! A communicator is generic over its message type. The default,
+//! [`Payload`], is the `f64` row the applications exchange, and the
+//! collectives work on it; any other `Send` type travels point to point
+//! as the value itself — the cluster tier sends its typed frames this
+//! way ([`Communicator::typed`]).
+//!
 //! ```
 //! use das_msg::Communicator;
 //!
@@ -29,6 +35,28 @@
 //! assert_eq!(got, vec![1.0, 2.0]);
 //! assert_eq!(h.join().unwrap(), vec![3.0]);
 //! ```
+//!
+//! [`Communicator::new`] is the `f64` communicator, so a receiver whose
+//! first use of a message comes before any send still infers
+//! [`Payload`]:
+//!
+//! ```
+//! use das_msg::Communicator;
+//!
+//! let comm = Communicator::new(2);
+//! let (e0, e1) = (comm.endpoint(0), comm.endpoint(1));
+//! let echo = std::thread::spawn(move || loop {
+//!     let p = e1.recv(0, 1);
+//!     if p.is_empty() {
+//!         break;
+//!     }
+//!     e1.send(0, 2, p);
+//! });
+//! e0.send(1, 1, vec![4.0]);
+//! assert_eq!(e0.recv(1, 2), vec![4.0]);
+//! e0.send(1, 1, Vec::new());
+//! echo.join().unwrap();
+//! ```
 
 mod collectives;
 
@@ -40,17 +68,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Message payload: a boxed row of grid values (plenty for ghost cells;
-/// applications needing other types can bit-pack).
+/// The default message: a row of grid values, what the ghost-cell
+/// exchanges and the collectives carry.
 pub type Payload = Vec<f64>;
 
 /// Key of a mailbox slot: `(source rank, tag)`.
 type Key = (usize, u32);
 
-#[derive(Default)]
-struct Mailbox {
+struct Mailbox<T> {
     /// FIFO per (source, tag): messages with equal key preserve order.
-    slots: Mutex<HashMap<Key, VecDeque<Payload>>>,
+    slots: Mutex<HashMap<Key, VecDeque<T>>>,
     cond: Condvar,
 }
 
@@ -59,9 +86,9 @@ struct BarrierState {
     cond: Condvar,
 }
 
-struct Shared {
+struct Shared<T> {
     n: usize,
-    boxes: Vec<Mailbox>,
+    boxes: Vec<Mailbox<T>>,
     barrier: BarrierState,
     /// Messages sent by each rank, ever (monotone). The wire-traffic
     /// accounting behind [`Endpoint::sent_count`]: batching tiers
@@ -69,23 +96,38 @@ struct Shared {
     sent: Vec<AtomicU64>,
 }
 
-/// A group of `n` ranks that can exchange messages. Clone-free: hand out
-/// [`Endpoint`]s instead.
-pub struct Communicator {
-    shared: Arc<Shared>,
+/// A group of `n` ranks that can exchange messages of type `T`.
+/// Clone-free: hand out [`Endpoint`]s instead.
+pub struct Communicator<T = Payload> {
+    shared: Arc<Shared<T>>,
 }
 
 impl Communicator {
-    /// Create a communicator with ranks `0..n`.
+    /// Create an `f64` communicator with ranks `0..n`.
     ///
     /// # Panics
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
+        Self::typed(n)
+    }
+}
+
+impl<T> Communicator<T> {
+    /// Create a communicator with ranks `0..n` whose messages are `T`.
+    ///
+    /// # Panics
+    /// Panics if `n == 0`.
+    pub fn typed(n: usize) -> Self {
         assert!(n > 0, "communicator needs at least one rank");
         Communicator {
             shared: Arc::new(Shared {
                 n,
-                boxes: (0..n).map(|_| Mailbox::default()).collect(),
+                boxes: (0..n)
+                    .map(|_| Mailbox {
+                        slots: Mutex::new(HashMap::new()),
+                        cond: Condvar::new(),
+                    })
+                    .collect(),
                 barrier: BarrierState {
                     arrived: Mutex::new((0, 0)),
                     cond: Condvar::new(),
@@ -104,7 +146,7 @@ impl Communicator {
     ///
     /// # Panics
     /// Panics if `rank >= size`.
-    pub fn endpoint(&self, rank: usize) -> Endpoint {
+    pub fn endpoint(&self, rank: usize) -> Endpoint<T> {
         assert!(rank < self.shared.n, "rank {rank} out of range");
         Endpoint {
             rank,
@@ -114,19 +156,27 @@ impl Communicator {
 
     /// All endpoints, rank order — convenient for spawning one thread per
     /// rank.
-    pub fn endpoints(&self) -> Vec<Endpoint> {
+    pub fn endpoints(&self) -> Vec<Endpoint<T>> {
         (0..self.shared.n).map(|r| self.endpoint(r)).collect()
     }
 }
 
 /// A rank's handle for sending, receiving and synchronising.
-#[derive(Clone)]
-pub struct Endpoint {
+pub struct Endpoint<T = Payload> {
     rank: usize,
-    shared: Arc<Shared>,
+    shared: Arc<Shared<T>>,
 }
 
-impl Endpoint {
+impl<T> Clone for Endpoint<T> {
+    fn clone(&self) -> Self {
+        Endpoint {
+            rank: self.rank,
+            shared: Arc::clone(&self.shared),
+        }
+    }
+}
+
+impl<T> Endpoint<T> {
     /// This endpoint's rank.
     pub fn rank(&self) -> usize {
         self.rank
@@ -137,12 +187,12 @@ impl Endpoint {
         self.shared.n
     }
 
-    /// Asynchronous send (buffered, never blocks): deliver `payload` to
+    /// Asynchronous send (buffered, never blocks): deliver `msg` to
     /// `dst` under `tag`.
     ///
     /// # Panics
     /// Panics if `dst` is out of range.
-    pub fn send(&self, dst: usize, tag: u32, payload: Payload) {
+    pub fn send(&self, dst: usize, tag: u32, msg: T) {
         assert!(dst < self.shared.n, "destination {dst} out of range");
         // relaxed-ok: monotone sent-message statistic; readers only need
         // an eventually-consistent count, delivery order is carried by
@@ -151,29 +201,26 @@ impl Endpoint {
         let mbox = &self.shared.boxes[dst];
         {
             let mut slots = mbox.slots.lock();
-            slots
-                .entry((self.rank, tag))
-                .or_default()
-                .push_back(payload);
+            slots.entry((self.rank, tag)).or_default().push_back(msg);
         }
         mbox.cond.notify_all();
     }
 
     /// Blocking receive of the next message from `src` with `tag`.
-    pub fn recv(&self, src: usize, tag: u32) -> Payload {
+    pub fn recv(&self, src: usize, tag: u32) -> T {
         self.try_recv_for(src, tag, None)
             .expect("unbounded recv cannot time out")
     }
 
     /// Receive with a timeout; `None` on expiry. Used by tests to turn
     /// protocol deadlocks into failures instead of hangs.
-    pub fn recv_timeout(&self, src: usize, tag: u32, timeout: Duration) -> Option<Payload> {
+    pub fn recv_timeout(&self, src: usize, tag: u32, timeout: Duration) -> Option<T> {
         self.try_recv_for(src, tag, Some(timeout))
     }
 
     /// Receive with a bounded exponential-backoff deadline: wait `base`
     /// for the first attempt, doubling per attempt, for at most
-    /// `attempts` attempts. Returns the payload and the attempt index
+    /// `attempts` attempts. Returns the message and the attempt index
     /// it arrived on, or `Err(total_waited)` after the full budget
     /// expires. This is the control-RPC deadline primitive of the
     /// cluster tier: a dispatcher talking to a possibly-dead node wants
@@ -186,7 +233,7 @@ impl Endpoint {
         tag: u32,
         base: Duration,
         attempts: u32,
-    ) -> Result<(Payload, u32), Duration> {
+    ) -> Result<(T, u32), Duration> {
         let mut waited = Duration::ZERO;
         let mut window = base;
         for attempt in 0..attempts.max(1) {
@@ -200,7 +247,7 @@ impl Endpoint {
     }
 
     /// Non-blocking receive.
-    pub fn try_recv(&self, src: usize, tag: u32) -> Option<Payload> {
+    pub fn try_recv(&self, src: usize, tag: u32) -> Option<T> {
         let mbox = &self.shared.boxes[self.rank];
         let mut slots = mbox.slots.lock();
         Self::take(&mut slots, (src, tag))
@@ -212,16 +259,13 @@ impl Endpoint {
     /// queued. This is the load-report plumbing of the cluster tier —
     /// a dispatcher that routed k jobs since its last look wants one
     /// current outstanding-count per node, not k stale ones.
-    pub fn try_recv_latest(&self, src: usize, tag: u32) -> Option<Payload> {
+    pub fn try_recv_latest(&self, src: usize, tag: u32) -> Option<T> {
         let mbox = &self.shared.boxes[self.rank];
         let mut slots = mbox.slots.lock();
-        let q = slots.get_mut(&(src, tag))?;
-        let last = q.drain(..).next_back();
-        slots.remove(&(src, tag));
-        last
+        slots.remove(&(src, tag))?.pop_back()
     }
 
-    fn try_recv_for(&self, src: usize, tag: u32, timeout: Option<Duration>) -> Option<Payload> {
+    fn try_recv_for(&self, src: usize, tag: u32, timeout: Option<Duration>) -> Option<T> {
         let mbox = &self.shared.boxes[self.rank];
         let mut slots = mbox.slots.lock();
         loop {
@@ -239,7 +283,7 @@ impl Endpoint {
         }
     }
 
-    fn take(slots: &mut HashMap<Key, VecDeque<Payload>>, key: Key) -> Option<Payload> {
+    fn take(slots: &mut HashMap<Key, VecDeque<T>>, key: Key) -> Option<T> {
         let q = slots.get_mut(&key)?;
         let p = q.pop_front();
         if q.is_empty() {
@@ -260,8 +304,8 @@ impl Endpoint {
     /// Combined send + receive with the same partner, the shape of a
     /// ghost-cell exchange. Sends first (sends are non-blocking), so two
     /// neighbours `sendrecv`-ing each other never deadlock.
-    pub fn sendrecv(&self, peer: usize, tag: u32, payload: Payload) -> Payload {
-        self.send(peer, tag, payload);
+    pub fn sendrecv(&self, peer: usize, tag: u32, msg: T) -> T {
+        self.send(peer, tag, msg);
         // block-ok: both partners send before either receives, so the
         // matching frame is already in flight when this recv parks.
         self.recv(peer, tag)
@@ -284,7 +328,9 @@ impl Endpoint {
             }
         }
     }
+}
 
+impl Endpoint {
     /// Sum-allreduce of equally sized vectors across all ranks (used by
     /// the distributed K-means extension). Rank 0 gathers, reduces and
     /// broadcasts; O(n) messages, fine for intra-process ranks.
@@ -634,6 +680,38 @@ mod tests {
         h.join().unwrap();
         // Zero attempts is clamped to one bounded attempt.
         assert!(a.recv_backoff(1, 0, Duration::from_millis(1), 0).is_err());
+    }
+
+    #[test]
+    fn typed_payloads_keep_fifo_latest_and_sent_count() {
+        // A non-f64 message type travels as the value itself, with the
+        // same per-(src, tag) FIFO, keep-latest and send accounting as
+        // the f64 rows.
+        #[derive(Debug, PartialEq)]
+        enum Msg {
+            Job(String),
+            Load(u64),
+        }
+        let comm = Communicator::<Msg>::typed(2);
+        let a = comm.endpoint(0);
+        let b = comm.endpoint(1);
+        a.send(1, 0, Msg::Job("first".into()));
+        a.send(1, 1, Msg::Load(9));
+        a.send(1, 0, Msg::Job("second".into()));
+        assert_eq!(b.recv(0, 0), Msg::Job("first".into()));
+        assert_eq!(b.try_recv(0, 0), Some(Msg::Job("second".into())));
+        assert_eq!(b.try_recv(0, 0), None);
+        for load in 10..13 {
+            a.send(1, 1, Msg::Load(load));
+        }
+        assert_eq!(b.try_recv_latest(0, 1), Some(Msg::Load(12)), "newest wins");
+        assert_eq!(b.try_recv_latest(0, 1), None, "the slot is emptied");
+        assert_eq!(a.sent_count(), 6);
+        assert_eq!(b.sent_count(), 0);
+        let h = thread::spawn(move || b.sendrecv(0, 2, Msg::Load(1)));
+        assert_eq!(a.sendrecv(1, 2, Msg::Load(2)), Msg::Load(1));
+        assert_eq!(h.join().unwrap(), Msg::Load(2));
+        assert_eq!(a.sent_count(), 7);
     }
 
     #[test]

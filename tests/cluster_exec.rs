@@ -2,9 +2,9 @@
 //! das-cluster subsystem):
 //!
 //! * a **1-node sim cluster is bit-identical to a bare `Simulator`
-//!   session** built from the same `SessionBuilder` — the dispatcher,
-//!   the message-layer control plane and the wire round-trip add
-//!   nothing and lose nothing;
+//!   session** built from the same `SessionBuilder` — the dispatcher
+//!   and the message-layer control plane add nothing and lose
+//!   nothing;
 //! * an **N-node sim cluster under a fixed seed is bit-reproducible
 //!   across runs and completes the same job set as the merged
 //!   single-node baseline**, for every `RoutePolicy` (per-node
@@ -17,7 +17,7 @@ use das::cluster::{ClusterBuilder, RoutePolicy};
 use das::core::jobs::{JobId, JobSpec, StreamStats};
 use das::core::Policy;
 use das::dag::{generators, Dag};
-use das::exec::{ExecError, ExecReport, Executor, SessionBuilder, Ticket};
+use das::exec::{ExecError, ExecExtras, ExecReport, Executor, SessionBuilder, Ticket};
 use das::runtime::TaskGraph;
 use das::sim::Simulator;
 use das::topology::Topology;
@@ -67,6 +67,11 @@ fn one_node_sim_cluster_is_bit_identical_to_a_bare_simulator_session() {
         Some(bare_report.jobs.jobs.len() as f64)
     );
     assert_eq!(cluster_report.backend, "das-cluster");
+    // Every extras key the bare run reports reads the same on the
+    // cluster, zero values included.
+    for (key, value) in bare_report.extras.values() {
+        assert_eq!(cluster_report.extras.get(key), Some(value), "{key}");
+    }
 }
 
 #[test]
@@ -444,6 +449,55 @@ fn a_rejecting_sub_batch_loses_only_its_own_node() {
         .submit(chain_job(1))
         .expect("healthy after the error");
     assert_eq!(cluster.wait(t).expect("completes").tasks, 4);
+}
+
+/// A simulator node that reports two extras keys of its own, one of
+/// them zero.
+struct Tagged(Simulator);
+
+impl Executor for Tagged {
+    type Graph = Dag;
+
+    fn backend(&self) -> &'static str {
+        "tagged-sim"
+    }
+
+    fn submit(&mut self, spec: JobSpec<Dag>) -> Result<Ticket, ExecError> {
+        self.0.submit(spec)
+    }
+
+    fn wait(&mut self, ticket: Ticket) -> Result<das::core::jobs::JobStats, ExecError> {
+        self.0.wait(ticket)
+    }
+
+    fn drain(&mut self) -> Result<StreamStats, ExecError> {
+        self.0.drain()
+    }
+
+    fn take_extras(&mut self) -> ExecExtras {
+        let mut extras = self.0.take_extras();
+        extras.set("tagged.batches", 2.5);
+        extras.set("tagged.idle", 0.0);
+        extras
+    }
+}
+
+#[test]
+fn node_extras_reach_take_extras_whole() {
+    let mut cluster = ClusterBuilder::new(base_session(14), 2)
+        .route(RoutePolicy::RoundRobin)
+        .build_with(|_, session| Tagged(Simulator::from_session(session)));
+    for j in 0..4 {
+        cluster.submit(chain_job(j)).expect("admitted");
+    }
+    cluster.drain().expect("drains");
+    let extras = cluster.take_extras();
+    assert_eq!(
+        extras.get("tagged.batches"),
+        Some(5.0),
+        "summed over both nodes"
+    );
+    assert_eq!(extras.get("tagged.idle"), Some(0.0), "a zero stays a value");
 }
 
 #[test]

@@ -38,14 +38,6 @@ fn base_session(seed: u64) -> SessionBuilder {
     SessionBuilder::new(Arc::new(Topology::tx2()), Policy::DamC).seed(seed)
 }
 
-/// Flatten a probe to its full numeric image (counters, gauges and
-/// every sketch bin) so assertions compare exact f64 bit patterns.
-fn probe_values(p: &ExecProbe) -> Vec<f64> {
-    let mut v = Vec::new();
-    p.push_values(&mut v);
-    v
-}
-
 #[test]
 fn four_node_metrics_cluster_is_bit_reproducible_including_the_trace() {
     let jobs = stream(21, 24);
@@ -99,7 +91,7 @@ fn one_node_metrics_cluster_is_bit_identical_to_a_bare_simulator_session() {
     // And the probe that crossed the wire equals the bare session's
     // probe exactly — counters, gauges and every sketch bin.
     assert_eq!(merged.nodes.len(), 1);
-    assert_eq!(probe_values(&merged.totals()), probe_values(&bare_probe));
+    assert_eq!(merged.totals(), bare_probe);
 }
 
 #[test]
@@ -180,12 +172,7 @@ fn sketch_merge_is_order_insensitive_to_exact_f64_equality() {
         t
     };
     let reference = fold(&[0, 1, 2, 3]);
-    let sketch_bins = |p: &ExecProbe| -> Vec<f64> {
-        let mut v = Vec::new();
-        p.sojourn.push_values(&mut v);
-        p.queueing.push_values(&mut v);
-        v
-    };
+    let sketch_bins = |p: &ExecProbe| (p.sojourn.clone(), p.queueing.clone());
     for order in [[3, 2, 1, 0], [2, 0, 3, 1], [1, 3, 0, 2], [0, 2, 1, 3]] {
         let shuffled = fold(&order);
         // The sketches merge by exact bin-wise u64 addition, so every
