@@ -642,7 +642,8 @@ impl Simulator {
 
     /// Engine self-check of the idle-path indices against the state
     /// they summarise (debug builds: after every batch and when `drive`
-    /// returns).
+    /// returns). `try_steal`'s empty-index exit re-checks the stealable
+    /// bits on its own every time it fires.
     #[cfg(debug_assertions)]
     fn check_indices(&self) {
         for (c, st) in self.cores.iter().enumerate() {
@@ -800,25 +801,35 @@ impl Simulator {
     /// in the stealable index are probed — `can_steal` is false on
     /// every other — so the victim list, its ascending order and the
     /// one RNG draw are those of a scan over all cores.
+    ///
+    /// With the index empty the scan would find no victim, draw nothing
+    /// and change nothing, so the poll fails before any setup: a word
+    /// test per 64 cores, no atomics. Most polls on a wide machine end
+    /// here.
     fn try_steal(&mut self, dag: &Dag, thief: usize) -> Option<ReadyEntry<TaskId>> {
-        let sched = Arc::clone(&self.sched);
-        let eligible = |task: &TaskId| sched.may_run_on(&dag.node(*task).meta, CoreId(thief));
+        if self.stealable.is_empty() {
+            // Every debug-profile sim and cluster test checks the
+            // shortcut against the queues.
+            debug_assert!(
+                self.cores.iter().all(|st| st.wsq.stealable_len() == 0),
+                "stealable index empty while a WSQ holds a stealable entry"
+            );
+            return None;
+        }
+        let eligible = |task: &TaskId| self.sched.may_run_on(&dag.node(*task).meta, CoreId(thief));
         // Engine-owned scratch buffer: steal attempts are the hottest
         // idle-path operation and must not allocate per call.
-        let mut victims = std::mem::take(&mut self.victims_scratch);
+        let victims = &mut self.victims_scratch;
         victims.clear();
         victims.extend(
             self.stealable
                 .iter()
                 .filter(|&v| v != thief && self.cores[v].wsq.can_steal(eligible)),
         );
-        let choice = if victims.is_empty() {
-            None
-        } else {
-            Some(victims[self.rng.gen_range(0..victims.len())])
-        };
-        self.victims_scratch = victims;
-        let victim = choice?;
+        if victims.is_empty() {
+            return None;
+        }
+        let victim = victims[self.rng.gen_range(0..victims.len())];
         let entry = self.cores[victim].wsq.steal(eligible);
         self.sync_stealable(victim);
         entry

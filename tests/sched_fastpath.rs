@@ -402,3 +402,48 @@ fn idle_set_wakeups_match_broadcast_on_multi_word_core_sets() {
         }
     }
 }
+
+#[test]
+fn idle_set_wakeups_match_broadcast_with_node_affine_stealables() {
+    // Node-affine `Low` work is stealable, but only by cores of its
+    // node: with every such entry queued on node 1, the stealable index
+    // is non-empty while node-0 thieves have no victim they may take.
+    // Those polls fail per member, after the victim scan, on both
+    // wake-up paths; the index-empty shortcut must not be mistaken for
+    // "no victim". Each layer's critical task is free and releases a
+    // fan-out half affine to node 1 and half unconstrained.
+    use das::core::{Priority, TaskMeta};
+    use das::dag::Dag;
+    let topo = Arc::new(Topology::grid(2, 1, 4));
+    let ty = TaskTypeId(0);
+    let mut dag = Dag::new("affine-fanout");
+    let mut critical = dag.add_task(ty, Priority::High);
+    for _ in 0..12 {
+        let next = dag.add_task(ty, Priority::High);
+        dag.add_edge(critical, next);
+        for i in 0..8 {
+            let meta = TaskMeta::new(ty, Priority::Low);
+            let meta = if i % 2 == 0 {
+                meta.with_affinity(1)
+            } else {
+                meta
+            };
+            let id = dag.add_task_meta(meta);
+            dag.add_edge(critical, id);
+        }
+        critical = next;
+    }
+    for policy in Policy::ALL {
+        let mut a = stream_sim(policy, &topo, false, false);
+        let mut b = stream_sim(policy, &topo, true, false);
+        a.record_trace(true);
+        b.record_trace(true);
+        let ra = a.run(&dag).unwrap();
+        let rb = b.run(&dag).unwrap();
+        assert!(ra.steals > 0 && ra.failed_steals > 0, "{policy}: {ra:?}");
+        assert_eq!(ra, rb, "{policy} RunStats diverged");
+        let (ta, tb) = (a.take_trace(), b.take_trace());
+        assert_eq!(ta.spans, tb.spans, "{policy} traces diverged");
+        assert_eq!(ta.makespan, tb.makespan, "{policy}");
+    }
+}

@@ -95,6 +95,50 @@ fn steal_order_unchanged_by_scratch_reuse() {
 }
 
 #[test]
+fn failing_poll_counts_pinned_on_the_benchmark_shape() {
+    // Golden values captured from the engine BEFORE `try_steal` started
+    // returning early when no core holds a stealable entry. On the
+    // `sim_critical256` shape (256 cores, rolling interference, a
+    // quarter of the tasks critical) nearly nine polls in ten find
+    // nothing, so the shortcut fires on most events; it must not move
+    // one of them. Both wake-up paths share `try_steal`, so
+    // both are pinned here rather than checked against each other.
+    // The per-task work follows the seed, as in `das_benchmark`, so the
+    // two seeds are two different inputs.
+    use das::sim::cost::UniformCost;
+    let topo = Arc::new(Topology::grid(1, 16, 16));
+    let golden: [(u64, u64, usize, usize, u64); 2] = [
+        (7, 26_557, 267, 23_508, 0x3faa_4a7b_4e54_f7b9),
+        (11, 25_417, 265, 23_306, 0x3fa8_75d5_6f32_bdd1),
+    ];
+    for (seed, events, steals, failed, makespan_bits) in golden {
+        let mut dag = generators::layered(TaskTypeId(0), 4, 100);
+        for i in 0..dag.len() {
+            let scale = 0.5 + ((seed as usize + i * 7) % 10) as f64 / 10.0;
+            dag.set_work_scale(das::dag::TaskId(i as u32), scale);
+        }
+        for broadcast in [false, true] {
+            let mut sim = Simulator::new(
+                SimConfig::new(Arc::clone(&topo), Policy::DamC)
+                    .seed(seed)
+                    .cost(Arc::new(UniformCost::new(1e-3))),
+            );
+            sim.set_env(
+                Scenario::rolling_interference(&topo, 0.5, 0.05, 2.0)
+                    .environment(Arc::clone(&topo)),
+            );
+            sim.set_broadcast_wakeups(broadcast);
+            let st = sim.run(&dag).expect("run completes");
+            let label = format!("seed={seed} broadcast={broadcast}");
+            assert_eq!(st.events, events, "{label}");
+            assert_eq!(st.steals, steals, "{label}");
+            assert_eq!(st.failed_steals, failed, "{label}");
+            assert_eq!(st.makespan.to_bits(), makespan_bits, "{label}");
+        }
+    }
+}
+
+#[test]
 fn every_scenario_is_reproducible() {
     let topo = Arc::new(Topology::tx2());
     let n = Scenario::suite(&topo).len();
