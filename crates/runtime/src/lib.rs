@@ -92,8 +92,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long an idle worker parks before rescanning for steal victims.
-/// The [`IdleParker`] epoch makes wake-ups race-free (every producer
-/// notifies after pushing), so no work waits on this timer: with it
+/// The [`IdleParker`] epoch makes wake-ups race-free (every push that
+/// another worker could act on notifies, see [`IdleParker::notify`]),
+/// so no work waits on this timer: with it
 /// raised to 10 s, the crate's unit tests, `tests/runtime_wakeup.rs`
 /// and `tests/end_to_end_runtime.rs` still pass in under 0.2 s each (a
 /// 2-CPU Xeon host), where one lost wake-up would stall a test for the
@@ -112,7 +113,8 @@ const PARK_TIMEOUT: Duration = Duration::from_millis(10);
 /// the park timeout. The fix is a generation counter:
 ///
 /// 1. the worker reads the epoch **before** scanning ([`prepare`]);
-/// 2. every producer bumps the epoch and notifies ([`notify`]);
+/// 2. a producer whose push another worker could act on bumps the
+///    epoch and notifies ([`notify`] states which pushes those are);
 /// 3. [`park`] re-checks the epoch under the lock and refuses to sleep
 ///    if it moved — a notification between steps 1 and 3 can bump the
 ///    epoch but cannot slip through, because `notify` takes the same
@@ -141,6 +143,17 @@ impl IdleParker {
     }
 
     /// Announce new work: bump the epoch and wake every parked worker.
+    ///
+    /// The pool calls this at shutdown and after every push that some
+    /// worker other than the pusher could take. A worker skips it for
+    /// exactly two pushes: a pinned (unstealable) entry into its
+    /// own WSQ, and a width-1 assembly it leads. Only the queue's
+    /// owner can take either, and here the owner is the running
+    /// caller, whose loop rescans its own AQ and then its own WSQ
+    /// before it can park. Everything else notifies: the client's
+    /// submissions (the client thread is not a worker), stealable
+    /// entries, pushes into another worker's queue and wide
+    /// assemblies.
     pub fn notify(&self) {
         self.epoch.fetch_add(1, Ordering::Release);
         // Taking the lock orders this notification against any worker
@@ -335,8 +348,10 @@ impl PoolShared {
         self.epoch.elapsed().as_secs_f64()
     }
 
-    /// Wake-up decision + push (Fig. 3 steps 1–2).
-    fn wakeup(&self, job: &Arc<ActiveJob>, task: TaskId, waking_core: usize) {
+    /// Wake-up decision + push (Fig. 3 steps 1–2). `by_worker` is
+    /// false on the submit path, where the client thread stands in for
+    /// `waking_core` without being its worker.
+    fn wakeup(&self, job: &Arc<ActiveJob>, task: TaskId, waking_core: usize, by_worker: bool) {
         let meta = job.graph.shape().node(task).meta;
         let d = self.sched.on_wakeup(&meta, CoreId(waking_core));
         // Build the entry (Arc bump included) before touching the
@@ -348,8 +363,13 @@ impl PoolShared {
             },
             &d,
         );
+        // No one else can take a pinned entry in this worker's own
+        // queue (the rule at `IdleParker::notify`).
+        let own_only = by_worker && !entry.is_stealable() && d.queue.0 == waking_core;
         self.queues[d.queue.0].wsq.lock().push(entry);
-        self.parker.notify();
+        if !own_only {
+            self.parker.notify();
+        }
     }
 
     /// Dequeue decision + AQ insertion (Fig. 3 steps 4–6).
@@ -368,7 +388,10 @@ impl PoolShared {
             let member_ref = Arc::clone(&asm);
             self.queues[m.0].aq.lock().push_back(member_ref);
         }
-        self.parker.notify();
+        // A width-1 place this worker leads went into its own AQ only.
+        if place.width > 1 || place.leader.0 != core {
+            self.parker.notify();
+        }
     }
 
     /// Execute this worker's share of the assembly at the head of its
@@ -441,7 +464,7 @@ impl PoolShared {
         }
         for &s in &node.succs {
             if job.preds[s.index()].fetch_sub(1, Ordering::AcqRel) == 1 {
-                self.wakeup(job, s, core);
+                self.wakeup(job, s, core, true);
             }
         }
         if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -544,7 +567,8 @@ impl PoolShared {
         let mut rng = SmallRng::seed_from_u64(seed ^ core as u64);
         loop {
             // Epoch token FIRST, then the scans: any push during the
-            // scans bumps the epoch and `park` refuses to sleep.
+            // scans that this worker could take bumps the epoch, and
+            // `park` refuses to sleep.
             let token = self.parker.prepare();
             if self.participate(core) {
                 continue;
@@ -722,7 +746,7 @@ impl Runtime {
         // (core 0 context) releasing the roots.
         for job in &jobs {
             for root in job.graph.shape().roots() {
-                self.shared.wakeup(job, root, 0);
+                self.shared.wakeup(job, root, 0, false);
             }
         }
         Ok(jobs
@@ -1462,6 +1486,34 @@ mod tests {
             "notify before park was lost: slept {:?}",
             t0.elapsed()
         );
+    }
+
+    #[test]
+    fn self_targeted_chain_hops_do_not_notify() {
+        // Every global search picks (core 0, width 1), so each hop of a
+        // critical chain is a pinned entry into worker 0's own WSQ and
+        // a width-1 assembly worker 0 leads: no other worker can take
+        // either, and no hop may wake the pool. Only the client's
+        // submit notifies (the bound leaves one spare).
+        let topo = Arc::new(Topology::symmetric(2));
+        let runtime = Runtime::new(topo, Policy::DamC);
+        let ptt = runtime.scheduler().ptts().table(TaskTypeId(0));
+        ptt.seed(CoreId(0), 1, 1e-9);
+        ptt.seed(CoreId(1), 1, 1.0);
+        ptt.seed(CoreId(0), 2, 1.0);
+        let mut g = TaskGraph::new("self-chain");
+        let mut prev = g.add(TaskTypeId(0), Priority::High, |_| {});
+        for _ in 1..512 {
+            let t = g.add(TaskTypeId(0), Priority::High, |_| {});
+            g.add_edge(prev, t);
+            prev = t;
+        }
+        let parker = &runtime.shared.parker;
+        let before = parker.prepare();
+        let st = run(&runtime, &g);
+        let notified = parker.prepare() - before;
+        assert_eq!(st.all_places, BTreeMap::from([((0, 1), 512)]));
+        assert!(notified <= 2, "{notified} notifications for one chain");
     }
 
     #[test]
