@@ -40,15 +40,22 @@
 //!
 //! Each submitter passes a stable **lane** id (thread index, client
 //! id). The lane→shard assignment is a seeded hash — fixed seed, fixed
-//! assignment — and flush order is ingress-id order. A single lane
-//! therefore replays the exact submission order, and distinct lanes on
-//! distinct shards replay deterministically regardless of thread
-//! interleaving (each lane's ids are a fixed arithmetic progression;
-//! the merged id order is a pure function of the per-lane counts). Two
-//! lanes hashed onto the *same* shard share its counter and their
-//! relative order becomes a race — callers that need bit-reproducible
-//! multi-lane runs give lanes distinct shards (e.g. `shards >= lanes`
-//! with distinct lane ids, which the seeded assignment spreads).
+//! assignment — and each flush hands its batch to the backend in
+//! ingress-id order. What replays depends on the lanes:
+//!
+//! * **One lane** replays its exact submission order: the run is
+//!   bit-identical to driving the backend directly.
+//! * **Distinct lanes on distinct shards** do not replay one total
+//!   order. Ids sort within a batch, but thread timing decides where
+//!   batches are cut (`[3, 10, 67, 131]` then `[74]` in one run, all
+//!   five in one batch in another), and the backend numbers jobs in
+//!   flush order. Over a bare simulator, which schedules by arrival
+//!   time, the id-free schedule (every job's arrival, start and
+//!   completion) is the same on every run, but which job gets which
+//!   backend id is not. Over a cluster, which routes in submission
+//!   order, the schedule itself can differ.
+//! * Two lanes hashed onto the **same** shard share its counter, so
+//!   even their ingress ids race.
 //!
 //! ## Claims, not tickets
 //!

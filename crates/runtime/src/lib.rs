@@ -12,7 +12,8 @@
 //! * when a worker pops (or steals) a ready task it asks the scheduler for
 //!   the final execution place (dequeue decision: the PTT *local search*
 //!   molds the width) and inserts the assembly into the AQ of every member
-//!   core;
+//!   core — except a width-1 place the worker leads itself, which runs at
+//!   once when the worker's AQ is empty (nobody else has to join it);
 //! * each member executes the task body SPMD-style with its own
 //!   [`TaskCtx::rank`]; the leader measures its execution time and trains
 //!   the PTT; the last member to finish commits the task and releases the
@@ -146,13 +147,15 @@ impl IdleParker {
     ///
     /// The pool calls this at shutdown and after every push that some
     /// worker other than the pusher could take. A worker skips it for
-    /// exactly two pushes: a pinned (unstealable) entry into its
-    /// own WSQ, and a width-1 assembly it leads. Only the queue's
-    /// owner can take either, and here the owner is the running
-    /// caller, whose loop rescans its own AQ and then its own WSQ
-    /// before it can park. Everything else notifies: the client's
-    /// submissions (the client thread is not a worker), stealable
-    /// entries, pushes into another worker's queue and wide
+    /// exactly two pushes: a pinned (unstealable) entry into its own
+    /// WSQ, and a width-1 place it leads that it queues in its own AQ.
+    /// A solo place its worker leads normally runs inline, with no
+    /// push at all; it is queued only behind a non-empty own AQ. Only
+    /// the queue's owner can take either push, and here the owner is
+    /// the running caller, whose loop rescans its own AQ and then its
+    /// own WSQ before it can park. Everything else notifies: the
+    /// client's submissions (the client thread is not a worker),
+    /// stealable entries, pushes into another worker's queue and wide
     /// assemblies.
     pub fn notify(&self) {
         self.epoch.fetch_add(1, Ordering::Release);
@@ -198,6 +201,40 @@ struct WorkerQ {
     /// behave exactly like the simulator's modelled cores.
     wsq: Mutex<ReadyQueue<JobTask>>,
     aq: Mutex<VecDeque<Arc<Assembly>>>,
+    /// `aq.len()`, changed only under the `aq` lock and read without
+    /// it, so the owner's poll never locks an empty AQ. A push raises
+    /// it before the pusher's `notify`, so a read that misses it is
+    /// covered by `IdleParker`'s epoch re-check like a missed queue
+    /// scan.
+    queued: AtomicUsize,
+}
+
+impl WorkerQ {
+    fn push_assembly(&self, asm: Arc<Assembly>) {
+        let mut aq = self.aq.lock();
+        aq.push_back(asm);
+        // relaxed-ok: written under the `aq` lock; a reader that sees
+        // the raise takes that lock before it touches the deque.
+        self.queued.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The assembly at the head of the AQ; only the owner pops.
+    fn pop_assembly(&self) -> Option<Arc<Assembly>> {
+        if self.aq_is_empty() {
+            return None;
+        }
+        let mut aq = self.aq.lock();
+        let asm = aq.pop_front()?;
+        // relaxed-ok: written under the `aq` lock (see `push_assembly`).
+        self.queued.fetch_sub(1, Ordering::Relaxed);
+        Some(asm)
+    }
+
+    fn aq_is_empty(&self) -> bool {
+        // relaxed-ok: a stale zero is a missed scan, which the parker's
+        // epoch covers; a non-zero read is confirmed under the lock.
+        self.queued.load(Ordering::Relaxed) == 0
+    }
 }
 
 #[derive(Default)]
@@ -372,11 +409,21 @@ impl PoolShared {
         }
     }
 
-    /// Dequeue decision + AQ insertion (Fig. 3 steps 4–6).
+    /// Dequeue decision + AQ insertion (Fig. 3 steps 4–6). A width-1
+    /// place this worker leads has nobody to assemble with: it runs
+    /// here and now, with no assembly, unless the worker's own AQ is
+    /// non-empty, in which case it queues behind what is there so the
+    /// AQ's FIFO order holds.
     fn dispatch(&self, entry: ReadyEntry<JobTask>, core: usize) {
         let (jt, pinned) = entry.into_parts();
         let meta = jt.job.graph.shape().node(jt.task).meta;
         let place = self.sched.on_dequeue(&meta, CoreId(core), pinned);
+        let own_solo = place.width == 1 && place.leader.0 == core;
+        if own_solo && self.queues[core].aq_is_empty() {
+            self.execute(&jt.job, jt.task, place, core);
+            self.commit(&jt.job, jt.task, place, core);
+            return;
+        }
         let asm = Arc::new(Assembly {
             job: jt.job,
             task: jt.task,
@@ -385,78 +432,88 @@ impl PoolShared {
         });
         for m in place.member_cores() {
             // Clone outside the lock; the window is one push_back.
-            let member_ref = Arc::clone(&asm);
-            self.queues[m.0].aq.lock().push_back(member_ref);
+            self.queues[m.0].push_assembly(Arc::clone(&asm));
         }
         // A width-1 place this worker leads went into its own AQ only.
-        if place.width > 1 || place.leader.0 != core {
+        if !own_solo {
             self.parker.notify();
         }
     }
 
     /// Execute this worker's share of the assembly at the head of its
-    /// AQ. Returns `false` if the AQ was empty.
+    /// AQ; the last member to finish commits. Returns `false` if the
+    /// AQ was empty.
     fn participate(&self, core: usize) -> bool {
-        let Some(asm) = self.queues[core].aq.lock().pop_front() else {
+        let Some(asm) = self.queues[core].pop_assembly() else {
             return false;
         };
-        let rank = asm
-            .place
+        self.execute(&asm.job, asm.task, asm.place, core);
+        if asm.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.commit(&asm.job, asm.task, asm.place, core);
+        }
+        true
+    }
+
+    /// Run `core`'s rank of `task` on `place` (Fig. 3 step 7) and, on
+    /// the leader, train the PTT with the observed time (step 8).
+    fn execute(&self, job: &ActiveJob, task: TaskId, place: ExecutionPlace, core: usize) {
+        let rank = place
             .rank_of(CoreId(core))
-            .expect("assembly queued on a non-member core");
+            .expect("task executed on a non-member core");
         let ctx = TaskCtx {
             rank,
-            width: asm.place.width,
-            place: asm.place,
+            width: place.width,
+            place,
             core: CoreId(core),
         };
-        // The job's queueing delay ends at its first task-body start.
-        let now_ns = self.epoch.elapsed().as_nanos() as u64;
-        let _ = asm.job.started_ns.compare_exchange(
-            u64::MAX,
-            now_ns,
-            Ordering::AcqRel,
-            Ordering::Relaxed, // relaxed-ok: failure means another lane already stamped it
-        );
-        let node = asm.job.graph.shape().node(asm.task);
+        // The job's queueing delay ends at its first task-body start;
+        // the clock is read only while that stamp is unset.
+        // relaxed-ok: a stale unset read costs one clock read; the
+        // compare-exchange decides which stamp wins.
+        if job.started_ns.load(Ordering::Relaxed) == u64::MAX {
+            let now_ns = self.epoch.elapsed().as_nanos() as u64;
+            let _ = job.started_ns.compare_exchange(
+                u64::MAX,
+                now_ns,
+                Ordering::AcqRel,
+                Ordering::Relaxed, // relaxed-ok: failure means another lane already stamped it
+            );
+        }
+        let node = job.graph.shape().node(task);
         // Real execution-time measurement: this is the sample that trains
         // the PTT, the one place the runtime must read the wall clock.
         #[allow(clippy::disallowed_methods)]
         let t0 = Instant::now();
         // A panicking body must not kill the worker: the pool is
-        // persistent, and an unwinding worker would strand this
-        // assembly's pending count, hang every waiter (including
-        // `Drop`) and poison all future jobs whose pinned entries land
-        // in the dead worker's queue. Catch it, poison the job, and
-        // keep the accounting alive; `JobHandle::wait` re-raises.
+        // persistent, and an unwinding worker would skip this task's
+        // commit (stranding a wide assembly's pending count), hang
+        // every waiter (including `Drop`) and poison all future jobs
+        // whose pinned entries land in the dead worker's queue. Catch
+        // it, poison the job, and keep the accounting alive;
+        // `JobHandle::wait` re-raises.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            (asm.job.graph.body(asm.task))(&ctx)
+            (job.graph.body(task))(&ctx)
         }));
         let elapsed = t0.elapsed();
         // relaxed-ok: per-core busy-time statistic; read only after the
         // job completes (completion carries the release/acquire edge).
-        asm.job.core_busy_ns[core].fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+        job.core_busy_ns[core].fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
         if outcome.is_err() {
-            asm.job.poisoned.store(true, Ordering::Release);
-        } else if CoreId(core) == asm.place.leader {
+            job.poisoned.store(true, Ordering::Release);
+        } else if CoreId(core) == place.leader {
             // Step 8: the leader trains the PTT with its observed time.
             self.sched
-                .record(node.meta.ty, asm.place, elapsed.as_secs_f64());
+                .record(node.meta.ty, place, elapsed.as_secs_f64());
         }
-        if asm.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.commit(&asm, core);
-        }
-        true
     }
 
     /// Last participant: record, release dependants, maybe finish the
     /// job.
-    fn commit(&self, asm: &Assembly, core: usize) {
-        let job = &asm.job;
-        let node = job.graph.shape().node(asm.task);
+    fn commit(&self, job: &Arc<ActiveJob>, task: TaskId, place: ExecutionPlace, core: usize) {
+        let node = job.graph.shape().node(task);
         {
             let mut st = job.stats.lock();
-            let key = (asm.place.leader.0, asm.place.width);
+            let key = (place.leader.0, place.width);
             *st.all_places.entry(key).or_insert(0) += 1;
             if node.meta.priority.is_high() {
                 *st.high_priority_places.entry(key).or_insert(0) += 1;
@@ -1514,6 +1571,78 @@ mod tests {
         let notified = parker.prepare() - before;
         assert_eq!(st.all_places, BTreeMap::from([((0, 1), 512)]));
         assert!(notified <= 2, "{notified} notifications for one chain");
+    }
+
+    #[test]
+    fn mixed_width_jobs_run_every_rank_once_in_dependency_order() {
+        // Concurrent jobs that mix the three dispatch paths: no-op
+        // `High` chain links (width-1 places their worker leads run
+        // inline), `WIDE` tasks the PTT molds to width 2 (assemblies
+        // other workers join), and solo places dispatched while a wide
+        // assembly waits in the dispatcher's AQ (queued behind it).
+        // The last is a race window between a worker's AQ scan and its
+        // dispatch; with this many jobs in flight it is hit on most
+        // runs, not all, so it is exercised rather than asserted.
+        const WIDE: TaskTypeId = TaskTypeId(1);
+        const LINKS: usize = 32;
+        const JOBS: usize = 128;
+        let topo = Arc::new(Topology::symmetric(4));
+        let runtime = Runtime::new(Arc::clone(&topo), Policy::DamC);
+        for place in topo.places() {
+            let secs = if place.width == 2 { 1e-3 } else { 1.0 };
+            runtime.scheduler().record(WIDE, place, secs);
+        }
+        type Ranks = Arc<Vec<Mutex<Vec<(usize, usize)>>>>;
+        let mut jobs = Vec::new();
+        for _ in 0..JOBS {
+            let order = Arc::new(Mutex::new(Vec::new()));
+            let ranks: Ranks = Arc::new((0..LINKS / 2).map(|_| Mutex::new(Vec::new())).collect());
+            let mut g = TaskGraph::new("mixed");
+            let mut prev: Option<TaskId> = None;
+            for link in 0..LINKS {
+                let o = Arc::clone(&order);
+                let t = g.add(TaskTypeId(0), Priority::High, move |ctx| {
+                    if ctx.rank == 0 {
+                        o.lock().push(link);
+                    }
+                });
+                if let Some(p) = prev {
+                    g.add_edge(p, t);
+                }
+                if link % 2 == 1 {
+                    let r = Arc::clone(&ranks);
+                    let w = g.add(WIDE, Priority::Low, move |ctx| {
+                        r[link / 2].lock().push((ctx.rank, ctx.width));
+                    });
+                    g.add_edge(t, w);
+                }
+                prev = Some(t);
+            }
+            let handle = runtime.submit(JobSpec::new(g)).unwrap();
+            jobs.push((handle, order, ranks));
+        }
+        let mut wide = 0;
+        for (handle, order, ranks) in &jobs {
+            let out = handle.wait();
+            let tasks = LINKS + LINKS / 2;
+            assert_eq!(out.rt.tasks, tasks);
+            assert_eq!(out.rt.all_places.values().sum::<usize>(), tasks);
+            assert_eq!(*order.lock(), (0..LINKS).collect::<Vec<_>>());
+            for r in ranks.iter() {
+                let mut got = r.lock().clone();
+                got.sort_unstable();
+                let width = got.first().expect("wide task ran").1;
+                assert_eq!(got, (0..width).map(|k| (k, width)).collect::<Vec<_>>());
+            }
+            wide += out
+                .rt
+                .all_places
+                .iter()
+                .filter(|((_, w), _)| *w > 1)
+                .map(|(_, n)| n)
+                .sum::<usize>();
+        }
+        assert!(wide >= JOBS * LINKS / 2, "{wide} wide places");
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! * a single-lane ingress over a `Simulator` is **bit-identical** to
 //!   driving the bare backend directly (the group-commit path adds
 //!   nothing and loses nothing);
+//! * four concurrent lanes on four distinct shards over a `Simulator`
+//!   give the same id-free schedule on every run — the same multiset
+//!   of (arrival, start, completion) — although which job gets which
+//!   backend id depends on where thread timing cut the flush batches;
 //! * the admission bound is exact even under concurrent submitters —
 //!   with no retirements, exactly `max_outstanding` jobs are admitted
 //!   no matter how the threads interleave;
@@ -66,6 +70,61 @@ fn single_lane_ingress_over_the_simulator_matches_the_bare_backend() {
 
     assert_eq!(ing_drain, bare_drain, "records bit-identical");
     assert_eq!(ing_extras, bare_extras, "extras bit-identical");
+}
+
+#[test]
+fn distinct_lanes_over_the_simulator_give_one_id_free_schedule() {
+    // 64 Poisson `Mixed` jobs dealt round-robin to 4 lanes whose
+    // shards are distinct. Group commit cuts batches wherever thread
+    // timing puts them, so backend ids vary from run to run; the
+    // simulator schedules by arrival time, so the schedule does not.
+    let jobs = StreamConfig::poisson(42, 64, 250.0)
+        .shape(JobShape::Mixed {
+            parallelism: 4,
+            layers: 6,
+        })
+        .slack(30.0)
+        .generate();
+    const LANES: usize = 4;
+    let session = base_session(7);
+    let probe = Ingress::new(Simulator::from_session(&session), &session);
+    let mut lanes: Vec<u64> = Vec::new();
+    let mut shards = Vec::new();
+    for lane in 0..64u64 {
+        let s = probe.shard_of(lane);
+        if lanes.len() < LANES && !shards.contains(&s) {
+            lanes.push(lane);
+            shards.push(s);
+        }
+    }
+    assert_eq!(lanes.len(), LANES, "lanes on distinct shards");
+    let schedule = || {
+        let ing = Ingress::new(Simulator::from_session(&session), &session);
+        std::thread::scope(|scope| {
+            for (k, &lane) in lanes.iter().enumerate() {
+                let (ing, jobs) = (&ing, &jobs);
+                scope.spawn(move || {
+                    for spec in jobs.iter().skip(k).step_by(LANES) {
+                        ing.submit(lane, spec.clone()).expect("unbounded");
+                    }
+                });
+            }
+        });
+        let mut times: Vec<[u64; 3]> = ing
+            .drain()
+            .expect("drains")
+            .jobs
+            .iter()
+            .map(|j| [j.arrival, j.started, j.completed].map(f64::to_bits))
+            .collect();
+        times.sort_unstable();
+        times
+    };
+    let first = schedule();
+    assert_eq!(first.len(), 64);
+    for run in 1..20 {
+        assert_eq!(schedule(), first, "run {run}: the id-free schedule moved");
+    }
 }
 
 #[test]

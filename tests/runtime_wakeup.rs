@@ -11,7 +11,8 @@
 //! `prepare`.
 //!
 //! A worker does not notify for work only it can take (a pinned entry
-//! in its own queue, a width-1 assembly it leads; see
+//! in its own queue; a width-1 place it leads, which runs inline and is
+//! queued, without a notify, only behind a non-empty own AQ; see
 //! `IdleParker::notify`). The cross-worker shapes at the end guard the
 //! wake-ups that must still happen.
 
