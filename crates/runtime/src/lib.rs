@@ -13,7 +13,7 @@
 //!   the final execution place (dequeue decision: the PTT *local search*
 //!   molds the width) and inserts the assembly into the AQ of every member
 //!   core — except a width-1 place the worker leads itself, which runs at
-//!   once when the worker's AQ is empty (nobody else has to join it);
+//!   once (nobody else has to join it);
 //! * each member executes the task body SPMD-style with its own
 //!   [`TaskCtx::rank`]; the leader measures its execution time and trains
 //!   the PTT; the last member to finish commits the task and releases the
@@ -147,16 +147,13 @@ impl IdleParker {
     ///
     /// The pool calls this at shutdown and after every push that some
     /// worker other than the pusher could take. A worker skips it for
-    /// exactly two pushes: a pinned (unstealable) entry into its own
-    /// WSQ, and a width-1 place it leads that it queues in its own AQ.
-    /// A solo place its worker leads normally runs inline, with no
-    /// push at all; it is queued only behind a non-empty own AQ. Only
-    /// the queue's owner can take either push, and here the owner is
-    /// the running caller, whose loop rescans its own AQ and then its
-    /// own WSQ before it can park. Everything else notifies: the
-    /// client's submissions (the client thread is not a worker),
-    /// stealable entries, pushes into another worker's queue and wide
-    /// assemblies.
+    /// exactly one push: a pinned (unstealable) entry into its own
+    /// WSQ. Only the queue's owner can take it, and here the owner is
+    /// the running caller, whose loop rescans its own queues before it
+    /// can park. A width-1 place a worker leads is no push at all: it
+    /// runs inline. Everything else notifies: the client's submissions
+    /// (the client thread is not a worker), stealable entries, pushes
+    /// into another worker's queue and every assembly.
     pub fn notify(&self) {
         self.epoch.fetch_add(1, Ordering::Release);
         // Taking the lock orders this notification against any worker
@@ -201,40 +198,6 @@ struct WorkerQ {
     /// behave exactly like the simulator's modelled cores.
     wsq: Mutex<ReadyQueue<JobTask>>,
     aq: Mutex<VecDeque<Arc<Assembly>>>,
-    /// `aq.len()`, changed only under the `aq` lock and read without
-    /// it, so the owner's poll never locks an empty AQ. A push raises
-    /// it before the pusher's `notify`, so a read that misses it is
-    /// covered by `IdleParker`'s epoch re-check like a missed queue
-    /// scan.
-    queued: AtomicUsize,
-}
-
-impl WorkerQ {
-    fn push_assembly(&self, asm: Arc<Assembly>) {
-        let mut aq = self.aq.lock();
-        aq.push_back(asm);
-        // relaxed-ok: written under the `aq` lock; a reader that sees
-        // the raise takes that lock before it touches the deque.
-        self.queued.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The assembly at the head of the AQ; only the owner pops.
-    fn pop_assembly(&self) -> Option<Arc<Assembly>> {
-        if self.aq_is_empty() {
-            return None;
-        }
-        let mut aq = self.aq.lock();
-        let asm = aq.pop_front()?;
-        // relaxed-ok: written under the `aq` lock (see `push_assembly`).
-        self.queued.fetch_sub(1, Ordering::Relaxed);
-        Some(asm)
-    }
-
-    fn aq_is_empty(&self) -> bool {
-        // relaxed-ok: a stale zero is a missed scan, which the parker's
-        // epoch covers; a non-zero read is confirmed under the lock.
-        self.queued.load(Ordering::Relaxed) == 0
-    }
 }
 
 #[derive(Default)]
@@ -411,15 +374,12 @@ impl PoolShared {
 
     /// Dequeue decision + AQ insertion (Fig. 3 steps 4–6). A width-1
     /// place this worker leads has nobody to assemble with: it runs
-    /// here and now, with no assembly, unless the worker's own AQ is
-    /// non-empty, in which case it queues behind what is there so the
-    /// AQ's FIFO order holds.
+    /// here and now, with no assembly.
     fn dispatch(&self, entry: ReadyEntry<JobTask>, core: usize) {
         let (jt, pinned) = entry.into_parts();
         let meta = jt.job.graph.shape().node(jt.task).meta;
         let place = self.sched.on_dequeue(&meta, CoreId(core), pinned);
-        let own_solo = place.width == 1 && place.leader.0 == core;
-        if own_solo && self.queues[core].aq_is_empty() {
+        if place.width == 1 && place.leader.0 == core {
             self.execute(&jt.job, jt.task, place, core);
             self.commit(&jt.job, jt.task, place, core);
             return;
@@ -432,19 +392,17 @@ impl PoolShared {
         });
         for m in place.member_cores() {
             // Clone outside the lock; the window is one push_back.
-            self.queues[m.0].push_assembly(Arc::clone(&asm));
+            let member_ref = Arc::clone(&asm);
+            self.queues[m.0].aq.lock().push_back(member_ref);
         }
-        // A width-1 place this worker leads went into its own AQ only.
-        if !own_solo {
-            self.parker.notify();
-        }
+        self.parker.notify();
     }
 
     /// Execute this worker's share of the assembly at the head of its
     /// AQ; the last member to finish commits. Returns `false` if the
     /// AQ was empty.
     fn participate(&self, core: usize) -> bool {
-        let Some(asm) = self.queues[core].pop_assembly() else {
+        let Some(asm) = self.queues[core].aq.lock().pop_front() else {
             return false;
         };
         self.execute(&asm.job, asm.task, asm.place, core);
@@ -466,8 +424,9 @@ impl PoolShared {
             place,
             core: CoreId(core),
         };
-        // The job's queueing delay ends at its first task-body start;
-        // the clock is read only while that stamp is unset.
+        // The job's queueing delay ends at its first task-body start.
+        // Read the stamp first: a failing compare-exchange still takes
+        // the job's cache line exclusive, once per member per task.
         // relaxed-ok: a stale unset read costs one clock read; the
         // compare-exchange decides which stamp wins.
         if job.started_ns.load(Ordering::Relaxed) == u64::MAX {
@@ -1575,14 +1534,11 @@ mod tests {
 
     #[test]
     fn mixed_width_jobs_run_every_rank_once_in_dependency_order() {
-        // Concurrent jobs that mix the three dispatch paths: no-op
-        // `High` chain links (width-1 places their worker leads run
-        // inline), `WIDE` tasks the PTT molds to width 2 (assemblies
-        // other workers join), and solo places dispatched while a wide
-        // assembly waits in the dispatcher's AQ (queued behind it).
-        // The last is a race window between a worker's AQ scan and its
-        // dispatch; with this many jobs in flight it is hit on most
-        // runs, not all, so it is exercised rather than asserted.
+        // Concurrent jobs that mix both dispatch paths: no-op `High`
+        // chain links (width-1 places their worker leads run inline,
+        // also while a wide assembly waits in that worker's AQ) and
+        // `WIDE` tasks the PTT molds to width 2 (assemblies other
+        // workers join).
         const WIDE: TaskTypeId = TaskTypeId(1);
         const LINKS: usize = 32;
         const JOBS: usize = 128;

@@ -2,17 +2,22 @@
 //! std-only counting `GlobalAlloc`.
 //!
 //! Wall-clock throughput on a small host is noisy; allocation counts
-//! are not. On one worker a waited job's allocations are a pure
-//! function of its graph, so they are pinned exactly: a width-1 place
-//! its worker leads runs inline with no `Assembly`, so a 512-task chain
-//! costs the same fixed per-job allocations as a one-task job rather
-//! than one shared assembly per task. On two workers thread timing
-//! enters, and the count is bounded in terms of the job's wide
-//! placements instead.
+//! are not. On one worker a width-1 place its worker leads runs inline
+//! with no `Assembly`, so a chain costs a fixed number of allocations
+//! per job whatever its length, rather than one shared assembly per
+//! task. The fixed part includes std's container growth, which a std
+//! release may change, so it is bounded from above; that it does not
+//! grow with the task count is checked exactly, by comparing a 64-task
+//! chain with a 512-task one. On two workers thread timing enters, and
+//! the count is bounded in terms of the job's wide placements instead.
 //!
 //! Every measurement lives in one `#[test]`: the counter is global, and
 //! a second test running on another harness thread would add its own
-//! allocations to the window.
+//! allocations to the window. The harness's main thread still runs
+//! next to the test: under CPU contention it has been seen to make its
+//! first allocations (four, while it starts waiting for the test's
+//! result) inside the first window. One worker's figures are therefore
+//! the least of three windows, which a one-off cannot all reach.
 
 use das::core::{Policy, Priority, TaskTypeId};
 use das::runtime::{JobSpec, RtStats, Runtime, TaskGraph};
@@ -72,11 +77,11 @@ fn allocs() -> u64 {
 
 const TY: TaskTypeId = TaskTypeId(0);
 
-/// 512 dependent `High` no-ops.
-fn chain() -> TaskGraph {
+/// `len` dependent `High` no-ops.
+fn chain(len: usize) -> TaskGraph {
     let mut g = TaskGraph::new("chain");
     let mut prev = g.add(TY, Priority::High, |_| {});
-    for _ in 1..512 {
+    for _ in 1..len {
         let t = g.add(TY, Priority::High, |_| {});
         g.add_edge(prev, t);
         prev = t;
@@ -124,6 +129,13 @@ fn per_job(rt: &Runtime, graph: &TaskGraph, warm: usize) -> (f64, Vec<RtStats>) 
     (counted as f64 / JOBS as f64, stats)
 }
 
+/// The least of three [`per_job`] windows' allocations per job.
+fn least_per_job(rt: &Runtime, graph: &TaskGraph) -> f64 {
+    (0..3)
+        .map(|_| per_job(rt, graph, 8).0)
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Placements of width > 1 over the counted jobs.
 fn wide_places(stats: &[RtStats]) -> usize {
     stats
@@ -138,29 +150,39 @@ fn wide_places(stats: &[RtStats]) -> usize {
 fn allocations_per_job_are_pinned() {
     // One worker: every place is width 1 and led by the worker itself,
     // so every task runs inline and a job's allocations do not depend
-    // on its task count.
+    // on its task count. Before width-1 places ran inline these read
+    // 530 and 87.
     let rt = Runtime::new(Arc::new(Topology::symmetric(1)), Policy::DamC);
-    let (chain_w1, _) = per_job(&rt, &chain(), 8);
-    let (fanout_w1, _) = per_job(&rt, &fanout(), 8);
-    assert_eq!(chain_w1, 18.0, "allocations per 512-task chain job, W = 1");
+    let short_w1 = least_per_job(&rt, &chain(64));
+    let chain_w1 = least_per_job(&rt, &chain(512));
+    let fanout_w1 = least_per_job(&rt, &fanout());
     assert_eq!(
-        fanout_w1, 22.0,
-        "allocations per 65-task fan-out job, W = 1"
+        short_w1, chain_w1,
+        "allocations per job, 64-task vs 512-task chain, W = 1"
+    );
+    assert!(
+        chain_w1 <= 18.0,
+        "{chain_w1} allocations per 512-task chain job, W = 1"
+    );
+    assert!(
+        fanout_w1 <= 22.0,
+        "{fanout_w1} allocations per 65-task fan-out job, W = 1"
     );
     drop(rt);
 
-    // Two workers: a wide place allocates its shared assembly, and each
-    // of its pushes into another worker's AQ can make that worker queue
-    // at most one solo place of its own behind it (one more assembly),
-    // so each wide placement of width 2 costs at most two allocations.
-    // Queue buffers grow by doubling: each worker's WSQ and AQ can
-    // reallocate at most ceil(log2(65)) = 7 times on the way to one
-    // job's 65 tasks, 28 in all.
+    // Two workers: under `DamC` a width-1 place is always led by the
+    // worker that dispatches it (a pinned place sits in its leader's
+    // unstealable queue; the local search's width-1 place is the
+    // searching core's own), so it runs inline, and only a wide place
+    // allocates a shared assembly. Queue buffers grow by doubling: each
+    // worker's WSQ and AQ can reallocate at most ceil(log2(65)) = 7
+    // times on the way to one job's 65 tasks, 28 in all; a harness
+    // one-off (above) fits in the same slack.
     let rt = Runtime::new(Arc::new(Topology::symmetric(2)), Policy::DamC);
-    for (graph, base) in [(chain(), chain_w1), (fanout(), fanout_w1)] {
+    for (graph, base) in [(chain(512), chain_w1), (fanout(), fanout_w1)] {
         let (got, stats) = per_job(&rt, &graph, 8);
         let wide = wide_places(&stats);
-        let bound = base + (2 * wide + 28) as f64 / JOBS as f64;
+        let bound = base + (wide + 28) as f64 / JOBS as f64;
         assert!(
             got <= bound,
             "{}: {got} allocations per job on W = 2 > {bound} ({wide} wide places in {JOBS} jobs)",

@@ -11,10 +11,9 @@
 //! `prepare`.
 //!
 //! A worker does not notify for work only it can take (a pinned entry
-//! in its own queue; a width-1 place it leads, which runs inline and is
-//! queued, without a notify, only behind a non-empty own AQ; see
-//! `IdleParker::notify`). The cross-worker shapes at the end guard the
-//! wake-ups that must still happen.
+//! in its own queue; a width-1 place it leads is no push at all, it
+//! runs inline; see `IdleParker::notify`). The cross-worker shapes at
+//! the end guard the wake-ups that must still happen.
 
 // This test measures real elapsed time on purpose: the property under
 // test *is* the wall-clock latency of the wakeup path.
