@@ -1,7 +1,7 @@
 //! The node side of a link: the agent thread that owns a node's
 //! executor, its snapshot cadence and its fault plane.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -220,14 +220,17 @@ fn node_agent<E: Executor>(
     mut plane: FaultPlane,
     metrics: Option<MetricsConfig>,
 ) {
-    let mut tickets: HashMap<u64, Ticket> = HashMap::new();
+    let mut tickets: BTreeMap<u64, Ticket> = BTreeMap::new();
     let mut outstanding: f64 = 0.0;
     let mut last_load: f64 = 0.0;
     let mut snap_state: Option<SnapState> = metrics.map(SnapState::new);
     loop {
-        // block-ok: the agent's idle state is "parked on the control
-        // link"; `Cluster::drop` always sends `Ctrl::Shutdown` as its
-        // last frame, so this recv is bounded by dispatcher lifetime.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the agent's idle state is \"parked on the control link\"; \
+                      `Cluster::drop` always sends `Ctrl::Shutdown` as its last frame, \
+                      so this recv is bounded by dispatcher lifetime."
+        )]
         let Frame::Ctrl(ctrl) = ep.recv(DISPATCHER, T_CTRL) else {
             unreachable!("`post` sends only commands under T_CTRL")
         };

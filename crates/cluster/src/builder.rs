@@ -1,7 +1,7 @@
 //! [`ClusterBuilder`]: per-node sessions, routing policy, route seed and
 //! control-RPC deadline in; a running [`Cluster`] out.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use das_core::exec::{session_tag, ExecExtras, Executor, SessionBuilder};
@@ -140,8 +140,8 @@ impl ClusterBuilder {
             policy: self.policy,
             rng: SmallRng::seed_from_u64(self.route_seed),
             rr: 0,
-            route: HashMap::new(),
-            lost: HashMap::new(),
+            route: BTreeMap::new(),
+            lost: BTreeMap::new(),
             banked_jobs: Vec::new(),
             banked_extras: ExecExtras::default(),
             next_job: 0,

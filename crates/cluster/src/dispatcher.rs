@@ -2,7 +2,7 @@
 //! primitives (`send` / `reply` / `ring` / `admitted` / `drain_round`)
 //! and the [`Executor`] front built on them.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -113,11 +113,11 @@ pub struct Cluster<G> {
     /// The spec ledger and route table in one: cluster job id → the
     /// node that acknowledged it, for every submitted job not yet
     /// waited or drained.
-    pub(crate) route: HashMap<u64, Routed<G>>,
+    pub(crate) route: BTreeMap<u64, Routed<G>>,
     /// Jobs a node took down with it (retry budget spent, or no
     /// survivor could take them): cluster job id → the node that
     /// failed. Their tickets redeem as [`ExecError::NodeFailed`].
-    pub(crate) lost: HashMap<u64, usize>,
+    pub(crate) lost: BTreeMap<u64, usize>,
     /// Records and extras banked by [`Cluster::remove_node`], folded
     /// into the next [`Executor::drain`].
     pub(crate) banked_jobs: Vec<JobStats>,
@@ -173,18 +173,14 @@ impl<G> Cluster<G> {
     }
 
     /// Cluster ids currently routed to `node` that satisfy `keep`,
-    /// ascending — the order every repair re-places in.
+    /// ascending (the route's key order) — the order every repair
+    /// re-places in.
     pub(crate) fn routed_to(&self, node: usize, keep: impl Fn(&Routed<G>) -> bool) -> Vec<u64> {
-        let mut ids: Vec<u64> = self
-            .route
-            // det-ok: ids are collected into a Vec and sorted before
-            // any routing decision is made from them.
+        self.route
             .iter()
             .filter(|(_, r)| r.node == node && keep(r))
             .map(|(&id, _)| id)
-            .collect();
-        ids.sort_unstable();
-        ids
+            .collect()
     }
 
     /// Fold every pending load report into the routing view (newest
@@ -332,8 +328,6 @@ impl<G> Cluster<G> {
     /// batch: everything currently routed there counts as started from
     /// here on (the recovery plane's at-most-once boundary).
     fn mark_started(&mut self, node: usize) {
-        // det-ok: order-insensitive flag set; every matching entry gets
-        // the same value regardless of visit order.
         for r in self.route.values_mut() {
             if r.node == node {
                 r.started = true;
@@ -530,20 +524,17 @@ impl<G: Clone> Cluster<G> {
 /// `jobs_orphaned` (reachable via dropped acks — the node admitted
 /// work the dispatcher never ticketed).
 pub(crate) fn fold_records<G>(
-    route: &mut HashMap<u64, Routed<G>>,
+    route: &mut BTreeMap<u64, Routed<G>>,
     node: usize,
     drained: Drained,
-    discard: &HashSet<u64>,
+    discard: &BTreeSet<u64>,
     jobs: &mut Vec<JobStats>,
     merged: &mut ExecExtras,
 ) {
     let DrainBody::Records(recs) = drained.body else {
         unreachable!("node {node} answered a records drain with a summary")
     };
-    let mut map: HashMap<u64, u64> = route
-        // det-ok: an order-insensitive fold into a keyed map; the job
-        // records built from it are sorted by from_jobs at the emission
-        // point and extras are keyed per node, not per job.
+    let mut map: BTreeMap<u64, u64> = route
         .iter()
         .filter(|(_, r)| r.node == node)
         .map(|(&cluster, r)| (r.local, cluster))
@@ -835,7 +826,7 @@ impl<G: Clone> Executor for Cluster<G> {
     fn drain(&mut self) -> Result<StreamStats, ExecError> {
         let mut jobs = std::mem::take(&mut self.banked_jobs);
         let mut merged = std::mem::take(&mut self.banked_extras);
-        let keep_all = HashSet::new();
+        let keep_all = BTreeSet::new();
         self.drain_live(false, |this, node, d| {
             fold_records(&mut this.route, node, d, &keep_all, &mut jobs, &mut merged);
         })?;

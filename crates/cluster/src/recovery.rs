@@ -2,7 +2,7 @@
 //! ([`Cluster::handle_node_down`]) or leaves ([`Cluster::remove_node`]),
 //! and the one-spec placement both are built on.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use das_core::exec::ExecError;
 use das_core::jobs::JobSpec;
@@ -35,7 +35,7 @@ impl<G: Clone> Cluster<G> {
         //    move (a started batch is already executing node-side);
         //    their node-local records are discarded below — the peer's
         //    execution is the one that counts.
-        let mut discard: HashSet<u64> = HashSet::new();
+        let mut discard: BTreeSet<u64> = BTreeSet::new();
         for id in self.routed_to(node, |r| !r.started) {
             let job = self.route.remove(&id).expect("pending id is routed");
             let moved = match self.place_anywhere(&job.spec) {

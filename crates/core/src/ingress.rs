@@ -68,10 +68,10 @@
 //! failed-batch semantics; jobs a partially-admitting backend kept
 //! still surface in the next [`Ingress::drain`].
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use crate::exec::{session_tag, ExecError, ExecExtras, Executor, SessionBuilder, Ticket};
 use crate::jobs::{JobSpec, JobStats, StreamStats};
@@ -140,29 +140,66 @@ impl IngressTicket {
     }
 }
 
-/// One shard: a padded slot buffer plus its lock-free id counter.
-struct Shard<G> {
-    /// Count of ids allocated by this shard; id = shard + count * S.
-    next: AtomicU64,
-    /// The slot buffer. The lock scope is one push (or one drain by
-    /// the flusher); contention is 1/S of a global buffer's.
-    slots: Mutex<Vec<(u64, JobSpec<G>)>>,
-}
+/// The lock order `backend → slots`, held by construction: a shard's
+/// slot lock is taken only inside [`Shard::push`] (which holds no other
+/// lock) and [`Shard::drain_into`] (whose `&mut Backend` argument is
+/// proof that the caller holds the backend lock). Neither lets a slot
+/// guard escape, so code outside this module cannot hold the slot lock
+/// while it takes the backend lock: `slots` is private here.
+mod shard {
+    use std::sync::atomic::AtomicU64;
+    use std::sync::Mutex;
 
-impl<G> Default for Shard<G> {
-    fn default() -> Self {
-        Shard {
-            next: AtomicU64::new(0),
-            slots: Mutex::new(Vec::new()),
+    use super::Backend;
+    use crate::exec::Executor;
+    use crate::jobs::JobSpec;
+
+    /// One shard: a padded slot buffer plus its lock-free id counter.
+    pub(super) struct Shard<G> {
+        /// Count of ids allocated by this shard; id = shard + count * S.
+        pub(super) next: AtomicU64,
+        /// The slot buffer. The lock scope is one push (or one drain by
+        /// the flusher); contention is 1/S of a global buffer's.
+        slots: Mutex<Vec<(u64, JobSpec<G>)>>,
+    }
+
+    impl<G> Default for Shard<G> {
+        fn default() -> Self {
+            Shard {
+                next: AtomicU64::new(0),
+                slots: Mutex::new(Vec::new()),
+            }
+        }
+    }
+
+    impl<G> Shard<G> {
+        /// Buffer one job under its ingress id.
+        pub(super) fn push(&self, id: u64, spec: JobSpec<G>) {
+            self.slots
+                .lock()
+                .expect("ingress shard poisoned")
+                .push((id, spec));
+        }
+
+        /// Move every buffered job into `batch`. `_held` is the locked
+        /// backend: only a flusher drains.
+        pub(super) fn drain_into<E: Executor<Graph = G>>(
+            &self,
+            _held: &mut Backend<E>,
+            batch: &mut Vec<(u64, JobSpec<G>)>,
+        ) {
+            batch.append(&mut self.slots.lock().expect("ingress shard poisoned"));
         }
     }
 }
+
+use shard::Shard;
 
 /// Backend state, guarded by the flush lock.
 struct Backend<E: Executor> {
     exec: E,
     /// ingress id → backend ticket, for every flushed, un-retired job.
-    claims: HashMap<u64, Ticket>,
+    claims: BTreeMap<u64, Ticket>,
 }
 
 /// The sharded, bounded MPMC submission tier ahead of an [`Executor`].
@@ -205,7 +242,7 @@ impl<E: Executor> Ingress<E> {
             session: session_tag(),
             backend: Mutex::new(Backend {
                 exec,
-                claims: HashMap::new(),
+                claims: BTreeMap::new(),
             }),
         }
     }
@@ -248,11 +285,7 @@ impl<E: Executor> Ingress<E> {
         // unique, and the strided arithmetic keeps shards disjoint —
         // the claim handshake below carries the ordering.
         let id = s as u64 + shard.next.fetch_add(1, Ordering::Relaxed) * stride;
-        shard
-            .slots
-            .lock()
-            .expect("ingress shard poisoned")
-            .push((id, spec));
+        shard.push(id, spec);
         // Opportunistic group commit: whoever finds the backend free
         // flushes for everyone; everyone else has already succeeded.
         if let Ok(mut backend) = self.backend.try_lock() {
@@ -293,10 +326,10 @@ impl<E: Executor> Ingress<E> {
                 ticket.id
             ))
         })?;
-        // lock-ok: backend workers never take the ingress mutex, so no
-        // inversion is possible; serialising claim redeemers behind the
-        // backend lock is the group-commit design (flush + redeem are
-        // one atomic step against concurrent submitters).
+        // Backend workers never take the ingress mutex, so no inversion
+        // is possible; serialising claim redeemers behind the backend
+        // lock is the group-commit design (flush + redeem are one
+        // atomic step against concurrent submitters).
         let stats = backend.exec.wait(claim)?;
         self.outstanding.fetch_sub(1, Ordering::AcqRel);
         Ok(stats)
@@ -338,10 +371,10 @@ impl<E: Executor> Ingress<E> {
     /// Drain every shard, order by ingress id, and commit the batch
     /// with one `submit_many`. A failed batch voids its jobs' claims
     /// (admission slots included).
-    fn flush_locked(&self, backend: &mut MutexGuard<'_, Backend<E>>) -> Result<(), ExecError> {
+    fn flush_locked(&self, backend: &mut Backend<E>) -> Result<(), ExecError> {
         let mut batch: Vec<(u64, JobSpec<E::Graph>)> = Vec::new();
         for shard in self.shards.iter() {
-            batch.append(&mut shard.slots.lock().expect("ingress shard poisoned"));
+            shard.drain_into(backend, &mut batch);
         }
         if batch.is_empty() {
             return Ok(());
@@ -376,6 +409,7 @@ mod tests {
     use super::*;
     use crate::exec::Session;
     use crate::jobs::JobId;
+    use std::sync::atomic::AtomicU64;
 
     /// The `InstantExec` of the exec tests, reduced: "executes" at
     /// wait/drain time, counts via usize graphs.

@@ -437,7 +437,7 @@ mod tests {
         // POTRF k+1 must be reachable from POTRF k.
         let d = cholesky_like(5);
         let order = d.topo_order().unwrap();
-        let pos: std::collections::HashMap<_, _> =
+        let pos: std::collections::BTreeMap<_, _> =
             order.iter().enumerate().map(|(i, &t)| (t, i)).collect();
         let potrf: Vec<_> = d
             .iter()

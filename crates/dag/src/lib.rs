@@ -413,7 +413,7 @@ mod tests {
     fn topo_order_respects_edges() {
         let d = fig1();
         let order = d.topo_order().unwrap();
-        let pos: std::collections::HashMap<_, _> =
+        let pos: std::collections::BTreeMap<_, _> =
             order.iter().enumerate().map(|(i, &t)| (t, i)).collect();
         for (id, n) in d.iter() {
             for &s in &n.succs {

@@ -64,9 +64,12 @@ impl Endpoint {
             }
             payload
         } else {
-            // block-ok: collective call discipline — the root sends to
-            // every non-root rank unconditionally, so the frame this
-            // recv waits on is guaranteed by the matching broadcast.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "collective call discipline — the root sends to every non-root \
+                          rank unconditionally, so the frame this recv waits on is \
+                          guaranteed by the matching broadcast."
+            )]
             self.recv(root, T_BCAST)
         }
     }
@@ -81,9 +84,12 @@ impl Endpoint {
                 if src == root {
                     out.push(payload.clone());
                 } else {
-                    // block-ok: every non-root rank's matching gather
-                    // call sends unconditionally (non-blocking), so the
-                    // part is in flight by collective discipline.
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "every non-root rank's matching gather call sends \
+                                  unconditionally (non-blocking), so the part is in \
+                                  flight by collective discipline."
+                    )]
                     out.push(self.recv(src, T_GATHER));
                 }
             }
@@ -114,9 +120,12 @@ impl Endpoint {
             }
             mine
         } else {
-            // block-ok: the root's matching scatter call sends one part
-            // to every non-root rank before returning — collective
-            // discipline bounds this wait.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the root's matching scatter call sends one part to every \
+                          non-root rank before returning — collective discipline bounds \
+                          this wait."
+            )]
             self.recv(root, T_SCATTER)
         }
     }
@@ -130,9 +139,12 @@ impl Endpoint {
                 if src == root {
                     continue;
                 }
-                // block-ok: every non-root rank's matching reduce call
-                // sends its part unconditionally before returning None
-                // — collective discipline bounds this wait.
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "every non-root rank's matching reduce call sends its part \
+                              unconditionally before returning None — collective \
+                              discipline bounds this wait."
+                )]
                 let part = self.recv(src, T_REDUCE);
                 assert_eq!(part.len(), local.len(), "reduce length mismatch");
                 for (a, b) in local.iter_mut().zip(part) {
@@ -168,8 +180,11 @@ impl Endpoint {
             let mut out = Vec::with_capacity(self.size());
             out.push(payload);
             for src in 1..self.size() {
-                // block-ok: every non-root rank sends its part before
-                // waiting on the broadcast leg — collective discipline.
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "every non-root rank sends its part before waiting on the \
+                              broadcast leg — collective discipline."
+                )]
                 out.push(self.recv(src, T_ALLGATHER_G));
             }
             for dst in 1..self.size() {
@@ -181,10 +196,10 @@ impl Endpoint {
         } else {
             self.send(0, T_ALLGATHER_G, payload);
             (0..self.size())
-                // block-ok: rank 0 only starts its broadcast leg after
-                // gathering every part; ours is already sent above, so
-                // rank 0 cannot be stuck waiting on this rank.
-                .map(|_| self.recv(0, T_ALLGATHER_B))
+                .map(|_| {
+                    #[expect(clippy::disallowed_methods, reason = "rank 0 only starts its broadcast leg after gathering every part; ours is already sent above, so rank 0 cannot be stuck waiting on this rank.")]
+                    self.recv(0, T_ALLGATHER_B)
+                })
                 .collect()
         }
     }
@@ -210,9 +225,7 @@ impl Endpoint {
                 if src == self.rank() {
                     std::mem::take(&mut mine)
                 } else {
-                    // block-ok: every rank sends all its parts before
-                    // receiving any (sends are non-blocking), so each
-                    // expected frame is in flight when this recv parks.
+                    #[expect(clippy::disallowed_methods, reason = "every rank sends all its parts before receiving any (sends are non-blocking), so each expected frame is in flight when this recv parks.")]
                     self.recv(src, T_ALLTOALL)
                 }
             })

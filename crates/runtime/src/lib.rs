@@ -87,7 +87,7 @@ use das_topology::{CoreId, ExecutionPlace, Topology};
 use parking_lot::{Condvar, Mutex};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -286,38 +286,25 @@ impl JobHandle {
     }
 }
 
-/// Completion records awaiting collection, indexed by job id so a
-/// [`JobHandle::wait`] consumes its own record in O(1) (amortised)
-/// instead of the old O(jobs) `retain` scan under the lock.
+/// Completion records awaiting collection, keyed by job id so a
+/// [`JobHandle::wait`] consumes its own record in O(log jobs) instead
+/// of an O(jobs) scan under the lock.
 #[derive(Default)]
-struct CompletedLedger {
-    records: Vec<JobStats>,
-    /// `JobId -> position in records`; kept in lockstep across
-    /// `swap_remove`s.
-    index: HashMap<u64, usize>,
-}
+struct CompletedLedger(BTreeMap<u64, JobStats>);
 
 impl CompletedLedger {
     fn push(&mut self, st: JobStats) {
-        self.index.insert(st.id.0, self.records.len());
-        self.records.push(st);
+        self.0.insert(st.id.0, st);
     }
 
     fn remove(&mut self, id: JobId) {
-        if let Some(i) = self.index.remove(&id.0) {
-            self.records.swap_remove(i);
-            if let Some(moved) = self.records.get(i) {
-                self.index.insert(moved.id.0, i);
-            }
-        }
+        self.0.remove(&id.0);
     }
 
-    /// Take every record, restoring completion order (`swap_remove`
-    /// perturbs it; completion times are on the monotone pool clock,
-    /// ties broken by id).
+    /// Take every record in completion order (completion times are on
+    /// the monotone pool clock, ties broken by id).
     fn drain(&mut self) -> Vec<JobStats> {
-        self.index.clear();
-        let mut out = std::mem::take(&mut self.records);
+        let mut out: Vec<JobStats> = std::mem::take(&mut self.0).into_values().collect();
         out.sort_by(|a, b| a.completed.total_cmp(&b.completed).then(a.id.cmp(&b.id)));
         out
     }
@@ -439,9 +426,11 @@ impl PoolShared {
             );
         }
         let node = job.graph.shape().node(task);
-        // Real execution-time measurement: this is the sample that trains
-        // the PTT, the one place the runtime must read the wall clock.
-        #[allow(clippy::disallowed_methods)]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "real execution-time measurement: this is the sample that trains \
+                      the PTT, the one place the runtime must read the wall clock"
+        )]
         let t0 = Instant::now();
         // A panicking body must not kill the worker: the pool is
         // persistent, and an unwinding worker would skip this task's
@@ -663,9 +652,11 @@ impl Runtime {
             completed: Mutex::new(CompletedLedger::default()),
             next_job: AtomicU64::new(0),
             epoch: {
-                // The zero point all task timestamps are relative to;
-                // only durations from it ever surface.
-                #[allow(clippy::disallowed_methods)]
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the zero point all task timestamps are relative to; only \
+                              durations from it ever surface"
+                )]
                 Instant::now()
             },
         });
@@ -1286,7 +1277,7 @@ mod tests {
             })
             .collect();
         // Consume every third record by handle; the rest must drain in
-        // completion order despite the swap_removes in between.
+        // completion order despite the removals in between.
         for h in handles.iter().step_by(3) {
             h.wait();
         }
@@ -1493,7 +1484,10 @@ mod tests {
         let p = IdleParker::new();
         let token = p.prepare();
         p.notify();
-        #[allow(clippy::disallowed_methods)] // the test measures real park latency
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test measures real park latency"
+        )]
         let t0 = Instant::now();
         let woken = p.park(token, Duration::from_secs(5));
         assert!(woken, "epoch move must report a wakeup");
@@ -1605,7 +1599,10 @@ mod tests {
     fn parker_times_out_without_notification() {
         let p = IdleParker::new();
         let token = p.prepare();
-        #[allow(clippy::disallowed_methods)] // the test measures real timeout latency
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test measures real timeout latency"
+        )]
         let t0 = Instant::now();
         let woken = p.park(token, Duration::from_millis(20));
         assert!(!woken);

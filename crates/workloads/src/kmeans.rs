@@ -186,8 +186,10 @@ impl KMeans {
         let mut centroids = self.initial_centroids();
         let mut times = Vec::with_capacity(iters);
         for iter in 0..iters {
-            // Per-iteration wall time is this method's return value.
-            #[allow(clippy::disallowed_methods)]
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-iteration wall time is this method's return value"
+            )]
             let t0 = std::time::Instant::now();
             centroids = self.runtime_iteration(rt, &centroids, chunks, iter as u64);
             times.push(t0.elapsed().as_secs_f64());

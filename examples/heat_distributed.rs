@@ -7,8 +7,10 @@
 //! cargo run --release --example heat_distributed
 //! ```
 
-// Demo timing loop: the wall clock is the output, not a scheduling input.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "demo timing loop: the wall clock is the output, not a scheduling input"
+)]
 use das::core::Policy;
 use das::runtime::Runtime;
 use das::topology::Topology;

@@ -6,8 +6,10 @@
 //! cargo run --release --example kmeans
 //! ```
 
-// Demo timing loop: the wall clock is the output, not a scheduling input.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "demo timing loop: the wall clock is the output, not a scheduling input"
+)]
 use das::core::Policy;
 use das::runtime::Runtime;
 use das::topology::Topology;

@@ -21,8 +21,10 @@
 //! cargo run --release --example scalable_search
 //! ```
 
-// Demo timing loop: the wall clock is the output, not a scheduling input.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "demo timing loop: the wall clock is the output, not a scheduling input"
+)]
 use das::core::{Policy, TaskTypeId};
 use das::dag::generators;
 use das::sim::{Environment, Modifier, Simulator};

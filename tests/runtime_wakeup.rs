@@ -15,9 +15,11 @@
 //! runs inline; see `IdleParker::notify`). The cross-worker shapes at
 //! the end guard the wake-ups that must still happen.
 
-// This test measures real elapsed time on purpose: the property under
-// test *is* the wall-clock latency of the wakeup path.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "this test measures real elapsed time on purpose: the property under test \
+              *is* the wall-clock latency of the wakeup path"
+)]
 use das::core::{Policy, Priority, TaskMeta, TaskTypeId};
 use das::runtime::{IdleParker, JobSpec, Runtime, TaskGraph};
 use das::topology::{CoreId, Topology};
@@ -138,6 +140,8 @@ fn wide_assemblies_wake_their_partner() {
     ptt.seed(CoreId(0), 1, 1.0);
     ptt.seed(CoreId(1), 1, 1.0);
     ptt.seed(CoreId(0), 2, 1e-9);
+    // Seeded, (C1,2) cannot borrow the cluster mean and tie with (C0,2).
+    ptt.seed(CoreId(1), 2, 1.0);
     let mut g = TaskGraph::new("wide-chain");
     let mut prev = g.add(TaskTypeId(0), Priority::High, |_| {});
     for _ in 1..8 {
