@@ -120,6 +120,17 @@ pub fn default_init(r: usize, c: usize, rows: usize, cols: usize) -> f64 {
     }
 }
 
+/// The one 5-point stencil row every solver here runs: `out`'s interior
+/// cells become `0.25 * (above + below + left + right)`. The equal
+/// lengths asserted up front let the loop run without bounds checks.
+pub(crate) fn row(above: &[f64], here: &[f64], below: &[f64], out: &mut [f64]) {
+    let n = here.len();
+    assert!(above.len() == n && below.len() == n && out.len() == n);
+    for c in 1..n - 1 {
+        out[c] = 0.25 * (above[c] + below[c] + here[c - 1] + here[c + 1]);
+    }
+}
+
 /// Sequential reference solver: `iters` Jacobi sweeps over a `rows×cols`
 /// grid with fixed (Dirichlet) boundary.
 pub fn sequential(rows: usize, cols: usize, iters: usize) -> Vec<f64> {
@@ -129,12 +140,7 @@ pub fn sequential(rows: usize, cols: usize, iters: usize) -> Vec<f64> {
         .collect();
     let mut b = a.clone();
     for _ in 0..iters {
-        for r in 1..rows - 1 {
-            for c in 1..cols - 1 {
-                let i = r * cols + c;
-                b[i] = 0.25 * (a[i - cols] + a[i + cols] + a[i - 1] + a[i + 1]);
-            }
-        }
+        crate::kernels::stencil_rows(&a, &mut b, rows, cols, 0, 1);
         std::mem::swap(&mut a, &mut b);
     }
     a
@@ -183,7 +189,6 @@ pub fn run_shared(rt: &Runtime, rows: usize, cols: usize, iters: usize, blocks: 
                 Priority::Low
             };
             let id = g.add(types::HEAT_COMPUTE, prio, move |ctx| {
-                let cols = src.cols;
                 for r in ((lo + ctx.rank)..hi).step_by(ctx.width) {
                     let (above, here, below, d) =
                         // SAFETY: DAG edges order this task after every
@@ -192,9 +197,7 @@ pub fn run_shared(rt: &Runtime, rows: usize, cols: usize, iters: usize, blocks: 
                         // across blocks and cyclically across lanes, so
                         // row_mut(r) is the only live view of dst row r.
                         unsafe { (src.row(r - 1), src.row(r), src.row(r + 1), dst.row_mut(r)) };
-                    for c in 1..cols - 1 {
-                        d[c] = 0.25 * (above[c] + below[c] + here[c - 1] + here[c + 1]);
-                    }
+                    row(above, here, below, d);
                 }
             });
             cur.push(id);
@@ -331,7 +334,6 @@ fn rank_main(
                 // runs no other task holds any view of src. Local row 1
                 // is the top owned row, row 0 the top ghost; row `own`
                 // the bottom owned row, row `own+1` the bottom ghost.
-                let _ = cols;
                 if rank > 0 {
                     // SAFETY: no concurrent task runs (see above).
                     let top = unsafe { src_c.row(1) }.to_vec();
@@ -354,9 +356,7 @@ fn rank_main(
             let bhi = 1 + (b + 1) * own / blocks;
             let src = Arc::clone(&src);
             let dst = Arc::clone(&dst);
-            let glo = lo; // global offset for boundary-column logic
             let id = g.add(types::HEAT_COMPUTE, Priority::Low, move |ctx| {
-                let _ = glo;
                 for lr in ((blo + ctx.rank)..bhi).step_by(ctx.width) {
                     // SAFETY: compute tasks of one iteration only read
                     // src (whose ghosts the comm task, a DAG
@@ -371,9 +371,7 @@ fn rank_main(
                             dst.row_mut(lr),
                         )
                     };
-                    for c in 1..cols - 1 {
-                        d[c] = 0.25 * (above[c] + below[c] + here[c - 1] + here[c + 1]);
-                    }
+                    row(above, here, below, d);
                 }
             });
             g.add_edge(comm_task, id);

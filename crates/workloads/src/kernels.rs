@@ -126,10 +126,9 @@ pub fn stencil_rows(
         }
     }
     for r in (1 + rank..rows - 1).step_by(width) {
-        for c in 1..cols - 1 {
-            let i = r * cols + c;
-            out[i] = 0.25 * (input[i - cols] + input[i + cols] + input[i - 1] + input[i + 1]);
-        }
+        let (above, rest) = input[(r - 1) * cols..(r + 2) * cols].split_at(cols);
+        let (here, below) = rest.split_at(cols);
+        crate::heat::row(above, here, below, &mut out[r * cols..(r + 1) * cols]);
     }
 }
 

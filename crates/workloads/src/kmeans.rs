@@ -12,10 +12,29 @@
 //!   [`TaskGraph`] on `das-runtime` (moldable chunk tasks);
 //! * [`iteration_dag`] — the same iteration shape for `das-sim`, used by
 //!   the Fig. 9 harness.
+//!
+//! All real iterations share one assignment kernel, `KMeans::partial`.
+//! Measuring a point against one centroid at a time makes each distance
+//! a chain of `dim` dependent FP adds, so that loop waits on add
+//! latency. The kernel instead copies the centroids once per call into
+//! a dimension-major buffer, `ct[j * kp + c]` = coordinate `j` of
+//! centroid `c`, where `kp` is `k` rounded up to a block of `LANES` (8).
+//! It walks each point against one block at a time with one
+//! accumulator per lane: `LANES` independent chains, which LLVM
+//! vectorises on baseline x86-64 without `unsafe` or target features.
+//!
+//! The result is bit-identical to the one-centroid-at-a-time loop:
+//! * each lane adds `diff * diff` over `j` ascending from `0.0`, that
+//!   loop's order, and Rust never contracts it to an FMA, so every
+//!   distance has the same bits;
+//! * padding lanes past `k` hold NaN, which never compares `<`;
+//! * the lanes are scanned in centroid order with strict `<`, so ties
+//!   go to the lowest index and a point that compares below no distance
+//!   (a NaN point) goes to centroid 0.
 
 use crate::types;
 use das_core::Priority;
-use das_dag::{generators, Dag};
+use das_dag::{generators, Dag, TaskId};
 use das_runtime::{JobSpec, Runtime, TaskGraph};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -25,6 +44,10 @@ use std::sync::Arc;
 /// Per-chunk accumulator shared between assignment tasks: centroid
 /// coordinate sums and per-centroid counts.
 type PartialSums = Arc<Vec<Mutex<(Vec<f64>, Vec<usize>)>>>;
+
+/// Centroids per block of the assignment kernel: eight accumulators
+/// hide the FP-add latency on baseline x86-64; 4 and 16 measured slower.
+const LANES: usize = 8;
 
 /// A K-means problem instance: `n` points of dimension `dim`, flattened
 /// row-major.
@@ -83,25 +106,10 @@ impl KMeans {
         self.data[..self.k * self.dim].to_vec()
     }
 
-    fn nearest(&self, point: &[f64], centroids: &[f64]) -> usize {
-        let mut best = 0;
-        let mut best_d = f64::INFINITY;
-        for c in 0..self.k {
-            let mut d = 0.0;
-            for j in 0..self.dim {
-                let diff = point[j] - centroids[c * self.dim + j];
-                d += diff * diff;
-            }
-            if d < best_d {
-                best_d = d;
-                best = c;
-            }
-        }
-        best
-    }
-
     /// Accumulate the assignment sums of points `[lo, hi)` with stride
     /// `step`, starting at `lo + offset`. Returns `(sums, counts)`.
+    ///
+    /// The blocked kernel of the module doc.
     fn partial(
         &self,
         centroids: &[f64],
@@ -110,17 +118,38 @@ impl KMeans {
         offset: usize,
         step: usize,
     ) -> (Vec<f64>, Vec<usize>) {
-        let mut sums = vec![0.0; self.k * self.dim];
-        let mut counts = vec![0usize; self.k];
-        let mut i = lo + offset;
-        while i < hi {
-            let p = &self.data[i * self.dim..(i + 1) * self.dim];
-            let c = self.nearest(p, centroids);
-            counts[c] += 1;
-            for j in 0..self.dim {
-                sums[c * self.dim + j] += p[j];
+        let (k, dim) = (self.k, self.dim);
+        let kp = k.div_ceil(LANES) * LANES;
+        let mut ct = vec![f64::NAN; dim * kp];
+        for (c, cent) in centroids.chunks_exact(dim).enumerate() {
+            for (j, &x) in cent.iter().enumerate() {
+                ct[j * kp + c] = x;
             }
-            i += step;
+        }
+        let (mut sums, mut counts) = self.zero_partial();
+        let points = self.data[lo * dim..hi * dim].chunks_exact(dim);
+        for p in points.skip(offset).step_by(step) {
+            let mut best = 0;
+            let mut best_d = f64::INFINITY;
+            for b in (0..kp).step_by(LANES) {
+                let mut d = [0.0; LANES];
+                for (&x, row) in p.iter().zip(ct.chunks_exact(kp)) {
+                    for (dl, &cx) in d.iter_mut().zip(&row[b..b + LANES]) {
+                        let diff = x - cx;
+                        *dl += diff * diff;
+                    }
+                }
+                for (l, &dl) in d.iter().enumerate() {
+                    if dl < best_d {
+                        best_d = dl;
+                        best = b + l;
+                    }
+                }
+            }
+            counts[best] += 1;
+            for (s, &x) in sums[best * dim..(best + 1) * dim].iter_mut().zip(p) {
+                *s += x;
+            }
         }
         (sums, counts)
     }
@@ -197,24 +226,28 @@ impl KMeans {
         (centroids, times)
     }
 
-    fn runtime_iteration(
+    /// Zeroed `(sums, counts)` for this instance's `k` and `dim`.
+    fn zero_partial(&self) -> (Vec<f64>, Vec<usize>) {
+        (vec![0.0; self.k * self.dim], vec![0usize; self.k])
+    }
+
+    /// Add `chunks` moldable chunk tasks to `g`, chunk 0 at high
+    /// priority; each sums its share of the chunk into the chunk's own
+    /// slot. Returns the slots and the task ids.
+    fn add_chunk_tasks(
         &self,
-        rt: &Runtime,
-        centroids: &[f64],
+        g: &mut TaskGraph,
+        centroids: &Arc<Vec<f64>>,
         chunks: usize,
-        iter: u64,
-    ) -> Vec<f64> {
+    ) -> (PartialSums, Vec<TaskId>) {
         let bounds = self.chunk_bounds(chunks);
-        let cents = Arc::new(centroids.to_vec());
         let partials: PartialSums = Arc::new(
-            (0..chunks)
-                .map(|_| Mutex::new((vec![0.0; self.k * self.dim], vec![0usize; self.k])))
+            bounds
+                .iter()
+                .map(|_| Mutex::new(self.zero_partial()))
                 .collect(),
         );
-        let result = Arc::new(Mutex::new(Vec::new()));
-
-        let mut g = TaskGraph::new(format!("kmeans-it{iter}"));
-        let mut chunk_ids = Vec::with_capacity(chunks);
+        let mut ids = Vec::with_capacity(chunks);
         for (ci, &(lo, hi)) in bounds.iter().enumerate() {
             let prio = if ci == 0 {
                 Priority::High
@@ -222,42 +255,45 @@ impl KMeans {
                 Priority::Low
             };
             let me = self.clone();
-            let cents = Arc::clone(&cents);
+            let cents = Arc::clone(centroids);
             let partials = Arc::clone(&partials);
-            let id = g.add(types::KMEANS_CHUNK, prio, move |ctx| {
+            ids.push(g.add(types::KMEANS_CHUNK, prio, move |ctx| {
                 // Moldable: each rank handles a cyclic share of the chunk.
                 let (sums, counts) = me.partial(&cents, lo, hi, ctx.rank, ctx.width);
-                let mut slot = partials[ci].lock();
-                for (a, b) in slot.0.iter_mut().zip(&sums) {
-                    *a += b;
-                }
-                for (a, b) in slot.1.iter_mut().zip(&counts) {
-                    *a += b;
-                }
-            });
-            chunk_ids.push(id);
+                add_into(&mut partials[ci].lock(), &sums, &counts);
+            }));
         }
+        (partials, ids)
+    }
+
+    /// The chunk slots summed in chunk order.
+    fn total(&self, partials: &PartialSums) -> (Vec<f64>, Vec<usize>) {
+        let mut acc = self.zero_partial();
+        for p in partials.iter() {
+            let slot = p.lock();
+            add_into(&mut acc, &slot.0, &slot.1);
+        }
+        acc
+    }
+
+    fn runtime_iteration(
+        &self,
+        rt: &Runtime,
+        centroids: &[f64],
+        chunks: usize,
+        iter: u64,
+    ) -> Vec<f64> {
+        let cents = Arc::new(centroids.to_vec());
+        let result = Arc::new(Mutex::new(Vec::new()));
+        let mut g = TaskGraph::new(format!("kmeans-it{iter}"));
+        let (partials, chunk_ids) = self.add_chunk_tasks(&mut g, &cents, chunks);
         let me = self.clone();
-        let cents = Arc::clone(&cents);
-        let partials_r = Arc::clone(&partials);
         let result_w = Arc::clone(&result);
-        let k = self.k;
-        let dim = self.dim;
         let reduce = g.add(types::KMEANS_REDUCE, Priority::Low, move |ctx| {
             if ctx.rank != 0 {
                 return; // reduction is inherently serial
             }
-            let mut sums = vec![0.0; k * dim];
-            let mut counts = vec![0usize; k];
-            for p in partials_r.iter() {
-                let slot = p.lock();
-                for (a, b) in sums.iter_mut().zip(&slot.0) {
-                    *a += b;
-                }
-                for (a, b) in counts.iter_mut().zip(&slot.1) {
-                    *a += b;
-                }
-            }
+            let (sums, counts) = me.total(&partials);
             *result_w.lock() = me.finish_centroids(&sums, &counts, &cents);
         });
         for id in chunk_ids {
@@ -281,50 +317,23 @@ impl KMeans {
         chunks: usize,
         iter: u64,
     ) -> (Vec<f64>, Vec<usize>) {
-        let bounds = self.chunk_bounds(chunks.max(1));
         let cents = Arc::new(centroids.to_vec());
-        let partials: PartialSums = Arc::new(
-            bounds
-                .iter()
-                .map(|_| Mutex::new((vec![0.0; self.k * self.dim], vec![0usize; self.k])))
-                .collect(),
-        );
         let mut g = TaskGraph::new(format!("kmeans-partials-it{iter}"));
-        for (ci, &(lo, hi)) in bounds.iter().enumerate() {
-            let prio = if ci == 0 {
-                Priority::High
-            } else {
-                Priority::Low
-            };
-            let me = self.clone();
-            let cents = Arc::clone(&cents);
-            let partials = Arc::clone(&partials);
-            g.add(types::KMEANS_CHUNK, prio, move |ctx| {
-                let (sums, counts) = me.partial(&cents, lo, hi, ctx.rank, ctx.width);
-                let mut slot = partials[ci].lock();
-                for (a, b) in slot.0.iter_mut().zip(&sums) {
-                    *a += b;
-                }
-                for (a, b) in slot.1.iter_mut().zip(&counts) {
-                    *a += b;
-                }
-            });
-        }
+        let (partials, _) = self.add_chunk_tasks(&mut g, &cents, chunks.max(1));
         rt.submit(JobSpec::new(g))
             .expect("kmeans partials graph is valid")
             .wait();
-        let mut sums = vec![0.0; self.k * self.dim];
-        let mut counts = vec![0usize; self.k];
-        for p in partials.iter() {
-            let slot = p.lock();
-            for (a, b) in sums.iter_mut().zip(&slot.0) {
-                *a += b;
-            }
-            for (a, b) in counts.iter_mut().zip(&slot.1) {
-                *a += b;
-            }
-        }
-        (sums, counts)
+        self.total(&partials)
+    }
+}
+
+/// Add one partial `(sums, counts)` into an accumulator, element-wise.
+fn add_into(acc: &mut (Vec<f64>, Vec<usize>), sums: &[f64], counts: &[usize]) {
+    for (a, b) in acc.0.iter_mut().zip(sums) {
+        *a += b;
+    }
+    for (a, b) in acc.1.iter_mut().zip(counts) {
+        *a += b;
     }
 }
 
@@ -375,7 +384,7 @@ pub fn run_distributed(
                         let combined = ep.allreduce_sum(payload);
                         let (gs, gc) = combined.split_at(k * dim);
                         let counts: Vec<usize> = gc.iter().map(|&c| c as usize).collect();
-                        cents = global_finish(gs, &counts, &cents, k, dim);
+                        cents = local.finish_centroids(gs, &counts, &cents);
                     }
                     cents
                 })
@@ -391,20 +400,6 @@ pub fn run_distributed(
         assert_eq!(other, first, "ranks must agree on the centroids");
     }
     first
-}
-
-fn global_finish(sums: &[f64], counts: &[usize], old: &[f64], k: usize, dim: usize) -> Vec<f64> {
-    let mut out = vec![0.0; k * dim];
-    for c in 0..k {
-        if counts[c] == 0 {
-            out[c * dim..(c + 1) * dim].copy_from_slice(&old[c * dim..(c + 1) * dim]);
-        } else {
-            for j in 0..dim {
-                out[c * dim + j] = sums[c * dim + j] / counts[c] as f64;
-            }
-        }
-    }
-    out
 }
 
 /// The Fig. 9 iteration shape for the simulator: `chunks` chunk tasks
@@ -433,6 +428,110 @@ mod tests {
         // blobs — cheap sanity: re-assign all points, no empty cluster.
         let (_, counts) = km.partial(&c, 0, km.len(), 0, 1);
         assert!(counts.iter().all(|&n| n > 0), "{counts:?}");
+    }
+
+    /// The assignment loop before blocking, one centroid at a time: the
+    /// reference [`KMeans::partial`] must match bit for bit.
+    fn naive_partial(
+        km: &KMeans,
+        centroids: &[f64],
+        offset: usize,
+        step: usize,
+    ) -> (Vec<f64>, Vec<usize>) {
+        let (k, dim) = (km.k, km.dim);
+        let mut sums = vec![0.0; k * dim];
+        let mut counts = vec![0usize; k];
+        let mut i = offset;
+        while i < km.len() {
+            let p = &km.data[i * dim..(i + 1) * dim];
+            let mut best = 0;
+            let mut best_d = f64::INFINITY;
+            for c in 0..k {
+                let mut d = 0.0;
+                for j in 0..dim {
+                    let diff = p[j] - centroids[c * dim + j];
+                    d += diff * diff;
+                }
+                if d < best_d {
+                    best_d = d;
+                    best = c;
+                }
+            }
+            counts[best] += 1;
+            for j in 0..dim {
+                sums[best * dim + j] += p[j];
+            }
+            i += step;
+        }
+        (sums, counts)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_partial_is_naive(km: &KMeans, centroids: &[f64], what: &str) {
+        for (offset, step) in [(0, 1), (1, 2), (2, 3)] {
+            let (s, n) = km.partial(centroids, 0, km.len(), offset, step);
+            let (ws, wn) = naive_partial(km, centroids, offset, step);
+            assert_eq!(n, wn, "{what}: counts at ({offset}, {step})");
+            assert_eq!(bits(&s), bits(&ws), "{what}: sums at ({offset}, {step})");
+        }
+    }
+
+    #[test]
+    fn blocked_partial_is_bit_identical_to_the_naive_loop() {
+        for (dim, k) in [(1, 1), (3, 5), (8, 16), (13, 7), (2, 17)] {
+            let km = KMeans::generate(300, dim, k, 5 + dim as u64);
+            let what = format!("(dim, k) = ({dim}, {k})");
+            assert_partial_is_naive(&km, &km.initial_centroids(), &what);
+            // Ten naive Lloyd iterations against run_sequential(10).
+            let mut want = km.initial_centroids();
+            for _ in 0..10 {
+                let (s, n) = naive_partial(&km, &want, 0, 1);
+                want = km.finish_centroids(&s, &n, &want);
+            }
+            assert_eq!(bits(&km.run_sequential(10)), bits(&want), "{what}");
+        }
+    }
+
+    #[test]
+    fn blocked_partial_breaks_ties_and_nans_like_the_naive_loop() {
+        // Centroids 4 (same block) and 8 (next block) duplicate
+        // centroid 1: every point nearest to them goes to 1, the lowest
+        // index.
+        let km = KMeans::generate(200, 3, 9, 17);
+        let mut cents = km.initial_centroids();
+        cents.copy_within(3..6, 12);
+        cents.copy_within(3..6, 24);
+        let (_, n) = km.partial(&cents, 0, km.len(), 0, 1);
+        assert_eq!((n[4], n[8]), (0, 0), "{n:?}");
+        assert!(n[1] > 0, "{n:?}");
+        assert_partial_is_naive(&km, &cents, "duplicated centroid");
+
+        // Centroids 1 and 8 mirror each other across the diagonal that
+        // every point lies on. The plain loop's distances to them are
+        // the same two rounded squares added in either order, an exact
+        // tie, so every point goes to 1. A fused multiply-add rounds the
+        // second square differently and splits the points.
+        let data: Vec<f64> = (0..400).flat_map(|i| [0.37 * i as f64 - 70.0; 2]).collect();
+        let km = KMeans::new(data, 2, 9);
+        let (a, b) = (1.234_567_8, -2.468_013_5);
+        let mut cents: Vec<f64> = (0..18).map(|i| 1e3 + i as f64).collect();
+        cents[2..4].copy_from_slice(&[a, b]);
+        cents[16..18].copy_from_slice(&[b, a]);
+        let (_, n) = km.partial(&cents, 0, km.len(), 0, 1);
+        assert_eq!(n[1], km.len(), "{n:?}");
+        assert_partial_is_naive(&km, &cents, "mirrored centroids");
+
+        // A NaN point compares below no distance and lands on centroid 0.
+        let mut data = KMeans::generate(60, 2, 9, 3).data.to_vec();
+        data[40] = f64::NAN;
+        let km = KMeans::new(data, 2, 9);
+        let cents = km.initial_centroids();
+        let (_, n) = km.partial(&cents, 20, 21, 0, 1);
+        assert_eq!(n[0], 1, "{n:?}");
+        assert_partial_is_naive(&km, &cents, "NaN point");
     }
 
     #[test]
