@@ -92,8 +92,6 @@ struct CoreState {
     /// behave exactly like the threaded runtime's.
     wsq: ReadyQueue<TaskId>,
     aq: VecDeque<usize>,
-    busy: bool,
-    poll_pending: bool,
 }
 
 /// A set of cores as a bitset, enumerated in ascending core order.
@@ -118,7 +116,6 @@ impl CoreSet {
         }
     }
 
-    #[cfg(debug_assertions)]
     fn contains(&self, c: usize) -> bool {
         self.words[c / 64] & (1u64 << (c % 64)) != 0
     }
@@ -129,6 +126,23 @@ impl CoreSet {
 
     fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
+    }
+
+    fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Become a copy of `other`, reusing this set's buffer.
+    fn copy_from(&mut self, other: &CoreSet) {
+        self.words.clear();
+        self.words.extend_from_slice(&other.words);
+    }
+
+    /// Add every member of `other`.
+    fn union_with(&mut self, other: &CoreSet) {
+        for (w, o) in self.words.iter_mut().zip(&other.words) {
+            *w |= o;
+        }
     }
 
     /// Members in ascending order.
@@ -147,10 +161,10 @@ impl CoreSet {
 enum Ev {
     /// Core checks AQ, then WSQ, then tries to steal.
     Poll(usize),
-    /// The cores listed (ascending) in `poll_batches[.0]` each poll, in
-    /// that order: the sleepers one stealable wake-up roused. Stands
-    /// for one `Poll` per member with consecutive `seq`, the first of
-    /// them this item's.
+    /// The members of `poll_batches[.0]` each poll, in ascending core
+    /// order: the sleepers one stealable wake-up roused. Stands for one
+    /// `Poll` per member with consecutive `seq`, the first of them this
+    /// item's.
     PollBatch(usize),
     /// Assembly `.0` finishes, unless its generation moved past `.1`.
     Finish(usize, u64),
@@ -213,18 +227,26 @@ pub struct Simulator {
     /// would hold a million dead assemblies.
     free_assemblies: Vec<usize>,
     running: BTreeSet<usize>,
+    /// Cores that joined an assembly and have not seen it finish.
+    busy: CoreSet,
+    /// Cores with a poll in the heap, alone or as a batch member.
+    poll_pending: CoreSet,
     /// Cores currently idle (neither busy nor holding a pending poll).
     /// A stealable wake-up polls exactly these cores — the same set the
     /// every-core broadcast reaches after `wake_at` filtered it, in the
     /// same ascending order.
     idle: CoreSet,
     /// Cores whose WSQ holds a stealable entry
-    /// (`wsq.stealable_len() > 0`), re-synced by `sync_stealable` after
-    /// every WSQ change: the only cores a steal scan can pick from.
+    /// (`wsq.stealable_len() > 0`): the only cores a steal scan can
+    /// pick from.
     stealable: CoreSet,
-    /// Member lists of the `Ev::PollBatch` items in the heap, by batch
-    /// id; the buffers of consumed batches wait in `free_batches`.
-    poll_batches: Vec<Vec<usize>>,
+    /// Cores whose AQ or own WSQ is non-empty: the only idle cores
+    /// whose poll can find work without stealing. `sync_queues`
+    /// re-syncs this and `stealable` after every queue change.
+    has_work: CoreSet,
+    /// Members of the `Ev::PollBatch` items in the heap, by batch id;
+    /// the buffers of consumed batches wait in `free_batches`.
+    poll_batches: Vec<CoreSet>,
     free_batches: Vec<usize>,
     /// Use the broadcast wake-up path (`wake_at` on every core, one
     /// `Ev::Poll` per sleeper). Differential-testing reference only.
@@ -302,8 +324,11 @@ impl Simulator {
             assemblies: Vec::new(),
             free_assemblies: Vec::new(),
             running: BTreeSet::new(),
+            busy: CoreSet::default(),
+            poll_pending: CoreSet::default(),
             idle: CoreSet::default(),
             stealable: CoreSet::default(),
+            has_work: CoreSet::default(),
             poll_batches: Vec::new(),
             free_batches: Vec::new(),
             broadcast_wakeups: false,
@@ -534,17 +559,29 @@ impl Simulator {
     /// extras counters — is *not* per-run and survives.)
     fn reset(&mut self, total: usize) {
         let n_cores = self.cfg.session.topo.num_cores();
-        self.cores = (0..n_cores).map(|_| CoreState::default()).collect();
+        // The queues keep their buffers from run to run; only a failed
+        // run leaves entries behind.
+        self.cores.resize_with(n_cores, CoreState::default);
+        for st in &mut self.cores {
+            st.aq.clear();
+            if !st.wsq.is_empty() {
+                st.wsq = ReadyQueue::new();
+            }
+        }
         // With slot recycling the live assembly count is bounded by the
         // core count, not the task count.
         self.assemblies.clear();
         self.assemblies.reserve(total.min(2 * n_cores));
         self.free_assemblies.clear();
         self.running.clear();
-        // Every core starts neither busy nor poll-pending, its WSQ empty.
+        // Every core starts neither busy nor poll-pending, its queues
+        // empty.
+        self.busy.reset(n_cores);
+        self.poll_pending.reset(n_cores);
         self.idle.reset(n_cores);
         (0..n_cores).for_each(|c| self.idle.set(c, true));
         self.stealable.reset(n_cores);
+        self.has_work.reset(n_cores);
         self.streams = vec![0; self.cfg.session.topo.num_clusters()];
         // `preds` is owned by `drive`, which rebuilds it from the dag.
         // The heap and the batch buffers keep their capacity: a session
@@ -580,22 +617,12 @@ impl Simulator {
             // A batch counts one event per member, as the per-sleeper
             // polls it stands for would have.
             if !matches!(item.ev, Ev::PollBatch(_)) {
-                self.count_event(&mut events, total)?;
+                self.count_events(&mut events, 1, total)?;
             }
             self.now = item.t.max(self.now);
             match item.ev {
                 Ev::Poll(c) => self.handle_poll(dag, c),
-                Ev::PollBatch(b) => {
-                    let members = std::mem::take(&mut self.poll_batches[b]);
-                    for &c in &members {
-                        self.count_event(&mut events, total)?;
-                        self.handle_poll(dag, c);
-                    }
-                    self.poll_batches[b] = members;
-                    self.free_batches.push(b);
-                    #[cfg(debug_assertions)]
-                    self.check_indices();
-                }
+                Ev::PollBatch(b) => self.handle_poll_batch(dag, b, &mut events, total)?,
                 Ev::Finish(aid, gen) => self.handle_finish(dag, aid, gen),
                 Ev::EnvChange => self.handle_env_change(),
                 Ev::Release(task, core) => {
@@ -628,9 +655,12 @@ impl Simulator {
         })
     }
 
-    /// Count one event against the `max_events` valve.
-    fn count_event(&self, events: &mut u64, total: usize) -> Result<(), SimError> {
-        *events += 1;
+    /// Count `n` events against the `max_events` valve. The valve trips
+    /// if any of them is one too many, as counting them one by one
+    /// would; the `completed` it reports is the same, because no task
+    /// commits between events counted together.
+    fn count_events(&self, events: &mut u64, n: u64, total: usize) -> Result<(), SimError> {
+        *events += n;
         if *events > self.max_events {
             return Err(SimError::EventLimitExceeded {
                 completed: self.completed,
@@ -649,7 +679,7 @@ impl Simulator {
         for (c, st) in self.cores.iter().enumerate() {
             assert_eq!(
                 self.idle.contains(c),
-                !st.busy && !st.poll_pending,
+                !self.busy.contains(c) && !self.poll_pending.contains(c),
                 "idle bit of core {c}"
             );
             assert_eq!(
@@ -657,18 +687,24 @@ impl Simulator {
                 st.wsq.stealable_len() > 0,
                 "stealable bit of core {c}"
             );
+            assert_eq!(
+                self.has_work.contains(c),
+                !st.aq.is_empty() || !st.wsq.is_empty(),
+                "has_work bit of core {c}"
+            );
         }
         // Every batch buffer is free or named by exactly one heap item.
-        let mut owners = vec![0usize; self.poll_batches.len()];
-        for &b in &self.free_batches {
-            owners[b] += 1;
+        // (Counted without a buffer: the check must not allocate, so
+        // that the debug and release profiles allocate alike.)
+        for b in 0..self.poll_batches.len() {
+            let owners = self.free_batches.iter().filter(|&&f| f == b).count()
+                + self
+                    .heap
+                    .iter()
+                    .filter(|item| item.ev == Ev::PollBatch(b))
+                    .count();
+            assert_eq!(owners, 1, "owners of batch buffer {b}");
         }
-        for item in &self.heap {
-            if let Ev::PollBatch(b) = item.ev {
-                owners[b] += 1;
-            }
-        }
-        assert!(owners.iter().all(|&n| n == 1), "batch owners: {owners:?}");
     }
 
     // ---- event helpers ----
@@ -685,9 +721,8 @@ impl Simulator {
     /// Schedule a queue poll on `core` at time `t` unless one is already
     /// pending or the core is busy.
     fn wake_at(&mut self, core: usize, t: f64) {
-        let st = &mut self.cores[core];
-        if !st.busy && !st.poll_pending {
-            st.poll_pending = true;
+        if !self.busy.contains(core) && !self.poll_pending.contains(core) {
+            self.poll_pending.set(core, true);
             self.idle.set(core, false);
             self.push(t, Ev::Poll(core));
         }
@@ -702,7 +737,7 @@ impl Simulator {
         let entry = ReadyEntry::new(task, &d);
         let migratable = entry.is_stealable();
         self.cores[d.queue.0].wsq.push(entry);
-        self.sync_stealable(d.queue.0);
+        self.sync_queues(d.queue.0);
         let wl = self.cfg.session.sim_params.wake_latency;
         self.wake_at(d.queue.0, t + wl);
         if migratable {
@@ -723,45 +758,135 @@ impl Simulator {
     /// their polls would carry equal `t` and consecutive `seq`; every
     /// later push has a larger `seq` and a time no earlier than `now`,
     /// so nothing can be ordered between them and one item holding the
-    /// ascending member list pops exactly where the first would have.
+    /// idle set pops exactly where the first would have. A word copy
+    /// per 64 cores.
     fn wake_sleepers(&mut self, t: f64) {
-        if self.idle.is_empty() {
+        let n = self.idle.len();
+        if n == 0 {
             return;
         }
         let b = self.free_batches.pop().unwrap_or_else(|| {
-            self.poll_batches.push(Vec::new());
+            self.poll_batches.push(CoreSet::default());
             self.poll_batches.len() - 1
         });
-        let mut members = std::mem::take(&mut self.poll_batches[b]);
-        members.clear();
-        members.extend(self.idle.iter());
-        for &c in &members {
-            self.cores[c].poll_pending = true;
-        }
+        self.poll_batches[b].copy_from(&self.idle);
+        self.poll_pending.union_with(&self.idle);
         self.idle.clear();
         self.push(t, Ev::PollBatch(b));
         // The members after the first take the `seq`s their own polls
         // would have.
-        self.seq += members.len() as u64 - 1;
-        self.poll_batches[b] = members;
+        self.seq += n as u64 - 1;
     }
 
-    /// Re-sync core `c`'s bit of the stealable-victim index with its
-    /// WSQ. Called after each of the three WSQ mutations (`wakeup`'s
-    /// push, `handle_poll`'s `pop_own`, `try_steal`'s `steal`).
-    fn sync_stealable(&mut self, c: usize) {
-        let on = self.cores[c].wsq.stealable_len() > 0;
-        self.stealable.set(c, on);
+    /// Poll the members of batch `b` in ascending core order, as the
+    /// per-sleeper `Ev::Poll`s it stands for would, one event each
+    /// through the `max_events` valve — but handle one by one only the
+    /// members whose poll can do something, and fail the rest a word at
+    /// a time.
+    ///
+    /// A member's poll can do something if the member is busy, holds
+    /// work (`has_work`), or may steal (`stealable` non-empty). Any
+    /// other poll fails in `handle_poll` without a trace beyond its
+    /// event, one `failed_steals` and its pending bit turning into an
+    /// idle bit: it draws no RNG number (`try_steal` returns before the
+    /// draw on an empty index) and pushes no event. Failing a run of
+    /// such members in bulk is therefore bit-identical, provided that
+    /// the handled members see the state they would have seen:
+    /// - The failures of the members before a handled one are applied
+    ///   first: its `dispatch` may `wake_at` an earlier member, which
+    ///   must already be idle to be woken.
+    /// - `has_work` and `stealable` are read again after every handled
+    ///   member: its `dispatch` may fill the AQ of a later member, and
+    ///   its steal may empty `stealable`. Within a batch `stealable`
+    ///   can only shrink — `wakeup` runs only from `Release`,
+    ///   `JobArrive` and `handle_finish` — so no skipped member could
+    ///   have stolen.
+    ///
+    /// The handled members thus run in the same order, at the same
+    /// simulated time, with the same RNG draws and the same `seq`s, and
+    /// the valve trips on the same member with the same `completed`.
+    fn handle_poll_batch(
+        &mut self,
+        dag: &Dag,
+        b: usize,
+        events: &mut u64,
+        total: usize,
+    ) -> Result<(), SimError> {
+        let members = std::mem::take(&mut self.poll_batches[b]);
+        for (w, &word) in members.words.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                let act = if self.stealable.is_empty() {
+                    rest & (self.has_work.words[w] | self.busy.words[w])
+                } else {
+                    rest
+                };
+                // The lowest member that can act (0 if none), and the
+                // members below it, whose polls fail.
+                let next = act & act.wrapping_neg();
+                let fail = rest & next.wrapping_sub(1);
+                if fail != 0 {
+                    self.count_events(events, u64::from(fail.count_ones()), total)?;
+                    self.fail_polls(w, fail);
+                }
+                if next == 0 {
+                    break;
+                }
+                self.count_events(events, 1, total)?;
+                self.handle_poll(dag, w * 64 + next.trailing_zeros() as usize);
+                rest ^= fail | next;
+            }
+        }
+        self.poll_batches[b] = members;
+        self.free_batches.push(b);
+        #[cfg(debug_assertions)]
+        self.check_indices();
+        Ok(())
+    }
+
+    /// The pending polls of the cores in `mask` (bits of word `w`) fail,
+    /// exactly as `handle_poll` would fail each of them.
+    fn fail_polls(&mut self, w: usize, mask: u64) {
+        #[cfg(debug_assertions)]
+        for bit in 0..64 {
+            if mask & (1u64 << bit) != 0 {
+                let c = w * 64 + bit;
+                let st = &self.cores[c];
+                assert!(
+                    self.poll_pending.contains(c)
+                        && !self.busy.contains(c)
+                        && st.aq.is_empty()
+                        && st.wsq.is_empty()
+                        && self.stealable.is_empty(),
+                    "core {c}'s poll would not fail"
+                );
+            }
+        }
+        self.stats.failed_steals += mask.count_ones() as usize;
+        self.poll_pending.words[w] &= !mask;
+        self.idle.words[w] |= mask;
+    }
+
+    /// Re-sync core `c`'s bits of the `stealable` and `has_work`
+    /// indices with its queues. Called after each queue mutation:
+    /// `wakeup`'s WSQ push, `handle_poll`'s AQ pop and `pop_own`,
+    /// `try_steal`'s `steal` and `dispatch`'s AQ push.
+    fn sync_queues(&mut self, c: usize) {
+        let st = &self.cores[c];
+        let stealable = st.wsq.stealable_len() > 0;
+        let work = !st.aq.is_empty() || !st.wsq.is_empty();
+        self.stealable.set(c, stealable);
+        self.has_work.set(c, work);
     }
 
     fn handle_poll(&mut self, dag: &Dag, c: usize) {
-        self.cores[c].poll_pending = false;
-        if self.cores[c].busy {
+        self.poll_pending.set(c, false);
+        if self.busy.contains(c) {
             return;
         }
         // 1. Assembly queue first: committed placement decisions.
-        if let Some(&aid) = self.cores[c].aq.front() {
-            self.cores[c].aq.pop_front();
+        if let Some(aid) = self.cores[c].aq.pop_front() {
+            self.sync_queues(c);
             self.join(dag, c, aid);
             return;
         }
@@ -769,7 +894,7 @@ impl Simulator {
         // stealable backlog newest-first) is the shared `das-core`
         // discipline — see `ReadyQueue::pop_own` for the rationale.
         if let Some(entry) = self.cores[c].wsq.pop_own() {
-            self.sync_stealable(c);
+            self.sync_queues(c);
             self.dispatch(
                 dag,
                 entry,
@@ -831,7 +956,7 @@ impl Simulator {
         }
         let victim = victims[self.rng.gen_range(0..victims.len())];
         let entry = self.cores[victim].wsq.steal(eligible);
-        self.sync_stealable(victim);
+        self.sync_queues(victim);
         entry
     }
 
@@ -876,6 +1001,7 @@ impl Simulator {
         }
         for m in place.member_cores() {
             self.cores[m.0].aq.push_back(aid);
+            self.sync_queues(m.0);
             self.wake_at(m.0, t);
         }
         // The dispatching core keeps polling regardless of membership.
@@ -885,7 +1011,7 @@ impl Simulator {
     /// A member core reaches the assembly at the head of its AQ.
     fn join(&mut self, dag: &Dag, core: usize, aid: usize) {
         let t = self.now;
-        self.cores[core].busy = true;
+        self.busy.set(core, true);
         let a = &mut self.assemblies[aid];
         let rank = a
             .place
@@ -964,7 +1090,7 @@ impl Simulator {
             let rank = place
                 .rank_of(m)
                 .expect("assembly member without a rank in its own place");
-            self.cores[m.0].busy = false;
+            self.busy.set(m.0, false);
             self.stats.core_busy[m.0] += t - self.assemblies[aid].member_join_t[rank];
             self.stats.core_work[m.0] += t - start_t;
             if self.record_trace {

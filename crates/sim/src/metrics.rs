@@ -59,11 +59,6 @@ impl RunStats {
         }
     }
 
-    /// Total kernel work time across cores (the "Total" bar of Fig. 6).
-    pub fn total_work(&self) -> f64 {
-        self.core_work.iter().sum()
-    }
-
     /// Fraction of high-priority tasks that committed on a given core
     /// (summed over widths led by that core).
     pub fn high_priority_share_on_core(&self, core: usize) -> f64 {
@@ -78,11 +73,6 @@ impl RunStats {
             .map(|(_, n)| *n)
             .sum();
         on as f64 / total as f64
-    }
-
-    /// Duration of one tag group (e.g. one K-means iteration), if seen.
-    pub fn tag_duration(&self, tag: u64) -> Option<f64> {
-        self.tag_span.get(&tag).map(|(a, b)| b - a)
     }
 
     pub(crate) fn record_commit(&mut self, place: (usize, usize), high: bool, tag: u64) {
@@ -127,14 +117,11 @@ mod tests {
         s.record_tag_event(7, 2.0);
         s.record_tag_event(7, 9.0);
         assert_eq!(s.tag_span[&7], (2.0, 9.0));
-        assert_eq!(s.tag_duration(7), Some(7.0));
-        assert_eq!(s.tag_duration(8), None);
     }
 
     #[test]
     fn empty_run_throughput_zero() {
         let s = RunStats::new(2);
         assert_eq!(s.throughput(), 0.0);
-        assert_eq!(s.total_work(), 0.0);
     }
 }

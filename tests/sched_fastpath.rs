@@ -15,7 +15,8 @@
 use das::core::{Policy, Ptt, TaskTypeId, WeightRatio};
 use das::dag::generators;
 use das::exec::Executor;
-use das::sim::{cost::UniformCost, Environment, Modifier, Scenario, SimConfig, Simulator};
+use das::sim::cost::{TableCost, UniformCost};
+use das::sim::{Environment, Modifier, Scenario, SimConfig, SimError, Simulator};
 use das::topology::{CoreId, ExecutionPlace, Topology};
 use das::workloads::arrivals::{JobShape, StreamConfig};
 use proptest::prelude::*;
@@ -445,5 +446,84 @@ fn idle_set_wakeups_match_broadcast_with_node_affine_stealables() {
         let (ta, tb) = (a.take_trace(), b.take_trace());
         assert_eq!(ta.spans, tb.spans, "{policy} traces diverged");
         assert_eq!(ta.makespan, tb.makespan, "{policy}");
+    }
+}
+
+#[test]
+fn event_valve_trips_on_the_same_member_on_both_wakeup_paths() {
+    // A batch counts the members whose polls must fail in bulk, a run
+    // of them at a time, instead of as each one polls. The `max_events`
+    // valve must still trip on the very member where counting poll by
+    // poll trips it: every value from zero to the run's whole event
+    // count is swept, so the valve trips inside every batch and on
+    // both sides of every commit, and the two paths must return the
+    // same `Result` at each. Two words of cores, the last one partial.
+    let topo = Arc::new(Topology::grid(1, 5, 20));
+    let dag = generators::layered(TaskTypeId(0), 4, 4);
+    let run = |broadcast: bool, max_events: u64| {
+        let mut sim = Simulator::new(
+            SimConfig::new(Arc::clone(&topo), Policy::DamC)
+                .seed(7)
+                .cost(Arc::new(UniformCost::new(1e-3))),
+        );
+        sim.set_broadcast_wakeups(broadcast);
+        sim.max_events = max_events;
+        sim.run(&dag)
+    };
+    let events = run(false, u64::MAX)
+        .expect("an unbounded run completes")
+        .events;
+    let mut trips = std::collections::BTreeSet::new();
+    for max_events in 0..=events {
+        let batch = run(false, max_events);
+        assert_eq!(batch, run(true, max_events), "max_events = {max_events}");
+        match batch {
+            Err(SimError::EventLimitExceeded { completed, total }) => {
+                assert_eq!(total, dag.len(), "max_events = {max_events}");
+                trips.insert(completed);
+            }
+            Ok(st) => assert_eq!(max_events, events, "completed under {max_events}: {st:?}"),
+            Err(e) => panic!("max_events = {max_events}: {e}"),
+        }
+    }
+    // The sweep crossed every commit but the last.
+    assert_eq!(trips.len(), dag.len(), "{trips:?}");
+}
+
+#[test]
+fn batch_members_join_assemblies_that_land_mid_batch() {
+    // RWSM-C on a perfectly scaling kernel molds its tasks wide. The
+    // first member of a batch to steal often empties the stealable
+    // index and dispatches a wide place whose other members are later
+    // members of the same batch: their AQs fill after the batch began.
+    // From then on the batch handles only members that hold work, so
+    // it must see those AQs (it re-reads `has_work` after every member
+    // it handles) and let the members join, as their own polls would.
+    let topo = Arc::new(Topology::grid(1, 4, 8));
+    let dag = generators::layered(TaskTypeId(0), 4, 60);
+    for seed in [3u64, 5, 8] {
+        let run = |broadcast: bool| {
+            let mut sim = Simulator::new(
+                SimConfig::new(Arc::clone(&topo), Policy::RwsmC)
+                    .seed(seed)
+                    .cost(Arc::new(TableCost::new().with(1e-3, 1.0, 0.0))),
+            );
+            sim.set_broadcast_wakeups(broadcast);
+            sim.record_trace(true);
+            let stats = sim.run(&dag).expect("run completes");
+            (stats, sim.take_trace())
+        };
+        let (ra, ta) = run(false);
+        let (rb, tb) = run(true);
+        let wide: usize = ra
+            .all_places
+            .iter()
+            .filter(|((_, width), _)| *width > 1)
+            .map(|(_, n)| n)
+            .sum();
+        assert!(wide > 0, "seed {seed}: no wide place");
+        assert_eq!(ra, rb, "seed {seed}: RunStats diverged");
+        assert_eq!(ta.spans, tb.spans, "seed {seed}: traces diverged");
+        assert_eq!(ta.makespan.to_bits(), tb.makespan.to_bits(), "seed {seed}");
     }
 }
