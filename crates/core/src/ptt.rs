@@ -27,8 +27,8 @@
 //! would.
 
 use das_topology::{CoreId, ExecutionPlace, Topology};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use crate::TaskTypeId;
 
@@ -856,12 +856,28 @@ impl std::fmt::Display for PttSnapshot {
     }
 }
 
+/// Buckets of the registry: bucket `b` holds the tables of type ids
+/// `2^b - 1 .. 2^(b+1) - 1`, so 17 of them cover every `u16` id.
+const BUCKETS: usize = 17;
+
+/// One bucket: allocated once, its cells each set once.
+type Bucket = OnceLock<Box<[OnceLock<Arc<Ptt>>]>>;
+
 /// All PTTs of an application: one per task type, created on demand
 /// (§4.1.1: "one such table is instantiated for each task type").
+///
+/// The tables live in append-only buckets of write-once cells: a
+/// bucket is allocated at the first lookup of one of its ids and a
+/// table at the first lookup of its own, and neither ever moves or goes
+/// away. A lookup is therefore two acquire loads — no lock, no
+/// reference count, no shared write — which is what the scheduler pays
+/// on every wake-up, dequeue and commit.
 pub struct PttRegistry {
     topo: Arc<Topology>,
     ratio: WeightRatio,
-    tables: RwLock<Vec<Arc<Ptt>>>,
+    buckets: [Bucket; BUCKETS],
+    /// One past the largest type id looked up so far.
+    len: AtomicUsize,
 }
 
 impl PttRegistry {
@@ -870,30 +886,38 @@ impl PttRegistry {
         PttRegistry {
             topo,
             ratio,
-            tables: RwLock::new(Vec::new()),
+            buckets: [const { OnceLock::new() }; BUCKETS],
+            len: AtomicUsize::new(0),
         }
     }
 
-    /// The PTT of task type `ty`, creating it (and any table for a lower
-    /// type id) if needed.
+    /// The PTT of task type `ty`, created at its first lookup. Every
+    /// lookup of one type yields the same table.
+    pub(crate) fn get(&self, ty: TaskTypeId) -> &Arc<Ptt> {
+        let i = usize::from(ty.0) + 1;
+        let b = i.ilog2() as usize;
+        let bucket = self.buckets[b].get_or_init(|| (0..1 << b).map(|_| OnceLock::new()).collect());
+        bucket[i - (1 << b)].get_or_init(|| {
+            // relaxed-ok: a monotone maximum read by `len`, which asks
+            // for no table contents; a reader that needs a table looks
+            // it up, through the cell's own synchronisation.
+            self.len.fetch_max(i, Ordering::Relaxed);
+            Arc::new(Ptt::new(Arc::clone(&self.topo), self.ratio))
+        })
+    }
+
+    /// The PTT of task type `ty`, creating it if needed (a shared
+    /// handle; the scheduler's own lookups borrow it instead).
     pub fn table(&self, ty: TaskTypeId) -> Arc<Ptt> {
-        let want = ty.0 as usize;
-        {
-            let tables = self.tables.read().expect("ptt registry poisoned");
-            if let Some(t) = tables.get(want) {
-                return Arc::clone(t);
-            }
-        }
-        let mut tables = self.tables.write().expect("ptt registry poisoned");
-        while tables.len() <= want {
-            tables.push(Arc::new(Ptt::new(Arc::clone(&self.topo), self.ratio)));
-        }
-        Arc::clone(&tables[want])
+        Arc::clone(self.get(ty))
     }
 
-    /// Number of task types seen so far.
+    /// Number of task types seen so far: one past the largest type id
+    /// looked up (a type below it that was never looked up counts, and
+    /// reads as an all-zero table).
     pub fn len(&self) -> usize {
-        self.tables.read().expect("ptt registry poisoned").len()
+        // relaxed-ok: see `get`; the count is a maximum, not a handle.
+        self.len.load(Ordering::Relaxed)
     }
 
     /// `true` if no task type has been seen.
@@ -915,7 +939,7 @@ impl PttRegistry {
     pub fn residual(&self, last: &mut Vec<PttSnapshot>) -> f64 {
         let mut max = 0.0f64;
         for ty in 0..self.len() {
-            let snap = self.table(TaskTypeId(ty as u16)).snapshot();
+            let snap = self.get(TaskTypeId(ty as u16)).snapshot();
             let d = match last.get(ty) {
                 Some(prev) => snap.delta(prev),
                 None => snap
@@ -1164,6 +1188,52 @@ mod tests {
         assert_eq!(reg.len(), 3);
         let c = reg.table(TaskTypeId(0));
         assert!(!Arc::ptr_eq(&a, &c));
+    }
+
+    #[test]
+    fn concurrent_first_lookups_create_one_table_per_type() {
+        // Four threads released together race to look up the same
+        // fresh ids, each walking them in its own order, so first
+        // lookups of one id (and first allocations of one bucket)
+        // collide. The ids reach the first, a middle and the last
+        // bucket.
+        let reg = PttRegistry::new(Arc::new(Topology::tx2()), WeightRatio::PAPER);
+        let ids: Vec<u16> = (0..200).chain([4_095, 40_000, u16::MAX]).collect();
+        let start = std::sync::Barrier::new(4);
+        let seen: Vec<Vec<Arc<Ptt>>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|t| {
+                    let (reg, ids, start) = (&reg, &ids, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        let n = ids.len();
+                        let mut got = vec![None; n];
+                        for k in 0..n {
+                            let i = if t % 2 == 0 {
+                                (k * 11 + t) % n
+                            } else {
+                                n - 1 - k
+                            };
+                            got[i] = Some(reg.table(TaskTypeId(ids[i])));
+                        }
+                        got.into_iter()
+                            .map(|t| t.expect("every id looked up"))
+                            .collect()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("lookup thread"))
+                .collect()
+        });
+        for (i, &id) in ids.iter().enumerate() {
+            for other in &seen[1..] {
+                assert!(Arc::ptr_eq(&seen[0][i], &other[i]), "type {id}");
+            }
+            assert!(Arc::ptr_eq(&seen[0][i], &reg.table(TaskTypeId(id))));
+        }
+        assert_eq!(reg.len(), usize::from(u16::MAX) + 1);
     }
 
     #[test]

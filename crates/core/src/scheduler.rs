@@ -50,7 +50,7 @@ pub struct Scheduler {
     /// relies on low-priority local searches for refresh).
     explore_every: u64,
     /// Decision counter driving `explore_every` and the exploration
-    /// round-robin cursor.
+    /// round-robin cursor; counts only while `explore_every > 0`.
     decisions: AtomicU64,
     /// dHEFT bookkeeping: predicted outstanding work per core (f64 bits),
     /// incremented at assignment, decremented at commit.
@@ -199,15 +199,19 @@ impl Scheduler {
         width_one_only: bool,
         probe: CoreId,
     ) -> ExecutionPlace {
-        // relaxed-ok: decision counter driving the periodic probe; only
-        // the modulo cadence matters, not cross-thread ordering.
-        let n = self.decisions.fetch_add(1, Ordering::Relaxed);
-        if self.explore_every > 0 && n % self.explore_every == self.explore_every - 1 {
-            if let Some(p) = self.exploration_place(n / self.explore_every, meta, width_one_only) {
-                return p;
+        if self.explore_every > 0 {
+            // relaxed-ok: decision counter driving the periodic probe;
+            // only the modulo cadence matters, not cross-thread ordering.
+            let n = self.decisions.fetch_add(1, Ordering::Relaxed);
+            if n % self.explore_every == self.explore_every - 1 {
+                if let Some(p) =
+                    self.exploration_place(n / self.explore_every, meta, width_one_only)
+                {
+                    return p;
+                }
             }
         }
-        let ptt = self.ptts.table(meta.ty);
+        let ptt = self.ptts.get(meta.ty);
         if self.sampled_search && !width_one_only {
             ptt.global_search_sampled(minimize_cost, meta.node_affinity, probe)
         } else {
@@ -260,7 +264,7 @@ impl Scheduler {
             // RWSM-C (all tasks), FAM-C (fast-cluster local search for
             // high priority, local elsewhere), DAM-C/DAM-P low-priority.
             _ if moldable => {
-                let ptt = self.ptts.table(meta.ty);
+                let ptt = self.ptts.get(meta.ty);
                 match meta.node_affinity {
                     Some(node) => ptt.local_search_on_node(core, node),
                     None => ptt.local_search(core),
@@ -275,7 +279,7 @@ impl Scheduler {
     /// estimate). Zero (unexplored) estimates make every core get tried
     /// at least once, mirroring dHEFT's discover-at-runtime behaviour.
     fn dheft_assign(&self, meta: &TaskMeta) -> WakeupDecision {
-        let ptt = self.ptts.table(meta.ty);
+        let ptt = self.ptts.get(meta.ty);
         let mut best: Option<(f64, CoreId)> = None;
         for core in self.topo.cores() {
             if let Some(node) = meta.node_affinity {
@@ -329,7 +333,7 @@ impl Scheduler {
     /// that ignore the PTT, but recorded uniformly so that switching
     /// policy mid-run (ablations) starts from a trained model.
     pub fn record(&self, ty: TaskTypeId, place: ExecutionPlace, seconds: f64) {
-        self.ptts.table(ty).update(place, seconds);
+        self.ptts.get(ty).update(place, seconds);
         if self.policy == Policy::DHeft && seconds.is_finite() && seconds > 0.0 {
             self.add_pending(place.leader, -seconds);
         }

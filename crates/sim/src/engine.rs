@@ -3,7 +3,7 @@
 //! integration across environment changes.
 
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -73,6 +73,8 @@ struct Assembly {
     task: TaskId,
     ty: TaskTypeId,
     place: ExecutionPlace,
+    /// The cluster of `place`.
+    cl: usize,
     joined: usize,
     member_join_t: Vec<f64>,
     leader_join_t: f64,
@@ -94,7 +96,8 @@ struct CoreState {
     aq: VecDeque<usize>,
 }
 
-/// A set of cores as a bitset, enumerated in ascending core order.
+/// A set of cores (or of other small ids: assembly slots) as a
+/// bitset, enumerated in ascending order.
 #[derive(Default)]
 struct CoreSet {
     words: Vec<u64>,
@@ -105,6 +108,13 @@ impl CoreSet {
     fn reset(&mut self, n: usize) {
         self.words.clear();
         self.words.resize(n.div_ceil(64), 0);
+    }
+
+    /// Make room for ids below `n`, keeping the members.
+    fn grow(&mut self, n: usize) {
+        if n > self.words.len() * 64 {
+            self.words.resize(n.div_ceil(64), 0);
+        }
     }
 
     fn set(&mut self, c: usize, on: bool) {
@@ -221,12 +231,15 @@ pub struct Simulator {
     // ---- per-run state ----
     cores: Vec<CoreState>,
     assemblies: Vec<Assembly>,
-    /// Slots of `assemblies` whose occupant committed, available for
-    /// reuse by the next dispatch. Without this the vector grows by one
-    /// Assembly per task for the whole run — a stream of a million jobs
-    /// would hold a million dead assemblies.
+    /// Slots of `assemblies` available to the next dispatch, taken from
+    /// the back: those whose occupant committed, above the slots never
+    /// used in this run in descending order. Without recycling the
+    /// vector would grow by one Assembly per task — a stream of a
+    /// million jobs would hold a million dead assemblies.
     free_assemblies: Vec<usize>,
-    running: BTreeSet<usize>,
+    /// Slots whose assembly is executing (rendezvous complete, not yet
+    /// finished), enumerated in ascending slot order.
+    running: CoreSet,
     /// Cores that joined an assembly and have not seen it finish.
     busy: CoreSet,
     /// Cores with a poll in the heap, alone or as a batch member.
@@ -254,6 +267,17 @@ pub struct Simulator {
     /// Number of running assemblies per cluster (independent streams
     /// contending for the cluster's cache/bandwidth).
     streams: Vec<usize>,
+    /// Number of running assemblies per cluster whose task type is
+    /// contention-sensitive; kept with `running`.
+    sensitive: Vec<usize>,
+    /// Commits of this run by place: `place_tally[leader * widths + i]`
+    /// counts `[all, high-priority]` commits at width
+    /// `all_widths()[i]`, folded into the `RunStats` place histograms
+    /// when the run completes.
+    place_tally: Vec<[u32; 2]>,
+    /// `width_index[w]` is the position of width `w` in the topology's
+    /// `all_widths()`.
+    width_index: Vec<usize>,
     preds: Vec<u32>,
     heap: BinaryHeap<HeapItem>,
     seq: u64,
@@ -274,6 +298,8 @@ pub struct Simulator {
     job_roots: Vec<Vec<TaskId>>,
     /// Uncommitted tasks per job.
     job_remaining: Vec<usize>,
+    /// The `JobArrive` items not yet in the heap, the earliest last.
+    arrivals: Vec<HeapItem>,
     /// First execution start per job (NaN until a task runs).
     job_started: Vec<f64>,
     /// Completion time per job (NaN until the last task commits).
@@ -313,6 +339,11 @@ impl Simulator {
     pub fn new(cfg: SimConfig) -> Self {
         let session = &cfg.session;
         let trace = session.metrics.is_some_and(|m| m.trace);
+        let widths = session.topo.all_widths();
+        let mut width_index = vec![0; widths.last().map_or(0, |&w| w + 1)];
+        for (i, &w) in widths.iter().enumerate() {
+            width_index[w] = i;
+        }
         Simulator {
             sched: Arc::new(session.scheduler()),
             env: Environment::interference_free(Arc::clone(&session.topo)),
@@ -323,7 +354,7 @@ impl Simulator {
             cores: Vec::new(),
             assemblies: Vec::new(),
             free_assemblies: Vec::new(),
-            running: BTreeSet::new(),
+            running: CoreSet::default(),
             busy: CoreSet::default(),
             poll_pending: CoreSet::default(),
             idle: CoreSet::default(),
@@ -333,6 +364,9 @@ impl Simulator {
             free_batches: Vec::new(),
             broadcast_wakeups: false,
             streams: Vec::new(),
+            sensitive: Vec::new(),
+            place_tally: Vec::new(),
+            width_index,
             preds: Vec::new(),
             heap: BinaryHeap::new(),
             seq: 0,
@@ -344,6 +378,7 @@ impl Simulator {
             job_of: Vec::new(),
             job_roots: Vec::new(),
             job_remaining: Vec::new(),
+            arrivals: Vec::new(),
             job_started: Vec::new(),
             job_done_at: Vec::new(),
             session: Session::new(session),
@@ -468,9 +503,20 @@ impl Simulator {
         if let Some(t) = self.env.next_change_after(0.0) {
             self.push(t, Ev::EnvChange);
         }
-        for (j, spec) in jobs.iter().enumerate() {
-            self.push(spec.arrival, Ev::JobArrive(j));
-        }
+        // Job `j`'s arrival takes the `seq` that pushing every arrival
+        // here in job order would give it, but only the earliest
+        // arrival waits in the heap (see `push_next_arrival`).
+        let seq = self.seq;
+        self.arrivals
+            .extend(jobs.iter().enumerate().map(|(j, spec)| HeapItem {
+                t: spec.arrival,
+                seq: seq + 1 + j as u64,
+                ev: Ev::JobArrive(j),
+            }));
+        // `HeapItem`'s order is the heap's, reversed: earliest greatest.
+        self.arrivals.sort_unstable();
+        self.seq += jobs.len() as u64;
+        self.push_next_arrival();
         self.drive(&merged)?;
         let per_job = jobs
             .iter()
@@ -569,11 +615,17 @@ impl Simulator {
             }
         }
         // With slot recycling the live assembly count is bounded by the
-        // core count, not the task count.
-        self.assemblies.clear();
-        self.assemblies.reserve(total.min(2 * n_cores));
+        // core count, not the task count. The slots, join-time buffers
+        // included, outlive the run; the free list hands them out lowest
+        // id first, the order in which a fresh vector would append them,
+        // so every dispatch takes the slot id it would take in a fresh
+        // simulator, and `running` orders the replans alike.
+        let slots = self.assemblies.len();
+        self.assemblies
+            .reserve(total.min(2 * n_cores).saturating_sub(slots));
         self.free_assemblies.clear();
-        self.running.clear();
+        self.free_assemblies.extend((0..slots).rev());
+        self.running.reset(slots);
         // Every core starts neither busy nor poll-pending, its queues
         // empty.
         self.busy.reset(n_cores);
@@ -582,7 +634,14 @@ impl Simulator {
         (0..n_cores).for_each(|c| self.idle.set(c, true));
         self.stealable.reset(n_cores);
         self.has_work.reset(n_cores);
-        self.streams = vec![0; self.cfg.session.topo.num_clusters()];
+        let n_clusters = self.cfg.session.topo.num_clusters();
+        self.streams.clear();
+        self.streams.resize(n_clusters, 0);
+        self.sensitive.clear();
+        self.sensitive.resize(n_clusters, 0);
+        self.place_tally.clear();
+        self.place_tally
+            .resize(n_cores * self.cfg.session.topo.all_widths().len(), [0; 2]);
         // `preds` is owned by `drive`, which rebuilds it from the dag.
         // The heap and the batch buffers keep their capacity: a session
         // flushes many batches through one simulator.
@@ -601,6 +660,7 @@ impl Simulator {
         self.job_of.clear();
         self.job_roots.clear();
         self.job_remaining.clear();
+        self.arrivals.clear();
         self.job_started.clear();
         self.job_done_at.clear();
     }
@@ -630,6 +690,7 @@ impl Simulator {
                     self.wakeup(dag, task, core, t);
                 }
                 Ev::JobArrive(j) => {
+                    self.push_next_arrival();
                     let t = self.now;
                     let roots = std::mem::take(&mut self.job_roots[j]);
                     for &root in &roots {
@@ -641,6 +702,9 @@ impl Simulator {
             if self.completed == total {
                 self.stats.makespan = self.now;
                 self.stats.events = events;
+                self.stats.tasks = total;
+                self.stats
+                    .set_places(&self.place_tally, self.cfg.session.topo.all_widths());
                 self.trace.makespan = self.now;
                 #[cfg(debug_assertions)]
                 self.check_indices();
@@ -705,6 +769,21 @@ impl Simulator {
                     .count();
             assert_eq!(owners, 1, "owners of batch buffer {b}");
         }
+        // The per-cluster counts summarise `running`.
+        for cl in 0..self.streams.len() {
+            let in_cl = || self.running.iter().filter(|&a| self.assemblies[a].cl == cl);
+            let sensitive = in_cl()
+                .filter(|&a| self.cfg.cost.contention_sensitivity(self.assemblies[a].ty) > 0.0)
+                .count();
+            assert_eq!(self.streams[cl], in_cl().count(), "streams of cluster {cl}");
+            assert_eq!(self.sensitive[cl], sensitive, "sensitive of cluster {cl}");
+        }
+        let arrivals = self
+            .heap
+            .iter()
+            .filter(|item| matches!(item.ev, Ev::JobArrive(_)))
+            .count();
+        assert!(arrivals <= 1, "{arrivals} JobArrive items in the heap");
     }
 
     // ---- event helpers ----
@@ -716,6 +795,38 @@ impl Simulator {
             seq: self.seq,
             ev,
         });
+    }
+
+    /// Move the earliest arrival still waiting in `arrivals` into the
+    /// heap, under the `seq` reserved for it, if any is left.
+    ///
+    /// `arrivals` is sorted by the heap's own `(t, seq)` order, so the
+    /// one arrival in the heap has a smaller key than every absent one,
+    /// and everything popped before it would also have been popped
+    /// before them; when it pops, the next one enters, its key no
+    /// smaller than any popped so far. Keys are unique, so the heap
+    /// pops every item exactly where it would with every arrival pushed
+    /// at the start — while holding one `JobArrive` instead of one per
+    /// job.
+    fn push_next_arrival(&mut self) {
+        if let Some(item) = self.arrivals.pop() {
+            self.heap.push(item);
+        }
+    }
+
+    /// Add assembly `aid` to, or remove it from, the running set and
+    /// its cluster's counts.
+    fn set_running(&mut self, aid: usize, on: bool) {
+        let a = &self.assemblies[aid];
+        let sensitive = usize::from(self.cfg.cost.contention_sensitivity(a.ty) > 0.0);
+        self.running.set(aid, on);
+        if on {
+            self.streams[a.cl] += 1;
+            self.sensitive[a.cl] += sensitive;
+        } else {
+            self.streams[a.cl] -= 1;
+            self.sensitive[a.cl] -= sensitive;
+        }
     }
 
     /// Schedule a queue poll on `core` at time `t` unless one is already
@@ -732,7 +843,6 @@ impl Simulator {
     /// the target queue (Fig. 3 steps 1–2) and pushes it there.
     fn wakeup(&mut self, dag: &Dag, task: TaskId, waking_core: usize, t: f64) {
         let node = dag.node(task);
-        self.stats.record_tag_event(node.tag, t);
         let d = self.sched.on_wakeup(&node.meta, CoreId(waking_core));
         let entry = ReadyEntry::new(task, &d);
         let migratable = entry.is_stealable();
@@ -983,6 +1093,7 @@ impl Simulator {
             task,
             ty: node.meta.ty,
             place,
+            cl: self.cfg.session.topo.cluster_of(place.first_core()).id.0,
             joined: 0,
             member_join_t,
             leader_join_t: 0.0,
@@ -996,6 +1107,7 @@ impl Simulator {
         };
         if aid == self.assemblies.len() {
             self.assemblies.push(asm);
+            self.running.grow(self.assemblies.len());
         } else {
             self.assemblies[aid] = asm;
         }
@@ -1028,9 +1140,8 @@ impl Simulator {
             let task = a.task;
             let node = dag.node(task);
             let work = self.cfg.cost.work(node.meta.ty) * node.work_scale;
-            let (ty, place) = (a.ty, a.place);
-            let cl = self.cfg.session.topo.cluster_of(place.first_core()).id.0;
-            self.streams[cl] += 1;
+            let (ty, place, cl) = (a.ty, a.place, a.cl);
+            self.set_running(aid, true);
             let rate = self.exec_rate(ty, place, t);
             let a = &mut self.assemblies[aid];
             a.started = true;
@@ -1040,7 +1151,6 @@ impl Simulator {
             a.rate = rate;
             let dt = work / rate;
             let gen = a.gen;
-            self.running.insert(aid);
             self.push(t + dt, Ev::Finish(aid, gen));
             // A new stream changes the contention everyone else in the
             // cluster sees.
@@ -1064,18 +1174,8 @@ impl Simulator {
                 return; // superseded by an environment change
             }
         }
-        self.running.remove(&aid);
-        {
-            let cl = self
-                .cfg
-                .session
-                .topo
-                .cluster_of(self.assemblies[aid].place.first_core())
-                .id
-                .0;
-            self.streams[cl] -= 1;
-            self.replan_cluster(cl, Some(aid), t);
-        }
+        self.set_running(aid, false);
+        self.replan_cluster(self.assemblies[aid].cl, Some(aid), t);
         let (task, place, leader_join_t, start_t) = {
             let a = &mut self.assemblies[aid];
             a.done = true;
@@ -1129,12 +1229,11 @@ impl Simulator {
         }
         self.sched.record(node.meta.ty, place, observed);
 
-        self.stats.record_commit(
-            (place.leader.0, place.width),
-            node.meta.priority.is_high(),
-            node.tag,
-        );
-        self.stats.record_tag_event(node.tag, t);
+        let tally = &mut self.place_tally[place.leader.0
+            * self.cfg.session.topo.all_widths().len()
+            + self.width_index[place.width]];
+        tally[0] += 1;
+        tally[1] += u32::from(node.meta.priority.is_high());
         self.completed += 1;
         // Job-stream accounting: the last committed task completes the
         // job.
@@ -1177,7 +1276,7 @@ impl Simulator {
         // a fresh Vec each time.
         let mut ids = std::mem::take(&mut self.replan_scratch);
         ids.clear();
-        ids.extend(self.running.iter().copied());
+        ids.extend(self.running.iter());
         for aid in ids.drain(..) {
             self.replan(aid, t);
         }
@@ -1210,38 +1309,25 @@ impl Simulator {
     /// Re-plan every running assembly of cluster `cl` except `skip`
     /// (the one that just started or finished — its own plan is already
     /// current). Called whenever the cluster's stream count changes.
+    ///
+    /// If no running assembly in `cl` has a contention-sensitive task
+    /// type, the change cannot move any rate and the replan (plus its
+    /// superseded events) is skipped.
     fn replan_cluster(&mut self, cl: usize, skip: Option<usize>, t: f64) {
-        if self.streams_sensitive_types_absent(cl) {
+        if self.sensitive[cl] == 0 {
             return;
         }
         let mut ids = std::mem::take(&mut self.replan_scratch);
         ids.clear();
-        ids.extend(self.running.iter().copied().filter(|&aid| {
-            Some(aid) != skip
-                && self
-                    .cfg
-                    .session
-                    .topo
-                    .cluster_of(self.assemblies[aid].place.first_core())
-                    .id
-                    .0
-                    == cl
-        }));
+        ids.extend(
+            self.running
+                .iter()
+                .filter(|&aid| Some(aid) != skip && self.assemblies[aid].cl == cl),
+        );
         for aid in ids.drain(..) {
             self.replan(aid, t);
         }
         self.replan_scratch = ids;
-    }
-
-    /// Cheap short-circuit: if no running assembly in `cl` has a
-    /// contention-sensitive task type, stream-count changes cannot move
-    /// any rate and the replan (plus its superseded events) is skipped.
-    fn streams_sensitive_types_absent(&self, cl: usize) -> bool {
-        !self.running.iter().any(|&aid| {
-            let a = &self.assemblies[aid];
-            self.cfg.session.topo.cluster_of(a.place.first_core()).id.0 == cl
-                && self.cfg.cost.contention_sensitivity(a.ty) > 0.0
-        })
     }
 
     /// Execution rate of a moldable task at `place` at time `t`.
@@ -1514,7 +1600,8 @@ mod tests {
             Simulator::new(SimConfig::new(Arc::clone(&topo), Policy::RwsmC).cost(Arc::new(cost)));
         let dag = generators::layered(TaskTypeId(0), 4, 300);
         let st = s.run(&dag).unwrap();
-        let widths: BTreeSet<usize> = st.all_places.keys().map(|&(_, w)| w).collect();
+        let widths: std::collections::BTreeSet<usize> =
+            st.all_places.keys().map(|&(_, w)| w).collect();
         assert!(
             widths.len() > 1,
             "molding never used any width > 1: {widths:?}"

@@ -23,14 +23,8 @@ pub struct RunStats {
     /// How many *high-priority* tasks committed at each execution place —
     /// the pie charts of Fig. 5.
     pub high_priority_places: BTreeMap<PlaceKey, usize>,
-    /// How many tasks (any priority) committed at each place — the curves
-    /// of Fig. 9(b)/(c) are per-tag slices of this.
+    /// How many tasks (any priority) committed at each place.
     pub all_places: BTreeMap<PlaceKey, usize>,
-    /// Per-tag place histogram (`tag` is the app-defined grouping,
-    /// e.g. the K-means iteration).
-    pub tag_places: BTreeMap<(u64, PlaceKey), usize>,
-    /// Per-tag `(first wake-up, last commit)` span.
-    pub tag_span: BTreeMap<u64, (f64, f64)>,
     /// Successful steals.
     pub steals: usize,
     /// Steal attempts that found no victim.
@@ -75,19 +69,24 @@ impl RunStats {
         on as f64 / total as f64
     }
 
-    pub(crate) fn record_commit(&mut self, place: (usize, usize), high: bool, tag: u64) {
-        self.tasks += 1;
-        *self.all_places.entry(place).or_insert(0) += 1;
-        if high {
-            *self.high_priority_places.entry(place).or_insert(0) += 1;
-        }
-        *self.tag_places.entry((tag, place)).or_insert(0) += 1;
-    }
-
-    pub(crate) fn record_tag_event(&mut self, tag: u64, t: f64) {
-        let e = self.tag_span.entry(tag).or_insert((t, t));
-        e.0 = e.0.min(t);
-        e.1 = e.1.max(t);
+    /// Fill `all_places` and `high_priority_places` from a dense tally:
+    /// `tally[leader * widths.len() + i]` counts `[all, high-priority]`
+    /// commits at `(leader, widths[i])`. With `widths` ascending the
+    /// keys come out in map order, so each map is built in bulk.
+    pub(crate) fn set_places(&mut self, tally: &[[u32; 2]], widths: &[usize]) {
+        let places = |kind: usize| {
+            tally
+                .iter()
+                .enumerate()
+                .filter(move |(_, n)| n[kind] > 0)
+                .map(|(i, n)| {
+                    let key = (i / widths.len(), widths[i % widths.len()]);
+                    (key, n[kind] as usize)
+                })
+                .collect()
+        };
+        self.all_places = places(0);
+        self.high_priority_places = places(1);
     }
 }
 
@@ -99,24 +98,20 @@ mod tests {
     fn throughput_and_shares() {
         let mut s = RunStats::new(4);
         s.makespan = 2.0;
-        s.record_commit((0, 1), true, 0);
-        s.record_commit((1, 2), true, 0);
-        s.record_commit((1, 1), false, 1);
-        assert_eq!(s.tasks, 3);
+        s.tasks = 3;
+        // Leaders 0..2, widths [1, 2]: (0,1) high, (1,1) low, (1,2) high.
+        s.set_places(&[[1, 1], [0, 0], [1, 0], [1, 1]], &[1, 2]);
+        assert_eq!(
+            s.all_places,
+            BTreeMap::from([((0, 1), 1), ((1, 1), 1), ((1, 2), 1)])
+        );
+        assert_eq!(
+            s.high_priority_places,
+            BTreeMap::from([((0, 1), 1), ((1, 2), 1)])
+        );
         assert!((s.throughput() - 1.5).abs() < 1e-12);
         assert!((s.high_priority_share_on_core(1) - 0.5).abs() < 1e-12);
         assert_eq!(s.high_priority_share_on_core(3), 0.0);
-        assert_eq!(s.all_places.len(), 3);
-        assert_eq!(s.tag_places[&(0, (0, 1))], 1);
-    }
-
-    #[test]
-    fn tag_span_tracks_min_max() {
-        let mut s = RunStats::new(1);
-        s.record_tag_event(7, 5.0);
-        s.record_tag_event(7, 2.0);
-        s.record_tag_event(7, 9.0);
-        assert_eq!(s.tag_span[&7], (2.0, 9.0));
     }
 
     #[test]

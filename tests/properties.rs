@@ -263,12 +263,17 @@ proptest! {
                 .cost(Arc::new(UniformCost::new(1e-4)))
                 .seed(seed),
         );
-        let st = sim.run(&dag).unwrap();
-        for (&(tag, (core, _w)), &n) in &st.tag_places {
-            if n > 0 {
-                let cluster_node = topo.cluster_of(CoreId(core)).node;
-                prop_assert_eq!(cluster_node, tag as usize, "core {} ran node-{} task", core, tag);
-            }
+        sim.record_trace(true);
+        sim.run(&dag).unwrap();
+        // Every member core of every committed assembly, not only its
+        // leader, is on the task's node (the task's tag).
+        let trace = sim.take_trace();
+        prop_assert!(trace.spans.len() >= dag.len());
+        for span in &trace.spans {
+            let cluster_node = topo.cluster_of(CoreId(span.core)).node;
+            prop_assert_eq!(
+                cluster_node, span.tag as usize, "core {} ran node-{} task", span.core, span.tag
+            );
         }
     }
 

@@ -227,3 +227,163 @@ fn sim_config_and_session_build_the_same_simulator() {
         );
     }
 }
+
+/// The stream behind `out_of_order_arrivals_pinned`: twelve jobs whose
+/// arrivals are out of job order and tie in threes and pairs, over two
+/// contention-sensitive kernel types and one insensitive one, on a TX2
+/// with a co-runner.
+fn out_of_order_stream(
+    policy: Policy,
+    seed: u64,
+) -> (das::core::jobs::StreamStats, das::exec::ExecExtras) {
+    use das::core::jobs::JobSpec;
+    use das::core::Priority;
+    use das::exec::Executor;
+    use das::sim::{Environment, Modifier};
+    use das::topology::CoreId;
+    use das::workloads::types;
+    let topo = Arc::new(Topology::tx2());
+    let mut sim = Simulator::new(
+        SimConfig::new(Arc::clone(&topo), policy)
+            .seed(seed)
+            .cost(Arc::new(PaperCost::new())),
+    );
+    sim.set_env(
+        Environment::interference_free(Arc::clone(&topo))
+            .and(Modifier::compute_corunner(CoreId(0))),
+    );
+    let arrivals_ms = [3.0, 1.0, 1.0, 0.0, 5.0, 2.0, 0.0, 4.0, 2.0, 6.0, 1.0, 3.0];
+    for (j, &ms) in arrivals_ms.iter().enumerate() {
+        let ty = [types::MATMUL, types::COPY, types::KMEANS_REDUCE][j % 3];
+        let mut dag = match j % 4 {
+            0 => generators::layered(ty, 3, 4),
+            1 => generators::fork_join(ty, 2, 5),
+            2 => generators::layered(ty, 2, 3),
+            _ => generators::chain(ty, 6),
+        };
+        if j % 4 == 0 {
+            let root = dag.roots()[0];
+            dag.set_priority(root, Priority::High);
+        }
+        sim.submit(JobSpec::new(dag).at(ms * 1e-3))
+            .expect("admitted");
+    }
+    let stats = sim.drain().expect("the stream completes");
+    (stats, sim.take_extras())
+}
+
+#[test]
+fn out_of_order_arrivals_pinned() {
+    // Golden values captured from the engine BEFORE the stream engine
+    // kept only the next arrival in its event heap (all `JobArrive`s
+    // were pushed up front). The per-job time bits
+    // (arrival, started, completed) are folded into one checksum.
+    let golden: [(Policy, u64, u64, u64, u64, u64); 3] = [
+        (Policy::DamC, 1, 575, 43, 37, 0x30eb_7ea5_f617_22de),
+        (Policy::RwsmC, 2, 554, 29, 34, 0x3d0d_cf0d_e27f_e395),
+        (Policy::Rws, 3, 820, 29, 53, 0xace4_3ecd_c264_07a6),
+    ];
+    for (policy, seed, events, steals, failed, time_sum) in golden {
+        let (stats, extras) = out_of_order_stream(policy, seed);
+        assert_eq!(stats.jobs.len(), 12);
+        let sum = stats.jobs.iter().fold(0u64, |acc, j| {
+            [j.arrival, j.started, j.completed]
+                .iter()
+                .fold(acc, |a, t| a.rotate_left(7) ^ t.to_bits())
+        });
+        let got = (
+            extras.events.unwrap_or(0),
+            extras.steals.unwrap_or(0),
+            extras.get("failed_steals").unwrap_or(0.0) as u64,
+            sum,
+        );
+        assert_eq!(
+            got,
+            (events, steals, failed, time_sum),
+            "{policy} seed={seed}"
+        );
+    }
+}
+
+/// `all_places` and `high_priority_places` against a recount of the
+/// run's trace: one leader span per committed task, grouped by
+/// `(leader, width)`, its priority read from the DAG.
+fn assert_places_recount_the_trace(
+    sim: &mut Simulator,
+    dag: &das::dag::Dag,
+    label: &str,
+) -> das::sim::RunStats {
+    use std::collections::BTreeMap;
+    sim.record_trace(true);
+    let st = sim.run(dag).expect("run completes");
+    let trace = sim.take_trace();
+    let (mut all, mut high) = (BTreeMap::new(), BTreeMap::new());
+    for span in trace.spans.iter().filter(|s| s.core == s.leader) {
+        let key = (span.leader, span.width);
+        *all.entry(key).or_insert(0) += 1;
+        let node = dag.node(das::dag::TaskId(span.task as u32));
+        if node.meta.priority.is_high() {
+            *high.entry(key).or_insert(0) += 1;
+        }
+    }
+    assert_eq!(all.values().sum::<usize>(), dag.len(), "{label}");
+    assert_eq!(st.all_places, all, "{label}");
+    assert_eq!(st.high_priority_places, high, "{label}");
+    st
+}
+
+#[test]
+fn place_histograms_recount_the_trace() {
+    use das::core::{Priority, TaskMeta};
+    use das::sim::{Environment, Modifier};
+    use das::topology::CoreId;
+    // Every policy on the TX2 with a co-runner, under a cost model
+    // whose kernels scale, so the molding policies use wide places.
+    let topo = Arc::new(Topology::tx2());
+    let dag = generators::layered(TaskTypeId(0), 4, 60);
+    for policy in Policy::ALL {
+        for seed in [1, 2, 3] {
+            let mut sim = Simulator::new(
+                SimConfig::new(Arc::clone(&topo), policy)
+                    .seed(seed)
+                    .cost(Arc::new(PaperCost::new())),
+            );
+            sim.set_env(
+                Environment::interference_free(Arc::clone(&topo))
+                    .and(Modifier::compute_corunner(CoreId(0))),
+            );
+            let label = format!("{policy} seed={seed}");
+            let st = assert_places_recount_the_trace(&mut sim, &dag, &label);
+            if policy == Policy::RwsmC {
+                assert!(
+                    st.all_places.keys().any(|&(_, w)| w > 1),
+                    "{label}: the molding policy uses a wide place"
+                );
+            }
+        }
+    }
+    // Two nodes, tasks bound to alternating nodes.
+    let topo = Arc::new(Topology::haswell_cluster(2));
+    let mut dag = das::dag::Dag::new("affine");
+    let mut prev = None;
+    for i in 0..120usize {
+        let prio = if i % 3 == 0 {
+            Priority::High
+        } else {
+            Priority::Low
+        };
+        let id = dag.add_task_meta(TaskMeta::new(TaskTypeId(0), prio).with_affinity(i % 2));
+        if let Some(p) = prev.filter(|_| i % 4 != 0) {
+            dag.add_edge(p, id);
+        }
+        prev = Some(id);
+    }
+    for policy in Policy::ALL {
+        let mut sim = Simulator::new(
+            SimConfig::new(Arc::clone(&topo), policy)
+                .seed(5)
+                .cost(Arc::new(PaperCost::new())),
+        );
+        assert_places_recount_the_trace(&mut sim, &dag, &format!("haswell {policy}"));
+    }
+}
