@@ -1,6 +1,6 @@
 //! Every figure of the paper's evaluation (§5), and the ablations and
-//! extensions beyond it, as data: a [`Figure`] turns a scale divisor
-//! into [`Table`]s, and [`REGISTRY`] names them all.
+//! extensions beyond it, as data: a figure is a function from a scale
+//! divisor to [`Table`]s, and [`REGISTRY`] names them all.
 //!
 //! Each simulated scenario is built once, through [`SessionBuilder`] +
 //! [`Simulator::from_session_with_cost`]: the §5.1 co-runner
@@ -27,7 +27,7 @@ const SEED: u64 = 0x1c99_2020;
 
 /// A figure: its tables with the paper's task counts divided by the
 /// argument (`1` is paper-sized).
-pub type Figure = fn(usize) -> Vec<Table>;
+pub(crate) type Figure = fn(usize) -> Vec<Table>;
 
 /// Every figure, by name, in print order.
 pub const REGISTRY: [(&str, Figure); 12] = [

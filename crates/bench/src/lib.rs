@@ -45,7 +45,7 @@ pub struct Table {
     /// What the table shows, units included.
     pub title: String,
     /// Header of the row-label column (the figure's x axis).
-    pub axis: String,
+    pub(crate) axis: String,
     /// One label per cell column.
     pub columns: Vec<String>,
     /// `(label, cells)`, one cell per column.
@@ -56,7 +56,7 @@ pub struct Table {
 
 impl Table {
     /// An empty table.
-    pub fn new(
+    pub(crate) fn new(
         title: impl Into<String>,
         axis: impl Into<String>,
         columns: impl IntoIterator<Item = impl Into<String>>,
@@ -71,12 +71,12 @@ impl Table {
     }
 
     /// Append a row.
-    pub fn row(&mut self, label: impl Into<String>, cells: Vec<f64>) {
+    pub(crate) fn row(&mut self, label: impl Into<String>, cells: Vec<f64>) {
         self.rows.push((label.into(), cells));
     }
 
     /// Append a headline scalar.
-    pub fn headline(&mut self, name: impl Into<String>, value: f64) {
+    pub(crate) fn headline(&mut self, name: impl Into<String>, value: f64) {
         self.headlines.push((name.into(), value));
     }
 
@@ -88,7 +88,7 @@ impl Table {
         clippy::panic,
         reason = "a missing column is a typo in a figure table, documented under # Panics"
     )]
-    pub fn column(&self, name: &str) -> Vec<f64> {
+    pub(crate) fn column(&self, name: &str) -> Vec<f64> {
         let i = self
             .columns
             .iter()

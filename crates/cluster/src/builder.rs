@@ -94,11 +94,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// The per-node sessions this builder will construct from.
-    pub fn sessions(&self) -> &[SessionBuilder] {
-        &self.sessions
-    }
-
     /// A cluster of `das-sim` nodes (`Simulator::from_session` each).
     pub fn build_sim(self) -> Cluster<Dag> {
         self.build_with(|_, session| Simulator::from_session(session))

@@ -129,12 +129,6 @@ pub struct Cluster<G> {
 }
 
 impl<G> Cluster<G> {
-    /// Number of node slots ever created — live, dead and removed
-    /// (indices are stable and never reused).
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Number of live nodes.
     pub fn live_nodes(&self) -> usize {
         self.nodes.iter().filter(|n| n.is_live()).count()

@@ -64,7 +64,7 @@
 //! as `node{i}.failed`.
 //!
 //! Deterministic **fault injection** drives all of this in tests: a
-//! seeded [`das_core::FaultSchedule`] on the base session plants
+//! [`das_core::FaultSchedule`] on the base session plants
 //! logical triggers (die at the k-th admitted job, drop or delay load
 //! reports, withhold acks, inflate reported load) that the node agents
 //! consult at fixed points — no wall-clock, so a faulty run is exactly

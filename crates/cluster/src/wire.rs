@@ -92,17 +92,17 @@ pub(crate) enum Ctrl<G> {
 /// snapshot.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct Drained {
-    pub jobs: u64,
-    pub tasks: u64,
+    pub(crate) jobs: u64,
+    pub(crate) tasks: u64,
     /// First arrival and last completion of the epoch (not a pre-folded
     /// span), so the dispatcher can compute the *global* stream span
     /// across nodes — identical to what `StreamStats::from_jobs` would
     /// report over the merged records. An empty epoch carries the fold
     /// identities (`t0 = +inf`, `t1 = 0`).
-    pub t0: f64,
-    pub t1: f64,
-    pub extras: ExecExtras,
-    pub body: DrainBody,
+    pub(crate) t0: f64,
+    pub(crate) t1: f64,
+    pub(crate) extras: ExecExtras,
+    pub(crate) body: DrainBody,
 }
 
 #[derive(Clone, Debug, PartialEq)]

@@ -652,19 +652,19 @@ pub struct SessionBuilder {
     pub policy: Policy,
     /// PTT weighted-update ratio (Fig. 8 sweep); the paper's 1:4 by
     /// default.
-    pub ratio: WeightRatio,
+    pub(crate) ratio: WeightRatio,
     /// Seed for work-stealing RNGs; equal seeds give bit-identical
     /// simulator runs.
     pub seed: u64,
     /// Use the representative-row sampled global search instead of the
     /// exhaustive one (see `Ptt::global_search_sampled`).
-    pub sampled_search: bool,
+    pub(crate) sampled_search: bool,
     /// Every `n`-th global placement explores round-robin instead of
     /// trusting the model; `0` disables (the paper's behaviour).
-    pub explore_every: u64,
+    pub(crate) explore_every: u64,
     /// Ablation: permit stealing of high-priority tasks (the paper
     /// forbids it).
-    pub allow_high_priority_steal: bool,
+    pub(crate) allow_high_priority_steal: bool,
     /// Simulated-runtime overheads (`das-sim` only).
     pub sim_params: SimParams,
     /// Admission bound: the most jobs a backend (or, on the cluster
@@ -672,7 +672,7 @@ pub struct SessionBuilder {
     /// with [`ExecError::Overloaded`]. `None` (the default) keeps the
     /// historical unbounded behaviour.
     pub max_outstanding: Option<usize>,
-    /// Seeded fault schedule for the cluster tier
+    /// Fault schedule for the cluster tier
     /// ([`crate::fault::FaultSchedule`]): which nodes die, drop frames
     /// or run slow, at which logical points. Single-node backends
     /// ignore it. `None` (the default) injects nothing and keeps every
@@ -721,19 +721,29 @@ impl SessionBuilder {
         self
     }
 
-    /// Toggle the sampled global search.
+    /// Toggle the sampled global search: high-priority placement uses
+    /// the representative-row search instead of the exhaustive one (a
+    /// scalability extension; `Ptt::global_search_sampled` says what it
+    /// still buys).
     pub fn sampled_search(mut self, on: bool) -> Self {
         self.sampled_search = on;
         self
     }
 
-    /// Explore round-robin every `n`-th global placement (`0` off).
+    /// Explore round-robin every `n`-th global placement (`0` off, the
+    /// paper's behaviour): the place is taken from the full place list
+    /// instead of the PTT search. This guards against *stale
+    /// pessimism*: once interference taught the PTT that a place is
+    /// slow, nothing but another visit can teach it the interference
+    /// ended.
     pub fn explore_every(mut self, n: u64) -> Self {
         self.explore_every = n;
         self
     }
 
-    /// Ablation: allow stealing of high-priority tasks.
+    /// Ablation: allow stealing of high-priority tasks (the paper's
+    /// design forbids it). Affects [`Scheduler::stealable`] and the
+    /// `stealable` field of wake-up decisions.
     pub fn allow_high_priority_steal(mut self, allow: bool) -> Self {
         self.allow_high_priority_steal = allow;
         self
@@ -753,7 +763,7 @@ impl SessionBuilder {
         self
     }
 
-    /// Attach a seeded fault schedule (see
+    /// Attach a fault schedule (see
     /// [`crate::fault::FaultSchedule`]). Consumed by the cluster tier
     /// when it spawns node agents; single-node backends ignore it.
     pub fn fault_schedule(mut self, faults: crate::fault::FaultSchedule) -> Self {
@@ -774,10 +784,7 @@ impl SessionBuilder {
     /// method, so a knob set here is in force identically in
     /// simulation and on hardware.
     pub fn scheduler(&self) -> Scheduler {
-        Scheduler::with_ratio(Arc::clone(&self.topo), self.policy, self.ratio)
-            .with_sampled_search(self.sampled_search)
-            .with_periodic_exploration(self.explore_every)
-            .allow_high_priority_steal(self.allow_high_priority_steal)
+        Scheduler::from_session(self)
     }
 }
 

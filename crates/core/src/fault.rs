@@ -1,10 +1,9 @@
-//! Deterministic fault plane: seeded fault schedules for the cluster
-//! tier.
+//! Deterministic fault plane: fault schedules for the cluster tier.
 //!
 //! The paper's premise is scheduling under *dynamically asymmetric*
 //! conditions — and the sharpest asymmetry is a node that dies, stalls
 //! or lies about its load. This module is the configuration half of the
-//! failure-domain layer: a [`FaultSchedule`] is a plain, seedable value
+//! failure-domain layer: a [`FaultSchedule`] is a plain value
 //! describing *what goes wrong, where, and when*, attached to a session
 //! via [`SessionBuilder::fault_schedule`](crate::exec::SessionBuilder::fault_schedule)
 //! and consumed by the cluster dispatcher when it spawns node agents.
@@ -32,7 +31,7 @@
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultEvent {
     /// The node the fault applies to (cluster node index, not a rank).
-    pub node: usize,
+    pub(crate) node: usize,
     /// What goes wrong.
     pub kind: FaultKind,
 }
@@ -84,7 +83,7 @@ pub enum FaultKind {
     },
 }
 
-/// A seeded, declarative schedule of faults for one cluster session.
+/// A declarative schedule of faults for one cluster session.
 ///
 /// Built with the chainable methods below and attached to a session via
 /// [`SessionBuilder::fault_schedule`](crate::exec::SessionBuilder::fault_schedule).
@@ -92,32 +91,19 @@ pub enum FaultKind {
 /// execution path bit-identical to a fault-free build.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultSchedule {
-    seed: u64,
     events: Vec<FaultEvent>,
 }
 
 impl FaultSchedule {
-    /// An empty schedule carrying `seed` for the random helpers.
-    pub fn new(seed: u64) -> Self {
-        FaultSchedule {
-            seed,
-            events: Vec::new(),
-        }
-    }
-
-    /// The schedule's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
+    /// An empty schedule. `seed` is not stored: every trigger is a
+    /// logical count, so nothing in a schedule is drawn at random.
+    pub fn new(_seed: u64) -> Self {
+        FaultSchedule::default()
     }
 
     /// The scheduled events, in insertion order.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
-    }
-
-    /// `true` when the schedule injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Kill `node` after it has admitted `after_jobs` jobs (the next
@@ -128,17 +114,6 @@ impl FaultSchedule {
             kind: FaultKind::Kill { after_jobs },
         });
         self
-    }
-
-    /// Kill one node chosen deterministically from the schedule's seed:
-    /// node `s % nodes`, after `1 + s' % max_after` admitted jobs. Two
-    /// schedules with equal seeds pick identically.
-    pub fn kill_random(self, nodes: usize, max_after: u64) -> Self {
-        assert!(nodes > 0, "kill_random needs at least one node");
-        assert!(max_after > 0, "kill_random needs a positive job bound");
-        let a = splitmix64(self.seed);
-        let b = splitmix64(a);
-        self.kill((a % nodes as u64) as usize, 1 + b % max_after)
     }
 
     /// Drop `node`'s next `count` load reports. See
@@ -180,9 +155,11 @@ impl FaultSchedule {
         self
     }
 
-    /// Compile the schedule into the runtime counters for one node. The
-    /// plane for a node the schedule never mentions is inert
-    /// ([`FaultPlane::is_inert`]), so fault-free nodes pay nothing.
+    /// Compile the schedule into the runtime counters for one node. A
+    /// node the schedule never mentions gets `FaultPlane::default()`,
+    /// whose counters never fire; its agent still consults them at each
+    /// admission and load report (a compare or a multiply by 1.0 per
+    /// decision point).
     pub fn plane_for(&self, node: usize) -> FaultPlane {
         let mut plane = FaultPlane::default();
         for ev in self.events.iter().filter(|ev| ev.node == node) {
@@ -232,16 +209,6 @@ impl Default for FaultPlane {
 }
 
 impl FaultPlane {
-    /// `true` when no fault will ever fire on this node — the fast path
-    /// agents check once to skip all fault accounting.
-    pub fn is_inert(&self) -> bool {
-        self.kill_after.is_none()
-            && self.drop_loads == 0
-            && self.delay_loads == 0
-            && self.drop_acks == 0
-            && self.slow_factor == 1.0
-    }
-
     /// The agent is about to admit `jobs` more jobs. Returns `true` if
     /// the scheduled kill triggers *before* any of them is admitted
     /// (the agent must die without admitting the batch); otherwise the
@@ -298,16 +265,6 @@ impl FaultPlane {
     }
 }
 
-/// SplitMix64: the standard 64-bit seed mixer. Pure function of its
-/// input — used so [`FaultSchedule::kill_random`] derives its choices
-/// from the schedule seed alone, with no RNG state or dependency.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,8 +272,8 @@ mod tests {
     #[test]
     fn empty_schedule_yields_inert_planes() {
         let faults = FaultSchedule::default();
-        assert!(faults.is_empty());
-        assert!(faults.plane_for(0).is_inert());
+        assert!(faults.events().is_empty());
+        assert_eq!(faults.plane_for(0), FaultPlane::default());
         assert_eq!(faults.plane_for(3), FaultPlane::default());
     }
 
@@ -324,13 +281,13 @@ mod tests {
     fn kill_triggers_exactly_after_the_quota() {
         let faults = FaultSchedule::new(1).kill(2, 3);
         let mut plane = faults.plane_for(2);
-        assert!(!plane.is_inert());
+        assert_ne!(plane, FaultPlane::default());
         assert!(!plane.on_admit(1));
         assert!(!plane.on_admit(2)); // 3 admitted: at the quota, alive
         assert!(plane.on_admit(1), "the 4th admission kills");
         assert_eq!(plane.admitted(), 3, "the fatal batch is not admitted");
         // Other nodes stay inert.
-        assert!(faults.plane_for(0).is_inert());
+        assert_eq!(faults.plane_for(0), FaultPlane::default());
     }
 
     #[test]
@@ -369,22 +326,7 @@ mod tests {
     fn slow_factors_compose_multiplicatively() {
         let plane = FaultSchedule::new(7).slow(0, 2.0).slow(0, 3.0).plane_for(0);
         assert_eq!(plane.slow_factor(), 6.0);
-        assert!(!plane.is_inert());
-    }
-
-    #[test]
-    fn kill_random_is_a_pure_function_of_the_seed() {
-        let a = FaultSchedule::new(42).kill_random(4, 10);
-        let b = FaultSchedule::new(42).kill_random(4, 10);
-        assert_eq!(a, b, "equal seeds pick identically");
-        let FaultKind::Kill { after_jobs } = a.events()[0].kind else {
-            panic!("kill_random schedules a kill");
-        };
-        assert!(a.events()[0].node < 4);
-        assert!((1..=10).contains(&after_jobs));
-        // A different seed (eventually) picks differently: probe a few.
-        let distinct = (0..16u64).any(|s| FaultSchedule::new(s).kill_random(4, 10) != a);
-        assert!(distinct, "seed actually feeds the choice");
+        assert_ne!(plane, FaultPlane::default());
     }
 
     #[test]
@@ -392,7 +334,6 @@ mod tests {
         let a = FaultSchedule::new(3).kill(1, 2).slow(0, 1.5);
         let b = a.clone();
         assert_eq!(a, b);
-        assert_eq!(a.seed(), 3);
         assert_eq!(a.events().len(), 2);
     }
 }

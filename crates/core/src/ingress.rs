@@ -10,7 +10,7 @@
 //!
 //! * **Sharded, cache-padded slot buffers** — an [`Ingress`] owns
 //!   eight shards (or an explicit count through
-//!   [`Ingress::with_config`]), each a [`CachePadded`] slot buffer with its own lock and its own
+//!   [`Ingress::with_config`]), each a `CachePadded` slot buffer with its own lock and its own
 //!   atomic id counter, so submitters on different shards never touch
 //!   the same cache line, in the style of block-STM's scheduler
 //!   counters.
@@ -83,19 +83,14 @@ use crate::jobs::{JobSpec, JobStats, StreamStats};
 /// `CachePadded` (this crate is std-only by design).
 #[derive(Debug, Default)]
 #[repr(align(128))]
-pub struct CachePadded<T> {
+pub(crate) struct CachePadded<T> {
     value: T,
 }
 
 impl<T> CachePadded<T> {
     /// Pad `value`.
-    pub const fn new(value: T) -> Self {
+    pub(crate) const fn new(value: T) -> Self {
         CachePadded { value }
-    }
-
-    /// Unwrap the padded value.
-    pub fn into_inner(self) -> T {
-        self.value
     }
 }
 
@@ -131,13 +126,6 @@ fn splitmix64(mut x: u64) -> u64 {
 pub struct IngressTicket {
     session: u64,
     id: u64,
-}
-
-impl IngressTicket {
-    /// The ingress-internal id (shard-strided, *not* a backend job id).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
 }
 
 /// The lock order `backend → slots`, held by construction: a shard's
@@ -297,15 +285,6 @@ impl<E: Executor> Ingress<E> {
         })
     }
 
-    /// Block until every buffered job has been handed to the backend
-    /// (one [`Executor::submit_many`] batch in ingress-id order).
-    /// Normally implicit in `submit`/`wait`/`drain`; exposed for
-    /// latency-sensitive clients that want the batch committed *now*.
-    pub fn flush(&self) -> Result<(), ExecError> {
-        let mut backend = self.backend.lock().expect("ingress backend poisoned");
-        self.flush_locked(&mut backend)
-    }
-
     /// Redeem a claim: flush (so the job reaches the backend), then
     /// wait on the backend ticket mapped at flush time. Returns the
     /// backend's record — its `id` is the backend's dense job id.
@@ -358,14 +337,6 @@ impl<E: Executor> Ingress<E> {
             .expect("ingress backend poisoned")
             .exec
             .take_extras()
-    }
-
-    /// Tear down the front door and recover the backend.
-    pub fn into_inner(self) -> E {
-        self.backend
-            .into_inner()
-            .expect("ingress backend poisoned")
-            .exec
     }
 
     /// Drain every shard, order by ingress id, and commit the batch
@@ -486,7 +457,7 @@ mod tests {
     fn strided_ids_are_unique_across_shards() {
         let ing = ingress(4, None);
         let mut ids: Vec<u64> = (0..64)
-            .map(|lane| ing.submit(lane, JobSpec::new(1)).expect("accepted").id())
+            .map(|lane| ing.submit(lane, JobSpec::new(1)).expect("accepted").id)
             .collect();
         ids.sort_unstable();
         ids.dedup();
@@ -601,6 +572,5 @@ mod tests {
         assert!(std::mem::size_of::<CachePadded<AtomicU64>>() >= 128);
         let padded = CachePadded::new(7u64);
         assert_eq!(*padded, 7);
-        assert_eq!(padded.into_inner(), 7);
     }
 }

@@ -167,7 +167,7 @@ impl StreamStats {
     }
 
     /// Committed tasks per second over the stream's span.
-    pub fn tasks_per_sec(&self) -> f64 {
+    pub(crate) fn tasks_per_sec(&self) -> f64 {
         if self.span > 0.0 {
             self.tasks as f64 / self.span
         } else {
@@ -184,14 +184,6 @@ impl StreamStats {
     /// The `q`-quantile of per-job queueing delays.
     pub fn queueing_percentile(&self, q: f64) -> Option<f64> {
         percentile(self.jobs.iter().map(JobStats::queueing), q)
-    }
-
-    /// Mean sojourn time, or 0 for an empty stream.
-    pub fn mean_sojourn(&self) -> f64 {
-        if self.jobs.is_empty() {
-            return 0.0;
-        }
-        self.jobs.iter().map(JobStats::sojourn).sum::<f64>() / self.jobs.len() as f64
     }
 
     /// `(met, total-with-deadline)` deadline accounting.
@@ -214,7 +206,7 @@ impl StreamStats {
 ///
 /// # Panics
 /// Panics unless `0.0 <= q <= 1.0`.
-pub fn percentile(values: impl Iterator<Item = f64>, q: f64) -> Option<f64> {
+pub(crate) fn percentile(values: impl Iterator<Item = f64>, q: f64) -> Option<f64> {
     assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
     let mut v: Vec<f64> = values.collect();
     if v.is_empty() {
@@ -276,7 +268,6 @@ mod tests {
         // Sojourns: 2.0, 2.0, 4.0.
         assert_eq!(s.sojourn_percentile(0.5), Some(2.0));
         assert_eq!(s.sojourn_percentile(1.0), Some(4.0));
-        assert!((s.mean_sojourn() - 8.0 / 3.0).abs() < 1e-12);
         assert_eq!(s.deadlines(), (0, 0));
     }
 
@@ -285,7 +276,6 @@ mod tests {
         let s = StreamStats::from_jobs(Vec::new());
         assert_eq!(s.jobs_per_sec(), 0.0);
         assert_eq!(s.sojourn_percentile(0.99), None);
-        assert_eq!(s.mean_sojourn(), 0.0);
     }
 
     #[test]

@@ -68,13 +68,10 @@ mod ptt;
 mod queue;
 mod scheduler;
 
-pub use exec::{ExecError, ExecExtras, ExecReport, Executor, SessionBuilder, Ticket};
-pub use fault::{FaultEvent, FaultKind, FaultPlane, FaultSchedule};
-pub use ingress::{CachePadded, Ingress, IngressTicket};
-pub use jobs::{JobClass, JobId, JobSpec, JobStats, StreamStats};
-pub use metrics::{
-    ExecProbe, LogHistogram, MetricKind, MetricsConfig, MetricsReport, NodeSnapshot, TraceSpan,
-};
+pub use exec::ExecExtras;
+pub use fault::FaultSchedule;
+pub use ingress::Ingress;
+pub use metrics::{ExecProbe, LogHistogram, MetricKind, MetricsConfig, MetricsReport};
 pub use policy::Policy;
 pub use ptt::{Ptt, PttRegistry, PttSnapshot, WeightRatio};
 pub use queue::{ReadyEntry, ReadyQueue};

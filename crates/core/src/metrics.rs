@@ -53,7 +53,7 @@ impl LogHistogram {
     ///
     /// # Panics
     /// Panics if `lo <= 0`, `growth <= 1`, or `buckets == 0`.
-    pub fn new(lo: f64, growth: f64, buckets: usize) -> Self {
+    pub(crate) fn new(lo: f64, growth: f64, buckets: usize) -> Self {
         assert!(lo > 0.0, "lo must be positive");
         assert!(growth > 1.0, "growth must exceed 1");
         assert!(buckets > 0, "need at least one bucket");
@@ -100,11 +100,6 @@ impl LogHistogram {
     /// Total samples recorded, including under/overflow.
     pub fn count(&self) -> u64 {
         self.underflow + self.overflow + self.counts.iter().sum::<u64>()
-    }
-
-    /// `true` if no sample was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count() == 0
     }
 
     /// Bin-wise add of `other` into `self` — exact, associative and
@@ -158,21 +153,6 @@ impl LogHistogram {
     /// `sqrt(growth) − 1`.
     pub fn relative_error(&self) -> f64 {
         self.growth.sqrt() - 1.0
-    }
-
-    /// Lower boundary of bucket 0.
-    pub fn lo(&self) -> f64 {
-        self.lo
-    }
-
-    /// Boundary growth factor.
-    pub fn growth(&self) -> f64 {
-        self.growth
-    }
-
-    /// Number of in-range buckets.
-    pub fn buckets(&self) -> usize {
-        self.counts.len()
     }
 }
 
@@ -366,11 +346,6 @@ pub struct MetricsReport {
 }
 
 impl MetricsReport {
-    /// The latest snapshot of node `node`, if one has arrived.
-    pub fn node(&self, node: usize) -> Option<&NodeSnapshot> {
-        self.nodes.iter().find(|s| s.node == node as u64)
-    }
-
     /// Cluster-wide totals: every node's probe folded in ascending
     /// node-index order ([`ExecProbe::absorb`]). The sketches inside
     /// are bin-wise merges, so they are identical for *any* fold order.
@@ -598,7 +573,6 @@ mod tests {
         assert_eq!(t.queue_depth, 3);
         assert_eq!(t.ptt_residual, 0.75, "residual is the worst node");
         assert_eq!(t.sojourn.count(), 2);
-        assert!(report.node(1).is_some() && report.node(7).is_none());
     }
 
     #[test]

@@ -126,16 +126,8 @@ impl Policy {
     /// and disabling stealing)? RWS and RWSM-C do not: "irrespective of
     /// their priority, child tasks are pushed to the local queues and
     /// allowed to be stolen".
-    pub fn respects_priority(self) -> bool {
+    pub(crate) fn respects_priority(self) -> bool {
         !matches!(self, Policy::Rws | Policy::RwsmC)
-    }
-
-    /// Is the policy aware of *dynamic* asymmetry (the DAS family)?
-    pub fn dynamic(self) -> bool {
-        matches!(
-            self,
-            Policy::Da | Policy::DamC | Policy::DamP | Policy::DHeft
-        )
     }
 }
 

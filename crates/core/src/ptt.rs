@@ -43,9 +43,9 @@ use crate::TaskTypeId;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WeightRatio {
     /// Weight of the new sample.
-    pub num: u32,
+    pub(crate) num: u32,
     /// Total weight (`den - num` goes to the old value).
-    pub den: u32,
+    pub(crate) den: u32,
 }
 
 impl WeightRatio {
@@ -276,11 +276,6 @@ impl Ptt {
         &self.topo
     }
 
-    /// The update ratio in force.
-    pub fn ratio(&self) -> WeightRatio {
-        self.ratio
-    }
-
     /// Where `(core, width)` lives: its index into `entries` / `visits`
     /// and its slot's index into `slots` / `spans` — or `None` if it is
     /// not a place of this topology, the verdict [`Topology::place`]
@@ -384,11 +379,11 @@ impl Ptt {
     /// `None` if the place is invalid on this topology.
     ///
     /// This is not part of the paper's PTT (§4.1.1 stores only the
-    /// average); it is exposed so harnesses can reason about *training
-    /// coverage* — the §5.4 discussion notes that "a simple model like the
+    /// average); it feeds [`Ptt::coverage`], so harnesses can reason about
+    /// *training coverage* — the §5.4 discussion notes that "a simple model like the
     /// PTT may not have enough training data within a single iteration to
     /// detect interference".
-    pub fn visits(&self, core: CoreId, width: usize) -> Option<u64> {
+    pub(crate) fn visits(&self, core: CoreId, width: usize) -> Option<u64> {
         let (i, _) = self.locate(core, width)?;
         // relaxed-ok: monotone counter read for heuristics/reports.
         Some(self.visits[i].load(Ordering::Relaxed))
@@ -740,7 +735,7 @@ impl Ptt {
 
     /// Local search restricted to node `node` — falls back to a global
     /// search of the node if `core` itself is outside it.
-    pub fn local_search_on_node(&self, core: CoreId, node: usize) -> ExecutionPlace {
+    pub(crate) fn local_search_on_node(&self, core: CoreId, node: usize) -> ExecutionPlace {
         if self.topo.cluster_of(core).node == node {
             self.local_search(core)
         } else {
@@ -772,24 +767,12 @@ impl Ptt {
 #[derive(Clone, Debug)]
 pub struct PttSnapshot {
     /// Width axis (columns).
-    pub widths: Vec<usize>,
+    pub(crate) widths: Vec<usize>,
     /// One row per core; `NAN` marks invalid `(core, width)` combinations.
     pub rows: Vec<Vec<f64>>,
 }
 
 impl PttSnapshot {
-    /// The predicted time stored for `(core, width)`, or `None` for
-    /// invalid/unknown combinations.
-    pub fn entry(&self, core: CoreId, width: usize) -> Option<f64> {
-        let wi = self.widths.iter().position(|&w| w == width)?;
-        let v = *self.rows.get(core.0)?.get(wi)?;
-        if v.is_nan() {
-            None
-        } else {
-            Some(v)
-        }
-    }
-
     /// Largest absolute difference between two snapshots of the same
     /// shape, over valid entries. Harnesses use this to detect model
     /// convergence (`delta < eps` ⇒ the PTT has settled) and to localise
@@ -814,23 +797,6 @@ impl PttSnapshot {
             }
         }
         max
-    }
-
-    /// The `(core, width)` of the smallest positive (i.e. observed) entry,
-    /// if any — "which place does the model currently believe is fastest".
-    pub fn fastest_entry(&self) -> Option<(CoreId, usize, f64)> {
-        let mut best: Option<(CoreId, usize, f64)> = None;
-        for (c, row) in self.rows.iter().enumerate() {
-            for (wi, &v) in row.iter().enumerate() {
-                if v.is_nan() || v <= 0.0 {
-                    continue;
-                }
-                if best.is_none_or(|(_, _, b)| v < b) {
-                    best = Some((CoreId(c), self.widths[wi], v));
-                }
-            }
-        }
-        best
     }
 }
 
@@ -882,7 +848,7 @@ pub struct PttRegistry {
 
 impl PttRegistry {
     /// Empty registry for `topo` with update ratio `ratio`.
-    pub fn new(topo: Arc<Topology>, ratio: WeightRatio) -> Self {
+    pub(crate) fn new(topo: Arc<Topology>, ratio: WeightRatio) -> Self {
         PttRegistry {
             topo,
             ratio,
@@ -925,18 +891,13 @@ impl PttRegistry {
         self.len() == 0
     }
 
-    /// Update ratio used for newly created tables.
-    pub fn ratio(&self) -> WeightRatio {
-        self.ratio
-    }
-
     /// Largest absolute PTT entry movement ([`PttSnapshot::delta`])
     /// since the previous call with the same `last`, across every
     /// table; `last` (indexed by task type, grown as types appear) is
     /// left holding the current snapshots. A table seen for the first
     /// time contributes its largest absolute entry (movement from the
     /// all-zero initial model).
-    pub fn residual(&self, last: &mut Vec<PttSnapshot>) -> f64 {
+    pub(crate) fn residual(&self, last: &mut Vec<PttSnapshot>) -> f64 {
         let mut max = 0.0f64;
         for ty in 0..self.len() {
             let snap = self.get(TaskTypeId(ty as u16)).snapshot();
@@ -1389,13 +1350,13 @@ mod tests {
         let ptt = tx2_ptt();
         ptt.seed(CoreId(0), 1, 2.0);
         let a = ptt.snapshot();
-        assert_eq!(a.entry(CoreId(0), 1), Some(2.0));
-        assert_eq!(a.entry(CoreId(0), 4), None); // invalid on denver
+        let col = |w: usize| a.widths.iter().position(|&x| x == w).expect("width");
+        assert_eq!(a.rows[0][col(1)], 2.0);
+        assert!(a.rows[0][col(4)].is_nan(), "width 4 is invalid on denver");
         ptt.seed(CoreId(2), 2, 7.0);
         let b = ptt.snapshot();
         assert!((a.delta(&b) - 7.0).abs() < 1e-12);
         assert_eq!(a.delta(&a), 0.0);
-        assert_eq!(b.fastest_entry(), Some((CoreId(0), 1, 2.0)));
     }
 
     #[test]

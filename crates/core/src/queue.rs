@@ -76,12 +76,6 @@ impl<T> ReadyEntry<T> {
         &self.payload
     }
 
-    /// The execution place committed at wake-up, if any; pinned entries
-    /// bypass the dequeue-time search.
-    pub fn pinned(&self) -> Option<ExecutionPlace> {
-        self.pinned
-    }
-
     /// May another worker take this entry?
     pub fn is_stealable(&self) -> bool {
         self.stealable
@@ -119,11 +113,6 @@ impl<T> ReadyQueue<T> {
             entries: VecDeque::new(),
             stealable: 0,
         }
-    }
-
-    /// Number of queued entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
     }
 
     /// `true` if no entries are queued.
@@ -249,7 +238,7 @@ mod tests {
         // Only the pinned entry remains: invisible to thieves.
         assert!(!q.can_steal(|_| true));
         assert_eq!(q.steal(|_| true), None);
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.entries.len(), 1);
     }
 
     #[test]
@@ -278,10 +267,10 @@ mod tests {
         let eh = ReadyEntry::new(7u32, &dh);
         let el = ReadyEntry::new(8u32, &dl);
         assert!(!eh.is_stealable());
-        assert_eq!(eh.pinned(), dh.pinned);
-        assert!(eh.pinned().is_some());
+        assert_eq!(eh.pinned, dh.pinned);
+        assert!(eh.pinned.is_some());
         assert!(el.is_stealable());
-        assert_eq!(el.pinned(), None);
+        assert_eq!(el.pinned, None);
         let (payload, pinned) = eh.into_parts();
         assert_eq!(payload, 7);
         assert_eq!(pinned, dh.pinned);

@@ -6,7 +6,8 @@ use std::sync::Arc;
 
 use das_topology::{CoreId, ExecutionPlace, Topology};
 
-use crate::{Policy, PttRegistry, TaskMeta, TaskTypeId, WeightRatio};
+use crate::exec::SessionBuilder;
+use crate::{Policy, PttRegistry, TaskMeta, TaskTypeId};
 
 /// Outcome of the wake-up decision (Fig. 3, steps 1–2).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -21,7 +22,7 @@ pub struct WakeupDecision {
     /// not stealable under priority-aware policies, "to guarantee that
     /// all such tasks are executed according to their scheduling
     /// decision".
-    pub stealable: bool,
+    pub(crate) stealable: bool,
 }
 
 /// One scheduler instance per application run: policy + PTT registry +
@@ -58,53 +59,31 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Scheduler with the paper's default PTT weight ratio (1:4).
+    /// Scheduler with the paper's settings: PTT weight ratio 1:4,
+    /// exhaustive search, no exploration, high-priority tasks never
+    /// stolen. Any other setting is a [`SessionBuilder`] knob, built by
+    /// [`SessionBuilder::scheduler`].
     pub fn new(topo: Arc<Topology>, policy: Policy) -> Self {
-        Self::with_ratio(topo, policy, WeightRatio::PAPER)
+        Self::from_session(&SessionBuilder::new(topo, policy))
     }
 
-    /// Scheduler with an explicit PTT weight ratio (Fig. 8 sweep).
-    pub fn with_ratio(topo: Arc<Topology>, policy: Policy, ratio: WeightRatio) -> Self {
+    /// The scheduler `session` describes: its topology, policy, PTT
+    /// ratio and the three knobs (sampled search, exploration period,
+    /// high-priority stealing).
+    pub(crate) fn from_session(session: &SessionBuilder) -> Self {
+        let topo = Arc::clone(&session.topo);
         let pending = (0..topo.num_cores()).map(|_| AtomicU64::new(0)).collect();
         Scheduler {
-            ptts: PttRegistry::new(Arc::clone(&topo), ratio),
+            ptts: PttRegistry::new(Arc::clone(&topo), session.ratio),
             topo,
-            policy,
+            policy: session.policy,
             fa_cursor: AtomicUsize::new(0),
-            allow_high_priority_steal: false,
-            sampled_search: false,
-            explore_every: 0,
+            allow_high_priority_steal: session.allow_high_priority_steal,
+            sampled_search: session.sampled_search,
+            explore_every: session.explore_every,
             decisions: AtomicU64::new(0),
             pending,
         }
-    }
-
-    /// Ablation: permit stealing of high-priority tasks (the paper's
-    /// design forbids it). Affects [`Scheduler::stealable`] and the
-    /// `stealable` field of wake-up decisions.
-    pub fn allow_high_priority_steal(mut self, allow: bool) -> Self {
-        self.allow_high_priority_steal = allow;
-        self
-    }
-
-    /// Use the representative-row sampled global search instead of the
-    /// exhaustive one for high-priority placement (scalability extension;
-    /// see [`crate::Ptt::global_search_sampled`] for what it still buys).
-    pub fn with_sampled_search(mut self, on: bool) -> Self {
-        self.sampled_search = on;
-        self
-    }
-
-    /// Force every `n`-th global placement to be an exploration: the place
-    /// is taken round-robin from the full place list instead of the PTT
-    /// search. `n = 0` disables exploration (the paper's behaviour).
-    ///
-    /// This guards against *stale pessimism*: once interference taught the
-    /// PTT that a place is slow, nothing but another (accidental) visit
-    /// can teach it the interference ended.
-    pub fn with_periodic_exploration(mut self, n: u64) -> Self {
-        self.explore_every = n;
-        self
     }
 
     /// The policy in force.
@@ -550,8 +529,9 @@ mod tests {
 
     #[test]
     fn periodic_exploration_round_robins_places() {
-        let s =
-            Scheduler::new(Arc::new(Topology::tx2()), Policy::DamP).with_periodic_exploration(2);
+        let s = SessionBuilder::new(Arc::new(Topology::tx2()), Policy::DamP)
+            .explore_every(2)
+            .scheduler();
         let ptt = s.ptts().table(TaskTypeId(0));
         for p in s.topology().places() {
             ptt.seed(p.leader, p.width, 10.0);
@@ -574,7 +554,9 @@ mod tests {
     #[test]
     fn exploration_respects_affinity_and_da_width() {
         let topo = Arc::new(Topology::haswell_cluster(2));
-        let s = Scheduler::new(Arc::clone(&topo), Policy::Da).with_periodic_exploration(1);
+        let s = SessionBuilder::new(Arc::clone(&topo), Policy::Da)
+            .explore_every(1)
+            .scheduler();
         let meta = TaskMeta::new(TaskTypeId(0), Priority::High).with_affinity(1);
         for _ in 0..50 {
             let p = s.on_wakeup(&meta, CoreId(0)).pinned.unwrap();
@@ -588,8 +570,9 @@ mod tests {
         // Fast entry on a non-representative core of a remote cluster is
         // visible to the full sweep but not the sampled one.
         let mk = |sampled: bool| {
-            let s = Scheduler::new(Arc::new(Topology::tx2()), Policy::DamP)
-                .with_sampled_search(sampled);
+            let s = SessionBuilder::new(Arc::new(Topology::tx2()), Policy::DamP)
+                .sampled_search(sampled)
+                .scheduler();
             let ptt = s.ptts().table(TaskTypeId(0));
             for p in s.topology().places() {
                 ptt.seed(p.leader, p.width, 10.0);

@@ -16,7 +16,7 @@ use das_core::Priority;
 /// Bottom levels: `bl[t]` = number of tasks on the longest path from `t`
 /// to a sink, counting `t` itself (so sinks have bottom level 1).
 /// Returns an empty vector for cyclic graphs.
-pub fn bottom_levels(dag: &Dag) -> Vec<usize> {
+pub(crate) fn bottom_levels(dag: &Dag) -> Vec<usize> {
     let Some(order) = dag.topo_order() else {
         return Vec::new();
     };
@@ -32,7 +32,7 @@ pub fn bottom_levels(dag: &Dag) -> Vec<usize> {
 
 /// Top levels: `tl[t]` = number of tasks on the longest path from a root
 /// to `t`, counting `t` (roots have top level 1).
-pub fn top_levels(dag: &Dag) -> Vec<usize> {
+pub(crate) fn top_levels(dag: &Dag) -> Vec<usize> {
     let Some(order) = dag.topo_order() else {
         return Vec::new();
     };
@@ -49,7 +49,7 @@ pub fn top_levels(dag: &Dag) -> Vec<usize> {
 /// One critical path (a longest root-to-sink chain), as a task sequence.
 /// Ties break towards the lowest task id, making the result
 /// deterministic. Empty for cyclic graphs.
-pub fn critical_path(dag: &Dag) -> Vec<TaskId> {
+pub(crate) fn critical_path(dag: &Dag) -> Vec<TaskId> {
     let bl = bottom_levels(dag);
     if bl.is_empty() {
         return Vec::new();
@@ -131,7 +131,7 @@ pub fn mark_critical(dag: &mut Dag, exhaustive: bool) -> usize {
 /// quantity HEFT-style rank functions use (`rank_u` with uniform
 /// communication cost); [`mark_critical`] uses hop counts because the
 /// paper's synthetic DAGs have uniform task weights.
-pub fn weighted_bottom_levels(dag: &Dag) -> Vec<f64> {
+pub(crate) fn weighted_bottom_levels(dag: &Dag) -> Vec<f64> {
     let Some(order) = dag.topo_order() else {
         return Vec::new();
     };

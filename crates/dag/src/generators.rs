@@ -208,7 +208,7 @@ pub fn wavefront(ty: TaskTypeId, n: usize) -> Dag {
 /// Task type ids used by [`cholesky_like`], in dependency order.
 /// Four distinct types means four PTTs get trained — the multi-type
 /// stressor the synthetic layered DAGs (single type per DAG) lack.
-pub const CHOLESKY_TYPES: [TaskTypeId; 4] = [
+pub(crate) const CHOLESKY_TYPES: [TaskTypeId; 4] = [
     TaskTypeId(10), // POTRF: panel factorisation (critical path)
     TaskTypeId(11), // TRSM: triangular solve
     TaskTypeId(12), // SYRK: symmetric update

@@ -136,7 +136,7 @@ impl Dag {
 
     /// Reserve space for `n` additional tasks (the synthetic DAGs have
     /// tens of thousands).
-    pub fn reserve(&mut self, n: usize) {
+    pub(crate) fn reserve(&mut self, n: usize) {
         self.nodes.reserve(n);
     }
 

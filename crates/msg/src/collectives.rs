@@ -12,20 +12,15 @@ use crate::{Endpoint, Payload};
 
 /// Reserved tag block for collectives. Application tags must stay below
 /// this value; [`Endpoint::send`] does not enforce it (tags are a
-/// convention, as in MPI), but the constant is public so applications can
-/// assert against it.
-pub const COLLECTIVE_TAG_BASE: u32 = u32::MAX - 16;
+/// convention, as in MPI).
+pub(crate) const COLLECTIVE_TAG_BASE: u32 = u32::MAX - 16;
 
 const T_BCAST: u32 = COLLECTIVE_TAG_BASE;
 const T_GATHER: u32 = COLLECTIVE_TAG_BASE + 1;
-const T_SCATTER: u32 = COLLECTIVE_TAG_BASE + 2;
-const T_REDUCE: u32 = COLLECTIVE_TAG_BASE + 3;
-const T_ALLGATHER_G: u32 = COLLECTIVE_TAG_BASE + 4;
-const T_ALLGATHER_B: u32 = COLLECTIVE_TAG_BASE + 5;
-const T_ALLTOALL: u32 = COLLECTIVE_TAG_BASE + 6;
+const T_REDUCE: u32 = COLLECTIVE_TAG_BASE + 2;
+const T_ALLGATHER: u32 = COLLECTIVE_TAG_BASE + 3;
 
-/// Element-wise reduction operators for [`Endpoint::reduce`] /
-/// [`Endpoint::allreduce`].
+/// Element-wise reduction operators for [`Endpoint::allreduce`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ReduceOp {
     /// Element-wise sum.
@@ -51,7 +46,7 @@ impl Endpoint {
     /// Broadcast `root`'s payload to every rank; the non-root `payload`
     /// arguments are ignored (pass `Vec::new()`). Returns the broadcast
     /// value on every rank.
-    pub fn broadcast(&self, root: usize, payload: Payload) -> Payload {
+    pub(crate) fn broadcast(&self, root: usize, payload: Payload) -> Payload {
         assert!(root < self.size(), "broadcast root {root} out of range");
         if self.size() == 1 {
             return payload;
@@ -76,7 +71,7 @@ impl Endpoint {
 
     /// Gather every rank's payload at `root`, rank order. Non-root ranks
     /// get `None`.
-    pub fn gather(&self, root: usize, payload: Payload) -> Option<Vec<Payload>> {
+    pub(crate) fn gather(&self, root: usize, payload: Payload) -> Option<Vec<Payload>> {
         assert!(root < self.size(), "gather root {root} out of range");
         if self.rank() == root {
             let mut out: Vec<Payload> = Vec::with_capacity(self.size());
@@ -100,39 +95,9 @@ impl Endpoint {
         }
     }
 
-    /// Scatter `root`'s `parts` (one per rank) to every rank; non-root
-    /// ranks pass `None`. Returns this rank's part.
-    ///
-    /// # Panics
-    /// Panics at the root if `parts.len() != size`.
-    pub fn scatter(&self, root: usize, parts: Option<Vec<Payload>>) -> Payload {
-        assert!(root < self.size(), "scatter root {root} out of range");
-        if self.rank() == root {
-            let parts = parts.expect("root must supply the parts");
-            assert_eq!(parts.len(), self.size(), "one part per rank");
-            let mut mine = Payload::new();
-            for (dst, part) in parts.into_iter().enumerate() {
-                if dst == root {
-                    mine = part;
-                } else {
-                    self.send(dst, T_SCATTER, part);
-                }
-            }
-            mine
-        } else {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the root's matching scatter call sends one part to every \
-                          non-root rank before returning — collective discipline bounds \
-                          this wait."
-            )]
-            self.recv(root, T_SCATTER)
-        }
-    }
-
     /// Element-wise reduce of equally sized vectors at `root`; non-root
     /// ranks get `None`.
-    pub fn reduce(&self, root: usize, op: ReduceOp, mut local: Payload) -> Option<Payload> {
+    pub(crate) fn reduce(&self, root: usize, op: ReduceOp, mut local: Payload) -> Option<Payload> {
         assert!(root < self.size(), "reduce root {root} out of range");
         if self.rank() == root {
             for src in 0..self.size() {
@@ -174,62 +139,24 @@ impl Endpoint {
         if self.size() == 1 {
             return vec![payload];
         }
-        // Gather at 0 on a dedicated tag, then one broadcast per slot
-        // (keeps per-rank payload boundaries without an encoding step).
-        if self.rank() == 0 {
-            let mut out = Vec::with_capacity(self.size());
-            out.push(payload);
-            for src in 1..self.size() {
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "every non-root rank sends its part before waiting on the \
-                              broadcast leg — collective discipline."
-                )]
-                out.push(self.recv(src, T_ALLGATHER_G));
-            }
-            for dst in 1..self.size() {
-                for part in &out {
-                    self.send(dst, T_ALLGATHER_B, part.clone());
+        // Gather at 0, then one broadcast per slot (keeps per-rank
+        // payload boundaries without an encoding step).
+        match self.gather(0, payload) {
+            Some(out) => {
+                for dst in 1..self.size() {
+                    for part in &out {
+                        self.send(dst, T_ALLGATHER, part.clone());
+                    }
                 }
+                out
             }
-            out
-        } else {
-            self.send(0, T_ALLGATHER_G, payload);
-            (0..self.size())
+            None => (0..self.size())
                 .map(|_| {
-                    #[expect(clippy::disallowed_methods, reason = "rank 0 only starts its broadcast leg after gathering every part; ours is already sent above, so rank 0 cannot be stuck waiting on this rank.")]
-                    self.recv(0, T_ALLGATHER_B)
+                    #[expect(clippy::disallowed_methods, reason = "rank 0 only starts its broadcast leg after gathering every part; ours was sent by the gather above, so rank 0 cannot be stuck waiting on this rank.")]
+                    self.recv(0, T_ALLGATHER)
                 })
-                .collect()
+                .collect(),
         }
-    }
-
-    /// Personalised all-to-all: `parts[d]` goes to rank `d`; the result's
-    /// slot `s` is what rank `s` sent to this rank. Direct point-to-point
-    /// (no root): sends are non-blocking, so no deadlock.
-    ///
-    /// # Panics
-    /// Panics if `parts.len() != size`.
-    pub fn alltoall(&self, parts: Vec<Payload>) -> Vec<Payload> {
-        assert_eq!(parts.len(), self.size(), "one part per destination");
-        let mut mine = Payload::new();
-        for (dst, part) in parts.into_iter().enumerate() {
-            if dst == self.rank() {
-                mine = part;
-            } else {
-                self.send(dst, T_ALLTOALL, part);
-            }
-        }
-        (0..self.size())
-            .map(|src| {
-                if src == self.rank() {
-                    std::mem::take(&mut mine)
-                } else {
-                    #[expect(clippy::disallowed_methods, reason = "every rank sends all its parts before receiving any (sends are non-blocking), so each expected frame is in flight when this recv parks.")]
-                    self.recv(src, T_ALLTOALL)
-                }
-            })
-            .collect()
     }
 }
 
@@ -288,17 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_distributes_parts() {
-        let got = on_ranks(4, |e| {
-            let parts = (e.rank() == 1).then(|| (0..4).map(|d| vec![d as f64 * 10.0]).collect());
-            e.scatter(1, parts)
-        });
-        for (r, part) in got.iter().enumerate() {
-            assert_eq!(part, &vec![r as f64 * 10.0]);
-        }
-    }
-
-    #[test]
     fn reduce_ops() {
         for (op, expect) in [
             (ReduceOp::Sum, vec![6.0, 4.0]),
@@ -329,21 +245,6 @@ mod tests {
             assert_eq!(per_rank.len(), 3);
             for (s, part) in per_rank.iter().enumerate() {
                 assert_eq!(part, &vec![s as f64; s + 1]);
-            }
-        }
-    }
-
-    #[test]
-    fn alltoall_transposes() {
-        let got = on_ranks(3, |e| {
-            let parts = (0..3)
-                .map(|d| vec![(e.rank() * 10 + d) as f64])
-                .collect::<Vec<_>>();
-            e.alltoall(parts)
-        });
-        for (r, res) in got.iter().enumerate() {
-            for (s, part) in res.iter().enumerate() {
-                assert_eq!(part, &vec![(s * 10 + r) as f64], "rank {r} from {s}");
             }
         }
     }
@@ -403,18 +304,14 @@ mod tests {
         let got = on_ranks(1, |e| {
             let b = e.broadcast(0, vec![1.0]);
             let g = e.gather(0, vec![2.0]).unwrap();
-            let s = e.scatter(0, Some(vec![vec![3.0]]));
             let r = e.reduce(0, ReduceOp::Sum, vec![4.0]).unwrap();
             let ag = e.allgather(vec![5.0]);
-            let aa = e.alltoall(vec![vec![6.0]]);
-            (b, g, s, r, ag, aa)
+            (b, g, r, ag)
         });
-        let (b, g, s, r, ag, aa) = got.into_iter().next().unwrap();
+        let (b, g, r, ag) = got.into_iter().next().unwrap();
         assert_eq!(b, vec![1.0]);
         assert_eq!(g, vec![vec![2.0]]);
-        assert_eq!(s, vec![3.0]);
         assert_eq!(r, vec![4.0]);
         assert_eq!(ag, vec![vec![5.0]]);
-        assert_eq!(aa, vec![vec![6.0]]);
     }
 }

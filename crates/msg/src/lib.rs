@@ -15,7 +15,7 @@
 //! ghost-cell exchange.
 //!
 //! A communicator is generic over its message type. The default,
-//! [`Payload`], is the `f64` row the applications exchange, and the
+//! `Vec<f64>`, is the row the applications exchange, and the
 //! collectives work on it; any other `Send` type travels point to point
 //! as the value itself — the cluster tier sends its typed frames this
 //! way ([`Communicator::typed`]).
@@ -38,7 +38,7 @@
 //!
 //! [`Communicator::new`] is the `f64` communicator, so a receiver whose
 //! first use of a message comes before any send still infers
-//! [`Payload`]:
+//! `Vec<f64>`:
 //!
 //! ```
 //! use das_msg::Communicator;
@@ -60,7 +60,9 @@
 
 mod collectives;
 
-pub use collectives::{ReduceOp, COLLECTIVE_TAG_BASE};
+pub use collectives::ReduceOp;
+#[cfg(test)]
+use collectives::COLLECTIVE_TAG_BASE;
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, VecDeque};
@@ -70,7 +72,7 @@ use std::time::Duration;
 
 /// The default message: a row of grid values, what the ghost-cell
 /// exchanges and the collectives carry.
-pub type Payload = Vec<f64>;
+pub(crate) type Payload = Vec<f64>;
 
 /// Key of a mailbox slot: `(source rank, tag)`.
 type Key = (usize, u32);
@@ -135,11 +137,6 @@ impl<T> Communicator<T> {
                 sent: (0..n).map(|_| AtomicU64::new(0)).collect(),
             }),
         }
-    }
-
-    /// Number of ranks.
-    pub fn size(&self) -> usize {
-        self.shared.n
     }
 
     /// The endpoint of `rank` (cheap, cloneable handle).
@@ -212,12 +209,6 @@ impl<T> Endpoint<T> {
             .expect("unbounded recv cannot time out")
     }
 
-    /// Receive with a timeout; `None` on expiry. Used by tests to turn
-    /// protocol deadlocks into failures instead of hangs.
-    pub fn recv_timeout(&self, src: usize, tag: u32, timeout: Duration) -> Option<T> {
-        self.try_recv_for(src, tag, Some(timeout))
-    }
-
     /// Receive with a bounded exponential-backoff deadline: wait `base`
     /// for the first attempt, doubling per attempt, for at most
     /// `attempts` attempts. Returns the message and the attempt index
@@ -244,13 +235,6 @@ impl<T> Endpoint<T> {
             window = window.saturating_mul(2);
         }
         Err(waited)
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self, src: usize, tag: u32) -> Option<T> {
-        let mbox = &self.shared.boxes[self.rank];
-        let mut slots = mbox.slots.lock();
-        Self::take(&mut slots, (src, tag))
     }
 
     /// Non-blocking receive that collapses a backlog of *idempotent
@@ -385,6 +369,17 @@ mod tests {
     use std::thread;
     use std::time::Duration;
 
+    /// Non-blocking receive.
+    fn try_recv<T>(e: &Endpoint<T>, src: usize, tag: u32) -> Option<T> {
+        Endpoint::take(&mut e.shared.boxes[e.rank].slots.lock(), (src, tag))
+    }
+
+    /// Receive with a timeout; `None` on expiry. Turns a protocol
+    /// deadlock into a test failure instead of a hang.
+    fn recv_timeout<T>(e: &Endpoint<T>, src: usize, tag: u32, timeout: Duration) -> Option<T> {
+        e.try_recv_for(src, tag, Some(timeout))
+    }
+
     #[test]
     fn fifo_order_per_key() {
         let comm = Communicator::new(2);
@@ -413,14 +408,14 @@ mod tests {
     fn try_recv_and_timeout() {
         let comm = Communicator::new(2);
         let a = comm.endpoint(0);
-        assert_eq!(a.try_recv(1, 0), None);
+        assert_eq!(try_recv(&a, 1, 0), None);
         assert_eq!(
-            a.recv_timeout(1, 0, Duration::from_millis(10)),
+            recv_timeout(&a, 1, 0, Duration::from_millis(10)),
             None,
             "timeout on empty mailbox"
         );
         comm.endpoint(1).send(0, 0, vec![5.0]);
-        assert_eq!(a.try_recv(1, 0), Some(vec![5.0]));
+        assert_eq!(try_recv(&a, 1, 0), Some(vec![5.0]));
     }
 
     #[test]
@@ -529,7 +524,7 @@ mod tests {
         for src in 1..5 {
             for tag in 0..3u32 {
                 let mut last = -1.0;
-                while let Some(m) = recv.try_recv(src, tag) {
+                while let Some(m) = try_recv(&recv, src, tag) {
                     assert_eq!(m[0] as usize, src);
                     assert!(m[1] > last, "FIFO violated for ({src},{tag})");
                     assert_eq!(m[1] as u32 % 3, tag);
@@ -594,8 +589,8 @@ mod tests {
         a.send(1, 0, Vec::new());
         assert_eq!(b.recv(0, 0), Vec::<f64>::new());
         assert_eq!(b.recv(0, 0), vec![1.0]);
-        assert_eq!(b.try_recv(0, 0), Some(Vec::new()));
-        assert_eq!(b.try_recv(0, 0), None);
+        assert_eq!(try_recv(&b, 0, 0), Some(Vec::new()));
+        assert_eq!(try_recv(&b, 0, 0), None);
         // Empty sendrecv round-trips too.
         let h = thread::spawn(move || b.sendrecv(0, 1, Vec::new()));
         assert_eq!(a.sendrecv(1, 1, Vec::new()), Vec::<f64>::new());
@@ -642,7 +637,7 @@ mod tests {
             reason = "the test measures the real timeout"
         )]
         let t0 = std::time::Instant::now();
-        assert_eq!(a.recv_timeout(1, 0, Duration::from_millis(30)), None);
+        assert_eq!(recv_timeout(&a, 1, 0, Duration::from_millis(30)), None);
         assert!(
             t0.elapsed() >= Duration::from_millis(25),
             "waited the window"
@@ -655,7 +650,7 @@ mod tests {
         });
         #[expect(clippy::disallowed_methods, reason = "the test bounds real wait time")]
         let t0 = std::time::Instant::now();
-        let got = a.recv_timeout(1, 0, Duration::from_secs(10));
+        let got = recv_timeout(&a, 1, 0, Duration::from_secs(10));
         assert_eq!(got, Some(vec![8.0]));
         assert!(
             t0.elapsed() < Duration::from_secs(5),
@@ -663,7 +658,7 @@ mod tests {
         );
         h.join().unwrap();
         // After consumption the mailbox is empty again.
-        assert_eq!(a.recv_timeout(1, 0, Duration::from_millis(5)), None);
+        assert_eq!(recv_timeout(&a, 1, 0, Duration::from_millis(5)), None);
     }
 
     #[test]
@@ -716,8 +711,8 @@ mod tests {
         a.send(1, 1, Msg::Load(9));
         a.send(1, 0, Msg::Job("second".into()));
         assert_eq!(b.recv(0, 0), Msg::Job("first".into()));
-        assert_eq!(b.try_recv(0, 0), Some(Msg::Job("second".into())));
-        assert_eq!(b.try_recv(0, 0), None);
+        assert_eq!(try_recv(&b, 0, 0), Some(Msg::Job("second".into())));
+        assert_eq!(try_recv(&b, 0, 0), None);
         for load in 10..13 {
             a.send(1, 1, Msg::Load(load));
         }

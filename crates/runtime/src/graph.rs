@@ -23,7 +23,7 @@ pub struct TaskCtx {
 
 /// A task body. `Fn` not `FnOnce`: with width > 1 the same body runs once
 /// per participant, each with a different [`TaskCtx::rank`].
-pub type TaskFn = dyn Fn(&TaskCtx) + Send + Sync;
+pub(crate) type TaskFn = dyn Fn(&TaskCtx) + Send + Sync;
 
 /// A runnable DAG: shape (from `das-dag`) plus bodies.
 ///
@@ -108,7 +108,7 @@ impl TaskGraph {
     }
 
     /// The body of task `id`.
-    pub fn body(&self, id: TaskId) -> &Arc<TaskFn> {
+    pub(crate) fn body(&self, id: TaskId) -> &Arc<TaskFn> {
         &self.bodies[id.index()]
     }
 

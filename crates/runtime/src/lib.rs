@@ -75,11 +75,12 @@
 mod graph;
 mod stats;
 
-pub use das_core::jobs::{JobClass, JobId, JobSpec, JobStats, StreamStats};
-pub use graph::{TaskCtx, TaskFn, TaskGraph};
-pub use stats::{PlaceKey, RtStats};
+pub use das_core::jobs::{JobSpec, JobStats};
+pub use graph::{TaskCtx, TaskGraph};
+pub use stats::RtStats;
 
 use das_core::exec::{ExecError, ExecExtras, Executor, Session, SessionBuilder, Ticket};
+use das_core::jobs::{JobClass, JobId, StreamStats};
 use das_core::metrics::ExecProbe;
 use das_core::{Policy, ReadyEntry, ReadyQueue, Scheduler};
 use das_dag::{DagError, TaskId};
@@ -87,6 +88,7 @@ use das_topology::{CoreId, ExecutionPlace, Topology};
 use parking_lot::{Condvar, Mutex};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use stats::PlaceKey;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -249,7 +251,7 @@ pub struct JobHandle {
 
 impl JobHandle {
     /// The job's id (dense, in submission order).
-    pub fn id(&self) -> JobId {
+    pub(crate) fn id(&self) -> JobId {
         self.job.id
     }
 
@@ -638,7 +640,7 @@ impl Runtime {
     }
 
     /// Runtime around an existing scheduler (shared PTT state).
-    pub fn with_scheduler(sched: Arc<Scheduler>) -> Self {
+    pub(crate) fn with_scheduler(sched: Arc<Scheduler>) -> Self {
         let topo = Arc::clone(sched.topology());
         let n = topo.num_cores();
         let shared = Arc::new(PoolShared {
@@ -692,11 +694,6 @@ impl Runtime {
     /// The scheduler (PTT inspection, sharing across runtimes).
     pub fn scheduler(&self) -> &Arc<Scheduler> {
         &self.sched
-    }
-
-    /// The platform model (== number of worker threads).
-    pub fn topology(&self) -> &Arc<Topology> {
-        &self.topo
     }
 
     fn ensure_workers(&self) {
@@ -1420,7 +1417,7 @@ mod tests {
             .seed(77)
             .allow_high_priority_steal(true);
         let mut runtime = Runtime::from_session(&session);
-        assert_eq!(runtime.topology().num_cores(), 2);
+        assert_eq!(runtime.scheduler().topology().num_cores(), 2);
         assert_eq!(runtime.scheduler().policy(), Policy::DamC);
         assert_eq!(runtime.seed, 77);
         // The scheduler knob is in force.

@@ -4,49 +4,21 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// `(leader core, width)` histogram key, as in `das-sim`.
-pub type PlaceKey = (usize, usize);
+pub(crate) type PlaceKey = (usize, usize);
 
 /// Detailed per-run statistics, carried by [`crate::JobOutcome`].
 #[derive(Clone, Debug, Default)]
 pub struct RtStats {
     /// Wall-clock time from first root release to last commit.
-    pub makespan: Duration,
+    pub(crate) makespan: Duration,
     /// Number of tasks committed.
     pub tasks: usize,
     /// Kernel execution time accumulated per worker.
-    pub core_busy: Vec<Duration>,
+    pub(crate) core_busy: Vec<Duration>,
     /// Execution-place histogram of high-priority tasks (Fig. 5).
     pub high_priority_places: BTreeMap<PlaceKey, usize>,
     /// Execution-place histogram of all tasks.
     pub all_places: BTreeMap<PlaceKey, usize>,
     /// Successful steals.
     pub steals: usize,
-}
-
-impl RtStats {
-    /// Tasks per second of wall-clock time.
-    pub fn throughput(&self) -> f64 {
-        let s = self.makespan.as_secs_f64();
-        if s > 0.0 {
-            self.tasks as f64 / s
-        } else {
-            0.0
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn throughput_math() {
-        let s = RtStats {
-            makespan: Duration::from_secs(2),
-            tasks: 10,
-            ..RtStats::default()
-        };
-        assert!((s.throughput() - 5.0).abs() < 1e-12);
-        assert_eq!(RtStats::default().throughput(), 0.0);
-    }
 }

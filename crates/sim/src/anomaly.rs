@@ -23,17 +23,10 @@ use std::sync::Arc;
 pub struct Scenario {
     /// Short identifier ("cpuoccupy", "membw", ...), HPAS-style.
     pub name: &'static str,
-    /// What the scenario models, for reports.
-    pub description: String,
     mods: Vec<Modifier>,
 }
 
 impl Scenario {
-    /// The modifiers making up the scenario.
-    pub fn modifiers(&self) -> &[Modifier] {
-        &self.mods
-    }
-
     /// Materialise the scenario as an [`Environment`] over `topo`.
     pub fn environment(&self, topo: Arc<Topology>) -> Environment {
         Environment::with_modifiers(topo, self.mods.clone())
@@ -44,7 +37,6 @@ impl Scenario {
     pub fn cpu_occupy(core: CoreId, share: f64, from: f64, until: f64) -> Scenario {
         Scenario {
             name: "cpuoccupy",
-            description: format!("compute co-runner taking {:.0}% of {core}", share * 100.0),
             mods: vec![Modifier::CoRunner {
                 core,
                 cpu_share: share,
@@ -58,10 +50,9 @@ impl Scenario {
     /// HPAS `membw`: a streaming co-runner on `core` saturating its
     /// cluster's memory bandwidth (cluster-wide pressure) while also
     /// time-sharing the core.
-    pub fn memory_bandwidth(core: CoreId, pressure: f64, from: f64, until: f64) -> Scenario {
+    pub(crate) fn memory_bandwidth(core: CoreId, pressure: f64, from: f64, until: f64) -> Scenario {
         Scenario {
             name: "membw",
-            description: format!("memory-bandwidth hog on {core}, cluster pressure {pressure:.2}"),
             mods: vec![Modifier::CoRunner {
                 core,
                 cpu_share: 0.5,
@@ -76,7 +67,7 @@ impl Scenario {
     /// bursts over a whole cluster (duty cycle `burst / period`).
     /// Piecewise-constant, expressed as one [`Modifier::Slowdown`] window
     /// per burst.
-    pub fn cache_thrash(
+    pub(crate) fn cache_thrash(
         topo: &Topology,
         cluster: ClusterId,
         factor: f64,
@@ -101,20 +92,14 @@ impl Scenario {
         }
         Scenario {
             name: "cachethrash",
-            description: format!(
-                "periodic cache thrash on {cluster}: ×{factor:.2} for {burst}s every {period}s"
-            ),
             mods,
         }
     }
 
     /// HPAS `powerdvfs`: the square-wave frequency throttle of §5.2.
-    pub fn dvfs(cluster: ClusterId, low_factor: f64, half_period: f64) -> Scenario {
+    pub(crate) fn dvfs(cluster: ClusterId, low_factor: f64, half_period: f64) -> Scenario {
         Scenario {
             name: "powerdvfs",
-            description: format!(
-                "DVFS square wave on {cluster}: 1.0 ↔ {low_factor:.2}, {half_period}s phases"
-            ),
             mods: vec![Modifier::DvfsSquareWave {
                 cluster,
                 low_factor,
@@ -129,7 +114,7 @@ impl Scenario {
     /// through `factors` (e.g. `[0.9, 0.7, 0.5]`), each step lasting
     /// `step` seconds, then recovers. Models RAPL-style progressive
     /// throttling rather than a square wave.
-    pub fn power_staircase(
+    pub(crate) fn power_staircase(
         topo: &Topology,
         cluster: ClusterId,
         factors: &[f64],
@@ -151,7 +136,6 @@ impl Scenario {
             .collect();
         Scenario {
             name: "powerstaircase",
-            description: format!("{}-step power staircase on {cluster}", factors.len()),
             mods,
         }
     }
@@ -180,7 +164,6 @@ impl Scenario {
         }
         Scenario {
             name: "rolling",
-            description: format!("slow-down ×{factor:.2} migrating core-to-core every {dwell}s"),
             mods,
         }
     }
@@ -189,7 +172,7 @@ impl Scenario {
     /// uniformly random victim core, start, duration in `dur`, and factor
     /// in `fac`. Reproducible from `seed` (every figure stays
     /// deterministic).
-    pub fn random_bursts(
+    pub(crate) fn random_bursts(
         topo: &Topology,
         seed: u64,
         n: usize,
@@ -214,7 +197,6 @@ impl Scenario {
             .collect();
         Scenario {
             name: "randombursts",
-            description: format!("{n} random slow-down bursts over {horizon}s (seed {seed})"),
             mods,
         }
     }
@@ -306,7 +288,7 @@ mod tests {
         let topo = tx2();
         let a = Scenario::random_bursts(&topo, 7, 10, 30.0, (1.0, 2.0), (0.3, 0.6));
         let b = Scenario::random_bursts(&topo, 7, 10, 30.0, (1.0, 2.0), (0.3, 0.6));
-        assert_eq!(a.modifiers().len(), 10);
+        assert_eq!(a.mods.len(), 10);
         let env_a = a.environment(Arc::clone(&topo));
         let env_b = b.environment(Arc::clone(&topo));
         for t in 0..40 {

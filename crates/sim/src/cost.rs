@@ -101,13 +101,13 @@ pub struct TableCost {
 
 /// Per-type parameters of a [`TableCost`].
 #[derive(Clone, Copy, Debug)]
-pub struct TableRow {
+pub(crate) struct TableRow {
     /// Seconds at unit speed, width 1.
-    pub work: f64,
+    pub(crate) work: f64,
     /// Scaling exponent in `[0, 1]` (1 = linear speedup).
-    pub alpha: f64,
+    pub(crate) alpha: f64,
     /// Memory-pressure sensitivity in `[0, 1]`.
-    pub mem_sensitivity: f64,
+    pub(crate) mem_sensitivity: f64,
 }
 
 impl TableCost {

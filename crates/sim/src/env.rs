@@ -342,7 +342,7 @@ impl Environment {
     }
 
     /// An environment with the given modifiers.
-    pub fn with_modifiers(topo: Arc<Topology>, mods: Vec<Modifier>) -> Self {
+    pub(crate) fn with_modifiers(topo: Arc<Topology>, mods: Vec<Modifier>) -> Self {
         Environment {
             by_core: ModIndex::build(topo.num_cores(), &mods, |m| m.cores(&topo)),
             by_cluster: ModIndex::build(topo.num_clusters(), &mods, |m| {
@@ -354,15 +354,11 @@ impl Environment {
     }
 
     /// Append a modifier (builder style). Rebuilds the lookup index, so
-    /// a long modifier list belongs in [`Environment::with_modifiers`].
+    /// a long modifier list belongs in a [`Scenario`](crate::Scenario),
+    /// whose [`environment`](crate::Scenario::environment) builds it once.
     pub fn and(mut self, m: Modifier) -> Self {
         self.mods.push(m);
         Environment::with_modifiers(self.topo, self.mods)
-    }
-
-    /// The modifiers in force.
-    pub fn modifiers(&self) -> &[Modifier] {
-        &self.mods
     }
 
     /// Effective speed of `core` at time `t`: static cluster base speed ×
@@ -378,7 +374,7 @@ impl Environment {
     /// Memory pressure on `cluster` at `t` (sum over the modifiers
     /// pressuring its memory domain, clamped to 0.9 so rates never hit
     /// zero).
-    pub fn mem_pressure(&self, cluster: ClusterId, t: f64) -> f64 {
+    pub(crate) fn mem_pressure(&self, cluster: ClusterId, t: f64) -> f64 {
         self.by_cluster
             .row(cluster.0)
             .iter()
@@ -388,7 +384,7 @@ impl Environment {
 
     /// The earliest instant strictly after `t` at which any modifier
     /// changes, or `None` if the environment is constant from `t` on.
-    pub fn next_change_after(&self, t: f64) -> Option<f64> {
+    pub(crate) fn next_change_after(&self, t: f64) -> Option<f64> {
         self.mods
             .iter()
             .filter_map(|m| m.next_change_after(t))
@@ -664,19 +660,18 @@ mod tests {
                 Environment::with_modifiers(Arc::clone(&topo), mods[..split].to_vec()),
                 Environment::and,
             );
-            prop_assert_eq!(env.modifiers().len(), mods.len());
+            prop_assert_eq!(env.mods.len(), mods.len());
             for step in 0..=32 {
                 let t = step as f64 * 0.1;
                 for core in topo.cores() {
-                    let want = env.modifiers().iter().fold(
+                    let want = mods.iter().fold(
                         topo.cluster_of(core).base_speed,
                         |s, m| s * ref_speed_factor(&topo, m, core, t),
                     );
                     prop_assert_eq!(env.speed(core, t).to_bits(), want.to_bits(), "{} t={}", core, t);
                 }
                 for cl in topo.clusters() {
-                    let want = env
-                        .modifiers()
+                    let want = mods
                         .iter()
                         .fold(0.0, |s, m| s + ref_mem_pressure(&topo, m, cl.id, t))
                         .min(0.9);

@@ -19,7 +19,7 @@ pub struct RunStats {
     pub core_work: Vec<f64>,
     /// Occupancy per core including rendezvous wait (joining an assembly
     /// until its completion).
-    pub core_busy: Vec<f64>,
+    pub(crate) core_busy: Vec<f64>,
     /// How many *high-priority* tasks committed at each execution place —
     /// the pie charts of Fig. 5.
     pub high_priority_places: BTreeMap<PlaceKey, usize>,

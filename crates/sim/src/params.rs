@@ -22,7 +22,7 @@ pub struct SimConfig {
     /// overheads, admission bound and metrics.
     pub session: SessionBuilder,
     /// Task cost model; defaults to [`UniformCost`] with 1 ms tasks.
-    pub cost: Arc<dyn CostModel>,
+    pub(crate) cost: Arc<dyn CostModel>,
 }
 
 impl SimConfig {

@@ -19,7 +19,7 @@ pub struct Trace {
     /// Total simulated time of the run.
     pub makespan: f64,
     /// Number of cores of the platform.
-    pub num_cores: usize,
+    pub(crate) num_cores: usize,
 }
 
 impl Trace {
@@ -38,7 +38,7 @@ impl Trace {
     }
 
     /// Spans executed by `core`, in time order.
-    pub fn spans_of_core(&self, core: usize) -> Vec<TraceSpan> {
+    pub(crate) fn spans_of_core(&self, core: usize) -> Vec<TraceSpan> {
         let mut v: Vec<TraceSpan> = self
             .spans
             .iter()
@@ -152,7 +152,7 @@ impl Trace {
     /// A trace of the spans returned by `Executor::take_trace_spans`,
     /// its makespan the latest finite span end; used by the cluster's
     /// unified-trace assembly.
-    pub fn from_trace_spans(num_cores: usize, spans: &[TraceSpan]) -> Trace {
+    pub(crate) fn from_trace_spans(num_cores: usize, spans: &[TraceSpan]) -> Trace {
         let makespan = spans
             .iter()
             .map(|s| s.end)
@@ -222,14 +222,6 @@ impl ClusterTrace {
     /// Total spans across all nodes.
     pub fn total_spans(&self) -> usize {
         self.nodes.iter().map(|(_, t)| t.spans.len()).sum()
-    }
-
-    /// Latest span end across all nodes.
-    pub fn makespan(&self) -> f64 {
-        self.nodes
-            .iter()
-            .map(|(_, t)| t.makespan)
-            .fold(0.0, f64::max)
     }
 
     /// The unified Chrome Trace Event JSON: every node's spans with
@@ -614,7 +606,6 @@ mod tests {
             nodes: vec![(0, t0), (1, t1)],
         };
         assert_eq!(ct.total_spans(), 3);
-        assert!((ct.makespan() - 2.0).abs() < 1e-12);
         let j = ct.to_chrome_json();
         // 3 complete events + 2 process_name metadata events.
         assert_eq!(validate_chrome_json(&j), Ok(5));

@@ -26,21 +26,6 @@ pub enum Distance {
     CrossNode,
 }
 
-impl Distance {
-    /// A conventional relative cost weight for each class (1 / 2 / 8 / 64),
-    /// loosely following latency ratios of L2 hit : remote socket :
-    /// Infiniband round-trip. Substrates that need real numbers should
-    /// scale this by a base latency.
-    pub fn weight(self) -> f64 {
-        match self {
-            Distance::SameCore => 1.0,
-            Distance::SameCluster => 2.0,
-            Distance::SameNode => 8.0,
-            Distance::CrossNode => 64.0,
-        }
-    }
-}
-
 impl fmt::Display for Distance {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -76,13 +61,6 @@ impl Topology {
     /// The distributed-memory node a core belongs to.
     pub fn node_of(&self, core: CoreId) -> usize {
         self.cluster_of(core).node
-    }
-
-    /// All cores belonging to node `node`, ascending.
-    pub fn cores_of_node(&self, node: usize) -> Vec<CoreId> {
-        self.clusters_of_node(node)
-            .flat_map(|c| c.cores())
-            .collect()
     }
 }
 
@@ -127,7 +105,6 @@ mod tests {
             Distance::CrossNode,
         ];
         for w in ds.windows(2) {
-            assert!(w[0].weight() < w[1].weight());
             assert!(w[0] < w[1]);
         }
     }
@@ -136,7 +113,7 @@ mod tests {
     fn cores_of_node_partition_the_machine() {
         let t = Topology::haswell_cluster(3);
         let mut all: Vec<_> = (0..t.num_nodes())
-            .flat_map(|n| t.cores_of_node(n))
+            .flat_map(|n| t.clusters_of_node(n).flat_map(|c| c.cores()))
             .collect();
         all.sort();
         assert_eq!(all, t.cores().collect::<Vec<_>>());

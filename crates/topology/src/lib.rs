@@ -108,7 +108,7 @@ pub struct Cluster {
     /// cluster of its domain. Defaults to one domain per cluster
     /// (NUMA-style sockets with their own controllers); SoC-style
     /// platforms where all clusters share one controller (Jetson TX2's
-    /// LPDDR4) override this via [`TopologyBuilder::mem_domain`].
+    /// LPDDR4) override this, as [`Topology::tx2`] does.
     pub mem_domain: usize,
     valid_widths: Vec<usize>,
 }
@@ -163,19 +163,9 @@ impl Cluster {
         self.core_range().map(CoreId)
     }
 
-    /// Returns `true` if `core` belongs to this cluster.
-    pub fn contains(&self, core: CoreId) -> bool {
-        self.core_range().contains(&core.0)
-    }
-
     /// Resource widths supported by this cluster, ascending.
     pub fn valid_widths(&self) -> &[usize] {
         &self.valid_widths
-    }
-
-    /// Largest valid width (= cluster size).
-    pub fn max_width(&self) -> usize {
-        self.num_cores
     }
 }
 
@@ -342,7 +332,7 @@ impl TopologyBuilder {
     }
 
     /// Append a cluster with explicit cache sizes (KiB).
-    pub fn cluster_with_caches(
+    pub(crate) fn cluster_with_caches(
         mut self,
         name: &str,
         num_cores: usize,
@@ -368,7 +358,7 @@ impl TopologyBuilder {
 
     /// Subsequent clusters share memory domain `domain` (one DRAM
     /// controller). Without this call each cluster gets its own domain.
-    pub fn mem_domain(mut self, domain: usize) -> Self {
+    pub(crate) fn mem_domain(mut self, domain: usize) -> Self {
         self.mem_domain = Some(domain);
         self
     }
@@ -438,7 +428,11 @@ mod tests {
             for p in topo.places() {
                 let cl = topo.cluster_of(p.leader);
                 for m in p.member_cores() {
-                    assert!(cl.contains(m), "{p} crosses out of {}", cl.name);
+                    assert!(
+                        cl.core_range().contains(&m.0),
+                        "{p} crosses out of {}",
+                        cl.name
+                    );
                 }
             }
         }
@@ -487,7 +481,7 @@ mod tests {
     fn places_in_cluster_stay_inside() {
         let t = Topology::haswell_2x8();
         for p in t.places_in_cluster(ClusterId(1)) {
-            assert!(t.cluster(ClusterId(1)).contains(p.leader));
+            assert!(t.cluster(ClusterId(1)).core_range().contains(&p.leader.0));
         }
         // 8 cores × widths {1,2,4,8} = 32 slots per socket.
         assert_eq!(t.places_in_cluster(ClusterId(0)).count(), 32);

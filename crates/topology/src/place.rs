@@ -62,11 +62,6 @@ impl ExecutionPlace {
             None
         }
     }
-
-    /// `true` if `core` participates in this place.
-    pub fn contains(&self, core: CoreId) -> bool {
-        self.rank_of(core).is_some()
-    }
 }
 
 impl fmt::Display for ExecutionPlace {
@@ -137,8 +132,7 @@ mod tests {
         assert_eq!(p.rank_of(CoreId(3)), Some(1));
         assert_eq!(p.rank_of(CoreId(5)), Some(3));
         assert_eq!(p.rank_of(CoreId(0)), None);
-        assert!(p.contains(CoreId(4)));
-        assert!(!p.contains(CoreId(1)));
+        assert_eq!(p.rank_of(CoreId(1)), None);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! the service rate and hide saturation). Two interarrival processes are
 //! provided:
 //!
-//! * [`ArrivalProcess::Poisson`] — exponential interarrivals at a fixed
+//! * [`StreamConfig::poisson`] — exponential interarrivals at a fixed
 //!   rate, the classic M/G/k client model;
-//! * [`ArrivalProcess::Bursty`] — a compound process: bursts of
+//! * [`StreamConfig::bursty`] — a compound process: bursts of
 //!   back-to-back jobs separated by exponential gaps, modelling the
 //!   batched traffic spikes a production scheduler actually sees.
 //!
@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 
 /// Interarrival-time process of an open-loop stream.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ArrivalProcess {
+pub(crate) enum ArrivalProcess {
     /// Exponential interarrivals: `rate` jobs per second on average.
     Poisson {
         /// Mean arrival rate (jobs/second), > 0.
@@ -63,7 +63,7 @@ impl ArrivalProcess {
     }
 
     /// Generate the first `n` arrival times (seconds, non-decreasing).
-    pub fn arrivals(&self, rng: &mut SmallRng, n: usize) -> Vec<f64> {
+    pub(crate) fn arrivals(&self, rng: &mut SmallRng, n: usize) -> Vec<f64> {
         self.validate();
         let mut out = Vec::with_capacity(n);
         match *self {
@@ -178,19 +178,16 @@ impl JobShape {
 #[derive(Clone, Copy, Debug)]
 pub struct StreamConfig {
     /// RNG seed — same seed, same stream.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Number of jobs to generate.
-    pub jobs: usize,
+    pub(crate) jobs: usize,
     /// Interarrival process.
-    pub process: ArrivalProcess,
+    pub(crate) process: ArrivalProcess,
     /// Shape of each job's DAG.
-    pub shape: JobShape,
-    /// Task type of the generated tasks (selects the PTT and the cost
-    /// model row).
-    pub ty: TaskTypeId,
+    pub(crate) shape: JobShape,
     /// Optional relative deadline: each job's deadline is
     /// `arrival + slack` seconds.
-    pub slack: Option<f64>,
+    pub(crate) slack: Option<f64>,
 }
 
 impl StreamConfig {
@@ -204,7 +201,6 @@ impl StreamConfig {
                 parallelism: 4,
                 layers: 8,
             },
-            ty: TaskTypeId(0),
             slack: None,
         }
     }
@@ -228,12 +224,6 @@ impl StreamConfig {
         self
     }
 
-    /// Set the task type.
-    pub fn ty(mut self, ty: TaskTypeId) -> Self {
-        self.ty = ty;
-        self
-    }
-
     /// Give every job `slack` seconds of relative deadline.
     pub fn slack(mut self, slack: f64) -> Self {
         self.slack = Some(slack);
@@ -241,8 +231,8 @@ impl StreamConfig {
     }
 
     /// Generate the stream. Jobs are in arrival order; [`JobClass`]
-    /// records the burst index under [`ArrivalProcess::Bursty`] (0 for
-    /// Poisson).
+    /// records the burst index of a [`StreamConfig::bursty`] stream (0
+    /// for Poisson).
     pub fn generate(&self) -> Vec<JobSpec<Dag>> {
         assert!(self.jobs > 0, "empty stream");
         let mut rng = SmallRng::seed_from_u64(self.seed);
@@ -255,7 +245,8 @@ impl StreamConfig {
             .into_iter()
             .enumerate()
             .map(|(i, at)| {
-                let dag = self.shape.build(self.ty, &mut rng);
+                // Every stream task is of type 0: one PTT, one cost row.
+                let dag = self.shape.build(TaskTypeId(0), &mut rng);
                 let mut spec = JobSpec::new(dag)
                     .at(at)
                     .class(JobClass((i / burst.max(1)) as u16));

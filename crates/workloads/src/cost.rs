@@ -55,11 +55,6 @@ impl PaperCost {
         PaperCost { tile }
     }
 
-    /// The MatMul tile side in force.
-    pub fn tile(&self) -> usize {
-        self.tile
-    }
-
     /// Scaling exponent (`eff = w^(alpha-1)`) per task type.
     fn alpha(&self, ty: TaskTypeId) -> f64 {
         match ty {

@@ -107,7 +107,7 @@ impl SharedGrid {
 /// Initial condition used across all variants: cold grid with a hot top
 /// edge and a warm left edge — enough structure that indexing bugs show
 /// up numerically.
-pub fn default_init(r: usize, c: usize, rows: usize, cols: usize) -> f64 {
+pub(crate) fn default_init(r: usize, c: usize, rows: usize, cols: usize) -> f64 {
     if r == 0 {
         100.0
     } else if c == 0 {

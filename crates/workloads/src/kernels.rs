@@ -33,24 +33,14 @@ impl Tile {
         Tile { n, data }
     }
 
-    /// Side length.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Element access.
-    pub fn get(&self, i: usize, j: usize) -> f32 {
+    pub(crate) fn get(&self, i: usize, j: usize) -> f32 {
         self.data[i * self.n + j]
     }
 
     /// Mutable element access.
-    pub fn set(&mut self, i: usize, j: usize, v: f32) {
+    pub(crate) fn set(&mut self, i: usize, j: usize, v: f32) {
         self.data[i * self.n + j] = v;
-    }
-
-    /// Raw data (row-major).
-    pub fn data(&self) -> &[f32] {
-        &self.data
     }
 }
 
@@ -83,21 +73,6 @@ pub fn matmul_ref(a: &Tile, b: &Tile) -> Tile {
     c
 }
 
-/// Streaming copy of this participant's cyclic share of `src` into `dst`.
-///
-/// # Panics
-/// Panics if lengths disagree or `rank >= width`.
-pub fn copy_rows(src: &[f32], dst: &mut [f32], row_len: usize, rank: usize, width: usize) {
-    assert!(rank < width);
-    assert_eq!(src.len(), dst.len());
-    assert!(row_len > 0 && src.len().is_multiple_of(row_len));
-    let rows = src.len() / row_len;
-    for r in (rank..rows).step_by(width) {
-        let s = r * row_len;
-        dst[s..s + row_len].copy_from_slice(&src[s..s + row_len]);
-    }
-}
-
 /// One 5-point Jacobi sweep over this participant's cyclic share of the
 /// interior rows: `out = 0.25 (N + S + E + W)`. Boundary rows are copied
 /// through unchanged by rank 0.
@@ -105,7 +80,7 @@ pub fn copy_rows(src: &[f32], dst: &mut [f32], row_len: usize, rank: usize, widt
 /// # Panics
 /// Panics if the grids disagree in size, have fewer than 3 rows/cols, or
 /// `rank >= width`.
-pub fn stencil_rows(
+pub(crate) fn stencil_rows(
     input: &[f64],
     out: &mut [f64],
     rows: usize,
@@ -155,18 +130,6 @@ mod tests {
                 matmul_rows(&a, &b, &mut c, rank, width);
             }
             assert_eq!(c, reference, "width {width}");
-        }
-    }
-
-    #[test]
-    fn copy_partitioned_copies_everything() {
-        let src: Vec<f32> = (0..64).map(|x| x as f32).collect();
-        for width in [1, 2, 4] {
-            let mut dst = vec![0.0f32; 64];
-            for rank in 0..width {
-                copy_rows(&src, &mut dst, 8, rank, width);
-            }
-            assert_eq!(dst, src, "width {width}");
         }
     }
 

@@ -63,7 +63,7 @@ impl KMeans {
     ///
     /// # Panics
     /// Panics if the data length is not a multiple of `dim`, or `k == 0`.
-    pub fn new(data: Vec<f64>, dim: usize, k: usize) -> Self {
+    pub(crate) fn new(data: Vec<f64>, dim: usize, k: usize) -> Self {
         assert!(dim > 0 && k > 0);
         assert_eq!(data.len() % dim, 0, "data must be n×dim");
         assert!(data.len() / dim >= k, "need at least k points");
@@ -91,18 +91,13 @@ impl KMeans {
     }
 
     /// Number of points.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len() / self.dim
-    }
-
-    /// `true` if the instance has no points.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Initial centroids: the first `k` points (the classic Forgy-like
     /// deterministic start used by Rodinia).
-    pub fn initial_centroids(&self) -> Vec<f64> {
+    pub(crate) fn initial_centroids(&self) -> Vec<f64> {
         self.data[..self.k * self.dim].to_vec()
     }
 
@@ -171,7 +166,7 @@ impl KMeans {
     }
 
     /// One sequential Lloyd iteration.
-    pub fn sequential_iteration(&self, centroids: &[f64]) -> Vec<f64> {
+    pub(crate) fn sequential_iteration(&self, centroids: &[f64]) -> Vec<f64> {
         let (sums, counts) = self.partial(centroids, 0, self.len(), 0, 1);
         self.finish_centroids(&sums, &counts, centroids)
     }

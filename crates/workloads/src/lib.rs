@@ -39,16 +39,16 @@ pub mod types {
     /// Large memcpy (memory-bound streaming).
     pub const COPY: TaskTypeId = TaskTypeId(1);
     /// 5-point stencil sweep over a tile (cache-bound).
-    pub const STENCIL: TaskTypeId = TaskTypeId(2);
+    pub(crate) const STENCIL: TaskTypeId = TaskTypeId(2);
     /// One K-means loop partition (assign points to centroids).
-    pub const KMEANS_CHUNK: TaskTypeId = TaskTypeId(3);
+    pub(crate) const KMEANS_CHUNK: TaskTypeId = TaskTypeId(3);
     /// K-means centroid reduction.
     pub const KMEANS_REDUCE: TaskTypeId = TaskTypeId(4);
     /// One block of a 2-D heat Jacobi sweep.
-    pub const HEAT_COMPUTE: TaskTypeId = TaskTypeId(5);
+    pub(crate) const HEAT_COMPUTE: TaskTypeId = TaskTypeId(5);
     /// Ghost-cell boundary exchange (the paper's high-priority MPI TAO).
-    pub const HEAT_COMM: TaskTypeId = TaskTypeId(6);
+    pub(crate) const HEAT_COMM: TaskTypeId = TaskTypeId(6);
     /// Task type of the interfering co-runner chain (§5.1), used by the
     /// co-runner-as-tasks ablation.
-    pub const INTERFERE: TaskTypeId = TaskTypeId(7);
+    pub(crate) const INTERFERE: TaskTypeId = TaskTypeId(7);
 }

@@ -8,11 +8,11 @@ use crate::types;
 use das_dag::{generators, Dag};
 
 /// Paper-sized task counts per kernel (§4.2.2).
-pub const MATMUL_TASKS: usize = 32_000;
+pub(crate) const MATMUL_TASKS: usize = 32_000;
 /// Copy DAG size.
-pub const COPY_TASKS: usize = 10_000;
+pub(crate) const COPY_TASKS: usize = 10_000;
 /// Stencil DAG size.
-pub const STENCIL_TASKS: usize = 20_000;
+pub(crate) const STENCIL_TASKS: usize = 20_000;
 
 /// The three synthetic kernels, in the order of Fig. 4/7.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -30,7 +30,7 @@ impl Kernel {
     pub const ALL: [Kernel; 3] = [Kernel::MatMul, Kernel::Copy, Kernel::Stencil];
 
     /// Display name as used in the figures.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Kernel::MatMul => "MatMul",
             Kernel::Copy => "Copy",
@@ -39,7 +39,7 @@ impl Kernel {
     }
 
     /// The task type id of this kernel.
-    pub fn task_type(self) -> das_core::TaskTypeId {
+    pub(crate) fn task_type(self) -> das_core::TaskTypeId {
         match self {
             Kernel::MatMul => types::MATMUL,
             Kernel::Copy => types::COPY,
@@ -48,7 +48,7 @@ impl Kernel {
     }
 
     /// Paper-sized total task count for this kernel's DAG.
-    pub fn paper_tasks(self) -> usize {
+    pub(crate) fn paper_tasks(self) -> usize {
         match self {
             Kernel::MatMul => MATMUL_TASKS,
             Kernel::Copy => COPY_TASKS,
