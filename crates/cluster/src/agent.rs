@@ -1,9 +1,14 @@
-//! The node side of a link: the agent thread that owns a node's
-//! executor, its snapshot cadence and its fault plane.
+//! The node side of the cluster: [`Agent`], the step function that owns
+//! a node's executor, its snapshot cadence and its fault plane, and the
+//! two [`NodeLink`]s it runs behind — inline in the dispatcher, or on
+//! an agent thread at the far end of a private [`das_msg`] link.
 
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 use das_core::exec::{ExecError, ExecExtras, Executor, SessionBuilder, Ticket};
 use das_core::fault::FaultPlane;
@@ -11,77 +16,47 @@ use das_core::jobs::JobId;
 use das_core::metrics::{MetricsConfig, NodeSnapshot};
 use das_msg::Communicator;
 
-use crate::dispatcher::{Node, NodeState};
-use crate::wire::{post, Ctrl, Drained, Frame, Link, Reply, DISPATCHER, NODE, T_CTRL};
+use crate::builder::RPC_ATTEMPTS;
+use crate::dispatcher::Node;
+use crate::wire::{
+    post, Ctrl, Drained, Frame, Link, Reply, DISPATCHER, NODE, T_ACK, T_CTRL, T_LOAD, T_METRICS,
+};
 
-/// Spawn one node: a private 2-rank link and the agent thread. The
-/// thread body runs under `catch_unwind`: on a panic (a scheduled
-/// kill, or an agent bug) the wrapper publishes the down flag —
-/// `Release`, paired with the dispatcher's `Acquire` in `reply` and
-/// `ring` — and sends a [`ExecError::NodeFailed`] reply as its last
-/// frame, so a dispatcher blocked on this command's ack observes the
-/// death deterministically instead of timing out.
-pub(crate) fn spawn_node<E>(
-    i: usize,
-    exec: E,
-    plane: FaultPlane,
-    session: &SessionBuilder,
-) -> Node<E::Graph>
-where
-    E: Executor + Send + 'static,
-    E::Graph: Send + 'static,
-{
-    let comm = Communicator::typed(2);
-    let agent_ep = comm.endpoint(NODE);
-    let last_frame_ep = agent_ep.clone();
-    let down = Arc::new(AtomicBool::new(false));
-    let down_agent = Arc::clone(&down);
-    let metrics = session.metrics;
-    let agent = std::thread::Builder::new()
-        .name(format!("das-cluster-node-{i}"))
-        .spawn(move || {
-            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                node_agent(i, exec, &agent_ep, plane, metrics);
-            }));
-            if run.is_err() {
-                down_agent.store(true, Ordering::Release);
-                let last = Reply::Err(ExecError::NodeFailed { node: i });
-                post(&last_frame_ep, Frame::Reply(last));
-            }
-        })
-        .expect("spawn cluster node agent");
-    Node {
-        ep: comm.endpoint(DISPATCHER),
-        down,
-        agent: Some(agent),
-        state: NodeState::Live,
-        load: 0.0,
-        limit: session.max_outstanding.map_or(f64::INFINITY, |l| l as f64),
-        snapshot: None,
-    }
+/// What one command did on a node, in the order the node reports it:
+/// the metrics snapshot, the load report, then the acknowledgement.
+/// Each is `None` when there is none to send: no snapshot due, or the
+/// fault plane dropped the report or withheld the ack.
+#[derive(Default)]
+pub(crate) struct Outcome {
+    pub(crate) snapshot: Option<NodeSnapshot>,
+    pub(crate) load: Option<f64>,
+    pub(crate) reply: Option<Reply>,
 }
 
-/// The fault plane's kill: a node agent dies by panicking, so the
-/// spawn wrapper's failure path is its one and only death path.
+/// The fault plane's kill: a node dies by panicking inside
+/// [`Agent::handle`], so the panic's catcher is its one and only death
+/// path.
 #[expect(
     clippy::panic,
-    reason = "the scheduled Kill fault takes this agent down by design: the spawn \
-              wrapper catches the panic, publishes the down flag and sends the \
-              `NodeFailed` frame the blocked dispatcher is waiting on"
+    reason = "the scheduled Kill fault takes this node down by design: an inline \
+              node's `catch_unwind` in `Inline::run` catches the panic at the call \
+              and answers `NodeFailed`; a threaded node's spawn wrapper catches it, \
+              publishes the down flag and sends the `NodeFailed` frame the blocked \
+              dispatcher is waiting on"
 )]
 fn fault_kill(admitted: u64) -> ! {
     panic!("fault plane: killed after {admitted} admitted jobs");
 }
 
-/// Run one executor-contract operation on the node agent, turning an
-/// executor panic (a runtime node's `wait` re-raises task body panics)
-/// into the error to reply with.
+/// Run one executor-contract operation on the node, turning an executor
+/// panic (a runtime node's `wait` re-raises task body panics) into the
+/// error to reply with.
 fn run_op<T>(f: impl FnOnce() -> Result<T, ExecError>) -> Result<T, ExecError> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+    catch_unwind(AssertUnwindSafe(f))
         .unwrap_or_else(|_| Err(ExecError::Failed("node executor panicked".into())))
 }
 
-/// The agent's snapshot-cadence state while its session has metrics
+/// The node's snapshot-cadence state while its session has metrics
 /// enabled: the sequence counter, admissions since the last snapshot,
 /// the last snapshot actually sent (what a `DelayLoadReports` fault
 /// re-sends), and the fault-attribution counters since the last drain.
@@ -108,13 +83,6 @@ impl SnapState {
         }
     }
 
-    /// Count `admitted` jobs toward the cadence; `true` when a
-    /// snapshot is due.
-    fn admitted(&mut self, admitted: u64) -> bool {
-        self.since += admitted;
-        self.since >= self.cfg.snapshot_every
-    }
-
     /// Stamp the attribution counters onto the drain-bound extras and
     /// reset them — each drain reports the delta since the previous
     /// one, so the dispatcher's per-node bumps never double-count.
@@ -132,129 +100,65 @@ impl SnapState {
     }
 }
 
-/// Push this node's state — an optional metrics snapshot, then the
-/// load report — as the fault plane allows: a `Slow` fault inflates
-/// the reported load (steering the policies away, the deterministic
-/// stand-in for a degraded node), `DropLoadReports` withholds the
-/// pair, `DelayLoadReports` re-sends the previous (stale) pair. The
-/// snapshot and the load report share **one** drop/delay decision
-/// (the same tokens are consumed whether or not metrics are on, so
-/// fault schedules reproduce identically either way), and the
-/// snapshot goes first — the dispatcher's keep-latest reads then
-/// never see a load value fresher than the snapshot beside it.
-fn report_state<G>(
-    ep: &Link<G>,
-    plane: &mut FaultPlane,
-    last: &mut f64,
+/// One node: its executor, the node-local tickets (which live, and
+/// die, here), its outstanding-job count and fault plane, and the
+/// snapshot cadence when its session enabled metrics.
+pub(crate) struct Agent<E> {
+    node: usize,
+    exec: E,
+    plane: FaultPlane,
+    tickets: BTreeMap<u64, Ticket>,
     outstanding: f64,
-    snapshot: Option<(&mut SnapState, NodeSnapshot)>,
-) {
-    let value = outstanding * plane.slow_factor();
-    let dropped = plane.drop_load_report();
-    let delayed = !dropped && plane.delay_load_report();
-    if let Some((state, snap)) = snapshot {
-        if dropped {
-            state.dropped += 1.0;
-        } else if delayed {
-            state.delayed += 1.0;
-            if let Some(stale) = &state.last_sent {
-                post(ep, Frame::Metrics(Box::new(stale.clone())));
-            }
-        } else {
-            state.sent += 1.0;
-            state.last_sent = Some(snap.clone());
-            post(ep, Frame::Metrics(Box::new(snap)));
+    /// The last load value reported, what a `DelayLoadReports` fault
+    /// re-sends.
+    last_load: f64,
+    snap: Option<SnapState>,
+}
+
+impl<E: Executor> Agent<E> {
+    pub(crate) fn new(node: usize, exec: E, plane: FaultPlane, session: &SessionBuilder) -> Self {
+        Agent {
+            node,
+            exec,
+            plane,
+            tickets: BTreeMap::new(),
+            outstanding: 0.0,
+            last_load: 0.0,
+            snap: session.metrics.map(SnapState::new),
         }
     }
-    if dropped {
-        return;
-    }
-    if !delayed {
-        *last = value;
-    }
-    post(ep, Frame::Load(*last));
-}
 
-/// Build the node's metrics snapshot when one is due: `force` (drain
-/// epochs) or the cadence reaching `cfg.snapshot_every` admitted jobs
-/// — both logical triggers, never wall-clock. Returns the pair
-/// [`report_state`] consumes; `None` while metrics are off or the
-/// cadence has not elapsed. The executor's probe is cumulative, so a
-/// snapshot is a read, not a drain; a backend without metrics state
-/// contributes the all-zero probe.
-fn snapshot_if_due<'a, E: Executor>(
-    node: usize,
-    exec: &mut E,
-    state: &'a mut Option<SnapState>,
-    admitted: u64,
-    force: bool,
-) -> Option<(&'a mut SnapState, NodeSnapshot)> {
-    let s = state.as_mut()?;
-    let due = s.admitted(admitted);
-    if !(due || force) {
-        return None;
-    }
-    let snap = NodeSnapshot {
-        node: node as u64,
-        seq: s.seq,
-        probe: exec.metrics_probe().unwrap_or_default(),
-    };
-    s.seq += 1;
-    s.since = 0;
-    Some((s, snap))
-}
-
-/// The node agent loop: owns this node's executor, serves dispatcher
-/// commands, pushes a load report (and, when the session enabled
-/// metrics, a cadence-due snapshot) before every acknowledgement that
-/// follows an admission edge, and answers each command with one
-/// [`Reply`] — unless a `DropAcks` fault withholds it (the dispatcher
-/// then surfaces a typed timeout). Node-local tickets live (and die)
-/// here. The agent consults its [`FaultPlane`] at every admission and
-/// every outgoing frame — all triggers are logical (counts, not
-/// clocks), so injected faults reproduce bit-exactly.
-fn node_agent<E: Executor>(
-    node: usize,
-    mut exec: E,
-    ep: &Link<E::Graph>,
-    mut plane: FaultPlane,
-    metrics: Option<MetricsConfig>,
-) {
-    let mut tickets: BTreeMap<u64, Ticket> = BTreeMap::new();
-    let mut outstanding: f64 = 0.0;
-    let mut last_load: f64 = 0.0;
-    let mut snap_state: Option<SnapState> = metrics.map(SnapState::new);
-    loop {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the agent's idle state is \"parked on the control link\"; \
-                      `Cluster::drop` always sends `Ctrl::Shutdown` as its last frame, \
-                      so this recv is bounded by dispatcher lifetime."
-        )]
-        let Frame::Ctrl(ctrl) = ep.recv(DISPATCHER, T_CTRL) else {
-            unreachable!("`post` sends only commands under T_CTRL")
-        };
+    /// Serve one dispatcher command. Every command that follows an
+    /// admission edge reports the node's state (a load value and, when
+    /// the session enabled metrics, a cadence-due snapshot) ahead of
+    /// its one [`Reply`], unless a `DropAcks` fault withholds the
+    /// reply (the dispatcher then surfaces a typed timeout). The fault
+    /// plane is consulted at every admission and every outgoing report;
+    /// all its triggers are logical (counts, not clocks), so injected
+    /// faults reproduce bit-exactly. A scheduled kill panics out of
+    /// here; whoever runs the node catches it.
+    pub(crate) fn handle(&mut self, ctrl: Ctrl<E::Graph>) -> Outcome {
+        let mut out = Outcome::default();
         let reply = match ctrl {
-            Ctrl::Shutdown => return,
             Ctrl::Submit(specs) => {
-                if plane.on_admit(specs.len() as u64) {
-                    fault_kill(plane.admitted());
+                if self.plane.on_admit(specs.len() as u64) {
+                    fault_kill(self.plane.admitted());
                 }
                 // The backend batch is atomic on validation: on error
                 // the node admits nothing and the count is untouched.
-                let admitted = run_op(|| exec.submit_many(specs)).map(|batch| {
+                let admitted = run_op(|| self.exec.submit_many(specs)).map(|batch| {
                     let locals: Vec<u64> = batch.iter().map(|t| t.job().0).collect();
-                    tickets.extend(locals.iter().copied().zip(batch));
+                    self.tickets.extend(locals.iter().copied().zip(batch));
                     locals
                 });
                 let n = admitted.as_ref().map_or(0, Vec::len);
-                outstanding += n as f64;
-                let snap = snapshot_if_due(node, &mut exec, &mut snap_state, n as u64, false);
-                report_state(ep, &mut plane, &mut last_load, outstanding, snap);
+                self.outstanding += n as f64;
+                let snap = self.snapshot_if_due(n as u64, false);
+                self.report_state(snap, &mut out);
                 admitted.map_or_else(Reply::Err, Reply::Admitted)
             }
             Ctrl::Wait { local } => {
-                let reply = match tickets.remove(&local) {
+                let reply = match self.tickets.remove(&local) {
                     None => Reply::Err(ExecError::UnknownTicket(JobId(local))),
                     Some(ticket) => {
                         // Only the waited job leaves the count, even when the
@@ -267,36 +171,36 @@ fn node_agent<E: Executor>(
                         // so resyncing here would corrupt *their* waits), and
                         // steering new jobs away from a node that just failed
                         // a batch is the right routing bias anyway.
-                        outstanding -= 1.0;
-                        run_op(|| exec.wait(ticket)).map_or_else(Reply::Err, Reply::Job)
+                        self.outstanding -= 1.0;
+                        run_op(|| self.exec.wait(ticket)).map_or_else(Reply::Err, Reply::Job)
                     }
                 };
-                report_state(ep, &mut plane, &mut last_load, outstanding, None);
+                self.report_state(None, &mut out);
                 reply
             }
             Ctrl::Drain { summary } => {
-                let drained = run_op(|| exec.drain());
-                tickets.clear();
-                outstanding = 0.0;
+                let drained = run_op(|| self.exec.drain());
+                self.tickets.clear();
+                self.outstanding = 0.0;
                 // A drain epoch always snapshots (post-drain, so the probe
                 // includes everything the drain completed). A summary
-                // reply carries that snapshot outright (on the ack
-                // channel, so only `DropAcks` gates it); the fault-gated
-                // `T_METRICS` copy below shares it.
-                let snap = snapshot_if_due(node, &mut exec, &mut snap_state, 0, true);
+                // reply carries that snapshot outright (with the ack, so
+                // only `DropAcks` gates it); the fault-gated report
+                // below shares it.
+                let snap = self.snapshot_if_due(0, true);
                 let reply_snap = summary.then(|| match &snap {
-                    Some((_, s)) => s.clone(),
+                    Some(s) => s.clone(),
                     None => NodeSnapshot {
-                        node: node as u64,
+                        node: self.node as u64,
                         seq: 0,
-                        probe: exec.metrics_probe().unwrap_or_default(),
+                        probe: self.exec.metrics_probe().unwrap_or_default(),
                     },
                 });
-                report_state(ep, &mut plane, &mut last_load, outstanding, snap);
+                self.report_state(snap, &mut out);
                 // Extras leave the executor either way (a failed drain
                 // discards them, exactly as the collective design did).
-                let mut extras = exec.take_extras();
-                if let Some(s) = &mut snap_state {
+                let mut extras = self.exec.take_extras();
+                if let Some(s) = &mut self.snap {
                     s.stamp_attribution(&mut extras);
                 }
                 drained.map_or_else(Reply::Err, |stats| {
@@ -304,10 +208,287 @@ fn node_agent<E: Executor>(
                 })
             }
             // A pull is not an admission edge and changes no
-            // outstanding count: no load report rides with it.
-            Ctrl::PullTrace => Reply::Trace(exec.take_trace_spans()),
+            // outstanding count: no state report rides with it.
+            Ctrl::PullTrace => Reply::Trace(self.exec.take_trace_spans()),
         };
-        if !plane.drop_ack() {
+        out.reply = (!self.plane.drop_ack()).then_some(reply);
+        out
+    }
+
+    /// Build the node's metrics snapshot when one is due: `force` (drain
+    /// epochs) or the cadence reaching `cfg.snapshot_every` admitted jobs
+    /// — both logical triggers, never wall-clock. `None` while metrics
+    /// are off or the cadence has not elapsed. The executor's probe is
+    /// cumulative, so a snapshot is a read, not a drain; a backend
+    /// without metrics state contributes the all-zero probe.
+    fn snapshot_if_due(&mut self, admitted: u64, force: bool) -> Option<NodeSnapshot> {
+        let s = self.snap.as_mut()?;
+        s.since += admitted;
+        if !(force || s.since >= s.cfg.snapshot_every) {
+            return None;
+        }
+        let snap = NodeSnapshot {
+            node: self.node as u64,
+            seq: s.seq,
+            probe: self.exec.metrics_probe().unwrap_or_default(),
+        };
+        s.seq += 1;
+        s.since = 0;
+        Some(snap)
+    }
+
+    /// Report this node's state — an optional metrics snapshot, then the
+    /// load value — as the fault plane allows: a `Slow` fault inflates
+    /// the reported load (steering the policies away, the deterministic
+    /// stand-in for a degraded node), `DropLoadReports` withholds the
+    /// pair, `DelayLoadReports` re-sends the previous (stale) pair. The
+    /// snapshot and the load share **one** drop/delay decision (the
+    /// same tokens are consumed whether or not metrics are on, so fault
+    /// schedules reproduce identically either way), and the snapshot
+    /// goes first — the dispatcher's keep-latest reads then never see
+    /// a load value fresher than the snapshot beside it.
+    fn report_state(&mut self, snapshot: Option<NodeSnapshot>, out: &mut Outcome) {
+        let value = self.outstanding * self.plane.slow_factor();
+        let dropped = self.plane.drop_load_report();
+        let delayed = !dropped && self.plane.delay_load_report();
+        if let (Some(state), Some(snap)) = (&mut self.snap, snapshot) {
+            if dropped {
+                state.dropped += 1.0;
+            } else if delayed {
+                state.delayed += 1.0;
+                out.snapshot.clone_from(&state.last_sent);
+            } else {
+                state.sent += 1.0;
+                state.last_sent = Some(snap.clone());
+                out.snapshot = Some(snap);
+            }
+        }
+        if dropped {
+            return;
+        }
+        if !delayed {
+            self.last_load = value;
+        }
+        out.load = Some(self.last_load);
+    }
+}
+
+/// A node's command step, boxed so a [`Node`] is not generic over its
+/// executor.
+type Step<G> = Box<dyn FnMut(Ctrl<G>) -> Outcome + Send>;
+
+/// How the dispatcher reaches a node.
+pub(crate) enum NodeLink<G> {
+    /// The agent lives in the dispatcher: a command is a call.
+    Inline(Box<Inline<G>>),
+    /// The agent runs on a thread of its own behind a private link.
+    Thread(Threaded<G>),
+}
+
+/// An inline node: the agent's step, and the slots where a command's
+/// outcome waits for the dispatcher to collect it — the ack until
+/// `reply`, the newest load and snapshot until the next refresh (the
+/// keep-latest rule of the threaded mailboxes).
+pub(crate) struct Inline<G> {
+    /// `None` once a command panicked: the node is dead.
+    step: Option<Step<G>>,
+    ack: Option<Reply>,
+    load: Option<f64>,
+    snapshot: Option<NodeSnapshot>,
+}
+
+impl<G> Inline<G> {
+    /// Run one command on the node and stash what it reports. A panic
+    /// (a scheduled kill, or an agent bug) is caught here: the node is
+    /// dead from then on, and the stashed ack says so.
+    pub(crate) fn run(&mut self, node: usize, ctrl: Ctrl<G>) {
+        let dead = Reply::Err(ExecError::NodeFailed { node });
+        let Some(step) = &mut self.step else {
+            self.ack = Some(dead);
+            return;
+        };
+        match catch_unwind(AssertUnwindSafe(|| step(ctrl))) {
+            Ok(out) => {
+                if out.snapshot.is_some() {
+                    self.snapshot = out.snapshot;
+                }
+                if out.load.is_some() {
+                    self.load = out.load;
+                }
+                self.ack = out.reply;
+            }
+            Err(_) => {
+                self.step = None;
+                self.ack = Some(dead);
+            }
+        }
+    }
+}
+
+/// A threaded node: the dispatcher's end of the private link, the
+/// agent's down flag, and its join handle until the node is closed.
+pub(crate) struct Threaded<G> {
+    ep: Link<G>,
+    down: Arc<AtomicBool>,
+    agent: Option<JoinHandle<()>>,
+}
+
+impl<G> NodeLink<G> {
+    /// Hand `ctrl` to the node.
+    pub(crate) fn send(&mut self, node: usize, ctrl: Ctrl<G>) {
+        match self {
+            NodeLink::Inline(link) => link.run(node, ctrl),
+            NodeLink::Thread(link) => post(&link.ep, Frame::Ctrl(ctrl)),
+        }
+    }
+
+    /// The node's acknowledgement of the last command. An inline node
+    /// answered during the call, so a withheld ack is a typed
+    /// [`ExecError::Timeout`] at once. A threaded node is waited for
+    /// under the bounded-backoff deadline (`rpc_base` doubling over
+    /// [`RPC_ATTEMPTS`]); its death is [`ExecError::NodeFailed`]
+    /// however it was seen — as the agent's last frame, or as its down
+    /// flag after a missed deadline (the frame race lost) — and any
+    /// other missing frame a timeout, never a hang.
+    pub(crate) fn ack(&mut self, node: usize, rpc_base: Duration) -> Result<Reply, ExecError> {
+        match self {
+            NodeLink::Inline(link) => link.ack.take().ok_or(ExecError::Timeout { waited_ms: 0 }),
+            NodeLink::Thread(link) => {
+                match link.ep.recv_backoff(NODE, T_ACK, rpc_base, RPC_ATTEMPTS) {
+                    Ok((Frame::Reply(reply), _)) => Ok(reply),
+                    Ok(_) => unreachable!("`post` sends only replies under T_ACK"),
+                    Err(_) if link.down.load(Ordering::Acquire) => {
+                        Err(ExecError::NodeFailed { node })
+                    }
+                    Err(waited) => Err(ExecError::Timeout {
+                        waited_ms: waited.as_millis() as u64,
+                    }),
+                }
+            }
+        }
+    }
+
+    /// Has the node died without the dispatcher noticing yet? The
+    /// down flag is `Release`-published by the agent's spawn wrapper.
+    pub(crate) fn is_down(&self) -> bool {
+        match self {
+            NodeLink::Inline(link) => link.step.is_none(),
+            NodeLink::Thread(link) => link.down.load(Ordering::Acquire),
+        }
+    }
+
+    /// The newest load report since the last look, if any.
+    pub(crate) fn take_load(&mut self) -> Option<f64> {
+        match self {
+            NodeLink::Inline(link) => link.load.take(),
+            NodeLink::Thread(link) => match link.ep.try_recv_latest(NODE, T_LOAD)? {
+                Frame::Load(v) => Some(v),
+                _ => unreachable!("`post` sends only load reports under T_LOAD"),
+            },
+        }
+    }
+
+    /// The newest metrics snapshot since the last look, if any.
+    pub(crate) fn take_snapshot(&mut self) -> Option<NodeSnapshot> {
+        match self {
+            NodeLink::Inline(link) => link.snapshot.take(),
+            NodeLink::Thread(link) => match link.ep.try_recv_latest(NODE, T_METRICS)? {
+                Frame::Metrics(snap) => Some(*snap),
+                _ => unreachable!("`post` sends only snapshots under T_METRICS"),
+            },
+        }
+    }
+
+    /// Stop the node for good: drop an inline agent, or shut a threaded
+    /// one down and join it. Idempotent.
+    pub(crate) fn close(&mut self) {
+        match self {
+            NodeLink::Inline(link) => link.step = None,
+            NodeLink::Thread(link) => {
+                if let Some(agent) = link.agent.take() {
+                    post(&link.ep, Frame::Shutdown);
+                    let _ = agent.join();
+                }
+            }
+        }
+    }
+}
+
+/// Link `agent` inline: its executor lives in the dispatcher, and every
+/// command runs on the caller's thread (a multi-node drain excepted,
+/// see `Cluster::drain_round`).
+pub(crate) fn inline_node<E>(mut agent: Agent<E>, session: &SessionBuilder) -> Node<E::Graph>
+where
+    E: Executor + Send + 'static,
+{
+    let link = Inline {
+        step: Some(Box::new(move |ctrl| agent.handle(ctrl))),
+        ack: None,
+        load: None,
+        snapshot: None,
+    };
+    Node::new(NodeLink::Inline(Box::new(link)), session)
+}
+
+/// Spawn `agent` on a thread of its own behind a private 2-rank link.
+/// The thread body runs under `catch_unwind`: on a panic (a scheduled
+/// kill, or an agent bug) the wrapper publishes the down flag —
+/// `Release`, paired with the dispatcher's `Acquire` in
+/// [`NodeLink::ack`] and [`NodeLink::is_down`] — and sends a
+/// [`ExecError::NodeFailed`] reply as its last frame, so a dispatcher
+/// blocked on this command's ack observes the death deterministically
+/// instead of timing out.
+pub(crate) fn spawn_node<E>(mut agent: Agent<E>, session: &SessionBuilder) -> Node<E::Graph>
+where
+    E: Executor + Send + 'static,
+    E::Graph: Send + 'static,
+{
+    let node = agent.node;
+    let comm = Communicator::typed(2);
+    let ep = comm.endpoint(NODE);
+    let down = Arc::new(AtomicBool::new(false));
+    let down_agent = Arc::clone(&down);
+    let thread = std::thread::Builder::new()
+        .name(format!("das-cluster-node-{node}"))
+        .spawn(move || {
+            if catch_unwind(AssertUnwindSafe(|| serve(&mut agent, &ep))).is_err() {
+                down_agent.store(true, Ordering::Release);
+                let last = Reply::Err(ExecError::NodeFailed { node });
+                post(&ep, Frame::Reply(last));
+            }
+        })
+        .expect("spawn cluster node agent");
+    let link = Threaded {
+        ep: comm.endpoint(DISPATCHER),
+        down,
+        agent: Some(thread),
+    };
+    Node::new(NodeLink::Thread(link), session)
+}
+
+/// A threaded node's loop: take the next command off the link, run it,
+/// and post what it reports.
+fn serve<E: Executor>(agent: &mut Agent<E>, ep: &Link<E::Graph>) {
+    loop {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the agent's idle state is \"parked on the control link\"; \
+                      closing a threaded node always sends `Frame::Shutdown` as its \
+                      last frame, so this recv is bounded by dispatcher lifetime."
+        )]
+        let ctrl = match ep.recv(DISPATCHER, T_CTRL) {
+            Frame::Ctrl(ctrl) => ctrl,
+            Frame::Shutdown => return,
+            _ => unreachable!("`post` sends only commands under T_CTRL"),
+        };
+        let out = agent.handle(ctrl);
+        if let Some(snap) = out.snapshot {
+            post(ep, Frame::Metrics(Box::new(snap)));
+        }
+        if let Some(load) = out.load {
+            post(ep, Frame::Load(load));
+        }
+        if let Some(reply) = out.reply {
             post(ep, Frame::Reply(reply));
         }
     }

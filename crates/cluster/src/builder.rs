@@ -11,8 +11,8 @@ use das_sim::Simulator;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::agent::spawn_node;
-use crate::dispatcher::{Cluster, Spawner};
+use crate::agent::{inline_node, spawn_node, Agent};
+use crate::dispatcher::{Cluster, Node, Spawner};
 use crate::route::RoutePolicy;
 
 /// Builds a [`Cluster`]: per-node sessions, routing policy, route seed,
@@ -86,17 +86,21 @@ impl ClusterBuilder {
         self
     }
 
-    /// First-wait window of every control RPC (default 500ms). The
-    /// window doubles on each of the six attempts, so the total
-    /// deadline is `base × 63`.
+    /// First-wait window of every control RPC to a threaded node
+    /// (default 500ms). The window doubles on each of the six attempts,
+    /// so the total deadline is `base × 63`. Sim nodes run inline and
+    /// answer during the call, so the deadline never applies to them.
     pub fn rpc_deadline(mut self, base: Duration) -> Self {
         self.rpc_base = base;
         self
     }
 
-    /// A cluster of `das-sim` nodes (`Simulator::from_session` each).
+    /// A cluster of `das-sim` nodes (`Simulator::from_session` each),
+    /// linked **inline**: each simulator lives in the dispatcher, so a
+    /// command is a call, not a thread-wake round trip. A drain of
+    /// several nodes still simulates them concurrently.
     pub fn build_sim(self) -> Cluster<Dag> {
-        self.build_with(|_, session| Simulator::from_session(session))
+        self.assemble(|_, session| Simulator::from_session(session), inline_node)
     }
 
     /// A cluster of `das-runtime` nodes (`Runtime::from_session` each);
@@ -112,7 +116,26 @@ impl ClusterBuilder {
     /// dispatcher keeps a copy of every in-flight spec to recover from
     /// node deaths. The factory is retained so [`Cluster::add_node`]
     /// can spawn later members.
-    pub fn build_with<E, F>(self, mut factory: F) -> Cluster<E::Graph>
+    ///
+    /// Each node runs on an agent thread of its own behind a private
+    /// link, under the RPC deadline: the cluster cannot know that a
+    /// foreign executor's calls return.
+    pub fn build_with<E, F>(self, factory: F) -> Cluster<E::Graph>
+    where
+        E: Executor + Send + 'static,
+        E::Graph: Clone + Send + 'static,
+        F: FnMut(usize, &SessionBuilder) -> E + Send + 'static,
+    {
+        self.assemble(factory, spawn_node)
+    }
+
+    /// The cluster whose node `i` is `factory(i, session)`'s executor,
+    /// wrapped in its agent and linked by `link`.
+    fn assemble<E, F>(
+        self,
+        mut factory: F,
+        link: fn(Agent<E>, &SessionBuilder) -> Node<E::Graph>,
+    ) -> Cluster<E::Graph>
     where
         E: Executor + Send + 'static,
         E::Graph: Clone + Send + 'static,
@@ -120,8 +143,8 @@ impl ClusterBuilder {
     {
         let faults = self.sessions[0].fault_schedule.clone().unwrap_or_default();
         let mut spawner: Spawner<E::Graph> = Box::new(move |i, session| {
-            let exec = factory(i, session);
-            spawn_node(i, exec, faults.plane_for(i), session)
+            let agent = Agent::new(i, factory(i, session), faults.plane_for(i), session);
+            link(agent, session)
         });
         let nodes = self
             .sessions

@@ -3,9 +3,6 @@
 //! and the [`Executor`] front built on them.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use das_core::exec::{ExecError, ExecExtras, Executor, SessionBuilder, Ticket};
@@ -14,16 +11,14 @@ use das_core::metrics::{ExecProbe, MetricKind, MetricsReport, NodeSnapshot};
 use das_sim::ClusterTrace;
 use rand::rngs::SmallRng;
 
-use crate::builder::RPC_ATTEMPTS;
+use crate::agent::{Inline, NodeLink};
 use crate::route::{self, RoutePolicy};
-use crate::wire::{
-    post, Ctrl, DrainBody, Drained, Frame, Link, Reply, NODE, T_ACK, T_LOAD, T_METRICS,
-};
+use crate::wire::{Ctrl, DrainBody, Drained, Reply};
 
-/// Spawns node `i` from its session: builds the executor, wires the
-/// private link and starts the agent thread. Boxed so [`Cluster`] can
-/// keep it for [`Cluster::add_node`] without being generic over the
-/// factory.
+/// Spawns node `i` from its session: builds the executor and its agent,
+/// and links it — inline, or on an agent thread. Boxed so [`Cluster`]
+/// can keep it for [`Cluster::add_node`] without being generic over
+/// the factory.
 pub(crate) type Spawner<G> = Box<dyn FnMut(usize, &SessionBuilder) -> Node<G> + Send>;
 
 /// Where a node is in its life. Only `Live` nodes are routed to,
@@ -38,16 +33,17 @@ pub(crate) enum NodeState {
     Dead,
 }
 
-/// Everything the dispatcher holds about one node: its end of the
-/// private link, the agent's down flag and join handle, and its view of
-/// the node. Slots of dead nodes stay in place so node indices are
-/// stable for the lifetime of the cluster.
+/// Everything the dispatcher holds about one node: how it reaches the
+/// node, the commands it has sent it, and its view of the node. Slots
+/// of dead nodes stay in place so node indices are stable for the
+/// lifetime of the cluster.
 pub(crate) struct Node<G> {
-    pub(crate) ep: Link<G>,
-    pub(crate) down: Arc<AtomicBool>,
-    pub(crate) agent: Option<JoinHandle<()>>,
+    pub(crate) link: NodeLink<G>,
+    /// Commands sent to this node, ever: the wire traffic
+    /// [`Cluster::wire_messages_sent`] sums.
+    pub(crate) commands: u64,
     pub(crate) state: NodeState,
-    /// Last load report (outstanding jobs), fed by `T_LOAD` messages —
+    /// Last load report (outstanding jobs), fed by the node's reports —
     /// and by the batch router's own `+1` per assignment, which the
     /// node's next report overwrites; 0 once dead.
     pub(crate) load: f64,
@@ -56,13 +52,26 @@ pub(crate) struct Node<G> {
     /// *before* any wire traffic, and the node executor (built from the
     /// same session) enforces the identical bound behind it.
     pub(crate) limit: f64,
-    /// Latest metrics snapshot, fed by `T_METRICS` frames (keep-latest,
+    /// Latest metrics snapshot, fed by the node's reports (keep-latest,
     /// like the load) and by summary drains; `None` once dead, and
     /// always unless the session enabled [`SessionBuilder::metrics`].
     pub(crate) snapshot: Option<NodeSnapshot>,
 }
 
 impl<G> Node<G> {
+    /// A live node behind `link`, bounded by `session`'s
+    /// `max_outstanding`.
+    pub(crate) fn new(link: NodeLink<G>, session: &SessionBuilder) -> Self {
+        Node {
+            link,
+            commands: 0,
+            state: NodeState::Live,
+            load: 0.0,
+            limit: session.max_outstanding.map_or(f64::INFINITY, |l| l as f64),
+            snapshot: None,
+        }
+    }
+
     fn is_live(&self) -> bool {
         self.state == NodeState::Live
     }
@@ -181,10 +190,8 @@ impl<G> Cluster<G> {
     /// report per node wins; dead nodes stay pinned at 0).
     pub(crate) fn refresh_loads(&mut self) {
         for node in self.nodes.iter_mut().filter(|n| n.is_live()) {
-            match node.ep.try_recv_latest(NODE, T_LOAD) {
-                Some(Frame::Load(v)) => node.load = v,
-                Some(_) => unreachable!("`post` sends only load reports under T_LOAD"),
-                None => {}
+            if let Some(v) = node.link.take_load() {
+                node.load = v;
             }
         }
     }
@@ -193,16 +200,14 @@ impl<G> Cluster<G> {
     /// of every live node that has pushed one, in node-index order.
     /// Empty unless the node sessions enabled
     /// [`SessionBuilder::metrics`]. Non-blocking — this only folds in
-    /// the `T_METRICS` frames already on the links (newest frame per
-    /// node wins, exactly like the loads); snapshots arrive on logical
+    /// the snapshots the nodes have already reported (newest per node
+    /// wins, exactly like the loads); snapshots arrive on logical
     /// triggers (every `snapshot_every` admitted jobs, and at every
     /// drain).
     pub fn metrics_report(&mut self) -> MetricsReport {
         for node in self.nodes.iter_mut().filter(|n| n.is_live()) {
-            match node.ep.try_recv_latest(NODE, T_METRICS) {
-                Some(Frame::Metrics(snap)) => node.snapshot = Some(*snap),
-                Some(_) => unreachable!("`post` sends only snapshots under T_METRICS"),
-                None => {}
+            if let Some(snap) = node.link.take_snapshot() {
+                node.snapshot = Some(snap);
             }
         }
         MetricsReport {
@@ -238,14 +243,14 @@ impl<G> Cluster<G> {
         }
     }
 
-    /// Wire messages this dispatcher has sent, ever (summed over the
-    /// per-node links) — the traffic the batch path amortises. A
-    /// [`Executor::submit_many`] batch costs one control message **per
-    /// node with a non-empty sub-batch** regardless of batch size, a
-    /// `submit` — a one-job batch — exactly one (the contract
+    /// Control commands this dispatcher has sent, ever (summed over the
+    /// nodes, inline or threaded) — the traffic the batch path
+    /// amortises. A [`Executor::submit_many`] batch costs one command
+    /// **per node with a non-empty sub-batch** regardless of batch
+    /// size, a `submit` — a one-job batch — exactly one (the contract
     /// `tests/cluster_exec.rs` asserts).
     pub fn wire_messages_sent(&self) -> u64 {
-        self.nodes.iter().map(|s| s.ep.sent_count()).sum()
+        self.nodes.iter().map(|s| s.commands).sum()
     }
 
     /// The routing error when no node can take a job. With every node
@@ -270,38 +275,31 @@ impl<G> Cluster<G> {
         ExecError::Overloaded { outstanding, limit }
     }
 
-    pub(crate) fn send(&self, node: usize, ctrl: Ctrl<G>) {
-        post(&self.nodes[node].ep, Frame::Ctrl(ctrl));
+    /// Send `ctrl` to `node`: an inline node runs it now and stashes
+    /// the outcome, a threaded one gets it posted.
+    pub(crate) fn send(&mut self, node: usize, ctrl: Ctrl<G>) {
+        let slot = &mut self.nodes[node];
+        slot.commands += 1;
+        slot.link.send(node, ctrl);
     }
 
-    /// Receive `node`'s acknowledgement of the last command under the
-    /// bounded-backoff deadline. An error reply comes back as `Err`
-    /// ([`from_node`]), and a node death is [`ExecError::NodeFailed`]
-    /// however it was seen — as the agent's last frame, or as its down
-    /// flag after a missed deadline (the frame race lost). Any other
-    /// missing frame is a typed [`ExecError::Timeout`] — never a hang.
-    fn reply(&self, node: usize) -> Result<Reply, ExecError> {
-        let link = &self.nodes[node];
-        match link
-            .ep
-            .recv_backoff(NODE, T_ACK, self.rpc_base, RPC_ATTEMPTS)
-        {
-            Ok((Frame::Reply(Reply::Err(e)), _)) => Err(from_node(node, e)),
-            Ok((Frame::Reply(reply), _)) => Ok(reply),
-            Ok(_) => unreachable!("`post` sends only replies under T_ACK"),
-            Err(_) if link.down.load(Ordering::Acquire) => Err(ExecError::NodeFailed { node }),
-            Err(waited) => Err(ExecError::Timeout {
-                waited_ms: waited.as_millis() as u64,
-            }),
+    /// `node`'s acknowledgement of the last command ([`NodeLink::ack`]:
+    /// a death is [`ExecError::NodeFailed`], a missing ack a typed
+    /// [`ExecError::Timeout`] — never a hang). An error reply comes back
+    /// as `Err` ([`from_node`]).
+    fn reply(&mut self, node: usize) -> Result<Reply, ExecError> {
+        match self.nodes[node].link.ack(node, self.rpc_base)? {
+            Reply::Err(e) => Err(from_node(node, e)),
+            reply => Ok(reply),
         }
     }
 
     /// Send `group` to `node` as ONE submit command.
-    /// [`ExecError::NodeFailed`] when the agent is already down — the
-    /// thread died without the dispatcher noticing yet — so no admission
-    /// waits out the RPC deadline on a dead node.
-    pub(crate) fn ring(&self, node: usize, group: Vec<JobSpec<G>>) -> Result<(), ExecError> {
-        if self.nodes[node].down.load(Ordering::Acquire) {
+    /// [`ExecError::NodeFailed`] when the node is already down — it died
+    /// without the dispatcher noticing yet — so no admission waits out
+    /// the RPC deadline on a dead node.
+    pub(crate) fn ring(&mut self, node: usize, group: Vec<JobSpec<G>>) -> Result<(), ExecError> {
+        if self.nodes[node].link.is_down() {
             return Err(ExecError::NodeFailed { node });
         }
         self.send(node, Ctrl::Submit(group));
@@ -311,7 +309,7 @@ impl<G> Cluster<G> {
     /// Collect the acknowledgement of a [`Cluster::ring`] that went
     /// through: the node-local ids of the admitted group, in group
     /// order.
-    pub(crate) fn admitted(&self, node: usize) -> Result<Vec<u64>, ExecError> {
+    pub(crate) fn admitted(&mut self, node: usize) -> Result<Vec<u64>, ExecError> {
         match self.reply(node)? {
             Reply::Admitted(locals) => Ok(locals),
             other => unreachable!("node {node} answered a submit with {other:?}"),
@@ -329,21 +327,22 @@ impl<G> Cluster<G> {
         }
     }
 
-    /// Close `node`'s slot for good: zero its view and join its agent.
+    /// Close `node`'s slot for good: zero its view and stop its agent.
     pub(crate) fn bury(&mut self, node: usize) {
         let slot = &mut self.nodes[node];
         slot.state = NodeState::Dead;
         slot.load = 0.0;
         slot.snapshot = None;
-        if let Some(agent) = slot.agent.take() {
-            let _ = agent.join();
-        }
+        slot.link.close();
     }
 
     /// One drain round: ring every target, then consume every reply.
-    /// Deaths and errors are only reported — recovery traffic must not
-    /// start before the round's last ack is in, or a requeue's ack
-    /// would interleave with a pending drain ack on the same link.
+    /// Inline targets simulate concurrently, on up to one thread per
+    /// host core, the caller's among them; a lone target drains on the
+    /// caller's thread. Deaths and errors are only reported — recovery
+    /// traffic must not start before the round's last ack is in, or a
+    /// requeue's ack would interleave with a pending drain ack on the
+    /// same link.
     pub(crate) fn drain_round(
         &mut self,
         targets: &[usize],
@@ -351,8 +350,39 @@ impl<G> Cluster<G> {
     ) -> Vec<(usize, Result<Drained, ExecError>)> {
         for &node in targets {
             self.mark_started(node);
-            self.send(node, Ctrl::Drain { summary });
         }
+        let mut inline = Vec::new();
+        for (node, slot) in self.nodes.iter_mut().enumerate() {
+            if !targets.contains(&node) {
+                continue;
+            }
+            slot.commands += 1;
+            match &mut slot.link {
+                NodeLink::Inline(link) => inline.push((node, &mut **link)),
+                link => link.send(node, Ctrl::Drain { summary }),
+            }
+        }
+        // The inline targets simulate in shares, one per host core: the
+        // caller drains the first share, a scoped thread each other one.
+        // Threads beyond the core count would add no speed, only stacks
+        // and allocator arenas (peak RSS).
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let share_len = inline.len().div_ceil(cores).max(1);
+        let mut shares = inline.chunks_mut(share_len);
+        let drain = |share: &mut [(usize, &mut Inline<G>)]| {
+            for (node, link) in share {
+                link.run(*node, Ctrl::Drain { summary });
+            }
+        };
+        let own = shares.next();
+        std::thread::scope(|s| {
+            for share in shares {
+                s.spawn(move || drain(share));
+            }
+            if let Some(share) = own {
+                drain(share);
+            }
+        });
         let replies = targets
             .iter()
             .map(|&node| match self.reply(node) {
@@ -640,15 +670,15 @@ impl<G: Clone> Executor for Cluster<G> {
             .expect("an admitted one-job batch has a ticket"))
     }
 
-    /// Route every job of the batch by policy, then send **one wire
-    /// message per node with a non-empty sub-batch** instead of one per
-    /// job — the per-message fixed costs (doorbell, ack round-trip)
-    /// amortise over the batch — and stamp the acknowledged node-local
+    /// Route every job of the batch by policy, then send **one command
+    /// per node with a non-empty sub-batch** instead of one per job —
+    /// the per-command fixed costs (doorbell, ack round-trip) amortise
+    /// over the batch — and stamp the acknowledged node-local
     /// ids into the route table, a spec copy beside each for recovery.
     ///
     /// Each job is picked in batch order against a load view updated
     /// *locally* after every assignment — exactly the `+1` the node's
-    /// synchronous `T_LOAD` report applies between two submissions
+    /// synchronous load report applies between two submissions
     /// (nothing else moves the count between the two), so a batch
     /// routes bit-identically to the same jobs submitted one by one.
     /// Cluster job ids are dense in batch order across the whole
@@ -714,7 +744,7 @@ impl<G: Clone> Executor for Cluster<G> {
             .map(|(node, group)| (node, self.ring(node, group)))
             .collect();
         // Phase 3: collect one batch ack per touched node (node order;
-        // the agents work concurrently regardless). Deaths are only
+        // threaded agents work concurrently regardless). Deaths are only
         // recorded here — every outstanding ack must be consumed before
         // any recovery traffic, or a requeue's ack would interleave
         // with a pending batch ack on the same link.
@@ -845,13 +875,8 @@ impl<G: Clone> Executor for Cluster<G> {
 
 impl<G> Drop for Cluster<G> {
     fn drop(&mut self) {
-        for node in self.live() {
-            self.send(node, Ctrl::Shutdown);
-        }
         for slot in &mut self.nodes {
-            if let Some(agent) = slot.agent.take() {
-                let _ = agent.join();
-            }
+            slot.link.close();
         }
     }
 }

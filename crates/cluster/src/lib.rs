@@ -5,34 +5,49 @@
 //! cores of a single platform. This crate adds the tier above: a
 //! [`Cluster`] that owns N node-local executors (each a `das-sim` or
 //! `das-runtime` instance built from its own
-//! [`SessionBuilder`]) stitched together over [`das_msg::Endpoint`]s —
-//! and whose dispatcher **itself implements
-//! [`das_core::exec::Executor`]**, so any client written against
+//! [`SessionBuilder`]) behind one dispatcher — sim nodes inline, the
+//! others over [`das_msg::Endpoint`]s — and whose dispatcher **itself
+//! implements [`das_core::exec::Executor`]**, so any client written against
 //! `&mut dyn Executor` (the `job_stream` example, the contract tests)
 //! scales from one node to a fleet with zero changes.
 //!
 //! ## Architecture
 //!
-//! Each node is a **failure domain**: the dispatcher talks to node `i`
-//! over a *private two-rank* [`das_msg::Communicator`] (dispatcher rank
-//! 0, node rank 1), and node `i` runs a **node agent** thread owning
-//! its executor. Private links — rather than one shared N+1-rank
-//! communicator — mean membership churn never resizes a shared rank
-//! space and a dead node can never wedge a collective. Three planes
-//! share each link:
+//! Each node is a **failure domain** served by a **node agent** that
+//! owns its executor, its fault plane and its snapshot cadence. The
+//! agent is one step function: a command in; a reply, a load report
+//! and an optional metrics snapshot out. How the dispatcher reaches it
+//! depends on whether the cluster can know that the executor's calls
+//! return:
 //!
-//! * **control** — submit/wait/drain/shutdown commands and their
-//!   acknowledgements as point-to-point messages. The link carries
-//!   typed frames as Rust values: a submit command holds the job specs
-//!   themselves, graphs included, and an error reply holds the node
-//!   executor's error with its message. There is one admission path:
-//!   `submit` is a one-job `submit_many`, and a batch costs one
-//!   command per node it touches;
-//! * **load** — after *every* command a node pushes its
-//!   outstanding-job count back over the message layer; the dispatcher
-//!   collapses the backlog with [`das_msg::Endpoint::try_recv_latest`]
-//!   and routes by [`RoutePolicy`] (round-robin, least-outstanding, or
-//!   seeded power-of-two-choices) over that view, skipping dead nodes;
+//! * **inline** — every node of [`ClusterBuilder::build_sim`]. A
+//!   simulator is deterministic and always returns, so its agent lives
+//!   in the dispatcher, and a command is a call on the caller's thread:
+//!   no thread wake-up and no message per admission. Only a drain of
+//!   several nodes goes onto threads, so the nodes still simulate
+//!   concurrently (up to one thread per host core);
+//! * **threaded** — every node of [`ClusterBuilder::build_runtime`] and
+//!   [`ClusterBuilder::build_with`]. The agent runs on a thread of its
+//!   own, and the dispatcher talks to it over a *private two-rank*
+//!   [`das_msg::Communicator`] (dispatcher rank 0, node rank 1).
+//!   Private links — rather than one shared N+1-rank communicator —
+//!   mean membership churn never resizes a shared rank space and a dead
+//!   node can never wedge a collective.
+//!
+//! Either way the same three planes connect dispatcher and node:
+//!
+//! * **control** — submit/wait/drain commands and their
+//!   acknowledgements. Commands and replies are Rust values: a submit
+//!   command holds the job specs themselves, graphs included, and an
+//!   error reply holds the node executor's error with its message.
+//!   There is one admission path: `submit` is a one-job `submit_many`,
+//!   and a batch costs one command per node it touches;
+//! * **load** — after *every* command a node reports its
+//!   outstanding-job count; the dispatcher keeps the newest report per
+//!   node (on a threaded link it collapses the backlog with
+//!   [`das_msg::Endpoint::try_recv_latest`]) and routes by
+//!   [`RoutePolicy`] (round-robin, least-outstanding, or seeded
+//!   power-of-two-choices) over that view, skipping dead nodes;
 //! * **stats** — there is one drain: `drain`, `drain_summary` and
 //!   `remove_node` all send a node the same command and read back one
 //!   combined reply — a header (jobs, tasks, first arrival, last
@@ -42,16 +57,23 @@
 //!
 //! ## Failure domains and recovery
 //!
-//! Every control RPC is bounded: the dispatcher waits with a deadline
-//! and bounded exponential backoff ([`das_msg::Endpoint::recv_backoff`])
-//! and surfaces a typed [`ExecError::Timeout`] instead of hanging. A
-//! node-agent panic is caught at the thread boundary; the wrapper
-//! publishes a down flag and sends a `NodeFailed` error reply as its
-//! last frame, so the blocked dispatcher learns of the death
-//! *deterministically* — as a frame, not a timeout race. Either way the
-//! caller sees one thing, [`ExecError::NodeFailed`], and whichever verb
-//! ran into it — submit, wait, drain, trace pull, node removal —
-//! retires the node on the spot.
+//! A node death is a panic in its agent — a scheduled kill, or a bug.
+//! An inline node's panic is caught at the call into the node; the node
+//! is dead from then on, and the command's reply is a `NodeFailed`
+//! error. A threaded agent's panic is caught at its thread boundary;
+//! the wrapper publishes a down flag and sends a `NodeFailed` error
+//! reply as its last frame, so the blocked dispatcher learns of the
+//! death *deterministically* — as a frame, not a timeout race. Either
+//! way the caller sees one thing, [`ExecError::NodeFailed`], and
+//! whichever verb ran into it — submit, wait, drain, trace pull, node
+//! removal — retires the node on the spot.
+//!
+//! No control exchange hangs. An inline node answers during the call,
+//! so an acknowledgement it withholds is a typed [`ExecError::Timeout`]
+//! at once. A threaded node is waited for with a deadline and bounded
+//! exponential backoff ([`das_msg::Endpoint::recv_backoff`], the
+//! [`ClusterBuilder::rpc_deadline`] window doubled over six attempts)
+//! and surfaces the same typed timeout instead of hanging.
 //!
 //! On a detected death the dispatcher repairs the cluster from its
 //! **spec ledger** — it keeps a copy of every in-flight spec, which is
@@ -334,6 +356,73 @@ mod tests {
         let extras = cluster.take_extras();
         assert_eq!(extras.events, None, "runtime nodes report no sim events");
         assert!(extras.steals.is_some());
+    }
+
+    /// A 2-core runtime session, for the threaded-node tests.
+    fn runtime_session(seed: u64) -> SessionBuilder {
+        SessionBuilder::new(Arc::new(Topology::symmetric(2)), Policy::Rws).seed(seed)
+    }
+
+    /// A one-task runtime job whose body counts itself into `hits`.
+    fn counted_job(hits: &Arc<AtomicUsize>) -> JobSpec<TaskGraph> {
+        let mut g = TaskGraph::new("job");
+        let h = Arc::clone(hits);
+        g.add(
+            TaskTypeId(0),
+            das_core::Priority::Low,
+            move |ctx: &das_runtime::TaskCtx| {
+                if ctx.rank == 0 {
+                    h.fetch_add(1, Ordering::Relaxed); // relaxed-ok: test counter; drain() joins every task before the read
+                }
+            },
+        );
+        JobSpec::new(g)
+    }
+
+    #[test]
+    fn a_threaded_node_killed_on_schedule_requeues_onto_its_peer() {
+        // kill(1, 1) on 2 round-robin runtime nodes: node 1 admits job 1,
+        // then its agent thread dies on job 3's doorbell. The death
+        // arrives as the agent's last frame; job 1 requeues, job 3 is
+        // placed afresh, and all six jobs run on node 0.
+        let base = runtime_session(41).fault_schedule(FaultSchedule::new(41).kill(1, 1));
+        let mut cluster = ClusterBuilder::new(base, 2)
+            .route(RoutePolicy::RoundRobin)
+            .build_runtime();
+        let hits = Arc::new(AtomicUsize::new(0));
+        for _ in 0..6 {
+            Executor::submit(&mut cluster, counted_job(&hits)).unwrap();
+        }
+        assert!(!cluster.is_alive(1), "node 1 died mid-stream");
+        let stats = cluster.drain().unwrap();
+        assert_eq!(stats.jobs.len(), 6, "every job completes on node 0");
+        assert_eq!(stats.tasks, 6);
+        // A pool starts a job as it admits it, so node 1 may have run
+        // job 1 before it died: the requeue runs it again on node 0.
+        let ran = hits.load(Ordering::Relaxed); // relaxed-ok: read after drain(); job completion orders the counters
+        assert!((6..=7).contains(&ran), "{ran} task bodies ran");
+        let extras = cluster.take_extras();
+        assert_eq!(extras.get("node1.failed"), Some(1.0));
+        assert_eq!(extras.get("jobs_requeued"), Some(1.0));
+        assert_eq!(extras.get("node0.jobs"), Some(6.0));
+    }
+
+    #[test]
+    fn a_threaded_node_withholding_its_ack_times_out_after_the_deadline() {
+        // A threaded node is waited for under the RPC deadline: six
+        // doubling windows from 2 ms, 126 ms in all, then a typed
+        // timeout (an inline sim node's withheld ack is one at once).
+        let base = runtime_session(42).fault_schedule(FaultSchedule::new(42).drop_acks(0, 1));
+        let mut cluster = ClusterBuilder::new(base, 1)
+            .rpc_deadline(Duration::from_millis(2))
+            .build_runtime();
+        let hits = Arc::new(AtomicUsize::new(0));
+        let err = Executor::submit(&mut cluster, counted_job(&hits)).unwrap_err();
+        assert_eq!(err, ExecError::Timeout { waited_ms: 126 });
+        // The node admitted the job; its record is an orphan at drain.
+        let stats = cluster.drain().unwrap();
+        assert!(stats.jobs.is_empty());
+        assert_eq!(cluster.take_extras().get("jobs_orphaned"), Some(1.0));
     }
 
     #[test]

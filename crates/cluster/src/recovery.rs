@@ -8,7 +8,6 @@ use das_core::exec::ExecError;
 use das_core::jobs::JobSpec;
 
 use crate::dispatcher::{fold_records, Cluster, NodeState, Routed};
-use crate::wire::Ctrl;
 
 impl<G: Clone> Cluster<G> {
     /// Retire node `node` gracefully: its pending (never-started) jobs
@@ -92,8 +91,7 @@ impl<G: Clone> Cluster<G> {
                 }
             }
         }
-        // 3. Shut the agent down and join it.
-        self.send(node, Ctrl::Shutdown);
+        // 3. Stop the node.
         self.bury(node);
         self.exec_extras.set(format!("node{node}.removed"), 1.0);
         Ok(())

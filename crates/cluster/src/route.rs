@@ -3,8 +3,8 @@
 //! Every policy is a pure function of (policy state, seeded RNG, the
 //! load view) — no clocks, no thread identity — so a fixed route seed
 //! makes the whole routing sequence reproducible. The load view is fed
-//! exclusively by per-node reports shipped back over the message layer
-//! (`wire::T_LOAD`), never by dispatcher-side guessing: because every
+//! exclusively by per-node reports (`agent::Outcome::load`), never by
+//! dispatcher-side guessing: because every
 //! node pushes a fresh report *before* acknowledging a command, the
 //! view is exact by the time the next routing decision runs, which is
 //! what makes [`RoutePolicy::LeastOutstanding`] and

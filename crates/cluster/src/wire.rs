@@ -1,20 +1,23 @@
-//! The frames of a cluster link.
+//! The commands and replies of a cluster node, and the frames of a
+//! threaded node's link.
 //!
-//! Every node talks to the dispatcher over a private two-rank
-//! [`das_msg::Communicator`] whose messages are [`Frame`]s: commands,
-//! acknowledgements, load reports and metrics snapshots travel as the
-//! Rust values themselves — graphs, job records, extras and error
-//! messages included — so nothing is encoded on one end and decoded on
-//! the other. Each frame kind has its own mailbox tag, so a keep-latest
-//! read of one report stream never drops an acknowledgement; [`post`]
-//! is the one send path and picks the tag from the frame.
+//! An inline node takes a [`Ctrl`] as a call and answers with a
+//! [`Reply`] value. A threaded node talks to the dispatcher over a
+//! private two-rank [`das_msg::Communicator`] whose messages are
+//! [`Frame`]s: commands, acknowledgements, load reports and metrics
+//! snapshots travel as the Rust values themselves — graphs, job
+//! records, extras and error messages included — so nothing is encoded
+//! on one end and decoded on the other. Each frame kind has its own
+//! mailbox tag, so a keep-latest read of one report stream never drops
+//! an acknowledgement; [`post`] is the one send path and picks the tag
+//! from the frame.
 
 use das_core::exec::{ExecError, ExecExtras};
 use das_core::jobs::{JobSpec, JobStats, StreamStats};
 use das_core::metrics::{NodeSnapshot, TraceSpan};
 use das_msg::Endpoint;
 
-/// Dispatcher → node commands ([`Frame::Ctrl`]).
+/// Dispatcher → node commands ([`Frame::Ctrl`], [`Frame::Shutdown`]).
 pub(crate) const T_CTRL: u32 = 1;
 /// Node → dispatcher acknowledgements ([`Frame::Reply`]): one per
 /// command.
@@ -46,19 +49,22 @@ pub(crate) const NODE: usize = 1;
 /// One end of a node's link.
 pub(crate) type Link<G> = Endpoint<Frame<G>>;
 
-/// Everything that crosses a link, one variant per mailbox tag.
+/// Everything that crosses a threaded node's link: one mailbox tag per
+/// frame kind, the shutdown riding behind the commands.
 pub(crate) enum Frame<G> {
     Ctrl(Ctrl<G>),
     Reply(Reply),
     /// The node's outstanding-job count (scaled by a `Slow` fault).
     Load(f64),
     Metrics(Box<NodeSnapshot>),
+    /// Exit the agent loop; no reply.
+    Shutdown,
 }
 
 /// Send `frame` to the other rank of `link` under its kind's tag.
 pub(crate) fn post<G>(link: &Link<G>, frame: Frame<G>) {
     let tag = match frame {
-        Frame::Ctrl(_) => T_CTRL,
+        Frame::Ctrl(_) | Frame::Shutdown => T_CTRL,
         Frame::Reply(_) => T_ACK,
         Frame::Load(_) => T_LOAD,
         Frame::Metrics(_) => T_METRICS,
@@ -80,8 +86,6 @@ pub(crate) enum Ctrl<G> {
     /// sketch-backed replacement for shipping every record to the
     /// dispatcher solely to compute cluster-wide percentiles).
     Drain { summary: bool },
-    /// Exit the agent loop; no reply.
-    Shutdown,
     /// Surrender the accumulated execution trace spans (draining the
     /// node's buffer); answered by [`Reply::Trace`].
     PullTrace,

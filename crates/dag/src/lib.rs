@@ -135,8 +135,8 @@ impl Dag {
     }
 
     /// Reserve space for `n` additional tasks (the synthetic DAGs have
-    /// tens of thousands).
-    pub(crate) fn reserve(&mut self, n: usize) {
+    /// tens of thousands, a merged job stream as many as its jobs).
+    pub fn reserve(&mut self, n: usize) {
         self.nodes.reserve(n);
     }
 
@@ -200,16 +200,15 @@ impl Dag {
         self.nodes[to.index()].num_preds += 1;
     }
 
-    /// Splice a copy of `other` into this DAG as an independent
-    /// component, returning the id offset of its first task (i.e.
-    /// `other`'s `TaskId(i)` becomes `TaskId(offset + i)` here). Used by
-    /// the job-stream executors to merge concurrently in-flight jobs
-    /// into one task space.
-    pub fn append(&mut self, other: &Dag) -> u32 {
+    /// Splice `other` into this DAG as an independent component,
+    /// returning the id offset of its first task (i.e. `other`'s
+    /// `TaskId(i)` becomes `TaskId(offset + i)` here). Used by the
+    /// job-stream executors to merge concurrently in-flight jobs into
+    /// one task space; `other`'s tasks move, successor lists and all.
+    pub fn append(&mut self, other: Dag) -> u32 {
         let offset = u32::try_from(self.nodes.len()).expect("DAG larger than u32 tasks");
         u32::try_from(self.nodes.len() + other.nodes.len()).expect("merged DAG exceeds u32 tasks");
-        self.nodes.extend(other.nodes.iter().map(|n| {
-            let mut n = n.clone();
+        self.nodes.extend(other.nodes.into_iter().map(|mut n| {
             for s in &mut n.succs {
                 *s = TaskId(s.0 + offset);
             }
@@ -426,7 +425,7 @@ mod tests {
     fn append_splices_independent_components() {
         let mut a = fig1();
         let b = fig1();
-        let offset = a.append(&b);
+        let offset = a.append(b);
         assert_eq!(offset, 10);
         assert_eq!(a.len(), 20);
         a.validate().unwrap();

@@ -66,7 +66,6 @@ use collectives::COLLECTIVE_TAG_BASE;
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -92,10 +91,6 @@ struct Shared<T> {
     n: usize,
     boxes: Vec<Mailbox<T>>,
     barrier: BarrierState,
-    /// Messages sent by each rank, ever (monotone). The wire-traffic
-    /// accounting behind [`Endpoint::sent_count`]: batching tiers
-    /// assert "one message per node per batch" against it.
-    sent: Vec<AtomicU64>,
 }
 
 /// A group of `n` ranks that can exchange messages of type `T`.
@@ -134,7 +129,6 @@ impl<T> Communicator<T> {
                     arrived: Mutex::new((0, 0)),
                     cond: Condvar::new(),
                 },
-                sent: (0..n).map(|_| AtomicU64::new(0)).collect(),
             }),
         }
     }
@@ -191,10 +185,6 @@ impl<T> Endpoint<T> {
     /// Panics if `dst` is out of range.
     pub fn send(&self, dst: usize, tag: u32, msg: T) {
         assert!(dst < self.shared.n, "destination {dst} out of range");
-        // relaxed-ok: monotone sent-message statistic; readers only need
-        // an eventually-consistent count, delivery order is carried by
-        // the mailbox mutex/condvar.
-        self.shared.sent[self.rank].fetch_add(1, Ordering::Relaxed);
         let mbox = &self.shared.boxes[dst];
         {
             let mut slots = mbox.slots.lock();
@@ -274,15 +264,6 @@ impl<T> Endpoint<T> {
             slots.remove(&key);
         }
         p
-    }
-
-    /// Total messages this rank has ever sent (point-to-point sends,
-    /// including those issued inside collectives). Monotone; reads are
-    /// exact once the sending code is quiescent. Batch tiers use the
-    /// delta across a submission to prove their one-message-per-node
-    /// wire contract.
-    pub fn sent_count(&self) -> u64 {
-        self.shared.sent[self.rank].load(Ordering::Acquire)
     }
 
     /// Combined send + receive with the same partner, the shape of a
@@ -555,29 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn sent_counts_are_per_rank_and_monotone() {
-        let comm = Communicator::new(3);
-        let a = comm.endpoint(0);
-        let b = comm.endpoint(1);
-        assert_eq!((a.sent_count(), b.sent_count()), (0, 0));
-        a.send(1, 0, vec![1.0]);
-        a.send(2, 0, vec![2.0]);
-        b.send(0, 0, vec![3.0]);
-        assert_eq!(a.sent_count(), 2, "sends are counted at the sender");
-        assert_eq!(b.sent_count(), 1);
-        assert_eq!(comm.endpoint(2).sent_count(), 0, "receives do not count");
-        // A clone shares the same rank's counter.
-        let a2 = a.clone();
-        a2.send(1, 1, vec![4.0]);
-        assert_eq!(a.sent_count(), 3);
-        // sendrecv counts exactly its one send.
-        let h = thread::spawn(move || b.sendrecv(0, 9, vec![0.0]));
-        a.sendrecv(1, 9, vec![0.0]);
-        h.join().unwrap();
-        assert_eq!(a.sent_count(), 4);
-    }
-
-    #[test]
     fn empty_payloads_deliver_and_preserve_order() {
         // A zero-length payload is a legitimate message (a doorbell /
         // barrier-ish signal), not a dropped one.
@@ -695,10 +653,9 @@ mod tests {
     }
 
     #[test]
-    fn typed_payloads_keep_fifo_latest_and_sent_count() {
+    fn typed_payloads_keep_fifo_and_latest() {
         // A non-f64 message type travels as the value itself, with the
-        // same per-(src, tag) FIFO, keep-latest and send accounting as
-        // the f64 rows.
+        // same per-(src, tag) FIFO and keep-latest as the f64 rows.
         #[derive(Debug, PartialEq)]
         enum Msg {
             Job(String),
@@ -718,12 +675,9 @@ mod tests {
         }
         assert_eq!(b.try_recv_latest(0, 1), Some(Msg::Load(12)), "newest wins");
         assert_eq!(b.try_recv_latest(0, 1), None, "the slot is emptied");
-        assert_eq!(a.sent_count(), 6);
-        assert_eq!(b.sent_count(), 0);
         let h = thread::spawn(move || b.sendrecv(0, 2, Msg::Load(1)));
         assert_eq!(a.sendrecv(1, 2, Msg::Load(2)), Msg::Load(1));
         assert_eq!(h.join().unwrap(), Msg::Load(2));
-        assert_eq!(a.sent_count(), 7);
     }
 
     #[test]

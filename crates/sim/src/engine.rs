@@ -478,28 +478,38 @@ impl Simulator {
     /// carries over from previous runs, as with [`Simulator::run`].
     fn run_stream_inner(
         &mut self,
-        jobs: &[JobSpec<Dag>],
+        jobs: Vec<JobSpec<Dag>>,
     ) -> Result<(Vec<JobStats>, RunStats), SimError> {
+        // The jobs' graphs move into the merged task space, so a batch
+        // holds one copy of its tasks, not two. Each job's record is
+        // started from its spec here and completed after the run.
+        let tasks = jobs.iter().map(|s| s.graph.len()).sum();
         let mut merged = Dag::new("job-stream");
-        let mut job_of = Vec::new();
+        merged.reserve(tasks);
+        let mut job_of = Vec::with_capacity(tasks);
         let mut job_roots = Vec::with_capacity(jobs.len());
-        for (j, spec) in jobs.iter().enumerate() {
-            let offset = merged.append(&spec.graph);
+        let mut per_job = Vec::with_capacity(jobs.len());
+        for (j, spec) in jobs.into_iter().enumerate() {
+            let roots = spec.graph.roots();
+            per_job.push(JobStats {
+                id: JobId(j as u64),
+                class: spec.class,
+                arrival: spec.arrival,
+                started: f64::NAN,
+                completed: f64::NAN,
+                tasks: spec.graph.len(),
+                deadline: spec.deadline,
+            });
+            let offset = merged.append(spec.graph);
             job_of.resize(merged.len(), j);
-            job_roots.push(
-                spec.graph
-                    .roots()
-                    .into_iter()
-                    .map(|r| TaskId(r.0 + offset))
-                    .collect(),
-            );
+            job_roots.push(roots.into_iter().map(|r| TaskId(r.0 + offset)).collect());
         }
         self.reset(merged.len());
         self.job_of = job_of;
         self.job_roots = job_roots;
-        self.job_remaining = jobs.iter().map(|s| s.graph.len()).collect();
-        self.job_started = vec![f64::NAN; jobs.len()];
-        self.job_done_at = vec![f64::NAN; jobs.len()];
+        self.job_remaining = per_job.iter().map(|s| s.tasks).collect();
+        self.job_started = vec![f64::NAN; per_job.len()];
+        self.job_done_at = vec![f64::NAN; per_job.len()];
         if let Some(t) = self.env.next_change_after(0.0) {
             self.push(t, Ev::EnvChange);
         }
@@ -508,29 +518,20 @@ impl Simulator {
         // arrival waits in the heap (see `push_next_arrival`).
         let seq = self.seq;
         self.arrivals
-            .extend(jobs.iter().enumerate().map(|(j, spec)| HeapItem {
-                t: spec.arrival,
+            .extend(per_job.iter().enumerate().map(|(j, job)| HeapItem {
+                t: job.arrival,
                 seq: seq + 1 + j as u64,
                 ev: Ev::JobArrive(j),
             }));
         // `HeapItem`'s order is the heap's, reversed: earliest greatest.
         self.arrivals.sort_unstable();
-        self.seq += jobs.len() as u64;
+        self.seq += per_job.len() as u64;
         self.push_next_arrival();
         self.drive(&merged)?;
-        let per_job = jobs
-            .iter()
-            .enumerate()
-            .map(|(j, spec)| JobStats {
-                id: JobId(j as u64),
-                class: spec.class,
-                arrival: spec.arrival,
-                started: self.job_started[j],
-                completed: self.job_done_at[j],
-                tasks: spec.graph.len(),
-                deadline: spec.deadline,
-            })
-            .collect();
+        for (j, job) in per_job.iter_mut().enumerate() {
+            job.started = self.job_started[j];
+            job.completed = self.job_done_at[j];
+        }
         Ok((per_job, std::mem::take(&mut self.stats)))
     }
 
@@ -547,7 +548,7 @@ impl Simulator {
         }
         let specs = std::mem::take(&mut self.pending_specs);
         let base = self.next_ticket - specs.len() as u64;
-        let (records, run) = match self.run_stream_inner(&specs) {
+        let (records, run) = match self.run_stream_inner(specs) {
             Ok(batch) => batch,
             Err(e) => {
                 self.session.retain(Option::is_some);

@@ -5,18 +5,18 @@
 //!
 //! * a clean 4-node cluster (the baseline),
 //! * the same cluster with a `FaultSchedule` that kills node 3 at its
-//!   second admitted job — the dispatcher detects the death through the
-//!   typed `NodeFailed` frame, requeues the stranded work onto the
-//!   survivors, and the full stream still completes,
+//!   second admitted job — the dispatcher detects the death as a typed
+//!   `NodeFailed` reply, requeues the stranded work onto the survivors,
+//!   and the full stream still completes,
 //! * a 2-node cluster scaled to 3 and back down mid-stream — the
-//!   leaving node's queue drains onto its peers before the agent shuts
-//!   down.
+//!   leaving node's queue drains onto its peers before the node stops.
 //!
 //! Every fault trigger is logical (the n-th admitted job), never
 //! wall-clock, so the faulty run is bit-reproducible: run this example
-//! twice and the numbers match. The panic message the killed agent
-//! prints on stderr *is* the fault firing — the dispatcher catches it
-//! at the thread boundary and repairs around it.
+//! twice and the numbers match. The panic message the killed node
+//! prints on stderr *is* the fault firing — sim nodes run inline, so
+//! the dispatcher catches it at the call into the node and repairs
+//! around it.
 //!
 //! ```sh
 //! cargo run --release --example cluster_failover

@@ -315,3 +315,24 @@ fn a_summary_drain_repairs_a_mid_drain_death_like_a_record_drain() {
         assert_eq!(extras.get("jobs_lost"), None);
     }
 }
+
+#[test]
+fn a_slow_node_gets_fewer_jobs_under_least_outstanding() {
+    // slow(1, 4.0): node 1 reports four times its outstanding count, so
+    // least-outstanding routing sends it one job for every four its
+    // peers take. Over 12 un-waited jobs the split is 5 / 2 / 5, where
+    // honest reports split 4 / 4 / 4.
+    let base = base_session(17).fault_schedule(FaultSchedule::new(17).slow(1, 4.0));
+    let mut cluster = ClusterBuilder::new(base, 3)
+        .route(RoutePolicy::LeastOutstanding)
+        .build_sim();
+    let mut per_node = [0; 3];
+    for spec in stream().into_iter().take(12) {
+        let ticket = cluster.submit(spec).expect("accepted");
+        per_node[cluster.node_of(&ticket).expect("routed")] += 1;
+    }
+    assert_eq!(per_node, [5, 2, 5]);
+    // Slow is a routing bias, not a failure: every job completes.
+    assert_eq!(cluster.drain().expect("drains").jobs.len(), 12);
+    assert_eq!(cluster.take_extras().get("node1.failed"), None);
+}
