@@ -1,26 +1,19 @@
 //! The node side of the cluster: [`Agent`], the step function that owns
-//! a node's executor, its snapshot cadence and its fault plane, and the
-//! two [`NodeLink`]s it runs behind — inline in the dispatcher, or on
-//! an agent thread at the far end of a private [`das_msg`] link.
+//! a node's executor, its snapshot cadence and its fault plane, and
+//! [`Inline`], the link it runs behind. Every node lives in the
+//! dispatcher, whatever its executor: a command is a call on the
+//! caller's thread, and a panic in it is caught at the call.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use das_core::exec::{ExecError, ExecExtras, Executor, SessionBuilder, Ticket};
 use das_core::fault::FaultPlane;
 use das_core::jobs::JobId;
 use das_core::metrics::{MetricsConfig, NodeSnapshot};
-use das_msg::Communicator;
 
-use crate::builder::RPC_ATTEMPTS;
 use crate::dispatcher::Node;
-use crate::wire::{
-    post, Ctrl, Drained, Frame, Link, Reply, DISPATCHER, NODE, T_ACK, T_CTRL, T_LOAD, T_METRICS,
-};
+use crate::wire::{Ctrl, Drained, Reply};
 
 /// What one command did on a node, in the order the node reports it:
 /// the metrics snapshot, the load report, then the acknowledgement.
@@ -38,11 +31,9 @@ pub(crate) struct Outcome {
 /// path.
 #[expect(
     clippy::panic,
-    reason = "the scheduled Kill fault takes this node down by design: an inline \
-              node's `catch_unwind` in `Inline::run` catches the panic at the call \
-              and answers `NodeFailed`; a threaded node's spawn wrapper catches it, \
-              publishes the down flag and sends the `NodeFailed` frame the blocked \
-              dispatcher is waiting on"
+    reason = "the scheduled Kill fault takes this node down by design: the \
+              `catch_unwind` in `Inline::run` catches the panic at the call, marks \
+              the node dead and answers `NodeFailed`"
 )]
 fn fault_kill(admitted: u64) -> ! {
     panic!("fault plane: killed after {admitted} admitted jobs");
@@ -277,20 +268,14 @@ impl<E: Executor> Agent<E> {
 /// executor.
 type Step<G> = Box<dyn FnMut(Ctrl<G>) -> Outcome + Send>;
 
-/// How the dispatcher reaches a node.
-pub(crate) enum NodeLink<G> {
-    /// The agent lives in the dispatcher: a command is a call.
-    Inline(Box<Inline<G>>),
-    /// The agent runs on a thread of its own behind a private link.
-    Thread(Threaded<G>),
-}
-
-/// An inline node: the agent's step, and the slots where a command's
-/// outcome waits for the dispatcher to collect it — the ack until
-/// `reply`, the newest load and snapshot until the next refresh (the
-/// keep-latest rule of the threaded mailboxes).
+/// How the dispatcher reaches a node: the agent's step, which lives in
+/// the dispatcher, and the slots where a command's outcome waits for
+/// the dispatcher to collect it — the ack until `reply`, the newest
+/// load and snapshot until the next refresh (keep-latest: a newer
+/// report replaces one nobody has read yet).
 pub(crate) struct Inline<G> {
-    /// `None` once a command panicked: the node is dead.
+    /// `None` once a command panicked or the node was closed: the node
+    /// is dead.
     step: Option<Step<G>>,
     ack: Option<Reply>,
     load: Option<f64>,
@@ -323,94 +308,28 @@ impl<G> Inline<G> {
             }
         }
     }
-}
 
-/// A threaded node: the dispatcher's end of the private link, the
-/// agent's down flag, and its join handle until the node is closed.
-pub(crate) struct Threaded<G> {
-    ep: Link<G>,
-    down: Arc<AtomicBool>,
-    agent: Option<JoinHandle<()>>,
-}
-
-impl<G> NodeLink<G> {
-    /// Hand `ctrl` to the node.
-    pub(crate) fn send(&mut self, node: usize, ctrl: Ctrl<G>) {
-        match self {
-            NodeLink::Inline(link) => link.run(node, ctrl),
-            NodeLink::Thread(link) => post(&link.ep, Frame::Ctrl(ctrl)),
-        }
-    }
-
-    /// The node's acknowledgement of the last command. An inline node
+    /// The node's acknowledgement of the last command. The node
     /// answered during the call, so a withheld ack is a typed
-    /// [`ExecError::Timeout`] at once. A threaded node is waited for
-    /// under the bounded-backoff deadline (`rpc_base` doubling over
-    /// [`RPC_ATTEMPTS`]); its death is [`ExecError::NodeFailed`]
-    /// however it was seen — as the agent's last frame, or as its down
-    /// flag after a missed deadline (the frame race lost) — and any
-    /// other missing frame a timeout, never a hang.
-    pub(crate) fn ack(&mut self, node: usize, rpc_base: Duration) -> Result<Reply, ExecError> {
-        match self {
-            NodeLink::Inline(link) => link.ack.take().ok_or(ExecError::Timeout { waited_ms: 0 }),
-            NodeLink::Thread(link) => {
-                match link.ep.recv_backoff(NODE, T_ACK, rpc_base, RPC_ATTEMPTS) {
-                    Ok((Frame::Reply(reply), _)) => Ok(reply),
-                    Ok(_) => unreachable!("`post` sends only replies under T_ACK"),
-                    Err(_) if link.down.load(Ordering::Acquire) => {
-                        Err(ExecError::NodeFailed { node })
-                    }
-                    Err(waited) => Err(ExecError::Timeout {
-                        waited_ms: waited.as_millis() as u64,
-                    }),
-                }
-            }
-        }
-    }
-
-    /// Has the node died without the dispatcher noticing yet? The
-    /// down flag is `Release`-published by the agent's spawn wrapper.
-    pub(crate) fn is_down(&self) -> bool {
-        match self {
-            NodeLink::Inline(link) => link.step.is_none(),
-            NodeLink::Thread(link) => link.down.load(Ordering::Acquire),
-        }
+    /// [`ExecError::Timeout`] at once, never a wait.
+    pub(crate) fn ack(&mut self) -> Result<Reply, ExecError> {
+        self.ack.take().ok_or(ExecError::Timeout)
     }
 
     /// The newest load report since the last look, if any.
     pub(crate) fn take_load(&mut self) -> Option<f64> {
-        match self {
-            NodeLink::Inline(link) => link.load.take(),
-            NodeLink::Thread(link) => match link.ep.try_recv_latest(NODE, T_LOAD)? {
-                Frame::Load(v) => Some(v),
-                _ => unreachable!("`post` sends only load reports under T_LOAD"),
-            },
-        }
+        self.load.take()
     }
 
     /// The newest metrics snapshot since the last look, if any.
     pub(crate) fn take_snapshot(&mut self) -> Option<NodeSnapshot> {
-        match self {
-            NodeLink::Inline(link) => link.snapshot.take(),
-            NodeLink::Thread(link) => match link.ep.try_recv_latest(NODE, T_METRICS)? {
-                Frame::Metrics(snap) => Some(*snap),
-                _ => unreachable!("`post` sends only snapshots under T_METRICS"),
-            },
-        }
+        self.snapshot.take()
     }
 
-    /// Stop the node for good: drop an inline agent, or shut a threaded
-    /// one down and join it. Idempotent.
+    /// Stop the node for good: drop its agent, and with it the
+    /// executor. Idempotent.
     pub(crate) fn close(&mut self) {
-        match self {
-            NodeLink::Inline(link) => link.step = None,
-            NodeLink::Thread(link) => {
-                if let Some(agent) = link.agent.take() {
-                    post(&link.ep, Frame::Shutdown);
-                    let _ = agent.join();
-                }
-            }
-        }
+        self.step = None;
     }
 }
 
@@ -427,69 +346,5 @@ where
         load: None,
         snapshot: None,
     };
-    Node::new(NodeLink::Inline(Box::new(link)), session)
-}
-
-/// Spawn `agent` on a thread of its own behind a private 2-rank link.
-/// The thread body runs under `catch_unwind`: on a panic (a scheduled
-/// kill, or an agent bug) the wrapper publishes the down flag —
-/// `Release`, paired with the dispatcher's `Acquire` in
-/// [`NodeLink::ack`] and [`NodeLink::is_down`] — and sends a
-/// [`ExecError::NodeFailed`] reply as its last frame, so a dispatcher
-/// blocked on this command's ack observes the death deterministically
-/// instead of timing out.
-pub(crate) fn spawn_node<E>(mut agent: Agent<E>, session: &SessionBuilder) -> Node<E::Graph>
-where
-    E: Executor + Send + 'static,
-    E::Graph: Send + 'static,
-{
-    let node = agent.node;
-    let comm = Communicator::typed(2);
-    let ep = comm.endpoint(NODE);
-    let down = Arc::new(AtomicBool::new(false));
-    let down_agent = Arc::clone(&down);
-    let thread = std::thread::Builder::new()
-        .name(format!("das-cluster-node-{node}"))
-        .spawn(move || {
-            if catch_unwind(AssertUnwindSafe(|| serve(&mut agent, &ep))).is_err() {
-                down_agent.store(true, Ordering::Release);
-                let last = Reply::Err(ExecError::NodeFailed { node });
-                post(&ep, Frame::Reply(last));
-            }
-        })
-        .expect("spawn cluster node agent");
-    let link = Threaded {
-        ep: comm.endpoint(DISPATCHER),
-        down,
-        agent: Some(thread),
-    };
-    Node::new(NodeLink::Thread(link), session)
-}
-
-/// A threaded node's loop: take the next command off the link, run it,
-/// and post what it reports.
-fn serve<E: Executor>(agent: &mut Agent<E>, ep: &Link<E::Graph>) {
-    loop {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the agent's idle state is \"parked on the control link\"; \
-                      closing a threaded node always sends `Frame::Shutdown` as its \
-                      last frame, so this recv is bounded by dispatcher lifetime."
-        )]
-        let ctrl = match ep.recv(DISPATCHER, T_CTRL) {
-            Frame::Ctrl(ctrl) => ctrl,
-            Frame::Shutdown => return,
-            _ => unreachable!("`post` sends only commands under T_CTRL"),
-        };
-        let out = agent.handle(ctrl);
-        if let Some(snap) = out.snapshot {
-            post(ep, Frame::Metrics(Box::new(snap)));
-        }
-        if let Some(load) = out.load {
-            post(ep, Frame::Load(load));
-        }
-        if let Some(reply) = out.reply {
-            post(ep, Frame::Reply(reply));
-        }
-    }
+    Node::new(link, session)
 }

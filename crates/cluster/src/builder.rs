@@ -1,8 +1,7 @@
-//! [`ClusterBuilder`]: per-node sessions, routing policy, route seed and
-//! control-RPC deadline in; a running [`Cluster`] out.
+//! [`ClusterBuilder`]: per-node sessions, routing policy and route seed
+//! in; a running [`Cluster`] out.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use das_core::exec::{session_tag, ExecExtras, Executor, SessionBuilder};
 use das_dag::Dag;
@@ -11,12 +10,11 @@ use das_sim::Simulator;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::agent::{inline_node, spawn_node, Agent};
-use crate::dispatcher::{Cluster, Node, Spawner};
+use crate::agent::{inline_node, Agent};
+use crate::dispatcher::{Cluster, Spawner};
 use crate::route::RoutePolicy;
 
-/// Builds a [`Cluster`]: per-node sessions, routing policy, route seed,
-/// control-RPC deadline.
+/// Builds a [`Cluster`]: per-node sessions, routing policy, route seed.
 ///
 /// [`ClusterBuilder::new`] derives node `i`'s session from the base by
 /// offsetting the seed by `i` — node 0 keeps the base seed, which is
@@ -30,16 +28,7 @@ pub struct ClusterBuilder {
     sessions: Vec<SessionBuilder>,
     policy: RoutePolicy,
     route_seed: u64,
-    rpc_base: Duration,
 }
-
-/// Default first-wait window of a control RPC; doubles each attempt.
-const DEFAULT_RPC_BASE: Duration = Duration::from_millis(500);
-/// Backoff attempts per control RPC: with the 500ms default base the
-/// total budget is 31.5s — generous enough that a healthy-but-busy
-/// runtime node never spuriously times out, small enough that a wedged
-/// one is a test failure, not a CI hang.
-pub(crate) const RPC_ATTEMPTS: u32 = 6;
 
 impl ClusterBuilder {
     /// `nodes` homogeneous nodes derived from `base` (node `i` runs
@@ -69,7 +58,6 @@ impl ClusterBuilder {
             sessions,
             policy: RoutePolicy::PowerOfTwo,
             route_seed,
-            rpc_base: DEFAULT_RPC_BASE,
         }
     }
 
@@ -86,21 +74,9 @@ impl ClusterBuilder {
         self
     }
 
-    /// First-wait window of every control RPC to a threaded node
-    /// (default 500ms). The window doubles on each of the six attempts,
-    /// so the total deadline is `base × 63`. Sim nodes run inline and
-    /// answer during the call, so the deadline never applies to them.
-    pub fn rpc_deadline(mut self, base: Duration) -> Self {
-        self.rpc_base = base;
-        self
-    }
-
-    /// A cluster of `das-sim` nodes (`Simulator::from_session` each),
-    /// linked **inline**: each simulator lives in the dispatcher, so a
-    /// command is a call, not a thread-wake round trip. A drain of
-    /// several nodes still simulates them concurrently.
+    /// A cluster of `das-sim` nodes (`Simulator::from_session` each).
     pub fn build_sim(self) -> Cluster<Dag> {
-        self.assemble(|_, session| Simulator::from_session(session), inline_node)
+        self.build_with(|_, session| Simulator::from_session(session))
     }
 
     /// A cluster of `das-runtime` nodes (`Runtime::from_session` each);
@@ -117,34 +93,20 @@ impl ClusterBuilder {
     /// node deaths. The factory is retained so [`Cluster::add_node`]
     /// can spawn later members.
     ///
-    /// Each node runs on an agent thread of its own behind a private
-    /// link, under the RPC deadline: the cluster cannot know that a
-    /// foreign executor's calls return.
-    pub fn build_with<E, F>(self, factory: F) -> Cluster<E::Graph>
+    /// Every node is linked **inline**, whatever its executor: the
+    /// executor lives in the dispatcher, so a command is a call on the
+    /// caller's thread, not a thread-wake round trip. A drain of
+    /// several nodes still runs them concurrently.
+    pub fn build_with<E, F>(self, mut factory: F) -> Cluster<E::Graph>
     where
         E: Executor + Send + 'static,
-        E::Graph: Clone + Send + 'static,
-        F: FnMut(usize, &SessionBuilder) -> E + Send + 'static,
-    {
-        self.assemble(factory, spawn_node)
-    }
-
-    /// The cluster whose node `i` is `factory(i, session)`'s executor,
-    /// wrapped in its agent and linked by `link`.
-    fn assemble<E, F>(
-        self,
-        mut factory: F,
-        link: fn(Agent<E>, &SessionBuilder) -> Node<E::Graph>,
-    ) -> Cluster<E::Graph>
-    where
-        E: Executor + Send + 'static,
-        E::Graph: Clone + Send + 'static,
+        E::Graph: Clone + 'static,
         F: FnMut(usize, &SessionBuilder) -> E + Send + 'static,
     {
         let faults = self.sessions[0].fault_schedule.clone().unwrap_or_default();
         let mut spawner: Spawner<E::Graph> = Box::new(move |i, session| {
             let agent = Agent::new(i, factory(i, session), faults.plane_for(i), session);
-            link(agent, session)
+            inline_node(agent, session)
         });
         let nodes = self
             .sessions
@@ -165,7 +127,6 @@ impl ClusterBuilder {
             next_job: 0,
             exec_session: session_tag(),
             exec_extras: ExecExtras::default(),
-            rpc_base: self.rpc_base,
         }
     }
 }

@@ -1,9 +1,8 @@
-//! The dispatcher: per-node state, the route table, the link
-//! primitives (`send` / `reply` / `ring` / `admitted` / `drain_round`)
+//! The dispatcher: per-node state, the route table, the node
+//! primitives (`send` / `reply` / `admitted` / `drain_round`)
 //! and the [`Executor`] front built on them.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::time::Duration;
 
 use das_core::exec::{ExecError, ExecExtras, Executor, SessionBuilder, Ticket};
 use das_core::jobs::{JobId, JobSpec, JobStats, StreamStats};
@@ -11,14 +10,13 @@ use das_core::metrics::{ExecProbe, MetricKind, MetricsReport, NodeSnapshot};
 use das_sim::ClusterTrace;
 use rand::rngs::SmallRng;
 
-use crate::agent::{Inline, NodeLink};
+use crate::agent::Inline;
 use crate::route::{self, RoutePolicy};
 use crate::wire::{Ctrl, DrainBody, Drained, Reply};
 
 /// Spawns node `i` from its session: builds the executor and its agent,
-/// and links it — inline, or on an agent thread. Boxed so [`Cluster`]
-/// can keep it for [`Cluster::add_node`] without being generic over
-/// the factory.
+/// and links it inline. Boxed so [`Cluster`] can keep it for
+/// [`Cluster::add_node`] without being generic over the factory.
 pub(crate) type Spawner<G> = Box<dyn FnMut(usize, &SessionBuilder) -> Node<G> + Send>;
 
 /// Where a node is in its life. Only `Live` nodes are routed to,
@@ -38,7 +36,7 @@ pub(crate) enum NodeState {
 /// of dead nodes stay in place so node indices are stable for the
 /// lifetime of the cluster.
 pub(crate) struct Node<G> {
-    pub(crate) link: NodeLink<G>,
+    pub(crate) link: Inline<G>,
     /// Commands sent to this node, ever: the wire traffic
     /// [`Cluster::wire_messages_sent`] sums.
     pub(crate) commands: u64,
@@ -61,7 +59,7 @@ pub(crate) struct Node<G> {
 impl<G> Node<G> {
     /// A live node behind `link`, bounded by `session`'s
     /// `max_outstanding`.
-    pub(crate) fn new(link: NodeLink<G>, session: &SessionBuilder) -> Self {
+    pub(crate) fn new(link: Inline<G>, session: &SessionBuilder) -> Self {
         Node {
             link,
             commands: 0,
@@ -134,7 +132,6 @@ pub struct Cluster<G> {
     pub(crate) next_job: u64,
     pub(crate) exec_session: u64,
     pub(crate) exec_extras: ExecExtras,
-    pub(crate) rpc_base: Duration,
 }
 
 impl<G> Cluster<G> {
@@ -244,8 +241,8 @@ impl<G> Cluster<G> {
     }
 
     /// Control commands this dispatcher has sent, ever (summed over the
-    /// nodes, inline or threaded) — the traffic the batch path
-    /// amortises. A [`Executor::submit_many`] batch costs one command
+    /// nodes) — the traffic the batch path amortises. A
+    /// [`Executor::submit_many`] batch costs one command
     /// **per node with a non-empty sub-batch** regardless of batch
     /// size, a `submit` — a one-job batch — exactly one (the contract
     /// `tests/cluster_exec.rs` asserts).
@@ -275,40 +272,26 @@ impl<G> Cluster<G> {
         ExecError::Overloaded { outstanding, limit }
     }
 
-    /// Send `ctrl` to `node`: an inline node runs it now and stashes
-    /// the outcome, a threaded one gets it posted.
+    /// Send `ctrl` to `node`, which runs it now and stashes the
+    /// outcome.
     pub(crate) fn send(&mut self, node: usize, ctrl: Ctrl<G>) {
         let slot = &mut self.nodes[node];
         slot.commands += 1;
-        slot.link.send(node, ctrl);
+        slot.link.run(node, ctrl);
     }
 
-    /// `node`'s acknowledgement of the last command ([`NodeLink::ack`]:
-    /// a death is [`ExecError::NodeFailed`], a missing ack a typed
-    /// [`ExecError::Timeout`] — never a hang). An error reply comes back
-    /// as `Err` ([`from_node`]).
+    /// `node`'s acknowledgement of the last command ([`Inline::ack`]:
+    /// a missing ack is a typed [`ExecError::Timeout`]). A death or any
+    /// other error reply comes back as `Err` ([`from_node`]).
     fn reply(&mut self, node: usize) -> Result<Reply, ExecError> {
-        match self.nodes[node].link.ack(node, self.rpc_base)? {
+        match self.nodes[node].link.ack()? {
             Reply::Err(e) => Err(from_node(node, e)),
             reply => Ok(reply),
         }
     }
 
-    /// Send `group` to `node` as ONE submit command.
-    /// [`ExecError::NodeFailed`] when the node is already down — it died
-    /// without the dispatcher noticing yet — so no admission waits out
-    /// the RPC deadline on a dead node.
-    pub(crate) fn ring(&mut self, node: usize, group: Vec<JobSpec<G>>) -> Result<(), ExecError> {
-        if self.nodes[node].link.is_down() {
-            return Err(ExecError::NodeFailed { node });
-        }
-        self.send(node, Ctrl::Submit(group));
-        Ok(())
-    }
-
-    /// Collect the acknowledgement of a [`Cluster::ring`] that went
-    /// through: the node-local ids of the admitted group, in group
-    /// order.
+    /// Collect the acknowledgement of a [`Ctrl::Submit`]: the
+    /// node-local ids of the admitted group, in group order.
     pub(crate) fn admitted(&mut self, node: usize) -> Result<Vec<u64>, ExecError> {
         match self.reply(node)? {
             Reply::Admitted(locals) => Ok(locals),
@@ -336,13 +319,14 @@ impl<G> Cluster<G> {
         slot.link.close();
     }
 
-    /// One drain round: ring every target, then consume every reply.
-    /// Inline targets simulate concurrently, on up to one thread per
-    /// host core, the caller's among them; a lone target drains on the
+    /// One drain round: run every target's drain, then consume every
+    /// reply.
+    /// The targets drain concurrently, on up to one thread per host
+    /// core, the caller's among them; a lone target drains on the
     /// caller's thread. Deaths and errors are only reported — recovery
     /// traffic must not start before the round's last ack is in, or a
-    /// requeue's ack would interleave with a pending drain ack on the
-    /// same link.
+    /// requeue's ack would replace a pending drain ack on the same
+    /// node.
     pub(crate) fn drain_round(
         &mut self,
         targets: &[usize],
@@ -351,24 +335,20 @@ impl<G> Cluster<G> {
         for &node in targets {
             self.mark_started(node);
         }
-        let mut inline = Vec::new();
+        let mut links = Vec::new();
         for (node, slot) in self.nodes.iter_mut().enumerate() {
-            if !targets.contains(&node) {
-                continue;
-            }
-            slot.commands += 1;
-            match &mut slot.link {
-                NodeLink::Inline(link) => inline.push((node, &mut **link)),
-                link => link.send(node, Ctrl::Drain { summary }),
+            if targets.contains(&node) {
+                slot.commands += 1;
+                links.push((node, &mut slot.link));
             }
         }
-        // The inline targets simulate in shares, one per host core: the
-        // caller drains the first share, a scoped thread each other one.
+        // The targets drain in shares, one per host core: the caller
+        // drains the first share, a scoped thread each other one.
         // Threads beyond the core count would add no speed, only stacks
         // and allocator arenas (peak RSS).
         let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        let share_len = inline.len().div_ceil(cores).max(1);
-        let mut shares = inline.chunks_mut(share_len);
+        let share_len = links.len().div_ceil(cores).max(1);
+        let mut shares = links.chunks_mut(share_len);
         let drain = |share: &mut [(usize, &mut Inline<G>)]| {
             for (node, link) in share {
                 link.run(*node, Ctrl::Drain { summary });
@@ -509,7 +489,7 @@ impl<G: Clone> Cluster<G> {
                 match reply {
                     Ok(d) => fold(self, node, d),
                     Err(ExecError::NodeFailed { .. }) => died.push(node),
-                    Err(e @ ExecError::Timeout { .. }) => silent = silent.or(Some(e)),
+                    Err(e @ ExecError::Timeout) => silent = silent.or(Some(e)),
                     Err(ExecError::Rejected(why) | ExecError::Failed(why)) => failures.push(why),
                     Err(e) => failures.push(format!("node {node}: {e}")),
                 }
@@ -630,14 +610,14 @@ pub fn metric_scalar(kind: MetricKind, t: &ExecProbe) -> f64 {
 }
 
 /// A node executor's error as the cluster reports it: a message names
-/// the node (`"node {i}: {e}"`), and a death names the link it was seen
+/// the node (`"node {i}: {e}"`), and a death names the node it was seen
 /// on — an agent cannot report a peer's failure.
 fn from_node(node: usize, e: ExecError) -> ExecError {
     match e {
         ExecError::Rejected(_) => ExecError::Rejected(format!("node {node}: {e}")),
         ExecError::Failed(_) => ExecError::Failed(format!("node {node}: {e}")),
         ExecError::NodeFailed { .. } => ExecError::NodeFailed { node },
-        ExecError::UnknownTicket(_) | ExecError::Overloaded { .. } | ExecError::Timeout { .. } => e,
+        ExecError::UnknownTicket(_) | ExecError::Overloaded { .. } | ExecError::Timeout => e,
     }
 }
 
@@ -737,22 +717,22 @@ impl<G: Clone> Executor for Cluster<G> {
         for (spec, &node) in specs.iter().zip(&assignment) {
             groups[node].push(spec.clone());
         }
-        let rung: Vec<(usize, Result<(), ExecError>)> = groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, group)| !group.is_empty())
-            .map(|(node, group)| (node, self.ring(node, group)))
-            .collect();
-        // Phase 3: collect one batch ack per touched node (node order;
-        // threaded agents work concurrently regardless). Deaths are only
-        // recorded here — every outstanding ack must be consumed before
-        // any recovery traffic, or a requeue's ack would interleave
-        // with a pending batch ack on the same link.
+        let mut touched = Vec::new();
+        for (node, group) in groups.into_iter().enumerate() {
+            if !group.is_empty() {
+                self.send(node, Ctrl::Submit(group));
+                touched.push(node);
+            }
+        }
+        // Phase 3: collect one batch ack per touched node (node order).
+        // Deaths are only recorded here — every outstanding ack must be
+        // consumed before any recovery traffic, or a requeue's ack would
+        // replace a pending batch ack on the same node.
         let mut locals: Vec<VecDeque<u64>> = vec![VecDeque::new(); n];
         let mut died: Vec<usize> = Vec::new();
         let mut first_err: Option<ExecError> = None;
-        for (node, rung) in rung {
-            match rung.and_then(|()| self.admitted(node)) {
+        for node in touched {
+            match self.admitted(node) {
                 Ok(acked) => locals[node] = acked.into(),
                 Err(ExecError::NodeFailed { .. }) => died.push(node),
                 Err(e) => first_err = first_err.or(Some(e)),
@@ -826,7 +806,7 @@ impl<G: Clone> Executor for Cluster<G> {
                 // set (loop returns the typed failure).
                 Err(ExecError::NodeFailed { .. }) => continue,
                 // Silence says nothing about the job: it stays routed.
-                Err(e @ ExecError::Timeout { .. }) => return Err(e),
+                Err(e @ ExecError::Timeout) => return Err(e),
                 // Remap the node-local id in the error onto the cluster
                 // id.
                 Err(ExecError::UnknownTicket(_)) => ExecError::UnknownTicket(id),
@@ -841,8 +821,8 @@ impl<G: Clone> Executor for Cluster<G> {
     /// ones banked by node removals. A node death mid-drain requeues its stranded jobs onto
     /// survivors and triggers another round, so the stream still
     /// completes (deaths are repaired only *after* a round's acks are
-    /// all consumed). A missing reply within the RPC deadline is a
-    /// typed [`ExecError::Timeout`], never a hang — the fix for the
+    /// all consumed). A withheld reply is a typed
+    /// [`ExecError::Timeout`], never a hang — the fix for the
     /// forever-blocking drain of the collective design. On a node
     /// *error* (not death) the whole drain fails and the outstanding
     /// jobs of the failed batch are lost (mirroring the bare
@@ -873,14 +853,6 @@ impl<G: Clone> Executor for Cluster<G> {
     }
 }
 
-impl<G> Drop for Cluster<G> {
-    fn drop(&mut self) {
-        for slot in &mut self.nodes {
-            slot.link.close();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -901,7 +873,7 @@ mod tests {
                 outstanding: 64,
                 limit: 64,
             },
-            ExecError::Timeout { waited_ms: 1500 },
+            ExecError::Timeout,
         ] {
             assert_eq!(
                 from_node(1, e.clone()),
@@ -913,8 +885,8 @@ mod tests {
 
     #[test]
     fn a_reported_death_names_the_link() {
-        // An agent cannot report a peer's failure: the node is the link
-        // the reply arrived on.
+        // An agent cannot report a peer's failure: the node is the one
+        // the reply came from.
         assert_eq!(
             from_node(2, ExecError::NodeFailed { node: 7 }),
             ExecError::NodeFailed { node: 2 }

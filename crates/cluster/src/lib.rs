@@ -5,8 +5,7 @@
 //! cores of a single platform. This crate adds the tier above: a
 //! [`Cluster`] that owns N node-local executors (each a `das-sim` or
 //! `das-runtime` instance built from its own
-//! [`SessionBuilder`]) behind one dispatcher — sim nodes inline, the
-//! others over [`das_msg::Endpoint`]s — and whose dispatcher **itself
+//! [`SessionBuilder`]) behind one dispatcher, and whose dispatcher **itself
 //! implements [`das_core::exec::Executor`]**, so any client written against
 //! `&mut dyn Executor` (the `job_stream` example, the contract tests)
 //! scales from one node to a fleet with zero changes.
@@ -16,25 +15,17 @@
 //! Each node is a **failure domain** served by a **node agent** that
 //! owns its executor, its fault plane and its snapshot cadence. The
 //! agent is one step function: a command in; a reply, a load report
-//! and an optional metrics snapshot out. How the dispatcher reaches it
-//! depends on whether the cluster can know that the executor's calls
-//! return:
+//! and an optional metrics snapshot out. There is one kind of node,
+//! whatever its executor — [`ClusterBuilder::build_sim`],
+//! [`ClusterBuilder::build_runtime`] and [`ClusterBuilder::build_with`]
+//! build the same thing: the agent lives in the dispatcher, and a
+//! command is a call on the caller's thread, with no thread wake-up
+//! and no message per admission. Only a drain of several nodes goes
+//! onto threads, so the nodes still execute concurrently (up to one
+//! thread per host core). A runtime node's own worker threads are its
+//! executor's, as on the bare backend.
 //!
-//! * **inline** — every node of [`ClusterBuilder::build_sim`]. A
-//!   simulator is deterministic and always returns, so its agent lives
-//!   in the dispatcher, and a command is a call on the caller's thread:
-//!   no thread wake-up and no message per admission. Only a drain of
-//!   several nodes goes onto threads, so the nodes still simulate
-//!   concurrently (up to one thread per host core);
-//! * **threaded** — every node of [`ClusterBuilder::build_runtime`] and
-//!   [`ClusterBuilder::build_with`]. The agent runs on a thread of its
-//!   own, and the dispatcher talks to it over a *private two-rank*
-//!   [`das_msg::Communicator`] (dispatcher rank 0, node rank 1).
-//!   Private links — rather than one shared N+1-rank communicator —
-//!   mean membership churn never resizes a shared rank space and a dead
-//!   node can never wedge a collective.
-//!
-//! Either way the same three planes connect dispatcher and node:
+//! Three planes connect dispatcher and node:
 //!
 //! * **control** — submit/wait/drain commands and their
 //!   acknowledgements. Commands and replies are Rust values: a submit
@@ -44,10 +35,9 @@
 //!   and a batch costs one command per node it touches;
 //! * **load** — after *every* command a node reports its
 //!   outstanding-job count; the dispatcher keeps the newest report per
-//!   node (on a threaded link it collapses the backlog with
-//!   [`das_msg::Endpoint::try_recv_latest`]) and routes by
-//!   [`RoutePolicy`] (round-robin, least-outstanding, or seeded
-//!   power-of-two-choices) over that view, skipping dead nodes;
+//!   node and routes by [`RoutePolicy`] (round-robin,
+//!   least-outstanding, or seeded power-of-two-choices) over that view,
+//!   skipping dead nodes;
 //! * **stats** — there is one drain: `drain`, `drain_summary` and
 //!   `remove_node` all send a node the same command and read back one
 //!   combined reply — a header (jobs, tasks, first arrival, last
@@ -57,23 +47,18 @@
 //!
 //! ## Failure domains and recovery
 //!
-//! A node death is a panic in its agent — a scheduled kill, or a bug.
-//! An inline node's panic is caught at the call into the node; the node
-//! is dead from then on, and the command's reply is a `NodeFailed`
-//! error. A threaded agent's panic is caught at its thread boundary;
-//! the wrapper publishes a down flag and sends a `NodeFailed` error
-//! reply as its last frame, so the blocked dispatcher learns of the
-//! death *deterministically* — as a frame, not a timeout race. Either
-//! way the caller sees one thing, [`ExecError::NodeFailed`], and
-//! whichever verb ran into it — submit, wait, drain, trace pull, node
-//! removal — retires the node on the spot.
+//! A node death is a panic in its agent — a scheduled kill, or a bug
+//! (an executor's own task-body panic is an error reply, not a death).
+//! It is caught at the call into the node; the node is dead from then
+//! on, and the command's reply is [`ExecError::NodeFailed`]. Whichever
+//! verb ran into it — submit, wait, drain, trace pull, node removal —
+//! retires the node on the spot.
 //!
-//! No control exchange hangs. An inline node answers during the call,
-//! so an acknowledgement it withholds is a typed [`ExecError::Timeout`]
-//! at once. A threaded node is waited for with a deadline and bounded
-//! exponential backoff ([`das_msg::Endpoint::recv_backoff`], the
-//! [`ClusterBuilder::rpc_deadline`] window doubled over six attempts)
-//! and surfaces the same typed timeout instead of hanging.
+//! A node answers during the call, so an acknowledgement it withholds
+//! (the `DropAcks` fault) is a typed [`ExecError::Timeout`] at once. A
+//! node executor whose call never returns blocks its caller, exactly
+//! as the bare executor would: the cluster adds no deadline of its
+//! own.
 //!
 //! On a detected death the dispatcher repairs the cluster from its
 //! **spec ledger** — it keeps a copy of every in-flight spec, which is
@@ -217,7 +202,6 @@ mod tests {
     use das_topology::Topology;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
-    use std::time::Duration;
 
     fn base_session(seed: u64) -> SessionBuilder {
         SessionBuilder::new(Arc::new(Topology::tx2()), Policy::DamC).seed(seed)
@@ -358,7 +342,7 @@ mod tests {
         assert!(extras.steals.is_some());
     }
 
-    /// A 2-core runtime session, for the threaded-node tests.
+    /// A 2-core runtime session, for the runtime-node tests.
     fn runtime_session(seed: u64) -> SessionBuilder {
         SessionBuilder::new(Arc::new(Topology::symmetric(2)), Policy::Rws).seed(seed)
     }
@@ -380,11 +364,11 @@ mod tests {
     }
 
     #[test]
-    fn a_threaded_node_killed_on_schedule_requeues_onto_its_peer() {
+    fn a_runtime_node_killed_on_schedule_requeues_onto_its_peer() {
         // kill(1, 1) on 2 round-robin runtime nodes: node 1 admits job 1,
-        // then its agent thread dies on job 3's doorbell. The death
-        // arrives as the agent's last frame; job 1 requeues, job 3 is
-        // placed afresh, and all six jobs run on node 0.
+        // then its agent dies on job 3's doorbell. The panic is caught
+        // at the call and answered `NodeFailed`; job 1 requeues, job 3
+        // is placed afresh, and all six jobs run on node 0.
         let base = runtime_session(41).fault_schedule(FaultSchedule::new(41).kill(1, 1));
         let mut cluster = ClusterBuilder::new(base, 2)
             .route(RoutePolicy::RoundRobin)
@@ -409,16 +393,14 @@ mod tests {
 
     #[test]
     fn a_threaded_node_withholding_its_ack_times_out_after_the_deadline() {
-        // A threaded node is waited for under the RPC deadline: six
-        // doubling windows from 2 ms, 126 ms in all, then a typed
-        // timeout (an inline sim node's withheld ack is one at once).
+        // A runtime node's worker pool is threaded, but its agent
+        // answers during the call like a sim node's, so the deadline
+        // is zero: the withheld ack is a typed timeout at once.
         let base = runtime_session(42).fault_schedule(FaultSchedule::new(42).drop_acks(0, 1));
-        let mut cluster = ClusterBuilder::new(base, 1)
-            .rpc_deadline(Duration::from_millis(2))
-            .build_runtime();
+        let mut cluster = ClusterBuilder::new(base, 1).build_runtime();
         let hits = Arc::new(AtomicUsize::new(0));
         let err = Executor::submit(&mut cluster, counted_job(&hits)).unwrap_err();
-        assert_eq!(err, ExecError::Timeout { waited_ms: 126 });
+        assert_eq!(err, ExecError::Timeout);
         // The node admitted the job; its record is an orphan at drain.
         let stats = cluster.drain().unwrap();
         assert!(stats.jobs.is_empty());
@@ -530,7 +512,7 @@ mod tests {
         for j in 0..3 {
             Executor::submit(&mut cluster, chain_job(j)).unwrap();
         }
-        drop(cluster); // pending sim batches are discarded, agents join
+        drop(cluster); // pending sim batches are discarded with their agents
     }
 
     #[test]
@@ -619,11 +601,9 @@ mod tests {
     #[test]
     fn dropped_acks_surface_as_typed_timeout() {
         let base = base_session(23).fault_schedule(FaultSchedule::new(23).drop_acks(0, 1));
-        let mut cluster = ClusterBuilder::new(base, 1)
-            .rpc_deadline(Duration::from_millis(2))
-            .build_sim();
+        let mut cluster = ClusterBuilder::new(base, 1).build_sim();
         let err = Executor::submit(&mut cluster, chain_job(0)).unwrap_err();
-        assert!(matches!(err, ExecError::Timeout { .. }), "{err:?}");
+        assert!(matches!(err, ExecError::Timeout), "{err:?}");
         // The node admitted the job but its ack was withheld: the
         // record surfaces at drain as an orphan, not a completion.
         let stats = cluster.drain().unwrap();
@@ -635,15 +615,14 @@ mod tests {
     #[test]
     fn drain_deadline_turns_a_silent_node_into_a_typed_error() {
         // Node 1 swallows its drain ack. The old collective epilogue
-        // would block forever; the bounded RPC surfaces ExecError::Timeout.
+        // would block forever; the withheld ack surfaces ExecError::Timeout.
         let base = base_session(24).fault_schedule(FaultSchedule::new(24).drop_acks(1, 1));
         let mut cluster = ClusterBuilder::new(base, 2)
             .route(RoutePolicy::RoundRobin)
-            .rpc_deadline(Duration::from_millis(2))
             .build_sim();
         Executor::submit(&mut cluster, chain_job(0)).unwrap();
         let err = cluster.drain().unwrap_err();
-        assert!(matches!(err, ExecError::Timeout { .. }), "{err:?}");
+        assert!(matches!(err, ExecError::Timeout), "{err:?}");
     }
 
     #[test]

@@ -8,6 +8,7 @@ use das_core::exec::ExecError;
 use das_core::jobs::JobSpec;
 
 use crate::dispatcher::{fold_records, Cluster, NodeState, Routed};
+use crate::wire::Ctrl;
 
 impl<G: Clone> Cluster<G> {
     /// Retire node `node` gracefully: its pending (never-started) jobs
@@ -75,7 +76,7 @@ impl<G: Clone> Cluster<G> {
                 return Ok(());
             }
             // Silent, not dead: it stays a member.
-            Err(e @ ExecError::Timeout { .. }) => {
+            Err(e @ ExecError::Timeout) => {
                 self.nodes[node].state = NodeState::Live;
                 return Err(e);
             }
@@ -110,7 +111,7 @@ impl<G: Clone> Cluster<G> {
         outcome
     }
 
-    /// Node `node` is gone: mark it dead, join the agent, attribute the
+    /// Node `node` is gone: mark it dead, drop its agent, attribute the
     /// failure, and repair the route table — never-started jobs requeue
     /// onto survivors, started ones retry at most once, the rest are
     /// recorded as lost. Idempotent per node.
@@ -163,8 +164,8 @@ impl<G: Clone> Cluster<G> {
             let Some(node) = self.pick() else {
                 return Err(self.no_pick_error());
             };
-            let rung = self.ring(node, vec![spec.clone()]);
-            let admission = rung.and_then(|()| self.admitted(node));
+            self.send(node, Ctrl::Submit(vec![spec.clone()]));
+            let admission = self.admitted(node);
             match self.repaired(node, admission) {
                 Ok(locals) => return Ok((node, locals[0])),
                 Err(ExecError::NodeFailed { .. }) => {}

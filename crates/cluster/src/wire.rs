@@ -1,80 +1,17 @@
-//! The commands and replies of a cluster node, and the frames of a
-//! threaded node's link.
+//! The commands and replies of a cluster node.
 //!
-//! An inline node takes a [`Ctrl`] as a call and answers with a
-//! [`Reply`] value. A threaded node talks to the dispatcher over a
-//! private two-rank [`das_msg::Communicator`] whose messages are
-//! [`Frame`]s: commands, acknowledgements, load reports and metrics
-//! snapshots travel as the Rust values themselves — graphs, job
-//! records, extras and error messages included — so nothing is encoded
-//! on one end and decoded on the other. Each frame kind has its own
-//! mailbox tag, so a keep-latest read of one report stream never drops
-//! an acknowledgement; [`post`] is the one send path and picks the tag
-//! from the frame.
+//! A node takes a [`Ctrl`] as a call and answers with a [`Reply`]
+//! value. Both are the Rust values themselves — graphs, job records,
+//! extras and error messages included — so nothing is encoded on one
+//! end and decoded on the other.
 
 use das_core::exec::{ExecError, ExecExtras};
 use das_core::jobs::{JobSpec, JobStats, StreamStats};
 use das_core::metrics::{NodeSnapshot, TraceSpan};
-use das_msg::Endpoint;
-
-/// Dispatcher → node commands ([`Frame::Ctrl`], [`Frame::Shutdown`]).
-pub(crate) const T_CTRL: u32 = 1;
-/// Node → dispatcher acknowledgements ([`Frame::Reply`]): one per
-/// command.
-pub(crate) const T_ACK: u32 = 2;
-/// Node → dispatcher unsolicited load reports ([`Frame::Load`]),
-/// pushed before every acknowledgement so the dispatcher's routing view
-/// is current by the time a command completes. Collapsed to the newest
-/// report with [`das_msg::Endpoint::try_recv_latest`].
-pub(crate) const T_LOAD: u32 = 3;
-/// Node → dispatcher unsolicited metrics snapshots
-/// ([`Frame::Metrics`]), pushed immediately *before* the load report
-/// they ride with — the dispatcher's keep-latest read then always
-/// observes a snapshot at least as fresh as the load value it routes
-/// on. The pair shares **one** fault decision: a
-/// `DropLoadReports`/`DelayLoadReports` token that suppresses (or
-/// staleness-shifts) the load report does the same to the snapshot.
-/// Cumulative counters make the stream loss-tolerant: any later
-/// snapshot subsumes a dropped one.
-pub(crate) const T_METRICS: u32 = 4;
-
-/// The dispatcher's rank on every per-node link.
-pub(crate) const DISPATCHER: usize = 0;
-/// The node's rank on its own link: each node talks to the dispatcher
-/// over a private 2-rank communicator, so membership churn never
-/// resizes a shared rank space and a dead node can never wedge a
-/// collective.
-pub(crate) const NODE: usize = 1;
-
-/// One end of a node's link.
-pub(crate) type Link<G> = Endpoint<Frame<G>>;
-
-/// Everything that crosses a threaded node's link: one mailbox tag per
-/// frame kind, the shutdown riding behind the commands.
-pub(crate) enum Frame<G> {
-    Ctrl(Ctrl<G>),
-    Reply(Reply),
-    /// The node's outstanding-job count (scaled by a `Slow` fault).
-    Load(f64),
-    Metrics(Box<NodeSnapshot>),
-    /// Exit the agent loop; no reply.
-    Shutdown,
-}
-
-/// Send `frame` to the other rank of `link` under its kind's tag.
-pub(crate) fn post<G>(link: &Link<G>, frame: Frame<G>) {
-    let tag = match frame {
-        Frame::Ctrl(_) | Frame::Shutdown => T_CTRL,
-        Frame::Reply(_) => T_ACK,
-        Frame::Load(_) => T_LOAD,
-        Frame::Metrics(_) => T_METRICS,
-    };
-    link.send(1 - link.rank(), tag, frame);
-}
 
 /// A dispatcher → node command.
 pub(crate) enum Ctrl<G> {
-    /// Admit these jobs as one batch: one frame carries the whole
+    /// Admit these jobs as one batch: one command carries the whole
     /// sub-batch, whatever its size; answered by [`Reply::Admitted`].
     Submit(Vec<JobSpec<G>>),
     /// Wait for the job with this node-local id; answered by

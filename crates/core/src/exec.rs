@@ -131,23 +131,20 @@ pub enum ExecError {
         /// The configured bound that was hit.
         limit: usize,
     },
-    /// A cluster node died while holding work: its agent thread
-    /// panicked (or was killed by a scheduled fault) and the dispatcher
-    /// detected it. Surfaced for jobs that could not be recovered onto
-    /// surviving nodes; the cluster itself stays usable.
+    /// A cluster node died while holding work: its agent panicked (or
+    /// was killed by a scheduled fault) during a command, and the
+    /// dispatcher caught the panic at the call. Surfaced for jobs that
+    /// could not be recovered onto surviving nodes; the cluster itself
+    /// stays usable.
     NodeFailed {
         /// The dead node's index on the cluster tier.
         node: usize,
     },
-    /// A control RPC exceeded its deadline: the remote side neither
-    /// acknowledged nor was detected as down within the configured
-    /// retry budget. Transient by construction — the client may retry
-    /// the verb.
-    Timeout {
-        /// Total time waited across all retry attempts, in
-        /// milliseconds.
-        waited_ms: u64,
-    },
+    /// A cluster node ran a command but withheld its acknowledgement
+    /// (the `DropAcks` fault): the node is live, but the dispatcher
+    /// cannot tell what the command did. Transient by construction —
+    /// the client may retry the verb.
+    Timeout,
 }
 
 impl fmt::Display for ExecError {
@@ -165,9 +162,7 @@ impl fmt::Display for ExecError {
             ExecError::NodeFailed { node } => {
                 write!(f, "node {node} failed while holding work")
             }
-            ExecError::Timeout { waited_ms } => {
-                write!(f, "control rpc timed out after {waited_ms}ms")
-            }
+            ExecError::Timeout => write!(f, "control rpc timed out: no acknowledgement"),
         }
     }
 }
@@ -937,8 +932,7 @@ mod tests {
         assert!(e.to_string().contains("overloaded"), "{e}");
         let e = ExecError::NodeFailed { node: 2 };
         assert!(e.to_string().contains("node 2"), "{e}");
-        let e = ExecError::Timeout { waited_ms: 250 };
-        assert!(e.to_string().contains("250ms"), "{e}");
+        let e = ExecError::Timeout;
         assert!(e.to_string().contains("timed out"), "{e}");
     }
 

@@ -37,7 +37,7 @@ pub struct FaultEvent {
 }
 
 /// The kinds of fault the plane can inject. All triggers are logical
-/// counts — jobs admitted, frames sent — never wall-clock times, so a
+/// counts — jobs admitted, reports sent — never wall-clock times, so a
 /// seeded schedule replays bit-identically.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FaultKind {
@@ -50,24 +50,23 @@ pub enum FaultKind {
         /// Jobs the node admits before dying.
         after_jobs: u64,
     },
-    /// The node's next `count` load-report frames are silently dropped:
+    /// The node's next `count` load reports are silently dropped:
     /// the dispatcher keeps routing on its last known (stale) load view
     /// for this node.
     DropLoadReports {
-        /// Frames to drop.
+        /// Reports to drop.
         count: u64,
     },
-    /// The node's next `count` load-report frames are delayed by one
+    /// The node's next `count` load reports are delayed by one
     /// report each: the dispatcher receives the *previous* report's
     /// value instead of the current one (stale by one step).
     DelayLoadReports {
-        /// Frames to delay.
+        /// Reports to delay.
         count: u64,
     },
     /// The node executes its next `count` commands but withholds the
-    /// acknowledgement frames, forcing the dispatcher's typed RPC
-    /// deadline (`ExecError::Timeout`) to fire instead of blocking
-    /// forever.
+    /// acknowledgements: each such command returns the typed
+    /// `ExecError::Timeout` to the caller at once.
     DropAcks {
         /// Acknowledgements to withhold.
         count: u64,
@@ -184,7 +183,7 @@ impl FaultSchedule {
 
 /// The runtime half of the fault plane: per-node counters a node-agent
 /// consults at each logical decision point. Owned (and mutated) by one
-/// agent thread; the schedule itself stays immutable.
+/// node agent; the schedule itself stays immutable.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlane {
     kill_after: Option<u64>,

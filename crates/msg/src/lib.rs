@@ -14,11 +14,8 @@
 //! boundary arrives, creating the same cross-rank critical path as MPI
 //! ghost-cell exchange.
 //!
-//! A communicator is generic over its message type. The default,
-//! `Vec<f64>`, is the row the applications exchange, and the
-//! collectives work on it; any other `Send` type travels point to point
-//! as the value itself — the cluster tier sends its typed frames this
-//! way ([`Communicator::typed`]).
+//! A message is a row of `f64` values, the row the applications
+//! exchange and the collectives work on.
 //!
 //! ```
 //! use das_msg::Communicator;
@@ -35,28 +32,6 @@
 //! assert_eq!(got, vec![1.0, 2.0]);
 //! assert_eq!(h.join().unwrap(), vec![3.0]);
 //! ```
-//!
-//! [`Communicator::new`] is the `f64` communicator, so a receiver whose
-//! first use of a message comes before any send still infers
-//! `Vec<f64>`:
-//!
-//! ```
-//! use das_msg::Communicator;
-//!
-//! let comm = Communicator::new(2);
-//! let (e0, e1) = (comm.endpoint(0), comm.endpoint(1));
-//! let echo = std::thread::spawn(move || loop {
-//!     let p = e1.recv(0, 1);
-//!     if p.is_empty() {
-//!         break;
-//!     }
-//!     e1.send(0, 2, p);
-//! });
-//! e0.send(1, 1, vec![4.0]);
-//! assert_eq!(e0.recv(1, 2), vec![4.0]);
-//! e0.send(1, 1, Vec::new());
-//! echo.join().unwrap();
-//! ```
 
 mod collectives;
 
@@ -67,18 +42,17 @@ use collectives::COLLECTIVE_TAG_BASE;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-use std::time::Duration;
 
-/// The default message: a row of grid values, what the ghost-cell
-/// exchanges and the collectives carry.
+/// A message: a row of grid values, what the ghost-cell exchanges and
+/// the collectives carry.
 pub(crate) type Payload = Vec<f64>;
 
 /// Key of a mailbox slot: `(source rank, tag)`.
 type Key = (usize, u32);
 
-struct Mailbox<T> {
+struct Mailbox {
     /// FIFO per (source, tag): messages with equal key preserve order.
-    slots: Mutex<BTreeMap<Key, VecDeque<T>>>,
+    slots: Mutex<BTreeMap<Key, VecDeque<Payload>>>,
     cond: Condvar,
 }
 
@@ -87,34 +61,24 @@ struct BarrierState {
     cond: Condvar,
 }
 
-struct Shared<T> {
+struct Shared {
     n: usize,
-    boxes: Vec<Mailbox<T>>,
+    boxes: Vec<Mailbox>,
     barrier: BarrierState,
 }
 
-/// A group of `n` ranks that can exchange messages of type `T`.
+/// A group of `n` ranks that can exchange messages.
 /// Clone-free: hand out [`Endpoint`]s instead.
-pub struct Communicator<T = Payload> {
-    shared: Arc<Shared<T>>,
+pub struct Communicator {
+    shared: Arc<Shared>,
 }
 
 impl Communicator {
-    /// Create an `f64` communicator with ranks `0..n`.
+    /// Create a communicator with ranks `0..n`.
     ///
     /// # Panics
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
-        Self::typed(n)
-    }
-}
-
-impl<T> Communicator<T> {
-    /// Create a communicator with ranks `0..n` whose messages are `T`.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    pub fn typed(n: usize) -> Self {
         assert!(n > 0, "communicator needs at least one rank");
         Communicator {
             shared: Arc::new(Shared {
@@ -137,7 +101,7 @@ impl<T> Communicator<T> {
     ///
     /// # Panics
     /// Panics if `rank >= size`.
-    pub fn endpoint(&self, rank: usize) -> Endpoint<T> {
+    pub fn endpoint(&self, rank: usize) -> Endpoint {
         assert!(rank < self.shared.n, "rank {rank} out of range");
         Endpoint {
             rank,
@@ -147,27 +111,19 @@ impl<T> Communicator<T> {
 
     /// All endpoints, rank order — convenient for spawning one thread per
     /// rank.
-    pub fn endpoints(&self) -> Vec<Endpoint<T>> {
+    pub fn endpoints(&self) -> Vec<Endpoint> {
         (0..self.shared.n).map(|r| self.endpoint(r)).collect()
     }
 }
 
 /// A rank's handle for sending, receiving and synchronising.
-pub struct Endpoint<T = Payload> {
+#[derive(Clone)]
+pub struct Endpoint {
     rank: usize,
-    shared: Arc<Shared<T>>,
+    shared: Arc<Shared>,
 }
 
-impl<T> Clone for Endpoint<T> {
-    fn clone(&self) -> Self {
-        Endpoint {
-            rank: self.rank,
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-impl<T> Endpoint<T> {
+impl Endpoint {
     /// This endpoint's rank.
     pub fn rank(&self) -> usize {
         self.rank
@@ -183,7 +139,7 @@ impl<T> Endpoint<T> {
     ///
     /// # Panics
     /// Panics if `dst` is out of range.
-    pub fn send(&self, dst: usize, tag: u32, msg: T) {
+    pub fn send(&self, dst: usize, tag: u32, msg: Payload) {
         assert!(dst < self.shared.n, "destination {dst} out of range");
         let mbox = &self.shared.boxes[dst];
         {
@@ -194,70 +150,29 @@ impl<T> Endpoint<T> {
     }
 
     /// Blocking receive of the next message from `src` with `tag`.
-    pub fn recv(&self, src: usize, tag: u32) -> T {
-        self.try_recv_for(src, tag, None)
-            .expect("unbounded recv cannot time out")
-    }
-
-    /// Receive with a bounded exponential-backoff deadline: wait `base`
-    /// for the first attempt, doubling per attempt, for at most
-    /// `attempts` attempts. Returns the message and the attempt index
-    /// it arrived on, or `Err(total_waited)` after the full budget
-    /// expires. This is the control-RPC deadline primitive of the
-    /// cluster tier: a dispatcher talking to a possibly-dead node wants
-    /// "ack, or a typed timeout after a known worst case", never an
-    /// indefinite block. With `base = 100ms, attempts = 4` the worst
-    /// case is 100 + 200 + 400 + 800 = 1.5s.
-    pub fn recv_backoff(
-        &self,
-        src: usize,
-        tag: u32,
-        base: Duration,
-        attempts: u32,
-    ) -> Result<(T, u32), Duration> {
-        let mut waited = Duration::ZERO;
-        let mut window = base;
-        for attempt in 0..attempts.max(1) {
-            if let Some(p) = self.try_recv_for(src, tag, Some(window)) {
-                return Ok((p, attempt));
+    pub fn recv(&self, src: usize, tag: u32) -> Payload {
+        let mbox = &self.shared.boxes[self.rank];
+        let mut slots = mbox.slots.lock();
+        loop {
+            if let Some(p) = Self::take(&mut slots, (src, tag)) {
+                return p;
             }
-            waited += window;
-            window = window.saturating_mul(2);
+            mbox.cond.wait(&mut slots);
         }
-        Err(waited)
     }
 
     /// Non-blocking receive that collapses a backlog of *idempotent
     /// state reports*: drains every queued message from `src` with
     /// `tag` and returns only the newest, or `None` when nothing is
-    /// queued. This is the load-report plumbing of the cluster tier —
-    /// a dispatcher that routed k jobs since its last look wants one
-    /// current outstanding-count per node, not k stale ones.
-    pub fn try_recv_latest(&self, src: usize, tag: u32) -> Option<T> {
+    /// queued: a reader that missed k reports since its last look
+    /// wants one current value, not k stale ones.
+    pub fn try_recv_latest(&self, src: usize, tag: u32) -> Option<Payload> {
         let mbox = &self.shared.boxes[self.rank];
         let mut slots = mbox.slots.lock();
         slots.remove(&(src, tag))?.pop_back()
     }
 
-    fn try_recv_for(&self, src: usize, tag: u32, timeout: Option<Duration>) -> Option<T> {
-        let mbox = &self.shared.boxes[self.rank];
-        let mut slots = mbox.slots.lock();
-        loop {
-            if let Some(p) = Self::take(&mut slots, (src, tag)) {
-                return Some(p);
-            }
-            match timeout {
-                None => mbox.cond.wait(&mut slots),
-                Some(d) => {
-                    if mbox.cond.wait_for(&mut slots, d).timed_out() {
-                        return Self::take(&mut slots, (src, tag));
-                    }
-                }
-            }
-        }
-    }
-
-    fn take(slots: &mut BTreeMap<Key, VecDeque<T>>, key: Key) -> Option<T> {
+    fn take(slots: &mut BTreeMap<Key, VecDeque<Payload>>, key: Key) -> Option<Payload> {
         let q = slots.get_mut(&key)?;
         let p = q.pop_front();
         if q.is_empty() {
@@ -269,7 +184,7 @@ impl<T> Endpoint<T> {
     /// Combined send + receive with the same partner, the shape of a
     /// ghost-cell exchange. Sends first (sends are non-blocking), so two
     /// neighbours `sendrecv`-ing each other never deadlock.
-    pub fn sendrecv(&self, peer: usize, tag: u32, msg: T) -> T {
+    pub fn sendrecv(&self, peer: usize, tag: u32, msg: Payload) -> Payload {
         self.send(peer, tag, msg);
         #[expect(
             clippy::disallowed_methods,
@@ -296,9 +211,7 @@ impl<T> Endpoint<T> {
             }
         }
     }
-}
 
-impl Endpoint {
     /// Sum-allreduce of equally sized vectors across all ranks (used by
     /// the distributed K-means extension). Rank 0 gathers, reduces and
     /// broadcasts; O(n) messages, fine for intra-process ranks.
@@ -351,14 +264,8 @@ mod tests {
     use std::time::Duration;
 
     /// Non-blocking receive.
-    fn try_recv<T>(e: &Endpoint<T>, src: usize, tag: u32) -> Option<T> {
+    fn try_recv(e: &Endpoint, src: usize, tag: u32) -> Option<Payload> {
         Endpoint::take(&mut e.shared.boxes[e.rank].slots.lock(), (src, tag))
-    }
-
-    /// Receive with a timeout; `None` on expiry. Turns a protocol
-    /// deadlock into a test failure instead of a hang.
-    fn recv_timeout<T>(e: &Endpoint<T>, src: usize, tag: u32, timeout: Duration) -> Option<T> {
-        e.try_recv_for(src, tag, Some(timeout))
     }
 
     #[test]
@@ -390,11 +297,6 @@ mod tests {
         let comm = Communicator::new(2);
         let a = comm.endpoint(0);
         assert_eq!(try_recv(&a, 1, 0), None);
-        assert_eq!(
-            recv_timeout(&a, 1, 0, Duration::from_millis(10)),
-            None,
-            "timeout on empty mailbox"
-        );
         comm.endpoint(1).send(0, 0, vec![5.0]);
         assert_eq!(try_recv(&a, 1, 0), Some(vec![5.0]));
     }
@@ -582,102 +484,6 @@ mod tests {
             assert_eq!(b, &vec![0.0], "broadcast unaffected by edge-tag traffic");
         }
         assert_eq!(got[0].1, Some(vec![42.0]), "edge-tag message intact");
-    }
-
-    #[test]
-    fn recv_timeout_expires_empty_but_catches_late_arrivals() {
-        let comm = Communicator::new(2);
-        let a = comm.endpoint(0);
-        let b = comm.endpoint(1);
-        // Plain expiry: no sender, bounded wait, None.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the test measures the real timeout"
-        )]
-        let t0 = std::time::Instant::now();
-        assert_eq!(recv_timeout(&a, 1, 0, Duration::from_millis(30)), None);
-        assert!(
-            t0.elapsed() >= Duration::from_millis(25),
-            "waited the window"
-        );
-        // A message landing inside the window is returned, well before
-        // the (generous) deadline.
-        let h = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(20));
-            b.send(0, 0, vec![8.0]);
-        });
-        #[expect(clippy::disallowed_methods, reason = "the test bounds real wait time")]
-        let t0 = std::time::Instant::now();
-        let got = recv_timeout(&a, 1, 0, Duration::from_secs(10));
-        assert_eq!(got, Some(vec![8.0]));
-        assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "did not sleep out the window"
-        );
-        h.join().unwrap();
-        // After consumption the mailbox is empty again.
-        assert_eq!(recv_timeout(&a, 1, 0, Duration::from_millis(5)), None);
-    }
-
-    #[test]
-    fn recv_backoff_bounds_the_total_wait_and_reports_the_attempt() {
-        let comm = Communicator::new(2);
-        let a = comm.endpoint(0);
-        let b = comm.endpoint(1);
-        // Empty mailbox: all attempts expire; the reported total is the
-        // full geometric budget (5 + 10 + 20 = 35ms for 3 attempts).
-        let waited = a
-            .recv_backoff(1, 0, Duration::from_millis(5), 3)
-            .expect_err("nothing was sent");
-        assert_eq!(waited, Duration::from_millis(35));
-        // A message already queued is returned on the first attempt.
-        b.send(0, 0, vec![1.0]);
-        assert_eq!(
-            a.recv_backoff(1, 0, Duration::from_millis(5), 3),
-            Ok((vec![1.0], 0))
-        );
-        // A message landing after the first window is caught by a later
-        // attempt, not dropped.
-        let h = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(15));
-            b.send(0, 0, vec![2.0]);
-        });
-        let (payload, attempt) = a
-            .recv_backoff(1, 0, Duration::from_millis(2), 10)
-            .expect("late arrival still lands inside the budget");
-        assert_eq!(payload, vec![2.0]);
-        assert!(attempt > 0, "first 2ms window cannot have caught it");
-        h.join().unwrap();
-        // Zero attempts is clamped to one bounded attempt.
-        assert!(a.recv_backoff(1, 0, Duration::from_millis(1), 0).is_err());
-    }
-
-    #[test]
-    fn typed_payloads_keep_fifo_and_latest() {
-        // A non-f64 message type travels as the value itself, with the
-        // same per-(src, tag) FIFO and keep-latest as the f64 rows.
-        #[derive(Debug, PartialEq)]
-        enum Msg {
-            Job(String),
-            Load(u64),
-        }
-        let comm = Communicator::<Msg>::typed(2);
-        let a = comm.endpoint(0);
-        let b = comm.endpoint(1);
-        a.send(1, 0, Msg::Job("first".into()));
-        a.send(1, 1, Msg::Load(9));
-        a.send(1, 0, Msg::Job("second".into()));
-        assert_eq!(b.recv(0, 0), Msg::Job("first".into()));
-        assert_eq!(try_recv(&b, 0, 0), Some(Msg::Job("second".into())));
-        assert_eq!(try_recv(&b, 0, 0), None);
-        for load in 10..13 {
-            a.send(1, 1, Msg::Load(load));
-        }
-        assert_eq!(b.try_recv_latest(0, 1), Some(Msg::Load(12)), "newest wins");
-        assert_eq!(b.try_recv_latest(0, 1), None, "the slot is emptied");
-        let h = thread::spawn(move || b.sendrecv(0, 2, Msg::Load(1)));
-        assert_eq!(a.sendrecv(1, 2, Msg::Load(2)), Msg::Load(1));
-        assert_eq!(h.join().unwrap(), Msg::Load(2));
     }
 
     #[test]

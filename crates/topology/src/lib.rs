@@ -39,12 +39,10 @@
 //! ```
 
 mod builders;
-mod detect;
 mod distance;
 mod place;
 mod summary;
 
-pub use detect::detect;
 pub use distance::Distance;
 pub use place::{ExecutionPlace, PlaceIter};
 
@@ -172,8 +170,8 @@ impl Cluster {
 /// Immutable description of the whole platform.
 ///
 /// Build one with [`Topology::tx2`], [`Topology::haswell_2x8`],
-/// [`Topology::haswell_cluster`], [`Topology::symmetric`],
-/// [`Topology::builder`] or [`detect`].
+/// [`Topology::haswell_cluster`], [`Topology::symmetric`] or
+/// [`Topology::builder`].
 #[derive(Clone, Debug)]
 pub struct Topology {
     clusters: Vec<Cluster>,

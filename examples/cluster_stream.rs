@@ -7,8 +7,9 @@
 //! * one bare `das::sim::Simulator` (the single-node baseline),
 //! * a 4-node all-sim `das::cluster::Cluster` under each routing
 //!   policy (bit-reproducible: per-node determinism + seeded routing),
-//! * a 2-node cluster of threaded `das::runtime::Runtime` pools
-//!   executing the same graphs with no-op bodies in wall-clock time.
+//! * a 2-node cluster of `das::runtime::Runtime` worker pools, each
+//!   node linked into the dispatcher like a sim node, executing the
+//!   same graphs with no-op bodies in wall-clock time.
 //!
 //! The cluster's merged report also carries per-node attribution
 //! (`node{i}.jobs`, `node{i}.steals`, …), printed per section.

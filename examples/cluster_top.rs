@@ -4,7 +4,8 @@
 //! Streams a Poisson job mix into the cluster in batches and renders a
 //! frame after every batch: one row per [`MetricKind`], one column per
 //! node plus the merged cluster total. Mid-stream frames show queue
-//! depth building up from the periodic `T_METRICS` snapshots; the final
+//! depth building up from the snapshots each node reports on its
+//! admission cadence (`MetricsConfig::every`); the final
 //! frame comes from [`drain_summary`](das::cluster::Cluster::drain_summary),
 //! whose percentiles are read from the mergeable log-bucket sketches —
 //! no per-job record ever crosses a node boundary.
